@@ -100,6 +100,7 @@ class GF:
             self.modulus = tuple(modulus)
         self._mul_table = None
         self._inv_table = None
+        self._slot_tables = None
 
     def _least_irreducible(self):
         p, r = self.p, self.r
@@ -163,6 +164,28 @@ class GF:
                     inv[a] = b
                     break
         self._inv_table = inv
+
+    def slot_tables(self):
+        """Tables of the packed polynomial kernel (``poly``), built on first use.
+
+        ``digits[a]`` is the bytes of the r coordinates of a followed by r-1
+        zeros: the 2r-1 slots of one packed coefficient.  ``reduce[i]`` is the
+        element that a polynomial in w of degree <= 2r-2 reduces to, when the
+        base-p digits of i are its coefficients; p^(2r-1) entries.  Only
+        extension fields use them.
+        """
+        if self._slot_tables is None:
+            p, g, m = self.p, 2 * self.r - 1, list(self.modulus)
+            digits = [bytes(self.coords(a) + (0,) * (self.r - 1)) for a in range(self.q)]
+            reduce = []
+            for i in range(p**g):
+                w_poly = []
+                for _ in range(g):
+                    w_poly.append(i % p)
+                    i //= p
+                reduce.append(self._from_coords(_fp_polymod(w_poly, m, p)))
+            self._slot_tables = digits, reduce
+        return self._slot_tables
 
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:
@@ -275,8 +298,3 @@ class GF:
         if self.r == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.r})"
-
-
-def gf_build(p: int, r: int = 1, modulus=None) -> GF:
-    """Build the field context for F_{p^r}; see GF for modulus selection."""
-    return GF(p, r, modulus)

@@ -12,7 +12,7 @@ import functools
 
 from .errors import CarlitzError, DomainError
 from .padic import PadicCtx, PadicElem
-from .poly import Poly, euler_phi, is_irreducible
+from .poly import Poly, is_irreducible
 from .series import Series
 
 __all__ = [
@@ -236,7 +236,11 @@ class AdditiveOperator:
         return f"AdditiveOperator({', '.join(str(c) for c in self.coeffs)})"
 
 
-@functools.lru_cache(maxsize=None)
+# entries kept by each operator memo; cache_info() reports hits, misses, size
+_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _operator_cached(M: Poly) -> AdditiveOperator:
     gf = M.gf
     d = M.degree
@@ -244,7 +248,6 @@ def _operator_cached(M: Poly) -> AdditiveOperator:
         return AdditiveOperator(gf, [Poly.zero(gf)])
     # coefficient vectors of rho_{T^k} for k = 0..d, built by the T-step
     # c'_j = c_{j-1}^q + T*c_j
-    T = Poly.T(gf)
     zero = Poly.zero(gf)
     pow_vecs = [[Poly.one(gf)]]
     for _ in range(d):
@@ -252,7 +255,7 @@ def _operator_cached(M: Poly) -> AdditiveOperator:
         nxt = []
         for j in range(len(prev) + 1):
             below = prev[j - 1].frob_q() if j >= 1 else zero
-            here = T * prev[j] if j < len(prev) else zero
+            here = prev[j].shift(1) if j < len(prev) else zero
             nxt.append(below + here)
         pow_vecs.append(nxt)
     out = [zero] * (d + 1)
@@ -270,7 +273,7 @@ def carlitz_operator(M: Poly) -> AdditiveOperator:
     return _operator_cached(M)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _operator_coeffs_mod(M: Poly, ctx: PadicCtx):
     # Same T-step recursion as _operator_cached, but with every coefficient
     # reduced in the quotient ring as we go.  Reduction commutes with the
@@ -343,5 +346,8 @@ def cyclotomic_poly(P: Poly, n: int = 1) -> XPoly:
     quo, rem = divmod(num, den)
     if not rem.is_zero():
         raise CarlitzError("inexact division while forming a cyclotomic polynomial")
-    assert quo.deg() == euler_phi(P ** n) if n >= 1 else True
+    # deg = |(F_q[T]/P^n)^*| = q^(d(n-1)) (q^d - 1), P irreducible of degree d
+    q, d = P.gf.q, P.degree
+    if quo.deg() != q ** (d * (n - 1)) * (q**d - 1):
+        raise CarlitzError(f"cyclotomic polynomial has degree {quo.deg()}, not the order of (F_q[T]/P^{n})^*")
     return quo

@@ -77,19 +77,21 @@ class PadicElem:
         self.rep = rep
 
     def _check(self, other):
-        if not isinstance(other, PadicElem) or other.ctx != self.ctx:
+        if not isinstance(other, PadicElem) or (other.ctx is not self.ctx and other.ctx != self.ctx):
             raise DomainError("operands live in different completions")
+
+    # reps are reduced mod P^N, and so are their sums and negatives
 
     def __add__(self, other):
         self._check(other)
-        return self.ctx.elem(self.rep + other.rep)
+        return PadicElem(self.ctx, self.rep + other.rep)
 
     def __sub__(self, other):
         self._check(other)
-        return self.ctx.elem(self.rep - other.rep)
+        return PadicElem(self.ctx, self.rep - other.rep)
 
     def __neg__(self):
-        return self.ctx.elem(-self.rep)
+        return PadicElem(self.ctx, -self.rep)
 
     def scale(self, a: int) -> "PadicElem":
         return self.ctx.elem(self.rep.scale(a))
@@ -111,17 +113,29 @@ class PadicElem:
         self._check(other)
         return self * other.inverse()
 
+    def frobenius(self) -> "PadicElem":
+        """The q-th power: the q-th power of the rep is rep.frob_q()."""
+        return self.ctx.elem(self.rep.frob_q())
+
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        res = self.ctx.one()
+        # x^e = prod_i (x^(q^i))^(e_i) over the base-q digits e_i of e
+        q = self.ctx.gf.q
+        res = None  # stands for one, saving a multiplication by it
         base = self
         while e:
-            if e & 1:
-                res = res * base
-            base = base * base
-            e >>= 1
-        return res
+            e, d = divmod(e, q)
+            sq = base
+            while d:
+                if d & 1:
+                    res = sq if res is None else res * sq
+                d >>= 1
+                if d:
+                    sq = sq * sq
+            if e:
+                base = base.frobenius()
+        return self.ctx.one() if res is None else res
 
     def is_zero(self):
         return self.rep.is_zero()

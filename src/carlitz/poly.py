@@ -7,6 +7,8 @@ polynomial has an empty vector and degree -1 by convention.
 
 from __future__ import annotations
 
+import struct
+
 from .errors import DomainError
 from .gf import GF
 
@@ -92,13 +94,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(gf)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-        return Poly(gf, out)
+        k = _slot_bytes(min(len(a), len(b)) * gf.r * (gf.p - 1) ** 2)
+        x = _pack(gf, a, k)
+        y = x if b is a else _pack(gf, b, k)
+        return Poly(gf, _unpack(gf, x * y, len(a) + len(b) - 1, k))
 
     __rmul__ = __mul__
 
@@ -111,18 +110,33 @@ class Poly:
         if other.is_zero():
             raise DomainError("polynomial division by zero")
         gf = self.gf
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lc = gf.inv(other.lc)
-        quo = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
+        a, b = self.coeffs, other.coeffs
+        db = len(b) - 1
+        nq = len(a) - db
+        if nq <= 0:
+            return Poly.zero(gf), self
+        # The remainder is packed leading coefficient first, so the digit to
+        # clear is always group 0: quotient digit f adds (-f) * (divisor
+        # without its leading term) at groups 1..db, and group 0 is dropped.
+        # A group takes at most min(nq, db) such additions.  Over F_p a
+        # group is one slot holding the coefficient itself.
+        p, r = gf.p, gf.r
+        k = _slot_bytes(p - 1 + min(nq, db) * r * (p - 1) ** 2)
+        width = (2 * r - 1) * 8 * k
+        mask = (1 << width) - 1
+        rem = _pack(gf, a[::-1], k)
+        low = _pack(gf, b[:-1][::-1], k) << width
+        inv_lc = gf.inv(b[-1])
+        quo = [0] * nq
+        for i in range(nq - 1, -1, -1):
+            top = rem & mask
+            c = top % p if r == 1 else _unpack(gf, top, 1, k)[0]
             if c:
-                f = gf.mul(c, inv_lc)
-                quo[i - db] = f
-                for j, y in enumerate(other.coeffs):
-                    rem[i - db + j] = gf.sub(rem[i - db + j], gf.mul(f, y))
-        return Poly(gf, quo), Poly(gf, rem)
+                f = quo[i] = gf.mul(c, inv_lc)
+                # -f = (p-1)*f; over F_p that is p - f
+                rem += (p - f if r == 1 else _pack(gf, (gf.mul(f, p - 1),), k)) * low
+            rem >>= width
+        return Poly(gf, quo), Poly(gf, _unpack(gf, rem, db, k)[::-1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -186,7 +200,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.gf != self.gf:
+            if other.gf is not self.gf and other.gf != self.gf:
                 raise DomainError("mixed coefficient fields")
             return other
         raise TypeError(f"cannot combine Poly with {type(other).__name__}")
@@ -212,6 +226,66 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+# -- packed kernel --
+#
+# Poly multiplication and division run on Python ints (Kronecker
+# substitution).  Coefficient i of a polynomial over F_{p^r} becomes group i
+# of one int: 2r-1 slots of k bytes each, the r coordinates of the
+# coefficient in the low slots and zeros above.  Multiplying two packed ints
+# adds, in group i+j, the product of the coordinate polynomials of a_i and
+# b_j: a polynomial in w of degree <= 2r-2, unreduced, which fills the group.
+# Callers take k from the largest sum a slot can reach, so slots never carry
+# into their neighbours.  Unpacking reads every slot mod p; over F_p that is
+# the coefficient, over F_{p^r} the group's digits index the field's
+# reduction table (GF.slot_tables).
+
+# struct codes of 2-, 4- and 8-byte slots; wider slots go through int.to_bytes
+_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for slot values up to bound: the least power of two."""
+    k = 1
+    while bound >> (8 * k):
+        k *= 2
+    return k
+
+
+def _pack(gf: GF, coeffs, k: int) -> int:
+    """coeffs in one int, one group of k-byte slots per coefficient."""
+    if gf.r == 1:
+        slots = coeffs
+    else:
+        digits = gf.slot_tables()[0]
+        slots = b"".join([digits[c] for c in coeffs])
+    if k == 1:
+        data = bytes(slots)
+    elif k in _FORMATS:
+        data = struct.pack(f"<{len(slots)}{_FORMATS[k]}", *slots)
+    else:
+        data = b"".join([s.to_bytes(k, "little") for s in slots])
+    return int.from_bytes(data, "little")
+
+
+def _unpack(gf: GF, x: int, n: int, k: int) -> list:
+    """The first n coefficients packed in x, reduced."""
+    p, g = gf.p, 2 * gf.r - 1
+    data = x.to_bytes(n * g * k, "little")
+    if k == 1:
+        slots = data
+    elif k in _FORMATS:
+        slots = struct.unpack(f"<{n * g}{_FORMATS[k]}", data)
+    else:
+        slots = [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+    if g == 1:
+        return [s % p for s in slots]
+    idx = [s % p for s in slots[g - 1 :: g]]
+    for j in range(g - 2, -1, -1):
+        idx = [i * p + s % p for i, s in zip(idx, slots[j::g])]
+    reduce = gf.slot_tables()[1]
+    return [reduce[i] for i in idx]
 
 
 def parse_poly(s: str, gf: GF) -> Poly:
@@ -258,11 +332,6 @@ def parse_poly(s: str, gf: GF) -> Poly:
     for k, c in coeffs.items():
         vec[k] = c
     return Poly(gf, vec)
-
-
-def poly_divmod(a: Poly, b: Poly):
-    """Exact division with remainder: a = q*b + r, deg r < deg b."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import field, rand_poly
-from carlitz.errors import BelowPrecision, DomainError, PrecisionError
+from carlitz import operator as operator_module
+from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.operator import (
     XPoly,
     brackets_D,
@@ -104,6 +105,32 @@ def test_cyclotomic_divides_operator():
 def test_cyclotomic_frozen_value():
     gf = field(3)
     assert str(cyclotomic_poly(Poly.T(gf), 1)) == "x^2 + T"
+
+
+def test_cyclotomic_degree_mismatch_raises(monkeypatch):
+    # an exact division of the wrong degree: rho_{TP}(x) / x in place of rho_P(x) / x
+    gf = field(3)
+    T = Poly.T(gf)
+    exact = operator_module.carlitz_operator
+    monkeypatch.setattr(operator_module, "carlitz_operator", lambda M: exact(M * T if M.degree > 0 else M))
+    with pytest.raises(CarlitzError):
+        cyclotomic_poly(T + Poly.one(gf), 1)
+
+
+def test_operator_caches_are_bounded():
+    gf = field(2)
+    ctx = PadicCtx(parse_poly("T^2+T+1", gf), 3)
+    caches = (operator_module._operator_cached, operator_module._operator_coeffs_mod)
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None
+        assert cache.cache_info().maxsize >= 512
+    for code in range(1, caches[0].cache_info().maxsize + 50):
+        M = Poly(gf, [(code >> i) & 1 for i in range(code.bit_length())])
+        carlitz_operator(M)
+        carlitz_act(M, ctx.one())
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------- P-adic torsion
