@@ -117,12 +117,12 @@ def period_partial(gf, N: int, prec: int = None):
     if N < 1:
         raise DomainError("need at least one factor")
     one = RatFn.from_poly(Poly.one(gf))
+    T = Poly.T(gf)
+    # [n] = T^(q^n) - T for n = 1..N+1
+    brackets = [Poly.one(gf).shift(gf.q**n) - T for n in range(1, N + 2)]
     acc = one
-    prev_bracket, _ = brackets_D(gf, 1)
-    for n in range(1, N + 1):
-        nxt_bracket, _ = brackets_D(gf, n + 1)
-        acc = acc * (one - RatFn(prev_bracket, nxt_bracket))
-        prev_bracket = nxt_bracket
+    for b, b_next in zip(brackets, brackets[1:]):
+        acc = acc * (one - RatFn(b, b_next))
     if prec is None:
         return acc
     return acc, InfLaurent.from_ratfn(acc, prec=prec)

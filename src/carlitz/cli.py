@@ -18,7 +18,7 @@ from fractions import Fraction as Rational
 from . import analytic, geometry, reciprocity, torsion
 from .errors import CarlitzError, DomainError, PrecisionError
 from .gf import GF
-from .operator import brackets_D, carlitz_act, carlitz_operator, cyclotomic_poly
+from .operator import carlitz_act, carlitz_operator, cyclotomic_poly
 from .poly import Poly, RatFn, monic_irreducibles, parse_poly
 from .series import InfLaurent, VqElem, parse_series
 

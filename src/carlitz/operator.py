@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 
 from .errors import CarlitzError, DomainError
-from .padic import PadicCtx, PadicElem
+from .padic import PadicElem
 from .poly import Poly, is_irreducible
-from .series import Series
 
 __all__ = [
     "XPoly",
@@ -122,24 +121,11 @@ class XPoly:
             [c.scale(i % p) for i, c in enumerate(self.coeffs[1:], start=1)],
         )
 
-    def evaluate(self, u: Poly) -> Poly:
-        """Value at a polynomial argument (Horner)."""
-        acc = Poly.zero(self.gf)
+    def evaluate(self, a):
+        """Value at a, in a's ring (Poly, PadicElem or Series), by Horner."""
+        acc = a.from_poly(Poly.zero(self.gf))
         for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-    def evaluate_in(self, ctx: PadicCtx, a: PadicElem) -> PadicElem:
-        acc = ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * a + ctx.elem(c)
-        return acc
-
-    def evaluate_series(self, a: Series) -> Series:
-        cls = type(a)
-        acc = cls.zero(a.gf)
-        for c in reversed(self.coeffs):
-            acc = acc * a + cls.from_poly(c)
+            acc = acc * a + a.from_poly(c)
         return acc
 
     def __eq__(self, other):
@@ -190,37 +176,23 @@ class AdditiveOperator:
             {self.gf.q ** i: c for i, c in enumerate(self.coeffs) if not c.is_zero()},
         )
 
+    def derivative(self) -> XPoly:
+        """The x-derivative: the constant M, since (u^(q^i))' = 0 for i >= 1."""
+        return XPoly(self.gf, [self.M])
+
     def apply(self, u):
-        """Apply in u's ring, using that ring's q-power Frobenius."""
-        gf = self.gf
-        if isinstance(u, Poly):
-            acc = Poly.zero(gf)
-            p = u
-            for c in self.coeffs:
-                if not c.is_zero():
-                    acc = acc + c * p
-                p = p.frob_q()
-            return acc
-        if isinstance(u, PadicElem):
-            ctx = u.ctx
-            acc = ctx.zero()
-            p = u
-            q = gf.q
-            for c in self.coeffs:
-                if not c.is_zero():
-                    acc = acc + ctx.elem(c) * p
-                p = p ** q
-            return acc
-        if isinstance(u, Series):
-            cls = type(u)
-            acc = cls.zero(gf)
-            p = u
-            for c in self.coeffs:
-                if not c.is_zero():
-                    acc = acc + cls.from_poly(c) * p
-                p = p.frobenius()
-            return acc
-        raise DomainError(f"cannot apply an additive operator to {type(u).__name__}")
+        """rho_M(u) in u's ring (Poly, PadicElem or Series): each ring embeds
+        the c_i by from_poly and gives u^(q^i) by its q-power frobenius."""
+        acc = u.from_poly(self.M) * u
+        p = u
+        for c in self.coeffs[1:]:
+            p = p.frobenius()
+            if not c.is_zero():
+                acc = acc + u.from_poly(c) * p
+        return acc
+
+    # the name XPoly evaluates by, which hensel_lift calls
+    evaluate = apply
 
     def __eq__(self, other):
         return (
@@ -241,59 +213,29 @@ _CACHE_SIZE = 512
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _operator_cached(M: Poly) -> AdditiveOperator:
+def _operator_cached(M: Poly, modulus) -> AdditiveOperator:
     gf = M.gf
     d = M.degree
+    zero = Poly.zero(gf)
     if d < 0:
-        return AdditiveOperator(gf, [Poly.zero(gf)])
+        return AdditiveOperator(gf, [zero])
+
+    def reduce(f):
+        # Reduction mod P^N commutes with the q-power map in characteristic
+        # p, so reducing as we go agrees with reducing the exact operator,
+        # whose coefficients have degree (deg M - i)*q^i.
+        return f if modulus is None else f % modulus
+
     # coefficient vectors of rho_{T^k} for k = 0..d, built by the T-step
     # c'_j = c_{j-1}^q + T*c_j
-    zero = Poly.zero(gf)
     pow_vecs = [[Poly.one(gf)]]
     for _ in range(d):
         prev = pow_vecs[-1]
         nxt = []
         for j in range(len(prev) + 1):
-            below = prev[j - 1].frob_q() if j >= 1 else zero
+            below = prev[j - 1].frobenius() if j >= 1 else zero
             here = prev[j].shift(1) if j < len(prev) else zero
-            nxt.append(below + here)
-        pow_vecs.append(nxt)
-    out = [zero] * (d + 1)
-    for k, a in enumerate(M.coeffs):
-        if not a:
-            continue
-        vec = pow_vecs[k]
-        for j, c in enumerate(vec):
-            out[j] = out[j] + c.scale(a)
-    return AdditiveOperator(gf, out)
-
-
-def carlitz_operator(M: Poly) -> AdditiveOperator:
-    """The additive operator rho_M, with coefficient degrees (deg M - i)*q^i."""
-    return _operator_cached(M)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _operator_coeffs_mod(M: Poly, ctx: PadicCtx):
-    # Same T-step recursion as _operator_cached, but with every coefficient
-    # reduced in the quotient ring as we go.  Reduction commutes with the
-    # q-power map in characteristic p, so this agrees with reducing the exact
-    # operator -- and it stays cheap even when deg M is large enough that the
-    # exact coefficients (degree (deg M - i)*q^i) would be enormous.
-    d = M.degree
-    if d < 0:
-        return (ctx.zero(),)
-    T = ctx.elem(Poly.T(ctx.gf))
-    zero = ctx.zero()
-    q = ctx.gf.q
-    pow_vecs = [[ctx.one()]]
-    for _ in range(d):
-        prev = pow_vecs[-1]
-        nxt = []
-        for j in range(len(prev) + 1):
-            below = prev[j - 1] ** q if j >= 1 else zero
-            here = T * prev[j] if j < len(prev) else zero
-            nxt.append(below + here)
+            nxt.append(reduce(below + here))
         pow_vecs.append(nxt)
     out = [zero] * (d + 1)
     for k, a in enumerate(M.coeffs):
@@ -301,22 +243,22 @@ def _operator_coeffs_mod(M: Poly, ctx: PadicCtx):
             continue
         for j, c in enumerate(pow_vecs[k]):
             out[j] = out[j] + c.scale(a)
-    return tuple(out)
+    return AdditiveOperator(gf, out)
+
+
+def carlitz_operator(M: Poly, modulus: Poly = None) -> AdditiveOperator:
+    """The additive operator rho_M, with coefficient degrees (deg M - i)*q^i.
+
+    With a modulus P^N the coefficients are reduced mod P^N, which is all
+    that acting on F_q[T]/P^N needs.
+    """
+    return _operator_cached(M, modulus)
 
 
 def carlitz_act(M: Poly, u):
     """rho_M(u) in whichever ring u lives in."""
-    if isinstance(u, PadicElem):
-        ctx = u.ctx
-        acc = ctx.zero()
-        p = u
-        q = u.ctx.gf.q
-        for c in _operator_coeffs_mod(M, ctx):
-            if not c.is_zero():
-                acc = acc + c * p
-            p = p ** q
-        return acc
-    return carlitz_operator(M).apply(u)
+    modulus = u.ctx.modulus if isinstance(u, PadicElem) else None
+    return carlitz_operator(M, modulus).apply(u)
 
 
 def brackets_D(gf, n: int):
@@ -329,7 +271,7 @@ def brackets_D(gf, n: int):
     bracket = Poly.zero(gf)
     for k in range(1, n + 1):
         bracket = Poly.one(gf).shift(q ** k) - T
-        D = bracket * D.frob_q()
+        D = bracket * D.frobenius()
     if n == 0:
         return Poly.zero(gf), D
     return bracket, D

@@ -8,7 +8,7 @@ BelowPrecision.
 
 from __future__ import annotations
 
-from .errors import BelowPrecision, DomainError, PrecisionError
+from .errors import BelowPrecision, DomainError
 from .poly import Poly, is_irreducible, poly_ext_gcd
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
@@ -40,11 +40,6 @@ class PadicCtx:
 
     def from_ratfn(self, num: Poly, den: Poly) -> "PadicElem":
         return self.elem(num) / self.elem(den)
-
-    def lower(self, N: int) -> "PadicCtx":
-        if N > self.N:
-            raise PrecisionError("cannot raise precision of an existing context", needed=N)
-        return PadicCtx(self.P, N)
 
     def residues(self):
         """All residues mod P, as polynomials of degree < deg P."""
@@ -113,9 +108,13 @@ class PadicElem:
         self._check(other)
         return self * other.inverse()
 
+    def from_poly(self, f: Poly) -> "PadicElem":
+        """Embed f in this element's ring F_q[T]/P^N."""
+        return self.ctx.elem(f)
+
     def frobenius(self) -> "PadicElem":
-        """The q-th power: the q-th power of the rep is rep.frob_q()."""
-        return self.ctx.elem(self.rep.frob_q())
+        """The q-th power."""
+        return self ** self.ctx.gf.q
 
     def __pow__(self, e: int):
         if e < 0:
@@ -134,7 +133,8 @@ class PadicElem:
                 if d:
                     sq = sq * sq
             if e:
-                base = base.frobenius()
+                # the q-th power of a rep is its Frobenius image
+                base = self.ctx.elem(base.rep.frobenius())
         return self.ctx.one() if res is None else res
 
     def is_zero(self):
@@ -169,11 +169,6 @@ class PadicElem:
             out.append(d)
         return out
 
-    def reduce_to(self, ctx: PadicCtx) -> "PadicElem":
-        if ctx.P != self.ctx.P or ctx.N > self.ctx.N:
-            raise DomainError("can only reduce to a coarser context over the same prime")
-        return ctx.elem(self.rep)
-
     def __eq__(self, other):
         return isinstance(other, PadicElem) and other.ctx == self.ctx and other.rep == self.rep
 
@@ -190,25 +185,21 @@ class PadicElem:
 def hensel_lift(f, a0: PadicElem, ctx: PadicCtx) -> PadicElem:
     """Lift a simple root of f mod P to a root mod P^N by Newton iteration.
 
-    ``f`` is a polynomial in one variable with coefficients in F_q[T] (an
-    XPoly or anything exposing ``evaluate``/``derivative``).  Requires
-    v(f(a0)) >= 1 and v(f'(a0)) = 0 in the one-digit ring; precision doubles
-    each step.
+    ``f`` is anything exposing ``evaluate(a)`` in a's ring and a
+    ``derivative()`` that does too: an XPoly over F_q[T], or an
+    AdditiveOperator, whose derivative is the constant M.  Requires
+    f(a0) = 0 and f'(a0) != 0 mod P.  Each step works at full precision and
+    doubles the number of correct digits, so it stops after at most
+    ceil(log2 N) steps, when f(a) = 0 mod P^N.
     """
-    base = ctx.lower(1)
-    r0 = a0.reduce_to(base) if a0.ctx.N > 1 else base.elem(a0.rep)
-    if not f.evaluate_in(base, r0).is_zero():
-        raise DomainError(f"{a0} is not a root of the polynomial mod {ctx.P}")
-    if f.derivative().evaluate_in(base, r0).is_zero():
-        raise DomainError(f"the root {a0} mod {ctx.P} is not simple; Newton step undefined")
-    k = 1
-    a = r0
+    a = ctx.elem(a0.rep)
     df = f.derivative()
-    while k < ctx.N:
-        k = min(2 * k, ctx.N)
-        cur = ctx.lower(k) if k < ctx.N else ctx
-        a = cur.elem(a.rep)
-        fa = f.evaluate_in(cur, a)
-        dfa = df.evaluate_in(cur, a)
-        a = a - fa * dfa.inverse()
+    fa = f.evaluate(a)
+    if not (fa.rep % ctx.P).is_zero():
+        raise DomainError(f"{a0} is not a root of the polynomial mod {ctx.P}")
+    if (df.evaluate(a).rep % ctx.P).is_zero():
+        raise DomainError(f"the root {a0} mod {ctx.P} is not simple; Newton step undefined")
+    while not fa.is_zero():
+        a = a - fa / df.evaluate(a)
+        fa = f.evaluate(a)
     return a

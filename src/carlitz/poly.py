@@ -160,7 +160,12 @@ class Poly:
             return self
         return self.scale(self.gf.inv(self.lc))
 
-    def frob_q(self):
+    @staticmethod
+    def from_poly(f):
+        """Embed f in F_q[T]: f itself (every ring here has from_poly)."""
+        return f
+
+    def frobenius(self):
         """The q-th power: coefficients fixed, T-exponents multiplied by q."""
         q = self.gf.q
         out = [0] * (q * self.degree + 1) if self.coeffs else []

@@ -66,20 +66,10 @@ def check_reciprocity(P: Poly, Q: Poly, d: int):
     return lhs, rhs, lhs == rhs
 
 
-def _mult_order_in_gf(gf, a: int) -> int:
-    if a == 0:
-        raise DomainError("zero has no multiplicative order")
-    k, x = 1, a
-    while x != 1:
-        x = gf.mul(x, a)
-        k += 1
-    return k
-
-
 def residue_degree_kummer(A: Poly, P: Poly, d: int) -> int:
     """Residue degree of P in the degree-d radical extension adjoining a
     d-th root of A: the multiplicative order of the residue symbol."""
-    return _mult_order_in_gf(P.gf, residue_symbol(A, P, d))
+    return P.gf.order(residue_symbol(A, P, d))
 
 
 def residue_degree_cyclotomic(P: Poly, A: Poly) -> int:

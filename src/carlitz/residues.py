@@ -38,46 +38,6 @@ class ResidueField:
         return Poly.one(self.gf)
 
 
-class ResidueElem:
-    """An element of F_q[T]/(P), kept reduced."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: ResidueField, rep: Poly):
-        self.field = field
-        self.rep = field.reduce(rep)
-
-    def __add__(self, other):
-        return ResidueElem(self.field, self.rep + other.rep)
-
-    def __sub__(self, other):
-        return ResidueElem(self.field, self.rep - other.rep)
-
-    def __mul__(self, other):
-        return ResidueElem(self.field, self.field.mul(self.rep, other.rep))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return ResidueElem(self.field, self.field.inv(self.rep)) ** (-e)
-        res = ResidueElem(self.field, Poly.one(self.field.gf))
-        base = self
-        while e:
-            if e & 1:
-                res = res * base
-            base = base * base
-            e >>= 1
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, ResidueElem) and self.field.P == other.field.P and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.field.P, self.rep))
-
-    def __repr__(self):
-        return f"ResidueElem({self.rep} mod {self.field.P})"
-
-
 # -- polynomials in x over a residue field, as lists of reduced Polys --
 
 

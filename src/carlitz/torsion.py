@@ -11,6 +11,7 @@ sums whose image under rho_M can no longer be cancelled by any tail.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
@@ -101,7 +102,7 @@ def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
     """
     ctx = PadicCtx(P, N)
     order = P - Poly.one(P.gf)
-    f = carlitz_operator(order).to_xpoly()
+    f = carlitz_operator(order, ctx.modulus)
     points = []
     for r in ctx.residues():
         points.append(hensel_lift(f, ctx.elem(r), ctx))
@@ -204,15 +205,12 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     return TorsionSetVq(M, prec, points)
 
 
-# torsion sets are pure functions of (M, prec); memoize for the test suite
-_vq_cache: dict = {}
-
-
+# Torsion sets are pure functions of (M, prec).  torsion_vq itself stays
+# uncached, so timing it measures the search; the call below looks the name
+# up at run time, so a wrapper put on torsion_vq sees cached misses too.
+@functools.lru_cache(maxsize=512)
 def torsion_vq_cached(M: Poly, prec: int) -> TorsionSetVq:
-    key = (M, prec)
-    if key not in _vq_cache:
-        _vq_cache[key] = torsion_vq(M, prec)
-    return _vq_cache[key]
+    return torsion_vq(M, prec)
 
 
 def divide_T(u: VqElem, prec: int = None) -> list:

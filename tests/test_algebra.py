@@ -20,6 +20,7 @@ from carlitz.poly import (
 )
 from carlitz.operator import XPoly, carlitz_operator
 from carlitz.residues import ddf
+from carlitz.series import VqElem
 
 
 # ---------------------------------------------------------------- GF
@@ -105,8 +106,8 @@ def test_frob_q_semilinearity():
     for _ in range(50):
         a = rand_poly(gf, rng, 4)
         b = rand_poly(gf, rng, 4)
-        assert (a + b).frob_q() == a.frob_q() + b.frob_q()
-        assert (a * b).frob_q() == a.frob_q() * b.frob_q()
+        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
+        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
 
 
 def test_euler_phi():
@@ -199,3 +200,26 @@ def test_hensel_rejects_non_root():
     f = XPoly(gf, [T - Poly.one(gf), Poly.zero(gf), Poly.one(gf)])
     with pytest.raises(DomainError):
         hensel_lift(f, ctx.elem(T), ctx)
+
+
+def test_hensel_rejects_double_root():
+    gf = field(3)
+    zero, one = Poly.zero(gf), Poly.one(gf)
+    ctx = PadicCtx(Poly.T(gf), 3)
+    f = XPoly(gf, [zero, zero, one])  # x^2: a root at 0, and so is f'
+    with pytest.raises(DomainError, match="not simple"):
+        hensel_lift(f, ctx.zero(), ctx)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_xpoly_evaluate_commutes_with_embeddings(q):
+    # Horner in F_q[T] followed by the embedding equals Horner in the
+    # completion: F_q[T] -> F_q[T]/P^N and F_q[T] -> V_q are ring maps
+    gf = field(q)
+    rng = random.Random(q)
+    ctx = PadicCtx(monic_irreducibles(gf, 2)[-1], 3)
+    for _ in range(10):
+        f = XPoly(gf, [rand_poly(gf, rng, 2) for _ in range(rng.randrange(1, 5))])
+        u = rand_poly(gf, rng, 3)
+        assert f.evaluate(ctx.elem(u)) == ctx.elem(f.evaluate(u))
+        assert f.evaluate(VqElem.from_poly(u)) == VqElem.from_poly(f.evaluate(u))

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import field, rand_poly
 from carlitz import operator as operator_module
+from carlitz import torsion as torsion_module
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.operator import (
     XPoly,
@@ -15,8 +16,8 @@ from carlitz.operator import (
     carlitz_operator,
     cyclotomic_poly,
 )
-from carlitz.padic import PadicCtx
-from carlitz.poly import Poly, parse_poly
+from carlitz.padic import PadicCtx, hensel_lift
+from carlitz.poly import Poly, monic_irreducibles, parse_poly
 from carlitz.series import InfLaurent, VqElem
 from carlitz.torsion import (
     completed_action,
@@ -87,7 +88,7 @@ def test_brackets_and_D():
     assert b1 == Poly.one(gf).shift(3) - T  # T^3 - T
     b2, D2 = brackets_D(gf, 2)
     assert b2 == Poly.one(gf).shift(9) - T
-    assert D2 == b2 * D1.frob_q()
+    assert D2 == b2 * D1.frobenius()
     _, D0 = brackets_D(gf, 0)
     assert D0 == Poly.one(gf)
 
@@ -120,7 +121,8 @@ def test_cyclotomic_degree_mismatch_raises(monkeypatch):
 def test_operator_caches_are_bounded():
     gf = field(2)
     ctx = PadicCtx(parse_poly("T^2+T+1", gf), 3)
-    caches = (operator_module._operator_cached, operator_module._operator_coeffs_mod)
+    # one memo holds the exact and the reduced operators
+    caches = (operator_module._operator_cached, torsion_module.torsion_vq_cached)
     for cache in caches:
         assert cache.cache_info().maxsize is not None
         assert cache.cache_info().maxsize >= 512
@@ -128,6 +130,8 @@ def test_operator_caches_are_bounded():
         M = Poly(gf, [(code >> i) & 1 for i in range(code.bit_length())])
         carlitz_operator(M)
         carlitz_act(M, ctx.one())
+    for prec in range(1, caches[1].cache_info().maxsize + 50):
+        torsion_module.torsion_vq_cached(Poly.one(gf), prec)
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
@@ -158,6 +162,25 @@ def test_torsion_padic_is_a_module():
         a, b = rng.choice(pts), rng.choice(pts)
         assert (a + b) in ts
         assert carlitz_act(rand_poly(gf, rng, 3), a) in ts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_hensel_on_the_operator_matches_the_xpoly(q):
+    # Newton on rho_{P-1} (derivative the constant P-1, evaluated by a
+    # Frobenius chain) against Newton on the dense x-polynomial, whose
+    # derivative is formed and evaluated term by term
+    gf = field(q)
+    for d in (1, 2, 3):
+        if q**d > 125:
+            continue  # the dense x-polynomial has degree q^d
+        P = [f for f in monic_irreducibles(gf, d) if f.degree == d][-1]
+        ctx = PadicCtx(P, 5)
+        op = carlitz_operator(P - Poly.one(gf))
+        f = op.to_xpoly()
+        for r in ctx.residues():
+            a = hensel_lift(op, ctx.elem(r), ctx)
+            assert a == hensel_lift(f, ctx.elem(r), ctx)
+            assert op.apply(a).is_zero()
 
 
 # ---------------------------------------------------------------- V_q torsion
