@@ -10,7 +10,6 @@ the values for inspection and CLI output.
 from __future__ import annotations
 
 from .errors import BelowPrecision, CarlitzError, DomainError
-from .operator import brackets_D
 from .poly import Poly, RatFn
 from .series import InfLaurent, VqElem
 
@@ -79,8 +78,11 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
     cert = {}
     prev_val = None
     done = False
+    T = Poly.T(gf)
+    Dn = Poly.one(gf)  # D_0 = 1, D_n = [n] * D_{n-1}^q with [n] = T^(q^n) - T
     for n in range(budget.term_count):
-        _, Dn = brackets_D(gf, n)
+        if n:
+            Dn = (Poly.one(gf).shift(q**n) - T) * Dn.frobenius()
         # n-th coefficient is 1/D_n: the unique choice (with the standard D_n
         # recursion) satisfying e(Tz) = e(z)^q + T*e(z), which the test suite
         # enforces

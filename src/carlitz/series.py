@@ -163,14 +163,14 @@ class Series:
         prec = None if prec == INF else prec
         if self.is_zero() or other.is_zero():
             return self.zero(gf, prec)
-        out = {}
-        for i, a in self.terms():
-            for j, b in other.terms():
-                k = i + j
-                if prec is not None and k >= prec:
-                    continue
-                out[k] = gf.add(out.get(k, 0), gf.mul(a, b))
-        return self.from_terms(gf, out, prec)
+        # digits past prec - v only reach exponents >= prec (and prec > v)
+        v = self.v + other.v
+        a, b = self.coeffs, other.coeffs
+        if prec is not None:
+            a, b = a[: prec - v], b[: prec - v]
+        x = Poly(gf, a)
+        y = x if other is self else Poly(gf, b)
+        return self._new(v, (x * y).coeffs, prec)
 
     def scale(self, c: int):
         gf = self.gf
@@ -181,15 +181,15 @@ class Series:
         return self._new(self.v + k, self.coeffs, None if self.prec is None else self.prec + k)
 
     def frobenius(self):
-        """The q-th power: exponents scale by q, digits are fixed by x -> x^q."""
-        gf = self.gf
-        q = gf.q
-        out = {q * k: gf.pow(c, q) for k, c in self.terms()}
+        """The q-th power: exponents scale by q, F_q digits are fixed."""
+        q = self.gf.q
+        out = [0] * (q * len(self.coeffs) - q + 1) if self.coeffs else []
+        out[::q] = self.coeffs
         prec = None if self.prec is None else q * self.prec
-        return self.from_terms(gf, out, prec)
+        return self._new(q * self.v, out, prec)
 
     def inverse(self, prec=None):
-        """Multiplicative inverse, solved digit by digit.
+        """Multiplicative inverse, by one division of reversed polynomials.
 
         ``prec`` bounds the exponents of the result; it is required when the
         input is exact with more than one term (the expansion is infinite).
@@ -210,17 +210,12 @@ class Series:
         n = int(target) + v  # number of digits to solve
         if n <= 0:
             raise DomainError("requested inverse precision is vacuous")
-        c = [self.digit(v + i) if (self.prec is None or v + i < self.prec) else 0 for i in range(n)]
-        y = [0] * n
-        inv0 = gf.inv(c[0])
-        y[0] = inv0
-        for m in range(1, n):
-            acc = 0
-            for i in range(1, m + 1):
-                if i < len(c) and c[i] and y[m - i]:
-                    acc = gf.add(acc, gf.mul(c[i], y[m - i]))
-            y[m] = gf.neg(gf.mul(inv0, acc))
-        return self._new(-v, y, target)
+        # reversal: with c the first n digits and m = len(c) - 1, the quotient
+        # s^(n-1+m) // rev(c), read backwards, is 1/c mod s^n
+        c = self.coeffs[:n]
+        m = len(c) - 1
+        quo = Poly.one(gf).shift(n - 1 + m) // Poly(gf, c[::-1])
+        return self._new(-v, quo.coeffs[::-1], target)
 
     def __truediv__(self, other):
         self._check(other)

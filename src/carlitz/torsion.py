@@ -160,17 +160,15 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     cands = [({}, {})]
     for k in range(start, prec):
         floor_next = tail_floor(k + 1)
-        # image digits contributed by a unit digit a at exponent k:
-        # c_i * a^{q^i} * s^{k q^i}; precompute per nonzero coefficient
-        contrib = []
+        # image of the digit a at exponent k: a * sum_i c_i * s^(k q^i), as
+        # a^(q^i) = a; summed once per k for a = 1, then scaled per a
+        unit = {}
         for i, _ in coeff_vals:
-            c = op.coeffs[i]
-            terms = [
-                ((q - 1) * (-j) + k * (q ** i), (1 if (j % 2 == 0) else -1), cj)
-                for j, cj in enumerate(c.coeffs)
-                if cj
-            ]
-            contrib.append((i, terms))
+            for j, cj in enumerate(op.coeffs[i].coeffs):
+                if cj:
+                    exp = (q - 1) * (-j) + k * (q ** i)
+                    unit[exp] = gf.add(unit.get(exp, 0), cj if j % 2 == 0 else gf.neg(cj))
+        deltas = [None] + [[(exp, gf.mul(a, c)) for exp, c in unit.items() if c] for a in range(1, q)]
         nxt = []
         for digits, image in cands:
             for a in range(q):
@@ -180,17 +178,12 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
                     new_digits = dict(digits)
                     new_digits[k] = a
                     new_image = dict(image)
-                    for i, terms in contrib:
-                        apow = gf.pow(a, q ** i)
-                        for exp, sgn, cj in terms:
-                            val = gf.mul(cj, apow)
-                            if sgn < 0:
-                                val = gf.neg(val)
-                            cur = gf.add(new_image.get(exp, 0), val)
-                            if cur:
-                                new_image[exp] = cur
-                            else:
-                                new_image.pop(exp, None)
+                    for exp, val in deltas[a]:
+                        cur = gf.add(new_image.get(exp, 0), val)
+                        if cur:
+                            new_image[exp] = cur
+                        else:
+                            new_image.pop(exp, None)
                 if all(e >= floor_next for e in new_image):
                     nxt.append((new_digits, new_image))
         cands = nxt
