@@ -44,7 +44,8 @@ xs = [
     Fraction(parse_poly("1", gf), parse_poly("T^3", gf)),
     Fraction(parse_poly("1", gf), parse_poly("T^4", gf)),
 ]
-print(f"  non-tangent tuple -> {descartes_form(xs)}")
+val = descartes_form(xs)
+print(f"  non-tangent tuple -> ({val.num})/({val.den})")
 print()
 
 print("--- the (q+1)-regular tree ---")

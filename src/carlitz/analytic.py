@@ -64,8 +64,8 @@ def _valuation_or_none(x):
 
 def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool = False):
     """e(z) = sum over n of (-1)^n z^(q^n) / D_n, truncated with a rigorous
-    tail check: term valuations must strictly increase and pass the precision
-    cutoff within the term budget."""
+    tail check: once the term valuations first rise they must strictly
+    increase, and they must pass the precision cutoff within the term budget."""
     budget = budget or SeriesBudget()
     gf = z.gf
     q = gf.q
@@ -77,6 +77,7 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
     zq = z  # z^(q^n)
     cert = {}
     prev_val = None
+    rising = False
     done = False
     T = Poly.T(gf)
     Dn = Poly.one(gf)  # D_0 = 1, D_n = [n] * D_{n-1}^q with [n] = T^(q^n) - T
@@ -89,11 +90,15 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
         term = zq / VqElem.from_poly(Dn)
         val = _valuation_or_none(term)
         cert[n] = val if val is not None else f">={term.prec}"
-        if val is not None and prev_val is not None and val <= prev_val:
-            raise CarlitzError(
-                f"term {n} valuation {val} does not increase past {prev_val}; "
-                "the series does not converge at this argument"
-            )
+        # the valuations q^n (v(z) + (q-1) n) may fall and tie once before
+        # they rise; after the first strict rise they must keep rising
+        if val is not None and prev_val is not None:
+            if rising and val <= prev_val:
+                raise CarlitzError(
+                    f"term {n} valuation {val} does not increase past {prev_val}; "
+                    "the series does not converge at this argument"
+                )
+            rising = val > prev_val
         if val is not None:
             prev_val = val
         acc = acc + term

@@ -74,14 +74,21 @@ def _prime_power(q: int):
     raise UsageError(f"q = {q} is not a prime power")
 
 
-def parse_fraction(s: str, gf) -> geometry.Fraction:
+def parse_fraction(s: str, gf) -> RatFn:
     s = s.strip()
     if s in ("inf", "infinity", "1/0"):
-        return geometry.Fraction.infinity(gf)
+        return RatFn.infinity(gf)
     if "/" in s:
         num, den = s.split("/", 1)
-        return geometry.Fraction(parse_poly(num.strip("() "), gf), parse_poly(den.strip("() "), gf))
-    return geometry.Fraction(parse_poly(s, gf), Poly.one(gf))
+        return RatFn(parse_poly(num.strip("() "), gf), parse_poly(den.strip("() "), gf))
+    return RatFn.from_poly(parse_poly(s, gf))
+
+
+def _form_text(x: RatFn) -> str:
+    """The (num)/(den) text of a Descartes or period value."""
+    if x.den == Poly.one(x.gf):
+        return str(x.num)
+    return f"({x.num})/({x.den})"
 
 
 def emit(args, payload: dict, text_lines):
@@ -257,35 +264,32 @@ def cmd_family(args):
     emit(args, {"members": lines}, lines)
 
 
-def _descartes_on_family(fam):
-    val = geometry.descartes_form(fam)
-    return val
-
-
 def cmd_descartes(args):
     gf = build_gf(args)
     if args.descartes_cmd == "family":
         f1 = parse_fraction(args.f1, gf)
         f2 = parse_fraction(args.f2, gf)
         fam = geometry.tangent_family(f1, f2)
-        val = _descartes_on_family(fam)
+        val = geometry.descartes_form(fam)
+        form = _form_text(val)
         emit(
             args,
-            {"members": [str(m) for m in fam], "form": str(val), "zero": val.is_zero()},
-            [str(m) for m in fam] + [f"form = {val}", f"zero = {val.is_zero()}"],
+            {"members": [str(m) for m in fam], "form": form, "zero": val.is_zero()},
+            [str(m) for m in fam] + [f"form = {form}", f"zero = {val.is_zero()}"],
         )
     elif args.descartes_cmd == "eval":
         xs = [parse_fraction(s, gf) for s in args.curvatures.split(";")]
         val = geometry.descartes_form(xs)
-        emit(args, {"form": str(val), "zero": val.is_zero()}, [str(val)])
+        form = _form_text(val)
+        emit(args, {"form": form, "zero": val.is_zero()}, [form])
     else:  # sweep
         rng = random.Random(args.seed)
         rows = []
         bad = 0
         for _ in range(args.count):
             fam = geometry.random_tangent_family(gf, rng)
-            val = _descartes_on_family(fam)
-            rows.append((";".join(str(m) for m in fam), str(val), val.is_zero()))
+            val = geometry.descartes_form(fam)
+            rows.append((";".join(str(m) for m in fam), _form_text(val), val.is_zero()))
             if not val.is_zero():
                 bad += 1
         rows.sort()
@@ -391,10 +395,11 @@ def cmd_period(args):
     gf = build_gf(args)
     prec = args.prec or 16
     ratfn, series = analytic.period_partial(gf, args.N, prec=prec)
+    exact = _form_text(ratfn)
     emit(
         args,
-        {"ratfn": str(ratfn), "series": str(series)},
-        [f"exact = {ratfn}", f"series = {series}"],
+        {"ratfn": exact, "series": str(series)},
+        [f"exact = {exact}", f"series = {series}"],
     )
 
 
@@ -439,7 +444,7 @@ def cmd_sweep(args):
         for _ in range(args.count):
             fam = geometry.random_tangent_family(gf, rng)
             val = geometry.descartes_form(fam)
-            rows.append((";".join(str(m) for m in fam), str(val), str(val.is_zero())))
+            rows.append((";".join(str(m) for m in fam), _form_text(val), str(val.is_zero())))
             if not val.is_zero():
                 bad += 1
     elif kind == "torsion":

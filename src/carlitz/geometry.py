@@ -28,86 +28,22 @@ __all__ = [
 ]
 
 
-class Fraction:
-    """A reduced fraction num/den over F_q[T] with monic denominator;
-    infinity is 1/0."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        gf = num.gf
-        if den.is_zero():
-            if num.is_zero():
-                raise DomainError("0/0 is not a point of the projective line")
-            num = Poly.one(gf)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            c = gf.inv(den.lc)
-            num = num.scale(c)
-            den = den.scale(c)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def infinity(cls, gf):
-        return cls(Poly.one(gf), Poly.zero(gf))
-
-    @classmethod
-    def zero(cls, gf):
-        return cls(Poly.zero(gf), Poly.one(gf))
-
-    @property
-    def gf(self):
-        return self.num.gf
-
-    def is_infinity(self):
-        return self.den.is_zero()
-
-    def to_ratfn(self) -> RatFn:
-        if self.is_infinity():
-            raise DomainError("infinity is not a rational function")
-        return RatFn(self.num, self.den)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Fraction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.is_infinity():
-            return "inf"
-        if self.den == Poly.one(self.gf):
-            return str(self.num)
-
-        def wrap(p):
-            s = str(p)
-            return f"({s})" if "+" in s else s
-
-        return f"{wrap(self.num)}/{wrap(self.den)}"
-
-    def __repr__(self):
-        return f"Fraction({self})"
+# horoballs are points of the projective line over F_q(T), infinity 1/0;
+# Fraction is the geometry layer's name for them
+Fraction = RatFn
 
 
-def _cross_det(f1: Fraction, f2: Fraction) -> Poly:
+def _cross_det(f1: RatFn, f2: RatFn) -> Poly:
     return f1.num * f2.den - f2.num * f1.den
 
 
-def tangent(f1: Fraction, f2: Fraction) -> bool:
+def tangent(f1: RatFn, f2: RatFn) -> bool:
     """Two horoballs are tangent when the cross-determinant is a unit."""
     d = _cross_det(f1, f2)
     return d.degree == 0
 
 
-def tangent_family(f1: Fraction, f2: Fraction):
+def tangent_family(f1: RatFn, f2: RatFn):
     """The q+1 mutually tangent horoballs spanned by a tangent pair:
     f2 together with (num1 + b*num2)/(den1 + b*den2) for b in F_q."""
     if not tangent(f1, f2):
@@ -116,7 +52,7 @@ def tangent_family(f1: Fraction, f2: Fraction):
     members = [f2]
     for b in range(gf.q):
         members.append(
-            Fraction(f1.num + f2.num.scale(b), f1.den + f2.den.scale(b))
+            RatFn(f1.num + f2.num.scale(b), f1.den + f2.den.scale(b))
         )
     if len(set(members)) != gf.q + 1:
         raise DomainError("degenerate family: members collide")
@@ -126,30 +62,34 @@ def tangent_family(f1: Fraction, f2: Fraction):
 def descartes_form(xs) -> RatFn:
     """The form (sum X_i)^(q-1) - sum X_i^(q-1) on q+1 exact curvatures.
 
-    Curvatures are the fractions themselves (as rational functions); families
-    containing infinity are rejected.
+    Curvatures are the fractions themselves (polynomials are allowed);
+    families containing infinity are rejected.  With D the lcm of the
+    denominators and X_i = n_i/D, the form is (S^(q-1) - sum n_i^(q-1)) /
+    D^(q-1) with S = sum n_i: one reduction for the whole form.
     """
-    vals = []
+    pairs = []
     for x in xs:
-        if isinstance(x, Fraction):
+        if isinstance(x, RatFn):
             if x.is_infinity():
                 raise DomainError("descartes form is undefined on a family containing infinity")
-            vals.append(x.to_ratfn())
-        elif isinstance(x, RatFn):
-            vals.append(x)
+            pairs.append((x.num, x.den))
         else:
-            vals.append(RatFn.from_poly(x))
-    gf = vals[0].gf
+            pairs.append((x, Poly.one(x.gf)))
+    gf = pairs[0][0].gf
     q = gf.q
-    if len(vals) != q + 1:
-        raise DomainError(f"expected {q + 1} curvatures, got {len(vals)}")
-    total = vals[0]
-    for v in vals[1:]:
-        total = total + v
-    acc = total ** (q - 1)
-    for v in vals:
-        acc = acc - v ** (q - 1)
-    return acc
+    if len(pairs) != q + 1:
+        raise DomainError(f"expected {q + 1} curvatures, got {len(pairs)}")
+    D = pairs[0][1]
+    for _, den in pairs[1:]:
+        D = D * (den // poly_gcd(D, den))
+    ns = [num * (D // den) for num, den in pairs]
+    S = Poly.zero(gf)
+    for n in ns:
+        S = S + n
+    top = S ** (q - 1)
+    for n in ns:
+        top = top - n ** (q - 1)
+    return RatFn(top, D ** (q - 1))
 
 
 def soddy_form(n: int, ks) -> Rational:
@@ -178,8 +118,8 @@ def random_tangent_family(gf, rng, max_deg: int = 3):
         b = y.scale(gf.neg(inv))
         d = x.scale(inv)
         # now a*d - b*c = 1; the two columns give a tangent pair
-        f1 = Fraction(a, c)
-        f2 = Fraction(b, d)
+        f1 = RatFn(a, c)
+        f2 = RatFn(b, d)
         if f1.is_infinity() or f2.is_infinity() or f1 == f2:
             continue
         fam = tangent_family(f1, f2)
@@ -250,7 +190,7 @@ def tree_distance(v1: TreeVertex, v2: TreeVertex) -> int:
     return (v1.level - l) + (v2.level - l)
 
 
-def geodesic_ray(f: Fraction, steps: int):
+def geodesic_ray(f: RatFn, steps: int):
     """The first steps+1 vertices of the ray from the base vertex toward the
     boundary point f.
 
@@ -264,7 +204,7 @@ def geodesic_ray(f: Fraction, steps: int):
         while len(out) <= steps:
             out.append(out[-1].parent())
         return out
-    ser = InfLaurent.from_ratfn(f.to_ratfn(), prec=steps + 1)
+    ser = InfLaurent.from_ratfn(f, prec=steps + 1)
     digits = dict(ser.terms())
     v = min(digits) if digits else 0
     down = min(0, v)
@@ -278,24 +218,6 @@ def geodesic_ray(f: Fraction, steps: int):
         level += 1
         out.append(TreeVertex(gf, level, {e: c for e, c in digits.items() if e < level}))
     return out[: steps + 1]
-
-
-def _mat_mul(gf, A, B):
-    n = len(A)
-    return [
-        [
-            _dot(gf, A[i], [B[k][j] for k in range(n)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _dot(gf, xs, ys):
-    acc = 0
-    for x, y in zip(xs, ys):
-        acc = gf.add(acc, gf.mul(x, y))
-    return acc
 
 
 def _det(gf, M):

@@ -293,14 +293,8 @@ def _unpack(gf: GF, x: int, n: int, k: int) -> list:
     return [reduce[i] for i in idx]
 
 
-def parse_poly(s: str, gf: GF) -> Poly:
-    """Parse the polynomial text grammar: terms joined by +, term = c, c*T^k, T^k, T."""
-    s = "".join(s.split())
-    if not s:
-        raise DomainError("empty polynomial string")
-    coeffs = {}
-    pos = 0
-    # split on + at paren depth 0 (coefficients over F_{p^r} carry parens)
+def split_terms(s: str):
+    """Split on + at paren depth 0 (coefficients over F_{p^r} carry parens)."""
     terms, depth, cur = [], 0, []
     for ch in s:
         if ch == "(":
@@ -313,7 +307,17 @@ def parse_poly(s: str, gf: GF) -> Poly:
         else:
             cur.append(ch)
     terms.append("".join(cur))
-    for term in terms:
+    return terms
+
+
+def parse_poly(s: str, gf: GF) -> Poly:
+    """Parse the polynomial text grammar: terms joined by +, term = c, c*T^k, T^k, T."""
+    s = "".join(s.split())
+    if not s:
+        raise DomainError("empty polynomial string")
+    coeffs = {}
+    pos = 0
+    for term in split_terms(s):
         if not term:
             raise DomainError(f"syntax error near position {pos} in {s!r}")
         if "T" in term:
@@ -479,14 +483,23 @@ def euler_phi(m: Poly) -> int:
 
 
 class RatFn:
-    """A reduced fraction num/den with den monic and gcd(num, den) = 1."""
+    """A point of the projective line over F_q(T): a reduced fraction num/den
+    with den monic and gcd(num, den) = 1, or the point at infinity 1/0.
+
+    Arithmetic needs no special cases at infinity: the usual formulas give
+    inf + x = inf and x / inf = 0, and the undefined inf - inf and 0 * inf
+    reach 0/0, which raises.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise DomainError("rational function with zero denominator")
         gf = num.gf
+        if den.is_zero():
+            if num.is_zero():
+                raise DomainError("0/0 is not a point of the projective line")
+            self.num, self.den = Poly.one(gf), den
+            return
         if not num.is_zero():
             g = poly_gcd(num, den)
             if g.degree > 0:
@@ -501,12 +514,23 @@ class RatFn:
     def from_poly(cls, p: Poly):
         return cls(p, Poly.one(p.gf))
 
+    @classmethod
+    def zero(cls, gf):
+        return cls(Poly.zero(gf), Poly.one(gf))
+
+    @classmethod
+    def infinity(cls, gf):
+        return cls(Poly.one(gf), Poly.zero(gf))
+
     @property
     def gf(self):
         return self.num.gf
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def is_infinity(self):
+        return self.den.is_zero()
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -538,6 +562,8 @@ class RatFn:
 
     def valuation_inf(self):
         """Valuation at the infinite place, v = deg(den) - deg(num)."""
+        if self.is_infinity():
+            raise DomainError("the point at infinity has no valuation at infinity")
         if self.is_zero():
             return None
         return self.den.degree - self.num.degree
@@ -558,9 +584,18 @@ class RatFn:
         raise TypeError(f"cannot combine RatFn with {type(other).__name__}")
 
     def __str__(self):
+        """inf, a polynomial, or num/den with a side in parens when it has
+        more than one term: 1/T, (T+1)/T^2."""
+        if self.is_infinity():
+            return "inf"
         if self.den == Poly.one(self.gf):
             return str(self.num)
-        return f"({self.num})/({self.den})"
+
+        def wrap(p):
+            s = str(p)
+            return f"({s})" if "+" in s else s
+
+        return f"{wrap(self.num)}/{wrap(self.den)}"
 
     def __repr__(self):
         return f"RatFn({self})"

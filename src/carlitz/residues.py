@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import CarlitzError, DomainError
 from .poly import Poly, inv_mod, is_irreducible, poly_gcd
 
 
@@ -132,7 +132,8 @@ def ddf(f, P: Poly):
         if len(g) > 1:
             out.append((d, (len(g) - 1) // d))
             rest, r = _rf_divmod(rest, g, F)
-            assert not r
+            if r:
+                raise CarlitzError("ddf: a gcd factor does not divide the polynomial")
             h = _rf_divmod(h, rest, F)[1]
     if len(rest) > 1:
         out.append((len(rest) - 1, 1))

@@ -20,7 +20,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, RatFn
+from .poly import Poly, split_terms
 
 INF = math.inf
 
@@ -302,20 +302,7 @@ def parse_series(text: str, gf: GF, cls):
     var = "T" if cls is InfLaurent else "s"
     terms = {}
     prec = None
-    # split on + at paren depth 0
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    for part in parts:
+    for part in split_terms(s):
         if not part:
             raise DomainError(f"syntax error in series {text!r}")
         if part.startswith("O(") and part.endswith(")"):
@@ -361,6 +348,8 @@ class InfLaurent(Series):
         """Expansion of a rational function to the given (exclusive) precision."""
         if isinstance(x, Poly):
             return cls.from_poly(x)
+        if x.is_infinity():
+            raise DomainError("the point at infinity has no Laurent expansion")
         num = cls.from_poly(x.num)
         den = cls.from_poly(x.den)
         if num.is_zero():

@@ -20,7 +20,7 @@ from carlitz.poly import (
 )
 from carlitz.operator import XPoly, carlitz_operator
 from carlitz.residues import ddf
-from carlitz.series import VqElem
+from carlitz.series import InfLaurent, VqElem
 
 
 # ---------------------------------------------------------------- GF
@@ -127,6 +127,43 @@ def test_ratfn_reduction_and_valuation():
     assert x.num == T + one and x.den == one
     assert RatFn(one, T * T).valuation_inf() == 2
     assert RatFn(T * T, T).valuation_inf() == -1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_ratfn_point_at_infinity(q):
+    gf = field(q)
+    T = Poly.T(gf)
+    one, zero = Poly.one(gf), Poly.zero(gf)
+    inf = RatFn.infinity(gf)
+    assert inf.is_infinity() and (inf.num, inf.den) == (one, zero)
+    for c in range(1, q):
+        for num in (Poly.const(gf, c), T.scale(c) + one, T * T.scale(c)):
+            assert RatFn(num, zero) == inf
+    with pytest.raises(DomainError):
+        RatFn(zero, zero)
+    x = RatFn(T + one, T * T)
+    assert x + inf == inf and inf + x == inf and inf + T == inf
+    assert x / inf == RatFn.zero(gf) and not RatFn.zero(gf).is_infinity()
+    with pytest.raises(DomainError):
+        inf - inf
+    with pytest.raises(DomainError):
+        x / RatFn.zero(gf)
+    with pytest.raises(DomainError):
+        inf.valuation_inf()
+    with pytest.raises(DomainError):
+        InfLaurent.from_ratfn(inf, 8)
+
+
+def test_ratfn_text_form():
+    gf = field(3)
+    T = Poly.T(gf)
+    one = Poly.one(gf)
+    assert str(RatFn.infinity(gf)) == "inf"
+    assert str(RatFn.zero(gf)) == "0"
+    assert str(RatFn(one, T)) == "1/T"
+    assert str(RatFn(T + one, T * T)) == "(T+1)/T^2"
+    assert str(RatFn(T.scale(2), T + one)) == "2*T/(T+1)"
+    assert str(RatFn(T * T + T, T)) == "T+1"
 
 
 # ---------------------------------------------------------------- residues / ddf

@@ -57,14 +57,43 @@ def test_exp_additivity():
 
 
 def test_exp_entire_at_negative_valuation():
-    # term valuations q^n(v(z) + (q-1)n) grow for any v(z), so the sum
-    # converges even below valuation zero
+    # term valuations q^n(v(z) + (q-1)n) grow from the start when v(z) > -q,
+    # so the sum converges here even below valuation zero
     gf = field(3)
     z = VqElem.monomial(gf, 1, -1, prec=20)
     e, cert = carlitz_exp(z, SeriesBudget(precision=16), with_certificate=True)
     assert e.valuation() == -1
     vals = [v for v in cert.values() if isinstance(v, int)]
     assert vals == sorted(vals)
+
+
+def test_exp_tie_at_valuation_minus_q():
+    # at v(z) = -q the first two term valuations tie, then they rise
+    gf = field(3)
+    z = VqElem.monomial(gf, 1, -3, prec=40)
+    e, cert = carlitz_exp(z, SeriesBudget(precision=36), with_certificate=True)
+    assert cert == {0: -3, 1: -3, 2: 9, 3: 81}
+    assert str(e) == "2*s + 2*s^5 + 2*s^13 + 2*s^17 + 2*s^29 + O(s^36)"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_exp_entire_below_valuation_minus_q(q):
+    # for v(z) < -q the term valuations first fall, may tie once, and then
+    # rise for good; e(Tz) = rho_T(e(z)) holds on every claimed digit
+    gf = field(q)
+    T = Poly.T(gf)
+    budget = SeriesBudget(term_count=12, precision=12)
+    for v in range(-2 * q - 2, 2):
+        z = VqElem.monomial(gf, 1, v, prec=v + 10)
+        e, cert = carlitz_exp(z, budget, with_certificate=True)
+        vals = [val for val in cert.values() if isinstance(val, int)]
+        rise = next(i for i in range(1, len(vals)) if vals[i] > vals[i - 1])
+        assert all(a >= b for a, b in zip(vals[:rise], vals[1:rise]))
+        assert len(set(vals[:rise])) >= rise - 1  # at most one tie
+        assert all(a < b for a, b in zip(vals[rise:], vals[rise + 1:]))
+        lhs = carlitz_exp(VqElem.from_poly(T) * z, budget)
+        rhs = carlitz_act(T, e)
+        assert lhs.agrees(rhs, upto=min(lhs.prec, rhs.prec)), (q, v)
 
 
 # ---------------------------------------------------------------- period

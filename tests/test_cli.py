@@ -110,6 +110,20 @@ def test_descartes_subcommands(capsys):
     run_ok(capsys, "descartes", "sweep", "--q", "3", "--count", "5", "--seed", "2")
 
 
+def test_descartes_form_text_frozen(capsys):
+    # Descartes values print as (num)/(den), unlike the members' 1/T form
+    out = run_ok(capsys, "descartes", "eval", "--q", "3", "--curvatures", "1/T;1/T^2;1;T")
+    assert out == "(2*T^4+2*T^3+T^2+2*T+2)/(T^3)\n"
+
+
+def test_period_exact_text_frozen(capsys):
+    out = run_ok(capsys, "period", "--q", "3", "--N", "2")
+    assert out.splitlines()[0] == (
+        "exact = (T^30+2*T^28+2*T^12+T^10)/(T^30+2*T^28+T^24+T^22+T^20+T^18"
+        "+T^16+T^14+T^12+T^10+T^8+T^6+2*T^2+1)"
+    )
+
+
 def test_soddy(capsys):
     out = run_ok(capsys, "soddy", "--n", "2", "--ks=-1,2,2,3")
     assert out.strip().endswith("0")

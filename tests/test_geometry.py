@@ -5,6 +5,8 @@ residue extension."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import field
 from carlitz.errors import DomainError
@@ -23,7 +25,7 @@ from carlitz.geometry import (
     tree_neighbors,
     TreeVertex,
 )
-from carlitz.poly import Poly, parse_poly
+from carlitz.poly import Poly, RatFn, parse_poly, poly_ext_gcd
 from carlitz.series import InfLaurent
 
 
@@ -43,7 +45,9 @@ def test_fraction_normalization():
     inf = Fraction.infinity(gf)
     assert inf.is_infinity()
     with pytest.raises(DomainError):
-        inf.to_ratfn()
+        inf.valuation_inf()
+    with pytest.raises(DomainError):
+        InfLaurent.from_ratfn(inf, 4)
 
 
 def test_tangency_examples():
@@ -88,6 +92,88 @@ def test_descartes_arity_and_infinity():
         descartes_form([Fraction.zero(gf)] * 3)
     with pytest.raises(DomainError):
         descartes_form([Fraction.infinity(gf)] + [Fraction.zero(gf)] * 3)
+
+
+def descartes_form_stepwise(xs) -> RatFn:
+    """The form by its definition, reduced after every +, ** and -: the
+    oracle for descartes_form's single common denominator."""
+    vals = []
+    for x in xs:
+        if isinstance(x, RatFn):
+            if x.is_infinity():
+                raise DomainError("descartes form is undefined on a family containing infinity")
+            vals.append(x)
+        else:
+            vals.append(RatFn.from_poly(x))
+    q = vals[0].gf.q
+    if len(vals) != q + 1:
+        raise DomainError(f"expected {q + 1} curvatures, got {len(vals)}")
+    total = vals[0]
+    for v in vals[1:]:
+        total = total + v
+    acc = total ** (q - 1)
+    for v in vals:
+        acc = acc - v ** (q - 1)
+    return acc
+
+
+FORM_QS = [2, 3, 4, 5, 7, 9]
+
+
+def _poly(draw, gf, max_deg):
+    return Poly(gf, draw(st.lists(st.integers(0, gf.q - 1), max_size=max_deg + 1)))
+
+
+def _nonzero_poly(draw, gf, max_deg):
+    low = draw(st.lists(st.integers(0, gf.q - 1), max_size=max_deg))
+    return Poly(gf, low + [draw(st.integers(1, gf.q - 1))])
+
+
+@st.composite
+def tangent_families(draw):
+    gf = field(draw(st.sampled_from(FORM_QS)))
+    a, c = _nonzero_poly(draw, gf, 3), _nonzero_poly(draw, gf, 3)
+    g, x, y = poly_ext_gcd(a, c)
+    assume(g.degree == 0)
+    inv = gf.inv(g.lc)
+    f1, f2 = RatFn(a, c), RatFn(y.scale(gf.neg(inv)), x.scale(inv))
+    assume(not f2.is_infinity() and f1 != f2)
+    fam = tangent_family(f1, f2)
+    assume(not any(m.is_infinity() for m in fam))
+    return fam
+
+
+@st.composite
+def curvature_tuples(draw):
+    """q+1 curvatures, each a Poly or a RatFn with a nonzero denominator."""
+    gf = field(draw(st.sampled_from(FORM_QS)))
+    xs = []
+    for _ in range(gf.q + 1):
+        num = _poly(draw, gf, 2)
+        if draw(st.booleans()):
+            xs.append(num)
+        else:
+            xs.append(RatFn(num, _nonzero_poly(draw, gf, 2)))
+    return xs
+
+
+def _same_form(xs):
+    new, old = descartes_form(xs), descartes_form_stepwise(xs)
+    assert (new.num, new.den) == (old.num, old.den)
+    assert str(new) == str(old)
+    return new
+
+
+@settings(max_examples=80, deadline=None)
+@given(tangent_families())
+def test_descartes_form_matches_stepwise_on_tangent_families(fam):
+    assert _same_form(fam).is_zero()
+
+
+@settings(max_examples=120, deadline=None)
+@given(curvature_tuples())
+def test_descartes_form_matches_stepwise_on_tuples(xs):
+    _same_form(xs)
 
 
 def test_soddy_values():
