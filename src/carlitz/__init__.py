@@ -51,7 +51,7 @@ from .reciprocity import (
     star_action,
     xi_poly,
 )
-from .residues import ResidueField, ddf
+from .residues import ddf
 from .series import InfLaurent, Series, VqElem, parse_series
 from .torsion import (
     TorsionSetPadic,

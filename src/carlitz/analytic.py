@@ -73,40 +73,38 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
     if z.is_zero():
         out = VqElem.zero(gf, z.prec)
         return (out, {}) if with_certificate else out
+    v = z.valuation()
     acc = VqElem.zero(gf)
     zq = z  # z^(q^n)
     cert = {}
-    prev_val = None
     rising = False
-    done = False
     T = Poly.T(gf)
     Dn = Poly.one(gf)  # D_0 = 1, D_n = [n] * D_{n-1}^q with [n] = T^(q^n) - T
     for n in range(budget.term_count):
+        # v(z^(q^n)) = q^n v(z), and D_n has T-degree n q^n, so valuation
+        # -(q-1) n q^n; the term's precision lies above this valuation
+        val = cert[n] = q**n * (v + (q - 1) * n)
+        # the valuations may fall and tie once before they rise; after the
+        # first strict rise they must keep rising
         if n:
-            Dn = (Poly.one(gf).shift(q**n) - T) * Dn.frobenius()
-        # n-th coefficient is 1/D_n: the unique choice (with the standard D_n
-        # recursion) satisfying e(Tz) = e(z)^q + T*e(z), which the test suite
-        # enforces
-        term = zq / VqElem.from_poly(Dn)
-        val = _valuation_or_none(term)
-        cert[n] = val if val is not None else f">={term.prec}"
-        # the valuations q^n (v(z) + (q-1) n) may fall and tie once before
-        # they rise; after the first strict rise they must keep rising
-        if val is not None and prev_val is not None:
+            prev_val = cert[n - 1]
             if rising and val <= prev_val:
                 raise CarlitzError(
                     f"term {n} valuation {val} does not increase past {prev_val}; "
                     "the series does not converge at this argument"
                 )
             rising = val > prev_val
-        if val is not None:
-            prev_val = val
-        acc = acc + term
-        if val is None or val >= prec:
-            done = True
+        if val >= prec:
+            # this term only certifies the cutoff: no digit of it is kept
             break
+        if n:
+            Dn = (Poly.one(gf).shift(q**n) - T) * Dn.frobenius()
+        # n-th coefficient is 1/D_n: the unique choice (with the standard D_n
+        # recursion) satisfying e(Tz) = e(z)^q + T*e(z), which the test suite
+        # enforces
+        acc = acc + zq / VqElem.from_poly(Dn)
         zq = zq.frobenius()
-    if not done:
+    else:
         raise CarlitzError(
             f"term budget {budget.term_count} exhausted before valuations "
             f"reached precision {prec}"

@@ -17,7 +17,7 @@ from fractions import Fraction as Rational
 
 from . import analytic, geometry, reciprocity, torsion
 from .errors import CarlitzError, DomainError, PrecisionError
-from .gf import GF
+from .gf import GF, MAX_PRIME
 from .operator import carlitz_act, carlitz_operator, cyclotomic_poly
 from .poly import Poly, RatFn, monic_irreducibles, parse_poly
 from .series import InfLaurent, VqElem, parse_series
@@ -59,19 +59,24 @@ def build_gf(args) -> GF:
 
 
 def _prime_power(q: int):
+    if q > MAX_PRIME:
+        raise DomainError(f"q = {q} is above the supported maximum 2^40")
     if q < 2:
         raise UsageError(f"q = {q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise UsageError(f"q = {q} is not a prime power")
-            return p, r
-    raise UsageError(f"q = {q} is not a prime power")
+    # the least prime factor, by trial division up to sqrt(q)
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if q % p:
+        p = q
+    r = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        r += 1
+    if m != 1:
+        raise UsageError(f"q = {q} is not a prime power")
+    return p, r
 
 
 def parse_fraction(s: str, gf) -> RatFn:

@@ -14,6 +14,12 @@ from __future__ import annotations
 
 from .errors import DomainError
 
+# The largest fields GF builds.  A prime p is checked by trial division up to
+# sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
+# first use, tables of q^2 and p^(2r-1) entries, under a second at the cap.
+MAX_PRIME = 2**40
+MAX_EXTENSION_ORDER = 2**8
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -77,6 +83,11 @@ class GF:
     """Context object for arithmetic in F_q = F_{p^r}."""
 
     def __init__(self, p: int, r: int = 1, modulus=None):
+        if p > MAX_PRIME:
+            raise DomainError(f"prime {p} is above the supported maximum 2^40")
+        # r > 8 is above the cap for every p; testing it first keeps p**r small
+        if r > 1 and (r > 8 or p**r > MAX_EXTENSION_ORDER):
+            raise DomainError(f"extension field order {p}^{r} is above the supported maximum 2^8")
         if not _is_prime(p):
             raise DomainError(f"{p} is not prime")
         if r < 1:

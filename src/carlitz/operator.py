@@ -12,7 +12,7 @@ import functools
 
 from .errors import CarlitzError, DomainError
 from .padic import PadicElem
-from .poly import Poly, is_irreducible
+from .poly import Poly, inv_mod, is_irreducible
 
 __all__ = [
     "XPoly",
@@ -76,42 +76,65 @@ class XPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """One packed F_q[T] product by bivariate Kronecker substitution
+        x^i T^j -> T^(i S + j) (von zur Gathen-Gerhard, Modern Computer
+        Algebra, 8.4): S exceeds the T-degree of every product coefficient,
+        so the slices of length S of the product are its x-coefficients."""
         if self.is_zero() or other.is_zero():
             return XPoly.zero(self.gf)
-        out = {}
-        zero = Poly.zero(self.gf)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out.get(i + j, zero) + a * b
-        return XPoly.from_terms(self.gf, out)
+        gf = self.gf
+        S = max(len(c.coeffs) for c in self.coeffs) + max(len(c.coeffs) for c in other.coeffs) - 1
+        a = self._kronecker(S)
+        prod = (a * (a if other is self else other._kronecker(S))).coeffs
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        return XPoly(gf, [Poly(gf, prod[i * S : (i + 1) * S]) for i in range(n)])
+
+    def _kronecker(self, S: int) -> Poly:
+        flat = []
+        for c in self.coeffs:
+            flat.extend(c.coeffs)
+            flat.extend([0] * (S - len(c.coeffs)))
+        return Poly(self.gf, flat)
 
     def scale(self, c: Poly):
         return XPoly(self.gf, [c * a for a in self.coeffs])
 
     def __divmod__(self, other: "XPoly"):
-        """Division; the divisor's leading coefficient must be a unit constant."""
+        return self.divmod(other)
+
+    def divmod(self, other: "XPoly", modulus: Poly = None):
+        """Quotient and remainder in x.  Exact, the divisor's leading
+        coefficient must be a unit constant.  With a modulus P the
+        coefficients live in F_q[T]/P: the leading coefficient must be a unit
+        there, and both results come back reduced mod P."""
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
+        gf = self.gf
         lead = other.coeffs[-1]
-        if lead.degree != 0:
-            raise DomainError("divisor leading coefficient must be a nonzero constant")
-        linv = self.gf.inv(lead.coeffs[0])
+        if modulus is None:
+            if lead.degree != 0:
+                raise DomainError("divisor leading coefficient must be a nonzero constant")
+            linv = Poly.const(gf, gf.inv(lead.lc))
+        else:
+            linv = inv_mod(lead, modulus)
+
+        def reduce(c):
+            return c if modulus is None or c.degree < modulus.degree else c % modulus
+
+        # With a modulus, coefficients are reduced only where a quotient digit
+        # is read and at the end: for a reduced divisor every product c * b
+        # has T-degree at most 2 deg P - 2, and sums over F_q do not raise it.
+        db = other.deg()
+        dq = self.deg() - db
         rem = list(self.coeffs)
-        dq = self.deg() - other.deg()
-        if dq < 0:
-            return XPoly.zero(self.gf), self
-        quo = [Poly.zero(self.gf)] * (dq + 1)
+        quo = [Poly.zero(gf)] * max(dq + 1, 0)
+        low = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if not b.is_zero()]
         for k in range(dq, -1, -1):
-            c = rem[other.deg() + k].scale(linv)
-            quo[k] = c
+            c = quo[k] = reduce(rem[db + k] * linv)
             if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
+                for j, b in low:
                     rem[j + k] = rem[j + k] - c * b
-        return XPoly(self.gf, quo), XPoly(self.gf, rem)
+        return XPoly(gf, quo), XPoly(gf, [reduce(c) for c in rem[:db]])
 
     def derivative(self):
         gf = self.gf

@@ -385,7 +385,10 @@ def pow_mod(a: Poly, e: int, modulus: Poly) -> Poly:
 
 def inv_mod(a: Poly, modulus: Poly) -> Poly:
     """Inverse of a modulo modulus; a must be a unit in the quotient."""
-    g, x, _ = poly_ext_gcd(a % modulus, modulus)
+    a = a % modulus
+    if a.degree == 0:
+        return Poly.const(a.gf, a.gf.inv(a.lc))
+    g, x, _ = poly_ext_gcd(a, modulus)
     if g.degree != 0:
         raise DomainError("element is not invertible modulo the given modulus")
     return x % modulus

@@ -59,6 +59,17 @@ def test_gf_elem_format_roundtrip():
         assert gf.parse_elem(gf.fmt_elem(a)) == a
 
 
+def test_gf_size_cap():
+    # the cap is checked before the primality loop and before any table, so
+    # each field rejected below fails at once
+    assert GF(2**40 - 87).q == 2**40 - 87  # the largest prime under the cap
+    for p, r in [(2**40 + 15, 1), (10**30 + 57, 1), (2, 9), (2, 20), (3, 6), (17, 2), (3, 10**9)]:
+        with pytest.raises(DomainError, match="above the supported maximum"):
+            GF(p, r)
+    # the largest extension fields under the cap build without their tables
+    assert [GF(p, r).q for p, r in [(2, 8), (3, 5), (5, 3), (7, 2), (13, 2)]] == [256, 243, 125, 49, 169]
+
+
 # ---------------------------------------------------------------- Poly
 
 

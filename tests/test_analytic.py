@@ -96,6 +96,26 @@ def test_exp_entire_below_valuation_minus_q(q):
         assert lhs.agrees(rhs, upto=min(lhs.prec, rhs.prec)), (q, v)
 
 
+def test_exp_certifying_term_is_not_computed():
+    # the last term only certifies the cutoff; its valuation comes from the
+    # closed form, so D_5 (T-degree 15625) is never divided by, which took
+    # seconds when the term was computed in full
+    gf = field(5)
+    z = VqElem.from_poly(Poly.T(gf)) * VqElem.monomial(gf, 1, -12, prec=12)
+    assert str(z) == "4*s^-16 + O(s^8)"
+    e, cert = carlitz_exp(z, SeriesBudget(term_count=12, precision=12), with_certificate=True)
+    assert cert == {0: -16, 1: -60, 2: -200, 3: -500, 4: 0, 5: 12500}
+    assert (e.v, e.prec) == (-500, 8)
+    # an exact argument whose second term is past the cutoff needs no
+    # division by an exact multi-term D_1
+    gf = field(3)
+    e, cert = carlitz_exp(VqElem.monomial(gf, 1, 10), SeriesBudget(precision=24), with_certificate=True)
+    assert (str(e), cert) == ("s^10 + O(s^24)", {0: 10, 1: 36})
+    # a term whose valuation equals the cutoff already certifies it
+    _, cert = carlitz_exp(VqElem.monomial(gf, 1, 2, prec=60), SeriesBudget(precision=54), with_certificate=True)
+    assert cert == {0: 2, 1: 12, 2: 54}
+
+
 # ---------------------------------------------------------------- period
 
 

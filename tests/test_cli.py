@@ -194,6 +194,16 @@ def test_domain_errors_exit_1(capsys):
     assert "error" in err
 
 
+def test_field_size_cap(capsys):
+    # a prime q above 2^40 fails before any trial division; one below it is
+    # factored by trial division up to sqrt(q), not up to q
+    code, _, err = run(capsys, "act", "--q", str(10**30 + 57), "--M", "T", "--u", "T")
+    assert code == 1 and "q = 1000000000000000000000000000057 is above the supported maximum 2^40" in err
+    code, _, err = run(capsys, "act", "--q", "1024", "--M", "T", "--u", "T")
+    assert code == 1 and "extension field order 2^10 is above the supported maximum 2^8" in err
+    assert run_ok(capsys, "act", "--q", "4294967311", "--M", "2", "--u", "T+1").strip() == "2*T+2"
+
+
 def test_json_error_object(capsys):
     code, _, err = run(
         capsys, "symbol", "--q", "3", "--output", "json", "--A", "T", "--P", "T^2", "--d", "2"

@@ -1,20 +1,23 @@
 """The packed F_q[T] kernel against the schoolbook definitions, series
 multiply and inverse on that kernel against the digit loops, the torsion
-search against its per-candidate form, and q-power exponentiation in
-F_q[T]/P^N against plain square-and-multiply."""
+search against its per-candidate form, q-power exponentiation in F_q[T]/P^N
+against plain square-and-multiply, and the x-polynomial kernel and ddf
+against their coefficient-by-coefficient loops."""
 
 import random
+from itertools import zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from carlitz.analytic import SeriesBudget, carlitz_exp
 from carlitz.errors import DomainError, PrecisionError
 from carlitz.gf import GF
-from carlitz.operator import carlitz_act
+from carlitz.operator import XPoly, carlitz_act, cyclotomic_poly
 from carlitz.padic import PadicCtx
-from carlitz.poly import Poly, _slot_bytes, parse_poly
+from carlitz.poly import Poly, _slot_bytes, inv_mod, is_irreducible, monic_irreducibles, parse_poly
+from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import TorsionSetVq, _slope_data, min_separating_prec, torsion_vq
 
@@ -414,3 +417,258 @@ def test_torsion_vq_matches_per_candidate_search(q, d):
             got, want = torsion_vq(M, prec), search_torsion_vq(M, prec)
             assert got.to_json() == want.to_json()
             assert [str(x) for x in got] == [str(x) for x in want]
+
+
+# ---------------------------------------------------------------- x-polynomials
+
+
+def dict_xmul(a: XPoly, b: XPoly) -> XPoly:
+    """The product with one F_q[T] product per pair of nonzero coefficients."""
+    if a.is_zero() or b.is_zero():
+        return XPoly.zero(a.gf)
+    out = {}
+    zero = Poly.zero(a.gf)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y.is_zero():
+                continue
+            out[i + j] = out.get(i + j, zero) + x * y
+    return XPoly.from_terms(a.gf, out)
+
+
+def school_xdivmod(a: XPoly, b: XPoly):
+    """Exact division; the divisor's leading coefficient must be a unit constant."""
+    if b.is_zero():
+        raise DomainError("division by the zero polynomial")
+    lead = b.coeffs[-1]
+    if lead.degree != 0:
+        raise DomainError("divisor leading coefficient must be a nonzero constant")
+    linv = a.gf.inv(lead.coeffs[0])
+    rem = list(a.coeffs)
+    dq = a.deg() - b.deg()
+    if dq < 0:
+        return XPoly.zero(a.gf), a
+    quo = [Poly.zero(a.gf)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[b.deg() + k].scale(linv)
+        quo[k] = c
+        if not c.is_zero():
+            for j, y in enumerate(b.coeffs):
+                rem[j + k] = rem[j + k] - c * y
+    return XPoly(a.gf, quo), XPoly(a.gf, rem)
+
+
+# ddf with polynomials in x as lists of reduced coefficients, every product
+# of two coefficients reduced mod P
+
+
+def rf_trim(coeffs):
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def rf_mul(a, b, P):
+    if not a or not b:
+        return []
+    out = [Poly.zero(P.gf)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                if not y.is_zero():
+                    out[i + j] = out[i + j] + (x * y) % P
+    return rf_trim([c % P for c in out])
+
+
+def rf_divmod(a, b, P):
+    if not b:
+        raise DomainError("division by zero over residue field")
+    rem = [c % P for c in a]
+    db = len(b) - 1
+    inv_lc = inv_mod(b[-1], P)
+    quo = [Poly.zero(P.gf)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c.is_zero():
+            f = (c * inv_lc) % P
+            quo[i - db] = f
+            for j, y in enumerate(b):
+                rem[i - db + j] = (rem[i - db + j] - (f * y) % P) % P
+    return rf_trim(quo), rf_trim(rem)
+
+
+def rf_gcd(a, b, P):
+    a, b = rf_trim(list(a)), rf_trim(list(b))
+    while b:
+        a, b = b, rf_divmod(a, b, P)[1]
+    if a:
+        inv_lc = inv_mod(a[-1], P)
+        a = [(c * inv_lc) % P for c in a]
+    return a
+
+
+def rf_powmod_x(base, e, mod, P):
+    res = [Poly.one(P.gf)]
+    base = rf_divmod(base, mod, P)[1]
+    while e:
+        if e & 1:
+            res = rf_divmod(rf_mul(res, base, P), mod, P)[1]
+        base = rf_divmod(rf_mul(base, base, P), mod, P)[1]
+        e >>= 1
+    return res
+
+
+def rf_ddf(f, P):
+    if not P.is_monic() or not is_irreducible(P):
+        raise DomainError("residue field modulus must be monic irreducible")
+    gf, order = P.gf, P.gf.q ** P.degree
+    f = rf_trim([c % P for c in f])
+    if len(f) < 2:
+        raise DomainError("ddf requires a nonconstant polynomial")
+    fp = rf_trim([f[i].scale(i % gf.p) for i in range(1, len(f))])
+    if not fp or len(rf_gcd(f, fp, P)) > 1:
+        raise DomainError("ddf input must be squarefree over the residue field")
+    out = []
+    x = [Poly.zero(gf), Poly.one(gf)]
+    h, d, rest = x, 0, f
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = rf_powmod_x(h, order, rest, P)
+        diff = rf_trim([a - b for a, b in zip_longest(h, x, fillvalue=Poly.zero(gf))])
+        g = rf_gcd(rest, diff, P) if diff else list(rest)
+        if len(g) > 1:
+            out.append((d, (len(g) - 1) // d))
+            rest, r = rf_divmod(rest, g, P)
+            assert not r
+            h = rf_divmod(h, rest, P)[1]
+    if len(rest) > 1:
+        out.append((len(rest) - 1, 1))
+    return out
+
+
+X_FIELDS = [2, 3, 4, 5, 9]
+
+
+@st.composite
+def xpolys(draw, gf, max_deg=6, max_tdeg=5, nonzero=False):
+    """An x-polynomial with sparse, zero and non-constant coefficients; with
+    nonzero, of x-degree >= 1 and a leading coefficient of any T-degree."""
+    elem = st.integers(0, gf.q - 1)
+    coeff = st.just(Poly.zero(gf)) | st.lists(elem, max_size=max_tdeg + 1).map(lambda c: Poly(gf, c))
+    coeffs = draw(st.lists(coeff, min_size=int(nonzero), max_size=max_deg + 1 - int(nonzero)))
+    if nonzero:
+        coeffs.append(Poly(gf, draw(st.lists(elem, max_size=max_tdeg)) + [draw(st.integers(1, gf.q - 1))]))
+    return XPoly(gf, coeffs)
+
+
+@st.composite
+def moduli(draw, gf, irreducible=True):
+    """A monic P of degree 1-3, irreducible unless asked otherwise."""
+    d = draw(st.integers(1, 3))
+    P = Poly(gf, draw(st.lists(st.integers(0, gf.q - 1), min_size=d, max_size=d)) + [1])
+    if irreducible:
+        assume(is_irreducible(P))
+    return P
+
+
+@st.composite
+def xpoly_pairs(draw):
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    return draw(xpolys(gf)), draw(xpolys(gf))
+
+
+def _xp(q, *rows):
+    gf = FIELDS[q]
+    return XPoly(gf, [Poly(gf, r) for r in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(xpoly_pairs())
+@example((_xp(3), _xp(3, [1, 2])))  # zero operand
+@example((_xp(9, [5]), _xp(9, [0, 1], [], [8, 0, 7])))  # constant operand
+@example((_xp(5, *[[4] * 9] * 7), _xp(5, *[[4] * 9] * 7)))  # full slots
+def test_xpoly_mul_matches_dict_multiply(pair):
+    a, b = pair
+    assert a * b == dict_xmul(a, b)
+    assert a * a == dict_xmul(a, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xpoly_pairs(), st.integers(1, 8))
+@example((_xp(3, [1], [2, 1]), _xp(3, [0, 1], [1, 1])), 1)  # non-constant lead
+@example((_xp(4, [1]), _xp(4)), 1)  # zero divisor
+def test_xpoly_divmod_matches_schoolbook(pair, lead):
+    a, b = pair
+    if b.coeffs and b.coeffs[-1].degree == 0 and lead < a.gf.q:
+        b = XPoly(b.gf, b.coeffs[:-1] + (Poly.const(b.gf, lead),))  # a unit constant lead
+    assert outcome(divmod, a, b) == outcome(school_xdivmod, a, b)
+
+
+@st.composite
+def residue_divisions(draw):
+    """(a, b, P): b reduced mod P, a with coefficients up to T-degree 2 deg P."""
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    P = draw(moduli(gf))
+    a = draw(xpolys(gf, max_deg=8, max_tdeg=2 * P.degree))
+    b = draw(xpolys(gf, max_deg=4, max_tdeg=P.degree - 1, nonzero=draw(st.integers(0, 7)) > 0))
+    return a, XPoly(gf, [c % P for c in b.coeffs]), P
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_divisions())
+# a lead of T-degree 2 mod T^3 + T + w over q = 9
+@example((_xp(9, [1] * 6, [], [2, 3, 4, 5], [8] * 5), _xp(9, [0, 1], [4, 0, 7]), Poly(FIELDS[9], [3, 1, 0, 1])))
+@example((_xp(2, [1, 1]), _xp(2), Poly(FIELDS[2], [1, 1])))  # zero divisor
+def test_xpoly_divmod_mod_matches_residue_loop(args):
+    a, b, P = args
+    want = outcome(rf_divmod, list(a.coeffs), list(b.coeffs), P)
+    if isinstance(want, tuple):
+        want = tuple(XPoly(a.gf, v) for v in want)
+    assert outcome(a.divmod, b, P) == want
+
+
+@st.composite
+def ddf_args(draw):
+    """(f, P): P monic of degree 1-3, mostly irreducible; f with dense
+    coefficients of T-degree <= 3, sometimes times a square."""
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    P = draw(moduli(gf, irreducible=draw(st.integers(0, 7)) > 0))
+    # uniform coefficients: Hypothesis's own draws favour zeros, which make
+    # most f constant or not squarefree
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = XPoly(gf, [Poly(gf, [rng.randrange(gf.q) for _ in range(4)]) for _ in range(rng.randrange(1, 9))])
+    if draw(st.integers(0, 3)) == 0:
+        g = draw(xpolys(gf, max_deg=2, max_tdeg=2, nonzero=True))
+        f = f * g * g
+    return list(f.coeffs), P
+
+
+def _ddf_args(q, P, *rows):
+    gf = FIELDS[q]
+    return [Poly(gf, r) for r in rows], Poly(gf, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ddf_args())
+@example(_ddf_args(3, [1, 0, 1], [2, 0, 1], [], [1]))  # x^2 + T^2 + 2 mod T^2 + 1
+@example(_ddf_args(5, [2, 1], [1], [2], [1]))  # (x + 1)^2: not squarefree
+@example(_ddf_args(3, [2, 0, 1], [1], [], [1]))  # P = T^2 + 2 = (T + 1)(T + 2)
+@example(_ddf_args(4, [2, 1], [1, 2, 3]))  # constant f
+@example(_ddf_args(9, [1, 1], [0, 1], [1, 1], [1, 1]))  # leading coefficient T + 1 vanishes mod P
+def test_ddf_matches_residue_loop(args):
+    assert outcome(ddf, *args) == outcome(rf_ddf, *args)
+
+
+@pytest.mark.parametrize("q", X_FIELDS)
+def test_ddf_of_cyclotomic_polys_matches_residue_loop(q):
+    # the splitting oracle's own inputs: psi_A mod P for deg A, deg P in 1..2
+    gf = FIELDS[q]
+    irr = [P for P in monic_irreducibles(gf, 2) if P.degree == 1][:3]
+    irr += [P for P in monic_irreducibles(gf, 2) if P.degree == 2][:2]
+    for A in irr:
+        psi = list(cyclotomic_poly(A, 1).coeffs)
+        for P in irr:
+            if P != A:
+                assert ddf(psi, P) == rf_ddf(psi, P)

@@ -1,0 +1,84 @@
+"""Differential checks over F_p against sympy's galoistools: gcd, pow_mod,
+irreducibility, and ddf at a linear prime P = T - a, where F_q[T]/P is F_q
+and ddf is distinct-degree factorization of the coefficients evaluated at a.
+Skipped when sympy is not installed."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+galoistools = pytest.importorskip("sympy.polys.galoistools")
+ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+
+from carlitz.errors import DomainError  # noqa: E402
+from carlitz.gf import GF  # noqa: E402
+from carlitz.poly import Poly, is_irreducible, pow_mod, poly_gcd  # noqa: E402
+from carlitz.residues import ddf  # noqa: E402
+
+PRIMES = [2, 3, 5, 7, 13]
+FIELDS = {p: GF(p) for p in PRIMES}
+
+
+def to_sympy(f: Poly):
+    """Dense coefficients, highest degree first, as galoistools takes them."""
+    return [ZZ(c) for c in reversed(f.coeffs)]
+
+
+def from_sympy(gf, coeffs) -> Poly:
+    return Poly(gf, [int(c) for c in reversed(coeffs)])
+
+
+@st.composite
+def fp_polys(draw, n=2, max_len=40):
+    p = draw(st.sampled_from(PRIMES))
+    elem = st.integers(0, p - 1)
+    return (FIELDS[p],) + tuple(Poly(FIELDS[p], draw(st.lists(elem, max_size=max_len))) for _ in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_polys())
+def test_gcd_matches_sympy(args):
+    gf, a, b = args
+    if a.is_zero() and b.is_zero():
+        return
+    want = galoistools.gf_gcd(to_sympy(a), to_sympy(b), gf.p, ZZ)
+    assert poly_gcd(a, b) == from_sympy(gf, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_polys(), st.integers(0, 10**6))
+def test_pow_mod_matches_sympy(args, e):
+    gf, a, m = args
+    if m.is_zero():
+        return
+    want = galoistools.gf_pow_mod(to_sympy(a), e, to_sympy(m), gf.p, ZZ)
+    assert pow_mod(a, e, m) == from_sympy(gf, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_polys(n=1, max_len=9))
+def test_is_irreducible_matches_sympy(args):
+    gf, f = args
+    if f.degree < 1:
+        return
+    assert is_irreducible(f) == galoistools.gf_irreducible_p(to_sympy(f), gf.p, ZZ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ddf_at_linear_prime_matches_sympy(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    gf = FIELDS[p]
+    a = data.draw(st.integers(0, p - 1))
+    P = Poly(gf, [gf.neg(a), 1])  # T - a
+    rows = st.lists(st.integers(0, p - 1), max_size=4).map(lambda c: Poly(gf, c))
+    f = data.draw(st.lists(rows, min_size=1, max_size=9))
+    # the image of f in F_p[x] under T -> a, highest degree first
+    fbar = galoistools.gf_strip([ZZ(c.evaluate(a)) for c in reversed(f)])
+    if len(fbar) < 2 or not galoistools.gf_sqf_p(fbar, p, ZZ):
+        with pytest.raises(DomainError):
+            ddf(f, P)
+        return
+    fbar = galoistools.gf_monic(fbar, p, ZZ)[1]
+    want = [(d, (len(g) - 1) // d) for g, d in galoistools.gf_ddf_zassenhaus(fbar, p, ZZ)]
+    assert ddf(f, P) == want
