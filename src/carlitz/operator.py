@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 from .errors import CarlitzError, DomainError
-from .padic import PadicElem
 from .poly import Poly, inv_mod, is_irreducible
 
 __all__ = [
@@ -279,9 +278,19 @@ def carlitz_operator(M: Poly, modulus: Poly = None) -> AdditiveOperator:
 
 
 def carlitz_act(M: Poly, u):
-    """rho_M(u) in whichever ring u lives in."""
-    modulus = u.ctx.modulus if isinstance(u, PadicElem) else None
-    return carlitz_operator(M, modulus).apply(u)
+    """rho_M(u) in whichever ring u lives in.
+
+    rho_M = sum a_k rho_T^k, so Horner's rule in rho_T gives
+    v <- rho_T(v) + a_k u = v^q + T v + a_k u from k = deg M down to 0,
+    with no operator coefficients built.
+    """
+    T = u.from_poly(Poly.T(M.gf))
+    v = u.from_poly(Poly.zero(M.gf))
+    for a in reversed(M.coeffs):
+        v = v.frobenius() + T * v
+        if a:
+            v = v + u.scale(a)
+    return v
 
 
 def brackets_D(gf, n: int):

@@ -9,7 +9,7 @@ BelowPrecision.
 from __future__ import annotations
 
 from .errors import BelowPrecision, DomainError
-from .poly import Poly, is_irreducible, poly_ext_gcd
+from .poly import Poly, inv_mod, is_irreducible
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
 
@@ -96,13 +96,20 @@ class PadicElem:
         return self.ctx.elem(self.rep * other.rep)
 
     def inverse(self) -> "PadicElem":
-        if self.valuation_lower() > 0:
-            raise DomainError(f"{self.rep} is not a unit (divisible by {self.ctx.P})")
-        g, a, _ = poly_ext_gcd(self.rep, self.ctx.modulus)
-        if g.degree != 0:
-            raise DomainError(f"{self.rep} is not invertible mod {self.ctx.P}^{self.ctx.N}")
-        a = a.scale(self.ctx.gf.inv(g.coeffs[0]))
-        return self.ctx.elem(a)
+        """Inverse mod P, lifted by Newton's step x <- x + x(1 - a x), which
+        doubles the number of correct P-digits (von zur Gathen-Gerhard,
+        Modern Computer Algebra, 9.1)."""
+        ctx = self.ctx
+        residue = self.rep % ctx.P
+        if residue.is_zero():
+            raise DomainError(f"{self.rep} is not a unit (divisible by {ctx.P})")
+        x = ctx.elem(inv_mod(residue, ctx.P))
+        one = ctx.one()
+        correct = 1
+        while correct < ctx.N:
+            x = x + x * (one - self * x)
+            correct *= 2
+        return x
 
     def __truediv__(self, other):
         self._check(other)

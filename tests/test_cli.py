@@ -204,6 +204,14 @@ def test_field_size_cap(capsys):
     assert run_ok(capsys, "act", "--q", "4294967311", "--M", "2", "--u", "T+1").strip() == "2*T+2"
 
 
+def test_frobenius_size_cap(capsys):
+    # rho_T(T) = T^q + T^2 needs a q-th power of degree q = 2^32 + 15; it
+    # fails before the dense list is allocated
+    code, _, err = run(capsys, "act", "--q", "4294967311", "--M", "T", "--u", "T")
+    assert code == 1 and err.startswith("error[domain]")
+    assert "q-th power of degree 4294967311 is above the supported maximum 2^24" in err
+
+
 def test_json_error_object(capsys):
     code, _, err = run(
         capsys, "symbol", "--q", "3", "--output", "json", "--A", "T", "--P", "T^2", "--d", "2"

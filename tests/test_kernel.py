@@ -1,8 +1,10 @@
 """The packed F_q[T] kernel against the schoolbook definitions, series
 multiply and inverse on that kernel against the digit loops, the torsion
 search against its per-candidate form, q-power exponentiation in F_q[T]/P^N
-against plain square-and-multiply, and the x-polynomial kernel and ddf
-against their coefficient-by-coefficient loops."""
+against plain square-and-multiply and the Newton inverse there against the
+extended gcd, the Horner Carlitz action against the operator coefficients of
+the T-step recursion, and the x-polynomial kernel and ddf against their
+coefficient-by-coefficient loops."""
 
 import random
 from itertools import zip_longest
@@ -14,9 +16,17 @@ from hypothesis import strategies as st
 from carlitz.analytic import SeriesBudget, carlitz_exp
 from carlitz.errors import DomainError, PrecisionError
 from carlitz.gf import GF
-from carlitz.operator import XPoly, carlitz_act, cyclotomic_poly
-from carlitz.padic import PadicCtx
-from carlitz.poly import Poly, _slot_bytes, inv_mod, is_irreducible, monic_irreducibles, parse_poly
+from carlitz.operator import XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
+from carlitz.padic import PadicCtx, PadicElem
+from carlitz.poly import (
+    Poly,
+    _slot_bytes,
+    inv_mod,
+    is_irreducible,
+    monic_irreducibles,
+    parse_poly,
+    poly_ext_gcd,
+)
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import TorsionSetVq, _slope_data, min_separating_prec, torsion_vq
@@ -672,3 +682,94 @@ def test_ddf_of_cyclotomic_polys_matches_residue_loop(q):
         for P in irr:
             if P != A:
                 assert ddf(psi, P) == rf_ddf(psi, P)
+
+
+# ---------------------------------------------------------------- Newton inverse in F_q[T]/P^N
+
+
+def ext_gcd_inverse(x):
+    """The inverse in F_q[T]/P^N by the extended gcd with P^N, as it was
+    computed before the Newton lift."""
+    ctx = x.ctx
+    if x.valuation_lower() > 0:
+        raise DomainError(f"{x.rep} is not a unit (divisible by {ctx.P})")
+    g, a, _ = poly_ext_gcd(x.rep, ctx.modulus)
+    if g.degree != 0:
+        raise DomainError(f"{x.rep} is not invertible mod {ctx.P}^{ctx.N}")
+    return ctx.elem(a.scale(ctx.gf.inv(g.coeffs[0])))
+
+
+def inverse_outcome(f, x):
+    """f(x), or the text of the DomainError it raises."""
+    try:
+        return f(x)
+    except DomainError as err:
+        return str(err)
+
+
+@st.composite
+def padic_elems(draw):
+    """An element of F_q[T]/P^N, deg P 1-3, N 1-16; often a non-unit."""
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    ctx = PadicCtx(draw(moduli(gf)), draw(st.integers(1, 16)))
+    rep = Poly(gf, draw(st.lists(st.integers(0, gf.q - 1), max_size=ctx.modulus.degree)))
+    # times P^k: k = 0 keeps rep as drawn (a unit unless P divides it), k >= 1 a non-unit
+    return ctx.elem(rep * ctx.P ** draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(padic_elems())
+@example(PadicCtx(Poly(FIELDS[2], [1, 1]), 16).one())
+@example(PadicCtx(Poly(FIELDS[9], [3, 1, 0, 1]), 16).elem(Poly(FIELDS[9], [8, 0, 5, 0, 1])))
+@example(PadicCtx(Poly(FIELDS[3], [1, 0, 1]), 4).zero())
+def test_padic_inverse_matches_ext_gcd(x):
+    inv = inverse_outcome(PadicElem.inverse, x)
+    assert inv == inverse_outcome(ext_gcd_inverse, x)
+    if not isinstance(inv, str):
+        assert x * inv == x.ctx.one()
+
+
+# ---------------------------------------------------------------- Carlitz action
+
+
+# the largest q^deg M the action oracle draws: the operator route builds
+# u^(q^deg M), so larger orders make the comparison slow without a new case
+ACT_MAX_SIZE = 729
+
+
+@st.composite
+def act_args(draw):
+    """(M, u, modulus): deg M from -1 to 6 with q^deg M <= ACT_MAX_SIZE, u a
+    Poly, a P-adic element or an exact or truncated series, zero included."""
+    q = draw(st.sampled_from(X_FIELDS))
+    gf = FIELDS[q]
+    top = max(d for d in range(7) if q**d <= ACT_MAX_SIZE)
+    d = draw(st.integers(-1, top))
+    elem = st.integers(0, q - 1)
+    M = Poly.zero(gf)
+    if d >= 0:
+        M = Poly(gf, draw(st.lists(elem, min_size=d, max_size=d)) + [draw(st.integers(1, q - 1))])
+    ring = draw(st.sampled_from(["poly", "padic", "inf", "vq"]))
+    if ring == "poly":
+        return M, Poly(gf, draw(st.lists(elem, max_size=4))), None
+    if ring == "padic":
+        P = draw(moduli(gf))
+        ctx = PadicCtx(P, draw(st.integers(1, 6 // P.degree)))
+        return M, ctx.elem(Poly(gf, draw(st.lists(elem, max_size=ctx.modulus.degree)))), ctx.modulus
+    return M, draw(series(gf, InfLaurent if ring == "inf" else VqElem, max_len=6)), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(act_args())
+@example((Poly(FIELDS[3], []), VqElem(FIELDS[3], 2, [1, 2], 5), None))  # M = 0 on a truncated series
+@example((Poly(FIELDS[4], [1, 0, 2]), VqElem(FIELDS[4], 3, [], 3), None))  # truncated zero
+@example((Poly(FIELDS[5], [0, 1]), InfLaurent(FIELDS[5], 0, [], None), None))  # exact zero
+@example((Poly(FIELDS[2], [1] * 7), InfLaurent(FIELDS[2], -2, [1, 0, 1], 1), None))  # deg M = 6
+def test_carlitz_act_matches_operator(args):
+    M, u, modulus = args
+    horner = carlitz_act(M, u)
+    coeffs = carlitz_operator(M, modulus).apply(u)
+    assert type(horner) is type(coeffs)
+    assert str(horner) == str(coeffs)
+    if isinstance(u, Series):
+        assert horner.prec == coeffs.prec
