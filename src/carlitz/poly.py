@@ -7,7 +7,6 @@ polynomial has an empty vector and degree -1 by convention.
 
 from __future__ import annotations
 
-import functools
 import struct
 
 from .errors import DomainError
@@ -17,6 +16,15 @@ from .gf import GF
 # The q-th power is built densely, so its degree q*deg is capped before the
 # list is allocated; the largest the tests, demos and benchmark build is 1875.
 MAX_FROBENIUS_DEGREE = 2**24
+
+
+def check_frobenius_degree(degree: int) -> None:
+    """Refuse a dense q-th power image whose degree is above the cap."""
+    if degree > MAX_FROBENIUS_DEGREE:
+        raise DomainError(
+            f"q-th power of degree {degree} is above the supported maximum "
+            f"2^{MAX_FROBENIUS_DEGREE.bit_length() - 1}"
+        )
 
 
 class Poly:
@@ -174,10 +182,7 @@ class Poly:
     def frobenius(self):
         """The q-th power: coefficients fixed, T-exponents multiplied by q."""
         q = self.gf.q
-        if q * self.degree > MAX_FROBENIUS_DEGREE:
-            raise DomainError(
-                f"q-th power of degree {q * self.degree} is above the supported maximum 2^24"
-            )
+        check_frobenius_degree(q * self.degree)
         out = [0] * (q * self.degree + 1) if self.coeffs else []
         for i, c in enumerate(self.coeffs):
             if c:
@@ -404,17 +409,8 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
     return x % modulus
 
 
-# primes remembered by is_irreducible; cache_info() reports hits, misses, size
-_IRREDUCIBLE_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_IRREDUCIBLE_CACHE_SIZE)
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's criterion via gcd(f, T^{q^k} - T) ladders.
-
-    Memoised: the residue symbol, P-adic contexts, ddf and cyclotomic
-    polynomials each check their prime, often the same one many times.
-    """
+    """Rabin's criterion via gcd(f, T^{q^k} - T) ladders."""
     n = f.degree
     if n < 1:
         raise DomainError("irreducibility is defined for degree >= 1")

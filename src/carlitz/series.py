@@ -20,7 +20,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, split_terms
+from .poly import Poly, check_frobenius_degree, split_terms
 
 INF = math.inf
 
@@ -183,6 +183,7 @@ class Series:
     def frobenius(self):
         """The q-th power: exponents scale by q, F_q digits are fixed."""
         q = self.gf.q
+        check_frobenius_degree(q * (len(self.coeffs) - 1))
         out = [0] * (q * len(self.coeffs) - q + 1) if self.coeffs else []
         out[::q] = self.coeffs
         prec = None if self.prec is None else q * self.prec

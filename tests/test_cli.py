@@ -210,6 +210,15 @@ def test_frobenius_size_cap(capsys):
     code, _, err = run(capsys, "act", "--q", "4294967311", "--M", "T", "--u", "T")
     assert code == 1 and err.startswith("error[domain]")
     assert "q-th power of degree 4294967311 is above the supported maximum 2^24" in err
+    # the same cap guards the series q-th power: rho_T(u) for a two-digit u
+    # spans q exponents
+    u = "s^-1 + 1 + O(s^10)"
+    code, _, err = run(capsys, "completed-act", "--q", "4294967311", "--M", "T", "--u", u)
+    assert code == 1 and err.startswith("error[domain]")
+    assert "q-th power of degree 4294967311 is above the supported maximum 2^24" in err
+    assert run_ok(capsys, "completed-act", "--q", "4294967311", "--M", "2", "--u", u).strip() == (
+        "2*s^-1 + 2 + O(s^10)"
+    )
 
 
 def test_json_error_object(capsys):
