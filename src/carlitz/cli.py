@@ -29,6 +29,11 @@ class UsageError(Exception):
 
 DEFAULT_MAX_DEG = 6
 
+# The most work `sweep --kind splitting` takes on, in units of (x-degree of
+# psi_A)^2 summed over the ordered pairs (P, A): --q 3 --max-deg 3 is 72956
+# (about 5 s), --q 9 --max-deg 2 is about 10^7 (over 7 minutes).
+MAX_SPLITTING_WORK = 10**5
+
 
 def max_deg_cap() -> int:
     raw = os.environ.get("CARLITZ_MAX_DEG")
@@ -463,6 +468,16 @@ def cmd_sweep(args):
     elif kind == "splitting":
         from .residues import ddf
 
+        # monic irreducibles per degree, from q^d = sum over e | d of e N(e)
+        count = {}
+        for d in range(1, args.max_deg + 1):
+            count[d] = (gf.q**d - sum(e * n for e, n in count.items() if d % e == 0)) // d
+        work = (sum(count.values()) - 1) * sum(n * (gf.q**d - 1) ** 2 for d, n in count.items())
+        if work > MAX_SPLITTING_WORK:
+            raise UsageError(
+                f"sweep 'splitting' work estimate {work} is above the cap {MAX_SPLITTING_WORK} "
+                "(lower --max-deg or --q)"
+            )
         irr = list(monic_irreducibles(gf, args.max_deg))
         for P in irr:
             for A in irr:

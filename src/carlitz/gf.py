@@ -16,7 +16,8 @@ from .errors import DomainError
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
 # sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
-# first use, tables of q^2 and p^(2r-1) entries, under a second at the cap.
+# first use, addition and multiplication tables of q^2 entries and a
+# reduction table of p^(2r-1), under a second at the cap.
 MAX_PRIME = 2**40
 MAX_EXTENSION_ORDER = 2**8
 
@@ -109,6 +110,10 @@ class GF:
                 if not _fp_irreducible(list(modulus), p):
                     raise DomainError("supplied modulus is reducible")
             self.modulus = tuple(modulus)
+        # i mod p for every byte i, a bytes.translate table for the packed kernel
+        self.byte_residues = bytes(i % p for i in range(256))
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         self._slot_tables = None
@@ -145,8 +150,9 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a + b) % self.p
-        ca, cb = self.coords(a), self.coords(b)
-        return self._from_coords([(x + y) % self.p for x, y in zip(ca, cb)])
+        if self._add_table is None:
+            self._build_tables()
+        return self._add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -154,10 +160,17 @@ class GF:
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.p
-        return self._from_coords([(-c) % self.p for c in self.coords(a)])
+        if self._neg_table is None:
+            self._build_tables()
+        return self._neg_table[a]
 
     def _build_tables(self):
-        q = self.q
+        q, p = self.q, self.p
+        coords = [self.coords(a) for a in range(q)]
+        self._add_table = [
+            [self._from_coords([x + y for x, y in zip(ca, cb)]) for cb in coords] for ca in coords
+        ]
+        self._neg_table = [self._from_coords([p - c for c in ca]) for ca in coords]
         table = [[0] * q for _ in range(q)]
         for a in range(q):
             pa = list(self.coords(a))
@@ -180,21 +193,21 @@ class GF:
         """Tables of the packed polynomial kernel (``poly``), built on first use.
 
         ``digits[a]`` is the bytes of the r coordinates of a followed by r-1
-        zeros: the 2r-1 slots of one packed coefficient.  ``reduce[i]`` is the
-        element that a polynomial in w of degree <= 2r-2 reduces to, when the
-        base-p digits of i are its coefficients; p^(2r-1) entries.  Only
-        extension fields use them.
+        zeros: the 2r-1 slots of one packed coefficient.  ``reduce`` maps the
+        tuple of 2r-1 coefficients of a polynomial in w of degree <= 2r-2 to
+        the element it reduces to; p^(2r-1) entries.  Only extension fields
+        use them.
         """
         if self._slot_tables is None:
             p, g, m = self.p, 2 * self.r - 1, list(self.modulus)
             digits = [bytes(self.coords(a) + (0,) * (self.r - 1)) for a in range(self.q)]
-            reduce = []
+            reduce = {}
             for i in range(p**g):
                 w_poly = []
                 for _ in range(g):
                     w_poly.append(i % p)
                     i //= p
-                reduce.append(self._from_coords(_fp_polymod(w_poly, m, p)))
+                reduce[tuple(w_poly)] = self._from_coords(_fp_polymod(w_poly, m, p))
             self._slot_tables = digits, reduce
         return self._slot_tables
 

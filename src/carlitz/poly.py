@@ -257,9 +257,10 @@ class Poly:
 # adds, in group i+j, the product of the coordinate polynomials of a_i and
 # b_j: a polynomial in w of degree <= 2r-2, unreduced, which fills the group.
 # Callers take k from the largest sum a slot can reach, so slots never carry
-# into their neighbours.  Unpacking reads every slot mod p; over F_p that is
-# the coefficient, over F_{p^r} the group's digits index the field's
-# reduction table (GF.slot_tables).
+# into their neighbours.  Unpacking reads every slot mod p (one
+# bytes.translate for 1-byte slots); over F_p that is the coefficient, over
+# F_{p^r} the group's 2r-1 digits are the key of the field's reduction table
+# (GF.slot_tables).
 
 # struct codes of 2-, 4- and 8-byte slots; wider slots go through int.to_bytes
 _FORMATS = {2: "H", 4: "I", 8: "Q"}
@@ -294,18 +295,18 @@ def _unpack(gf: GF, x: int, n: int, k: int) -> list:
     p, g = gf.p, 2 * gf.r - 1
     data = x.to_bytes(n * g * k, "little")
     if k == 1:
-        slots = data
-    elif k in _FORMATS:
-        slots = struct.unpack(f"<{n * g}{_FORMATS[k]}", data)
+        digits = data.translate(gf.byte_residues)
     else:
-        slots = [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+        if k in _FORMATS:
+            slots = struct.unpack(f"<{n * g}{_FORMATS[k]}", data)
+        else:
+            slots = [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+        digits = [s % p for s in slots]
     if g == 1:
-        return [s % p for s in slots]
-    idx = [s % p for s in slots[g - 1 :: g]]
-    for j in range(g - 2, -1, -1):
-        idx = [i * p + s % p for i, s in zip(idx, slots[j::g])]
+        return list(digits)
     reduce = gf.slot_tables()[1]
-    return [reduce[i] for i in idx]
+    # zip of g references to one iterator yields the digits group by group
+    return [reduce[w] for w in zip(*[iter(digits)] * g)]
 
 
 def split_terms(s: str):
@@ -409,39 +410,82 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
     return x % modulus
 
 
+class FrobeniusMatrix:
+    """The q-th power map h -> h^q on F_q[T]/f, for f of degree n >= 1.
+
+    The map is F_q-linear, (sum c_i T^i)^q = sum c_i T^(iq), so its matrix
+    has rows T^(iq) mod f for i < n: Berlekamp's Q-matrix (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14).  The rows are packed
+    into one int, row i at block n-1-i of n coefficient groups each.  A
+    reduced h spread to one coefficient per block then meets row i at block
+    n-1 exactly in the product h_i * row_i, so one bigint multiply applies
+    the matrix.  A slot of a block sums at most n products of two
+    coefficients, which bounds it by n r (p-1)^2.
+    """
+
+    __slots__ = ("f", "_k", "_block", "_rows")
+
+    def __init__(self, f: Poly):
+        gf, n = f.gf, f.degree
+        self.f = f
+        self._k = _slot_bytes(n * gf.r * (gf.p - 1) ** 2)
+        self._block = n * (2 * gf.r - 1) * 8 * self._k
+        rows = [Poly.one(gf)]
+        if n > 1:
+            x = pow_mod(Poly.T(gf), gf.q, f)
+            while len(rows) < n:
+                rows.append((rows[-1] * x) % f)
+        coeffs = []
+        for row in reversed(rows):
+            coeffs += row.coeffs + (0,) * (n - len(row.coeffs))
+        self._rows = _pack(gf, coeffs, self._k)
+
+    def apply(self, h: Poly) -> Poly:
+        """h^q mod f for h reduced mod f."""
+        gf, n, k = h.gf, self.f.degree, self._k
+        if not h.coeffs:
+            return h
+        spread = [0] * (n * len(h.coeffs))
+        spread[::n] = h.coeffs
+        block = (_pack(gf, spread, k) * self._rows) >> (self._block * (n - 1))
+        return Poly(gf, _unpack(gf, block & ((1 << self._block) - 1), n, k))
+
+    def is_irreducible(self) -> bool:
+        """Rabin's test on f: T^(q^n) = T mod f, and gcd(f, T^(q^(n/l)) - T)
+        = 1 for every prime l dividing n."""
+        f, n = self.f, self.f.degree
+        if n == 1:
+            return True
+        T = Poly.T(f.gf)
+        # prime divisors of n
+        primes, m = [], n
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                primes.append(d)
+                while m % d == 0:
+                    m //= d
+            d += 1
+        if m > 1:
+            primes.append(m)
+        # powers[k] = T^{q^k} mod f
+        powers = [T]
+        for _ in range(n):
+            powers.append(self.apply(powers[-1]))
+        if powers[n] != T:
+            return False
+        for pdiv in primes:
+            g = powers[n // pdiv] - T
+            if g.is_zero() or poly_gcd(f, g).degree > 0:
+                return False
+        return True
+
+
 def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion via gcd(f, T^{q^k} - T) ladders."""
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         raise DomainError("irreducibility is defined for degree >= 1")
-    if n == 1:
-        return True
-    q = f.gf.q
-    T = Poly.T(f.gf)
-    # prime divisors of n
-    primes, m = [], n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    # h_k = T^{q^k} mod f
-    powers = {}
-    h = T % f
-    for k in range(1, n + 1):
-        h = pow_mod(h, q, f)
-        powers[k] = h
-    if powers[n] != T % f:
-        return False
-    for pdiv in primes:
-        g = powers[n // pdiv] - T
-        if g.is_zero() or poly_gcd(f, g).degree > 0:
-            return False
-    return True
+    return FrobeniusMatrix(f).is_irreducible()
 
 
 def monic_irreducibles(gf: GF, max_deg: int):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly, carlitz_act, carlitz_operator
-from .poly import Poly, euler_phi, is_irreducible, pow_mod, poly_gcd
+from .poly import FrobeniusMatrix, Poly, euler_phi, poly_gcd
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -25,31 +25,35 @@ __all__ = [
 ]
 
 
-def _check_symbol_pre(A: Poly, P: Poly, d: int):
-    gf = P.gf
-    if d < 1 or (gf.q - 1) % d != 0:
-        raise DomainError(f"d = {d} does not divide q - 1 = {gf.q - 1}")
-    if P.degree < 1 or not P.is_monic() or not is_irreducible(P):
-        raise DomainError(f"{P} is not monic irreducible")
-    if (A % P).is_zero():
-        raise DomainError(f"{A} is not coprime to {P}")
-
-
 def residue_symbol(A: Poly, P: Poly, d: int) -> int:
     """The d-th power residue symbol (A/P)_d = A^((q^r - 1)/d) mod P in F_q^*.
 
-    The symbol is 1 exactly when A is a d-th power residue mod P.
+    The symbol is 1 exactly when A is a d-th power residue mod P.  It is
+    computed as N(a)^((q-1)/d) with a = A mod P and the norm
+    N(a) = a^(1 + q + ... + q^(r-1)), the product of a's r conjugates, each
+    one application of P's Frobenius matrix (Rosen, Number Theory in Function
+    Fields, ch. 3).
     """
-    _check_symbol_pre(A, P, d)
     gf = P.gf
-    r = P.degree
-    e = (gf.q ** r - 1) // d
-    val = pow_mod(A % P, e, P)
-    if not val.is_const():
+    if d < 1 or (gf.q - 1) % d != 0:
+        raise DomainError(f"d = {d} does not divide q - 1 = {gf.q - 1}")
+    if P.degree < 1 or not P.is_monic():
+        raise DomainError(f"{P} is not monic irreducible")
+    frob = FrobeniusMatrix(P)
+    if not frob.is_irreducible():
+        raise DomainError(f"{P} is not monic irreducible")
+    a = A % P
+    if a.is_zero():
+        raise DomainError(f"{A} is not coprime to {P}")
+    norm = conj = a
+    for _ in range(P.degree - 1):
+        conj = frob.apply(conj)
+        norm = (norm * conj) % P
+    if not norm.is_const():
         raise CarlitzError(
-            f"symbol computation left the constant field: {val} mod {P}"
+            f"symbol computation left the constant field: {norm} mod {P}"
         )
-    return val[0]
+    return gf.pow(norm[0], (gf.q - 1) // d)
 
 
 def check_reciprocity(P: Poly, Q: Poly, d: int):

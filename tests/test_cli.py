@@ -173,6 +173,21 @@ def test_sweeps_pass(capsys, kind):
     assert all("False" not in r for r in rows)
 
 
+def test_splitting_sweep_work_cap(capsys, monkeypatch):
+    # 45 irreducibles over F_9 give 1980 pairs, over 7 minutes of ddf: the
+    # sweep is refused from the irreducible counts, before any is listed
+    import carlitz.cli
+
+    def unreachable(*args):
+        raise AssertionError("the sweep enumerated irreducibles")
+
+    monkeypatch.setattr(carlitz.cli, "monic_irreducibles", unreachable)
+    code, out, err = run(capsys, "sweep", "--q", "9", "--kind", "splitting", "--max-deg", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error[usage]")
+    assert "10162944" in err and str(carlitz.cli.MAX_SPLITTING_WORK) in err
+
+
 # ---------------------------------------------------------------- output and errors
 
 

@@ -3,8 +3,10 @@ multiply and inverse on that kernel against the digit loops, the torsion
 search against its per-candidate form, q-power exponentiation in F_q[T]/P^N
 against plain square-and-multiply and the Newton inverse there against the
 extended gcd, the Horner Carlitz action against the operator coefficients of
-the T-step recursion, and the x-polynomial kernel and ddf against their
-coefficient-by-coefficient loops."""
+the T-step recursion, the x-polynomial kernel and ddf against their
+coefficient-by-coefficient loops, the Frobenius matrix, irreducibility and
+the residue symbol against pow_mod, and the F_{p^r} addition and negation
+tables against coordinates."""
 
 import random
 from itertools import zip_longest
@@ -19,6 +21,7 @@ from carlitz.gf import GF
 from carlitz.operator import XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem
 from carlitz.poly import (
+    FrobeniusMatrix,
     Poly,
     _slot_bytes,
     inv_mod,
@@ -26,7 +29,10 @@ from carlitz.poly import (
     monic_irreducibles,
     parse_poly,
     poly_ext_gcd,
+    poly_gcd,
+    pow_mod,
 )
+from carlitz.reciprocity import residue_symbol
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import TorsionSetVq, _slope_data, min_separating_prec, torsion_vq
@@ -773,3 +779,149 @@ def test_carlitz_act_matches_operator(args):
     assert str(horner) == str(coeffs)
     if isinstance(u, Series):
         assert horner.prec == coeffs.prec
+
+
+# ---------------------------------------------------------------- Frobenius matrix mod f
+
+
+def rabin_pow_mod(f: Poly) -> bool:
+    """Rabin's test with each T^(q^k) mod f by square-and-multiply, as
+    is_irreducible computed it before the Frobenius matrix."""
+    n = f.degree
+    if n == 1:
+        return True
+    T = Poly.T(f.gf)
+    primes = [l for l in range(2, n + 1) if n % l == 0 and all(l % e for e in range(2, l))]
+    powers, h = {}, T
+    for k in range(1, n + 1):
+        h = pow_mod(h, f.gf.q, f)
+        powers[k] = h
+    if powers[n] != T:
+        return False
+    for l in primes:
+        g = powers[n // l] - T
+        if g.is_zero() or poly_gcd(f, g).degree > 0:
+            return False
+    return True
+
+
+FROB_FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 27]
+
+
+@st.composite
+def frobenius_args(draw):
+    """(f, h): f monic of degree 1-30, mostly reducible, h reduced mod f;
+    either may have every coefficient q - 1, the largest slot sums."""
+    gf = FIELDS[draw(st.sampled_from(FROB_FIELDS))]
+    n = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = [gf.q - 1] * n
+    f = Poly(gf, (top if draw(st.integers(0, 4)) == 0 else [rng.randrange(gf.q) for _ in range(n)]) + [1])
+    h = Poly(gf, top if draw(st.booleans()) else [rng.randrange(gf.q) for _ in range(n)])
+    return f, h
+
+
+def _frob_args(q, n, seed):
+    """A random monic f of degree n and h with every coefficient q - 1."""
+    rng = random.Random(seed)
+    return Poly(FIELDS[q], [rng.randrange(q) for _ in range(n)] + [1]), Poly(FIELDS[q], [q - 1] * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frobenius_args())
+@example(_frob_args(7, 30, 1))  # slot sums near 30 * 36: two-byte slots
+@example(_frob_args(27, 30, 2))  # r = 3, slot sums near 30 * 12
+@example(_frob_args(5, 1, 3))  # deg f = 1: the matrix is (1)
+@example((Poly(FIELDS[4], [1, 0, 1]), Poly(FIELDS[4], [])))  # h = 0
+def test_frobenius_matrix_matches_pow_mod(args):
+    f, h = args
+    frob = FrobeniusMatrix(f)
+    assert frob.apply(h) == pow_mod(h, f.gf.q, f)
+    assert is_irreducible(f) == rabin_pow_mod(f)
+
+
+@pytest.mark.parametrize("q", FROB_FIELDS)
+def test_is_irreducible_matches_rabin_pow_mod_exhaustive(q):
+    # every monic f of degree n >= 2 with q^n <= 729, irreducible ones included
+    gf = FIELDS[q]
+    for n in range(2, 10):
+        if q**n > 729:
+            break
+        for f in all_monic(gf, n):
+            assert is_irreducible(f) == rabin_pow_mod(f), f
+
+
+def all_monic(gf, n):
+    out = [[]]
+    for _ in range(n):
+        out = [c + [a] for c in out for a in range(gf.q)]
+    return [Poly(gf, c + [1]) for c in out]
+
+
+@st.composite
+def symbol_args(draw):
+    """(A, P): P monic irreducible of degree 1-5 (1-3 for q >= 25), A of
+    degree up to 2 deg P, not divisible by P."""
+    q = draw(st.sampled_from(FROB_FIELDS))
+    gf = FIELDS[q]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 3 if q >= 25 else 5))
+    while True:
+        P = Poly(gf, [rng.randrange(q) for _ in range(n)] + [1])
+        if rabin_pow_mod(P):
+            break
+    A = Poly(gf, [rng.randrange(q) for _ in range(2 * n + 1)])
+    assume(not (A % P).is_zero())
+    return A, P
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbol_args())
+@example((Poly(FIELDS[27], [26] * 7), Poly(FIELDS[27], [1, 3, 0, 1])))
+def test_residue_symbol_matches_pow_mod(args):
+    # (A/P)_d = A^((q^r - 1)/d) mod P, the definition, for every d | q - 1
+    A, P = args
+    gf = P.gf
+    for d in range(1, gf.q):
+        if (gf.q - 1) % d == 0:
+            want = pow_mod(A % P, (gf.q ** P.degree - 1) // d, P)
+            assert Poly.const(gf, residue_symbol(A, P, d)) == want
+
+
+def symbol_error(A, P, d):
+    try:
+        residue_symbol(A, P, d)
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+def test_residue_symbol_precondition_texts():
+    gf = FIELDS[9]
+    T, one = Poly.T(gf), Poly.one(gf)
+    assert symbol_error(T, T + one, 3) == "d = 3 does not divide q - 1 = 8"
+    assert symbol_error(T, T * T, 2) == "T^2 is not monic irreducible"
+    assert symbol_error(T, (T + one).scale(2), 2) == "2*T+2 is not monic irreducible"
+    assert symbol_error(T, Poly.const(gf, 1), 2) == "1 is not monic irreducible"
+    assert symbol_error(T * (T + one), T + one, 2) == "T^2+T is not coprime to T+1"
+    assert symbol_error(Poly.zero(gf), T, 2) == "0 is not coprime to T"
+    # T^2 + 1 = (T - w)(T + w), since w^2 = -1 in this F_9
+    assert symbol_error(T, T * T + one, 2) == "T^2+1 is not monic irreducible"
+    # the d check comes first, then P, then A
+    assert symbol_error(T * T, T * T, 5) == "d = 5 does not divide q - 1 = 8"
+    assert symbol_error(T * T, T * T, 2) == "T^2 is not monic irreducible"
+
+
+# ---------------------------------------------------------------- F_{p^r} tables
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 8)])
+def test_gf_add_neg_tables_match_coordinates(p, r):
+    # q in {4, 8, 9, 16, 25, 27, 49, 256}: every pair against coordinatewise sums
+    gf = GF(p, r)
+    coords = [gf.coords(a) for a in range(gf.q)]
+    for a, ca in enumerate(coords):
+        assert gf.neg(a) == gf._from_coords([-c for c in ca])
+        assert [gf.add(a, b) for b in range(gf.q)] == [
+            gf._from_coords([x + y for x, y in zip(ca, cb)]) for cb in coords
+        ]

@@ -80,6 +80,26 @@ def test_reciprocity_exhaustive_small():
                 assert holds, (str(P), str(Q), d, lhs, rhs)
 
 
+@pytest.mark.parametrize("q, max_sum", [(4, 6), (9, 3)])
+def test_reciprocity_over_extension_fields(q, max_sum):
+    # every ordered pair of distinct monic irreducibles of degree <= 3 with
+    # deg P + deg Q <= max_sum, every d | q - 1: 1740 checks over F_4 and
+    # 2880 over F_9, where the symbol's norm takes r - 1 Frobenius steps
+    gf = field(q)
+    irr = monic_irreducibles(gf, 3 if q == 4 else 2)
+    divisors = [d for d in range(1, q) if (q - 1) % d == 0]
+    total = 0
+    for P in irr:
+        for Q in irr:
+            if P == Q or P.degree + Q.degree > max_sum:
+                continue
+            for d in divisors:
+                lhs, rhs, holds = check_reciprocity(P, Q, d)
+                assert holds, (str(P), str(Q), d, lhs, rhs)
+                total += 1
+    assert total == {4: 1740, 9: 2880}[q]
+
+
 # ---------------------------------------------------------------- splitting
 
 
