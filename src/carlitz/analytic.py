@@ -139,7 +139,9 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
     Enumeration is by coefficient-degree shells: shell m holds the
     combinations sum A_i * basis_i with max deg A_i = m.  Shell-sum
     valuations must not decrease; the last shell's valuation is the
-    convergence certificate.
+    convergence certificate.  alpha and c*alpha (c in F_q^*) give the same
+    term, as c^((q-1)k) = 1, so each F_q^*-orbit is summed once, through the
+    representative whose first nonzero A_i is monic, with weight q-1 = -1.
     """
     budget = budget or SeriesBudget()
     if k < 1:
@@ -164,7 +166,7 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
                 continue
             any_term = True
             t = max(prec + (e - 1) * alpha.v, -alpha.v + 1)
-            shell = shell + alpha.inverse(prec=t) ** e
+            shell = shell - alpha.inverse(prec=t) ** e
         if not any_term:
             continue
         sval = _valuation_or_none(shell)
@@ -182,8 +184,9 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
 
 
 def _shell_coeffs(gf, rank: int, m: int):
-    """All coefficient tuples (A_1..A_rank) with max degree exactly m
-    (m = -1 meaning all zero is excluded; included are tuples of constants)."""
+    """One coefficient tuple (A_1..A_rank) with max degree exactly m per
+    F_q^*-orbit: the one whose first nonzero A_i is monic (for m = 0, the
+    tuples of constants)."""
     q = gf.q
 
     def polys_up_to(d):
@@ -203,7 +206,10 @@ def _shell_coeffs(gf, rank: int, m: int):
             if has_max:
                 yield tuple(tup)
             return
+        leading = all(p.is_zero() for p in tup)
         for p in polys_up_to(m):
+            if leading and not p.is_zero() and p.lc != 1:
+                continue
             yield from rec(i + 1, tup + [p], has_max or p.degree == m)
 
     if m < 0:

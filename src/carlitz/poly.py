@@ -7,6 +7,7 @@ polynomial has an empty vector and degree -1 by convention.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from .errors import DomainError
@@ -161,13 +162,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise DomainError("negative polynomial power")
-        res, base = Poly.one(self.gf), self
-        while e:
-            if e & 1:
-                res = res * base
-            base = base * base
-            e >>= 1
-        return res
+        return square_multiply(self, e) if e else Poly.one(self.gf)
 
     def monic(self):
         if self.is_zero():
@@ -389,13 +384,19 @@ def pow_mod(a: Poly, e: int, modulus: Poly) -> Poly:
     """a^e mod modulus by square-and-multiply."""
     if e < 0:
         raise DomainError("negative exponent in pow_mod")
-    res = Poly.one(a.gf)
-    base = a % modulus
-    while e:
-        if e & 1:
-            res = (res * base) % modulus
-        base = (base * base) % modulus
-        e >>= 1
+    if e == 0:
+        return Poly.one(a.gf)
+    return square_multiply(a % modulus, e, lambda x, y: (x * y) % modulus)
+
+
+def square_multiply(x, e: int, mul=operator.mul):
+    """x^e for e >= 1, from the top bit of e down: no product by one and no
+    squaring past the top bit."""
+    res = x
+    for bit in bin(e)[3:]:
+        res = mul(res, res)
+        if bit == "1":
+            res = mul(res, x)
     return res
 
 

@@ -20,7 +20,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, check_frobenius_degree, split_terms
+from .poly import Poly, check_frobenius_degree, split_terms, square_multiply
 
 INF = math.inf
 
@@ -235,14 +235,9 @@ class Series:
     def __pow__(self, e: int):
         if e < 0:
             raise DomainError("negative series power; use inverse() explicitly")
-        res = self.one(self.gf)
-        base = self
-        while e:
-            if e & 1:
-                res = res * base
-            base = base * base
-            e >>= 1
-        return res
+        # x^a * x^b has valuation (a+b)v and relative precision that of x,
+        # so the order of the products changes no digit
+        return square_multiply(self, e) if e else self.one(self.gf)
 
     def truncate(self, prec: int):
         return self._new(self.v, self.coeffs, _min_prec(self.prec, prec))

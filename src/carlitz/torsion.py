@@ -5,8 +5,8 @@ Torsion here means the kernel of rho_M.  In the P-adic completion the relevant
 kernel is that of rho_{P-1}, which splits completely: one simple root over
 every residue class mod P, lifted by Hensel.  In V_q (the ramified extension
 of the completion at infinity, uniformizer s) the kernel of rho_M consists of
-q^{deg M} Laurent series; they are enumerated digit by digit, pruning partial
-sums whose image under rho_M can no longer be cancelled by any tail.
+q^{deg M} Laurent series.  rho_M is F_q-linear, so their truncations form the
+kernel of an F_q-linear map on the digit vectors, found by row reduction.
 """
 
 from __future__ import annotations
@@ -128,79 +128,98 @@ def min_separating_prec(M: Poly) -> int:
     return (M.degree - 1) * (M.gf.q - 1) if M.degree >= 1 else 1
 
 
+# q^{deg M} torsion points are listed one by one; beyond this many (the size
+# of the largest GF table) the set is refused before rho_M is built
+MAX_TORSION_POINTS = 2**16
+
+
+def _echelon(gf, rows, width: int) -> list:
+    """The nonzero rows of the reduced row echelon form over F_q of vectors
+    of length ``width``: in order of their leading positions, each led by a
+    1, with every other row zero at it."""
+    rows = [list(r) for r in rows]
+    reduced = []
+    for col in range(width):
+        i = next((i for i, r in enumerate(rows) if r[col]), None)
+        if i is None:
+            continue
+        row = rows.pop(i)
+        inv = gf.inv(row[col])
+        row = [gf.mul(inv, x) for x in row]
+        for other in rows + reduced:
+            c = other[col]
+            if c:
+                c = gf.neg(c)
+                for j in range(col, width):
+                    other[j] = gf.add(other[j], gf.mul(c, row[j]))
+        reduced.append(row)
+    return reduced
+
+
 def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     """All roots of rho_M in V_q, to the given s-adic precision.
 
-    Digit-by-digit search: a partial sum x with digits at exponents < k is
-    viable when every known digit of rho_M(x) sits at an exponent reachable by
-    the tail's image, i.e. at >= min_i (v(c_i) + q^i * k).  Additivity of
-    u -> u^{q^i} makes the update after appending a digit exact and cheap.
+    A truncation x = sum_{k=-1}^{prec-1} a_k s^k is a root exactly when
+    rho_M(x) has no digit below F = min_i (v(c_i) + q^i * prec), the least
+    exponent the image of any tail beyond the truncation reaches.  As
+    a^(q^i) = a for a in F_q, rho_M is F_q-linear on the digit vector, so the
+    roots are the kernel of the map taking s^k to the digits of rho_M(s^k)
+    below F.  Reducing the rows (image of s^k | unit vector k) to echelon
+    form leaves the kernel as the rows with no image part, in reduced
+    echelon form with the earliest leading digits first; that basis lists
+    the points in lexicographic digit order.
     """
     if M.is_zero():
         raise DomainError("torsion of the zero polynomial is everything")
     gf = M.gf
     q = gf.q
     d = M.degree
+    if q**d > MAX_TORSION_POINTS:
+        raise DomainError(f"{q}^{d} torsion points are above the supported maximum 2^16")
     sep = min_separating_prec(M)
     if prec <= sep - 1 and d >= 2:
         raise PrecisionError(
             f"precision {prec} cannot separate the roots; need at least {sep}",
             needed=sep,
         )
-    coeff_vals, op = _slope_data(M)
     if d == 0:
         return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
-
-    def tail_floor(k: int) -> int:
-        # least s-exponent the digits at exponents >= k can still reach
-        return min(v + (q ** i) * k for i, v in coeff_vals)
-
-    start = -1  # no root has valuation below -1
-    # candidates: (digits dict of the partial sum, digits dict of its image)
-    cands = [({}, {})]
-    for k in range(start, prec):
-        floor_next = tail_floor(k + 1)
-        # image of the digit a at exponent k: a * sum_i c_i * s^(k q^i), as
-        # a^(q^i) = a; summed once per k for a = 1, then scaled per a
-        unit = {}
-        for i, _ in coeff_vals:
-            for j, cj in enumerate(op.coeffs[i].coeffs):
-                if cj:
-                    exp = (q - 1) * (-j) + k * (q ** i)
-                    unit[exp] = gf.add(unit.get(exp, 0), cj if j % 2 == 0 else gf.neg(cj))
-        deltas = [None] + [[(exp, gf.mul(a, c)) for exp, c in unit.items() if c] for a in range(1, q)]
-        nxt = []
-        for digits, image in cands:
-            for a in range(q):
-                if a == 0:
-                    new_digits, new_image = digits, image
-                else:
-                    new_digits = dict(digits)
-                    new_digits[k] = a
-                    new_image = dict(image)
-                    for exp, val in deltas[a]:
-                        cur = gf.add(new_image.get(exp, 0), val)
-                        if cur:
-                            new_image[exp] = cur
-                        else:
-                            new_image.pop(exp, None)
-                if all(e >= floor_next for e in new_image):
-                    nxt.append((new_digits, new_image))
-        cands = nxt
-    expected = q ** d
-    if len(cands) != expected:
+    coeff_vals, op = _slope_data(M)
+    floor = min(v + (q**i) * prec for i, v in coeff_vals)
+    # digits of rho_M(s^k) below the floor, k = -1 .. prec-1 (no root has
+    # valuation below -1); T^j = (-1)^j s^(-(q-1) j)
+    images = []
+    for k in range(-1, prec):
+        image = {}
+        for i, v in coeff_vals:
+            if v + k * q**i < floor:
+                for j, cj in enumerate(op.coeffs[i].coeffs):
+                    exp = k * q**i - (q - 1) * j
+                    if cj and exp < floor:
+                        image[exp] = gf.add(image.get(exp, 0), cj if j % 2 == 0 else gf.neg(cj))
+        images.append(image)
+    exps = sorted(set().union(*images))
+    n, width = len(exps), prec + 1
+    rows = [[im.get(e, 0) for e in exps] + [int(j == k) for j in range(width)] for k, im in enumerate(images)]
+    basis = [row[n:] for row in _echelon(gf, rows, n + width) if not any(row[:n])]
+    if len(basis) != d:
         raise PrecisionError(
-            f"found {len(cands)} root truncations, expected {expected}; "
+            f"found {q ** len(basis)} root truncations, expected {q ** d}; "
             f"increase precision beyond {prec}",
             needed=prec + 1,
         )
-    points = [VqElem.from_terms(gf, digs, prec) for digs, _ in cands]
-    return TorsionSetVq(M, prec, points)
+    # sum_j c_j b_j over (c_1, ..., c_d) in lexicographic order; the first
+    # digit where two points differ is c_j at b_j's leading position
+    points = [[0] * width]
+    for b in reversed(basis):
+        multiples = [[gf.mul(c, x) for x in b] for c in range(1, q)]
+        points += [list(map(gf.add, m, p)) for m in multiples for p in points]
+    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
 
 
 # Torsion sets are pure functions of (M, prec).  torsion_vq itself stays
-# uncached, so timing it measures the search; the call below looks the name
-# up at run time, so a wrapper put on torsion_vq sees cached misses too.
+# uncached, so timing it measures the row reduction; the call below looks the
+# name up at run time, so a wrapper put on torsion_vq sees cached misses too.
 @functools.lru_cache(maxsize=512)
 def torsion_vq_cached(M: Poly, prec: int) -> TorsionSetVq:
     return torsion_vq(M, prec)

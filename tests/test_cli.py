@@ -219,6 +219,14 @@ def test_field_size_cap(capsys):
     assert run_ok(capsys, "act", "--q", "4294967311", "--M", "2", "--u", "T+1").strip() == "2*T+2"
 
 
+def test_torsion_vq_size_cap(capsys):
+    # T^6 passes the degree cap, but 256^6 = 2^48 points are refused before
+    # rho_M is built
+    code, _, err = run(capsys, "torsion-vq", "--q", "256", "--M", "T^6")
+    assert code == 1 and err.startswith("error[domain]")
+    assert "above the supported maximum 2^16" in err
+
+
 def test_frobenius_size_cap(capsys):
     # rho_T(T) = T^q + T^2 needs a q-th power of degree q = 2^32 + 15; it
     # fails before the dense list is allocated

@@ -1,6 +1,8 @@
 """The packed F_q[T] kernel against the schoolbook definitions, series
-multiply and inverse on that kernel against the digit loops, the torsion
-search against its per-candidate form, q-power exponentiation in F_q[T]/P^N
+multiply and inverse on that kernel against the digit loops, the V_q
+torsion kernel against the per-candidate digit search, the orbit Eisenstein
+sum against the sum over every nonzero lattice element, top-down powers
+against bottom-up square-and-multiply, q-power exponentiation in F_q[T]/P^N
 against plain square-and-multiply and the Newton inverse there against the
 extended gcd, the Horner Carlitz action against the operator coefficients of
 the T-step recursion, the x-polynomial kernel and ddf against their
@@ -9,14 +11,14 @@ the residue symbol against pow_mod, and the F_{p^r} addition and negation
 tables against coordinates."""
 
 import random
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from carlitz.analytic import SeriesBudget, carlitz_exp
-from carlitz.errors import DomainError, PrecisionError
+from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein
+from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
 from carlitz.operator import XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem
@@ -75,8 +77,9 @@ def school_divmod(a: Poly, b: Poly):
     return Poly(gf, quo), Poly(gf, rem)
 
 
-def plain_pow(x, e):
-    res, base = x.ctx.one(), x
+def plain_pow(x, e, one=None):
+    """x^e from the bottom bit of e up, starting from the ring's one."""
+    res, base = x.ctx.one() if one is None else one, x
     while e:
         if e & 1:
             res = res * base
@@ -291,6 +294,15 @@ def inverse_args(draw, max_len=80):
     return x, draw(st.none() | st.integers(-x.v - 2, -x.v + 120))
 
 
+@settings(max_examples=200, deadline=None)
+@given(series_pairs(max_len=12), st.integers(0, 24))
+def test_series_pow_matches_bottom_up(pair, e):
+    # ** squares from the top bit of e down and so multiplies in another
+    # order than the bottom-up loop; that must not change a digit
+    x = pair[0]
+    assert x ** e == plain_pow(x, e, x.one(x.gf))
+
+
 def outcome(f, *args):
     """f(*args), or the type of the library error it raises."""
     try:
@@ -414,13 +426,20 @@ def search_torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
                 if all(e >= floor_next for e in new_image):
                     nxt.append((new_digits, new_image))
         cands = nxt
-    assert len(cands) == q ** M.degree
+    if len(cands) != q ** M.degree:
+        raise PrecisionError(
+            f"found {len(cands)} root truncations, expected {q ** M.degree}; "
+            f"increase precision beyond {prec}",
+            needed=prec + 1,
+        )
     return TorsionSetVq(M, prec, [VqElem.from_terms(gf, digs, prec) for digs, _ in cands])
 
 
+# the extension fields q = 8 and 27 take two precisions each: the search
+# oracle over 27^2 points is the slowest case here
 TORSION_ORDERS = [
     (q, d) for q in (2, 3, 4, 5, 9) for d in (1, 2, 3) if q ** d <= 243
-]
+] + [(8, 1), (8, 2), (27, 1), (27, 2)]
 
 
 @pytest.mark.parametrize("q, d", TORSION_ORDERS)
@@ -429,10 +448,32 @@ def test_torsion_vq_matches_per_candidate_search(q, d):
     rng = random.Random(100 * q + d)
     for M in (Poly.one(gf).shift(d), _rand(gf, d + 1, rng.random())):
         sep = min_separating_prec(M)
-        for prec in range(sep, max(2 * sep, 4) + 1):
+        top = sep + 1 if q in (8, 27) else max(2 * sep, 4)
+        for prec in range(sep, top + 1):
             got, want = torsion_vq(M, prec), search_torsion_vq(M, prec)
             assert got.to_json() == want.to_json()
             assert [str(x) for x in got] == [str(x) for x in want]
+        if d == 1:
+            # min_separating_prec is 0 for d = 1 and no precondition guards
+            # it: below that the truncation cannot hold q roots
+            for prec in (-2, -1):
+                with pytest.raises(PrecisionError) as got:
+                    torsion_vq(M, prec)
+                with pytest.raises(PrecisionError) as want:
+                    search_torsion_vq(M, prec)
+                assert str(got.value) == str(want.value)
+                assert got.value.needed == want.value.needed == prec + 1
+
+
+def test_torsion_vq_refuses_huge_sets():
+    # 256^6 = 2^48 points; refused before rho_M is built
+    gf = GF(2, 8)
+    with pytest.raises(DomainError, match="above the supported maximum 2"):
+        torsion_vq(Poly.one(gf).shift(6), 10)
+    gf = GF(2)
+    with pytest.raises(DomainError):
+        torsion_vq(Poly.one(gf).shift(17), 20)
+    assert len(torsion_vq(Poly.one(gf).shift(3), 4)) == 8
 
 
 # ---------------------------------------------------------------- x-polynomials
@@ -888,6 +929,35 @@ def test_residue_symbol_matches_pow_mod(args):
             assert Poly.const(gf, residue_symbol(A, P, d)) == want
 
 
+def test_pow_mod_products(monkeypatch):
+    # square-and-multiply from the top bit: e = 9 = 0b1001 takes three
+    # squarings and one product by the base, no product by 1 and no
+    # squaring past the top bit
+    gf = FIELDS[9]
+    rng = random.Random(9)
+    f = Poly(gf, [rng.randrange(gf.q) for _ in range(3)] + [1])
+    T = Poly.T(gf)
+    mul = Poly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    want = T**9 % f
+    calls.clear()
+    assert pow_mod(T, 9, f) == want
+    assert len(calls) == 4
+    monkeypatch.undo()
+    for _ in range(20):
+        a = Poly(gf, [rng.randrange(gf.q) for _ in range(5)])
+        e = rng.randrange(40)
+        assert pow_mod(a, e, f) == a**e % f
+        assert a**e == plain_pow(a, e, Poly.one(gf))
+    assert pow_mod(a, 0, f) == Poly.one(gf)
+
+
 def symbol_error(A, P, d):
     try:
         residue_symbol(A, P, d)
@@ -910,6 +980,80 @@ def test_residue_symbol_precondition_texts():
     # the d check comes first, then P, then A
     assert symbol_error(T * T, T * T, 5) == "d = 5 does not divide q - 1 = 8"
     assert symbol_error(T * T, T * T, 2) == "T^2 is not monic irreducible"
+
+
+# ---------------------------------------------------------------- Eisenstein orbit sum
+
+
+def full_eisenstein(L: Lattice, k: int, budget: SeriesBudget):
+    """eisenstein by its definition: one term for every nonzero alpha."""
+    gf = L.basis[0].gf
+    q = gf.q
+    e = (q - 1) * k
+    prec = budget.precision
+    acc, cert, prev = VqElem.zero(gf), {}, None
+    for m in range(budget.degree_bound + 1):
+        polys = [Poly(gf, [code // q**j % q for j in range(m + 1)]) for code in range(q ** (m + 1))]
+        shell, any_term = VqElem.zero(gf), False
+        for coeffs in product(polys, repeat=L.rank):
+            if max(c.degree for c in coeffs) != m:
+                continue
+            alpha = VqElem.zero(gf)
+            for c, b in zip(coeffs, L.basis):
+                if not c.is_zero():
+                    alpha = alpha + VqElem.from_poly(c) * b
+            if alpha.is_zero():
+                continue
+            any_term = True
+            t = max(prec + (e - 1) * alpha.v, -alpha.v + 1)
+            shell = shell + alpha.inverse(prec=t) ** e
+        if not any_term:
+            continue
+        try:
+            sval = shell.valuation()
+        except BelowPrecision:
+            sval = None
+        cert[m] = sval if sval is not None else f">={shell.prec}"
+        if sval is not None and prev is not None and sval < prev:
+            raise CarlitzError(
+                f"shell {m} valuation {sval} dropped below {prev}; "
+                "the Eisenstein sum diverges at this precision"
+            )
+        if sval is not None:
+            prev = sval
+        acc = acc + shell
+    return acc.truncate(prec), cert
+
+
+def eisenstein_outcome(fn, L, k, budget):
+    try:
+        value, cert = fn(L, k, budget)
+    except CarlitzError as err:
+        return "error", str(err)
+    return str(value), value.prec, cert
+
+
+def _rand_vq(gf, rng, v, n, prec):
+    return VqElem(gf, v, [rng.randrange(1, gf.q)] + [rng.randrange(gf.q) for _ in range(n - 1)], prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("k", [1, 2])
+def test_eisenstein_orbit_sum_matches_full_enumeration(q, k):
+    gf = FIELDS[q]
+    rng = random.Random(10 * q + k)
+    lattices = [
+        (Lattice([VqElem.monomial(gf, 1, -1)]), 2),
+        (Lattice([_rand_vq(gf, rng, rng.randrange(-1, 2), 3, 30)]), 2),
+        (Lattice([_rand_vq(gf, rng, -1, 2, 30), _rand_vq(gf, rng, 0, 3, 30)]), 1),
+        (Lattice([VqElem.monomial(gf, 1, -1), _rand_vq(gf, rng, 1, 2, None)]), 1),
+    ]
+    for L, degree_bound in lattices:
+        budget = SeriesBudget(degree_bound=degree_bound, precision=16)
+        got = eisenstein_outcome(
+            lambda *a: eisenstein(*a, with_certificate=True), L, k, budget
+        )
+        assert got == eisenstein_outcome(full_eisenstein, L, k, budget)
 
 
 # ---------------------------------------------------------------- F_{p^r} tables
