@@ -10,7 +10,7 @@ the values for inspection and CLI output.
 from __future__ import annotations
 
 from .errors import BelowPrecision, CarlitzError, DomainError
-from .poly import Poly, RatFn
+from .poly import Poly, RatFn, all_polys
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -187,19 +187,6 @@ def _shell_coeffs(gf, rank: int, m: int):
     """One coefficient tuple (A_1..A_rank) with max degree exactly m per
     F_q^*-orbit: the one whose first nonzero A_i is monic (for m = 0, the
     tuples of constants)."""
-    q = gf.q
-
-    def polys_up_to(d):
-        if d < 0:
-            yield Poly.zero(gf)
-            return
-        for code in range(q ** (d + 1)):
-            c = code
-            coeffs = []
-            for _ in range(d + 1):
-                coeffs.append(c % q)
-                c //= q
-            yield Poly(gf, coeffs)
 
     def rec(i, tup, has_max):
         if i == rank:
@@ -207,7 +194,7 @@ def _shell_coeffs(gf, rank: int, m: int):
                 yield tuple(tup)
             return
         leading = all(p.is_zero() for p in tup)
-        for p in polys_up_to(m):
+        for p in all_polys(gf, m + 1):
             if leading and not p.is_zero() and p.lc != 1:
                 continue
             yield from rec(i + 1, tup + [p], has_max or p.degree == m)

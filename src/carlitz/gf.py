@@ -7,17 +7,20 @@ root of the defining modulus.  For r = 1 the element *is* its residue mod p.
 The modulus, when not supplied, is the lexicographically least monic
 irreducible of degree r over F_p (least in the base-p integer encoding of the
 non-leading coefficients), so results are reproducible without any table
-dependency.
+dependency.  Products of coordinate polynomials and the irreducibility test
+are those of ``poly`` over GF(p).
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
+from .poly import Poly, all_polys, is_irreducible, square_multiply
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
 # sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
-# first use, addition and multiplication tables of q^2 entries and a
-# reduction table of p^(2r-1), under a second at the cap.
+# first use, addition and multiplication tables of q^2 entries (q(q+1)/2
+# products in F_p[w] mod the modulus) and a reduction table of p^(2r-1)
+# entries read from those tables, about half a second at the cap.
 MAX_PRIME = 2**40
 MAX_EXTENSION_ORDER = 2**8
 
@@ -30,53 +33,6 @@ def _is_prime(n: int) -> bool:
         if n % d == 0:
             return False
         d += 1
-    return True
-
-
-def _fp_polymul(a, b, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    res[i + j] = (res[i + j] + x * y) % p
-    return res
-
-
-def _fp_polymod(a, m, p):
-    # m monic; reduce a modulo m
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i, y in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * y) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_irreducible(coeffs, p):
-    """Trial-division irreducibility over F_p for small degrees."""
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    # divide by every monic polynomial of degree 1..deg//2
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            div = []
-            e = enc
-            for _ in range(d):
-                div.append(e % p)
-                e //= p
-            div.append(1)
-            if not _fp_polymod(coeffs, div, p):
-                return False
     return True
 
 
@@ -101,15 +57,16 @@ class GF:
                 raise DomainError("prime field takes no modulus")
             self.modulus = None
         else:
+            prime = GF(p)
             if modulus is None:
-                modulus = self._least_irreducible()
+                modulus = next(f for f in all_polys(prime, r, monic=True) if is_irreducible(f)).coeffs
             else:
                 modulus = tuple(int(c) % p for c in modulus)
                 if len(modulus) != r + 1 or modulus[-1] != 1:
                     raise DomainError("modulus must be monic of degree r")
-                if not _fp_irreducible(list(modulus), p):
+                if not is_irreducible(Poly(prime, modulus)):
                     raise DomainError("supplied modulus is reducible")
-            self.modulus = tuple(modulus)
+            self.modulus = modulus
         # i mod p for every byte i, a bytes.translate table for the packed kernel
         self.byte_residues = bytes(i % p for i in range(256))
         self._add_table = None
@@ -117,19 +74,6 @@ class GF:
         self._mul_table = None
         self._inv_table = None
         self._slot_tables = None
-
-    def _least_irreducible(self):
-        p, r = self.p, self.r
-        for enc in range(p**r):
-            coeffs = []
-            e = enc
-            for _ in range(r):
-                coeffs.append(e % p)
-                e //= p
-            coeffs.append(1)
-            if _fp_irreducible(coeffs, p):
-                return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
 
     # -- element arithmetic (elements are ints in [0, q)) --
 
@@ -171,15 +115,13 @@ class GF:
             [self._from_coords([x + y for x, y in zip(ca, cb)]) for cb in coords] for ca in coords
         ]
         self._neg_table = [self._from_coords([p - c for c in ca]) for ca in coords]
+        prime = GF(p)
+        m = Poly(prime, self.modulus)
+        polys = [Poly(prime, c) for c in coords]
         table = [[0] * q for _ in range(q)]
         for a in range(q):
-            pa = list(self.coords(a))
             for b in range(a, q):
-                pb = list(self.coords(b))
-                prod = _fp_polymod(_fp_polymul(pa, pb, self.p), list(self.modulus), self.p)
-                v = self._from_coords(prod + [0] * (self.r - len(prod)))
-                table[a][b] = v
-                table[b][a] = v
+                table[a][b] = table[b][a] = self._from_coords(((polys[a] * polys[b]) % m).coeffs)
         self._mul_table = table
         inv = [0] * q
         for a in range(1, q):
@@ -195,19 +137,20 @@ class GF:
         ``digits[a]`` is the bytes of the r coordinates of a followed by r-1
         zeros: the 2r-1 slots of one packed coefficient.  ``reduce`` maps the
         tuple of 2r-1 coefficients of a polynomial in w of degree <= 2r-2 to
-        the element it reduces to; p^(2r-1) entries.  Only extension fields
-        use them.
+        the element it reduces to; p^(2r-1) entries.  The digits c split as
+        low + w^r * high with low = c[:r] and high = c[r:], so each entry is
+        one product and one sum in F_q.  Only extension fields use them.
         """
         if self._slot_tables is None:
-            p, g, m = self.p, 2 * self.r - 1, list(self.modulus)
-            digits = [bytes(self.coords(a) + (0,) * (self.r - 1)) for a in range(self.q)]
+            r = self.r
+            coords = [self.coords(a) for a in range(self.q)]
+            digits = [bytes(c + (0,) * (r - 1)) for c in coords]
+            w_r = self.mul(self.p ** (r - 1), self.p)
             reduce = {}
-            for i in range(p**g):
-                w_poly = []
-                for _ in range(g):
-                    w_poly.append(i % p)
-                    i //= p
-                reduce[tuple(w_poly)] = self._from_coords(_fp_polymod(w_poly, m, p))
+            for high in range(self.p ** (r - 1)):
+                top, key = self.mul(w_r, high), coords[high][: r - 1]
+                for low in range(self.q):
+                    reduce[coords[low] + key] = self.add(low, top)
             self._slot_tables = digits, reduce
         return self._slot_tables
 
@@ -230,13 +173,9 @@ class GF:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        res, base = 1, a
-        while e:
-            if e & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return res
+        if self.r == 1:
+            return pow(a, e, self.p)
+        return square_multiply(a, e, self.mul) if e else 1
 
     def frob(self, a: int) -> int:
         """Frobenius x -> x^p."""

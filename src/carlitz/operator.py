@@ -237,10 +237,7 @@ _CACHE_SIZE = 512
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _operator_cached(M: Poly, modulus) -> AdditiveOperator:
     gf = M.gf
-    d = M.degree
     zero = Poly.zero(gf)
-    if d < 0:
-        return AdditiveOperator(gf, [zero])
 
     def reduce(f):
         # Reduction mod P^N commutes with the q-power map in characteristic
@@ -248,24 +245,15 @@ def _operator_cached(M: Poly, modulus) -> AdditiveOperator:
         # whose coefficients have degree (deg M - i)*q^i.
         return f if modulus is None else f % modulus
 
-    # coefficient vectors of rho_{T^k} for k = 0..d, built by the T-step
-    # c'_j = c_{j-1}^q + T*c_j
-    pow_vecs = [[Poly.one(gf)]]
-    for _ in range(d):
-        prev = pow_vecs[-1]
-        nxt = []
-        for j in range(len(prev) + 1):
-            below = prev[j - 1].frobenius() if j >= 1 else zero
-            here = prev[j].shift(1) if j < len(prev) else zero
-            nxt.append(reduce(below + here))
-        pow_vecs.append(nxt)
-    out = [zero] * (d + 1)
-    for k, a in enumerate(M.coeffs):
-        if not a:
-            continue
-        for j, c in enumerate(pow_vecs[k]):
-            out[j] = out[j] + c.scale(a)
-    return AdditiveOperator(gf, out)
+    # Horner in rho_T, as in carlitz_act: c <- rho_T o c + a_k from k = deg M
+    # down to 0, where rho_T o c has coefficients c'_j = c_{j-1}^q + T*c_j
+    c = []
+    for a in reversed(M.coeffs):
+        below = [zero] + [f.frobenius() for f in c]
+        c = [reduce(x + y.shift(1)) for x, y in zip(below, c + [zero])]
+        if a:
+            c[0] = c[0] + Poly.const(gf, a)
+    return AdditiveOperator(gf, c or [zero])
 
 
 def carlitz_operator(M: Poly, modulus: Poly = None) -> AdditiveOperator:

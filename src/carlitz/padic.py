@@ -9,7 +9,7 @@ BelowPrecision.
 from __future__ import annotations
 
 from .errors import BelowPrecision, DomainError
-from .poly import Poly, inv_mod, is_irreducible
+from .poly import Poly, all_polys, inv_mod, is_irreducible
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
 
@@ -43,16 +43,7 @@ class PadicCtx:
 
     def residues(self):
         """All residues mod P, as polynomials of degree < deg P."""
-        gf = self.gf
-        d = self.P.degree
-        q = gf.q
-        for code in range(q ** d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % q)
-                c //= q
-            yield Poly(gf, coeffs)
+        return all_polys(self.gf, self.P.degree)
 
     def __eq__(self, other):
         return isinstance(other, PadicCtx) and self.P == other.P and self.N == other.N

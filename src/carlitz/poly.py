@@ -7,11 +7,15 @@ polynomial has an empty vector and degree -1 by convention.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import struct
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .gf import GF
+
+if TYPE_CHECKING:
+    from .gf import GF
 
 
 # The q-th power is built densely, so its degree q*deg is capped before the
@@ -102,8 +106,6 @@ class Poly:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Poly.const(self.gf, other % self.gf.q if other >= 0 else self.gf.neg((-other) % self.gf.q))
         other = self._coerce(other)
         gf = self.gf
         a, b = self.coeffs, other.coeffs
@@ -489,27 +491,27 @@ def is_irreducible(f: Poly) -> bool:
     return FrobeniusMatrix(f).is_irreducible()
 
 
+def all_polys(gf: GF, n: int, monic: bool = False):
+    """The q^n polynomials of degree < n, or with monic the q^n monic ones of
+    degree n, in base-q order: the constant digit runs fastest."""
+    top = (1,) if monic else ()
+    for digits in itertools.product(range(gf.q), repeat=n):
+        yield Poly(gf, digits[::-1] + top)
+
+
 def monic_irreducibles(gf: GF, max_deg: int):
     """All monic irreducibles of degree 1..max_deg, by increasing degree."""
-    out = []
-    for d in range(1, max_deg + 1):
-        for enc in range(gf.q**d):
-            coeffs = []
-            e = enc
-            for _ in range(d):
-                coeffs.append(e % gf.q)
-                e //= gf.q
-            coeffs.append(1)
-            f = Poly(gf, coeffs)
-            if is_irreducible(f):
-                out.append(f)
-    return out
+    return [
+        f for d in range(1, max_deg + 1) for f in all_polys(gf, d, monic=True) if is_irreducible(f)
+    ]
 
 
 def _factor(m: Poly):
     """Trial-division factorization into monic irreducibles (desk scale).
 
-    Returns a dict {irreducible: multiplicity}; the unit is discarded.
+    Returns a dict {irreducible: multiplicity}; the unit is discarded.  When
+    degree d is tried every factor of lower degree is gone, so a monic
+    divisor of degree d is irreducible.
     """
     if m.is_zero():
         raise DomainError("cannot factor zero")
@@ -520,16 +522,11 @@ def _factor(m: Poly):
         if d > m.degree // 2:
             factors[m] = factors.get(m, 0) + 1
             break
-        found = False
-        for p in monic_irreducibles(m.gf, d)[::-1]:
-            if p.degree != d:
-                continue
+        for p in all_polys(m.gf, d, monic=True):
             while (m % p).is_zero():
                 m = m // p
                 factors[p] = factors.get(p, 0) + 1
-                found = True
-        if not found:
-            d += 1
+        d += 1
     return factors
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly
-from .poly import Poly, is_irreducible
+from .poly import Poly, is_irreducible, square_multiply
 
 
 def _gcd(a: XPoly, b: XPoly, P: Poly) -> XPoly:
@@ -16,18 +16,6 @@ def _gcd(a: XPoly, b: XPoly, P: Poly) -> XPoly:
     while not b.is_zero():
         a, b = b, a.divmod(b, P)[1]
     return a
-
-
-def _powmod(h: XPoly, e: int, f: XPoly, P: Poly) -> XPoly:
-    """h^e mod f over F_q[T]/(P), by square-and-multiply."""
-    res = XPoly(f.gf, [Poly.one(f.gf)])
-    h = h.divmod(f, P)[1]
-    while e:
-        if e & 1:
-            res = (res * h).divmod(f, P)[1]
-        h = (h * h).divmod(f, P)[1]
-        e >>= 1
-    return res
 
 
 def ddf(f, P: Poly):
@@ -54,8 +42,8 @@ def ddf(f, P: Poly):
     while rest.deg() >= 2 * (d + 1):
         d += 1
         # h = x^(Q^d) mod rest with Q = |F_q[T]/(P)|; the factors of degree
-        # d are those of gcd(rest, x^(Q^d) - x)
-        h = _powmod(h, Q, rest, P)
+        # d are those of gcd(rest, x^(Q^d) - x); h is reduced mod rest
+        h = square_multiply(h, Q, lambda a, b: (a * b).divmod(rest, P)[1])
         g = _gcd(rest, h - x, P)
         if g.deg() > 0:
             out.append((d, g.deg() // d))

@@ -206,7 +206,7 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
         raise PrecisionError(
             f"found {q ** len(basis)} root truncations, expected {q ** d}; "
             f"increase precision beyond {prec}",
-            needed=prec + 1,
+            needed=max(prec + 1, sep),
         )
     # sum_j c_j b_j over (c_1, ..., c_d) in lexicographic order; the first
     # digit where two points differ is c_j at b_j's leading position
@@ -276,7 +276,7 @@ def division_chain(u: VqElem, depth: int) -> list:
     return chain
 
 
-def completed_action(M, u: VqElem, branch: str = "canonical") -> VqElem:
+def completed_action(M, u: VqElem) -> VqElem:
     """Action of a Laurent series M = sum a_k T^k on u.
 
     The polynomial part acts through iterated rho_T; each principal-part term
@@ -285,8 +285,6 @@ def completed_action(M, u: VqElem, branch: str = "canonical") -> VqElem:
     (slope q-1 per division step); the sum is truncated once they pass the
     working precision.
     """
-    if branch != "canonical":
-        raise DomainError(f"unknown branch policy {branch!r}")
     gf = u.gf
     if isinstance(M, Poly):
         return carlitz_act(M, u)

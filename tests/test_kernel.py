@@ -5,10 +5,12 @@ sum against the sum over every nonzero lattice element, top-down powers
 against bottom-up square-and-multiply, q-power exponentiation in F_q[T]/P^N
 against plain square-and-multiply and the Newton inverse there against the
 extended gcd, the Horner Carlitz action against the operator coefficients of
-the T-step recursion, the x-polynomial kernel and ddf against their
+the T-step recursion and the operator coefficients by Horner against that
+recursion, the x-polynomial kernel and ddf against their
 coefficient-by-coefficient loops, the Frobenius matrix, irreducibility and
-the residue symbol against pow_mod, and the F_{p^r} addition and negation
-tables against coordinates."""
+the residue symbol against pow_mod, the polynomial enumeration against the
+base-q digit loop, euler_phi against a count of units, and the F_{p^r}
+modulus and tables against coordinates and schoolbook F_p polynomials."""
 
 import random
 from itertools import product, zip_longest
@@ -20,12 +22,15 @@ from hypothesis import strategies as st
 from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
-from carlitz.operator import XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
+from carlitz.operator import AdditiveOperator, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem
 from carlitz.poly import (
     FrobeniusMatrix,
     Poly,
+    _factor,
     _slot_bytes,
+    all_polys,
+    euler_phi,
     inv_mod,
     is_irreducible,
     monic_irreducibles,
@@ -120,6 +125,59 @@ def _rand(gf, n, seed):
 
 
 # ---------------------------------------------------------------- Poly
+
+
+def digit_vectors(q, n):
+    """The base-q digits, constant digit first, of the codes 0 .. q^n - 1:
+    the enumeration loop the library used before all_polys."""
+    return [[code // q**j % q for j in range(n)] for code in range(q**n)]
+
+
+def test_poly_times_int_is_refused():
+    # an F_q scalar multiplies by scale or by a constant Poly
+    T = Poly.T(FIELDS[3])
+    with pytest.raises(TypeError, match="cannot combine Poly with int"):
+        T * 2
+    with pytest.raises(TypeError, match="cannot combine Poly with int"):
+        2 * T
+    assert T.scale(2) == T * Poly.const(FIELDS[3], 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_all_polys_in_digit_order(q):
+    # code = sum c_j q^j for code = 0, 1, ...: the constant digit runs fastest
+    gf = FIELDS[q]
+    for n in range(4):
+        vectors = digit_vectors(q, n)
+        assert list(all_polys(gf, n)) == [Poly(gf, c) for c in vectors]
+        assert list(all_polys(gf, n, monic=True)) == [Poly(gf, c + [1]) for c in vectors]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_euler_phi_counts_units(q):
+    # |(F_q[T]/m)^*| by a gcd over every residue, deg m 1-4: all monic m
+    # while there are at most 27, else a sample, with repeated factors and
+    # a non-monic m added
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    T, one = Poly.T(gf), Poly.one(gf)
+    P2 = next(f for f in all_monic(gf, 2) if is_irreducible(f))
+    extra = {1: [], 2: [T * T], 3: [T**3, T * T * (T + one)], 4: [T**4, P2 * P2, T * T * (T + one) ** 2]}
+    for n in range(1, 5):
+        ms = all_monic(gf, n)
+        if len(ms) > 27:
+            ms = rng.sample(ms, 27)
+        ms += extra[n] + [_rand(gf, n + 1, rng.random())]
+        residues = [Poly(gf, c) for c in digit_vectors(q, n)]
+        for m in ms:
+            units = sum(1 for a in residues if not a.is_zero() and poly_gcd(a, m).degree == 0)
+            assert euler_phi(m) == units, m
+            factors = _factor(m)
+            assert all(p.is_monic() and is_irreducible(p) for p in factors)
+            prod = one
+            for p, k in factors.items():
+                prod = prod * p**k
+            assert prod == m.monic()
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,7 +488,7 @@ def search_torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
         raise PrecisionError(
             f"found {len(cands)} root truncations, expected {q ** M.degree}; "
             f"increase precision beyond {prec}",
-            needed=prec + 1,
+            needed=max(prec + 1, min_separating_prec(M)),
         )
     return TorsionSetVq(M, prec, [VqElem.from_terms(gf, digs, prec) for digs, _ in cands])
 
@@ -462,7 +520,12 @@ def test_torsion_vq_matches_per_candidate_search(q, d):
                 with pytest.raises(PrecisionError) as want:
                     search_torsion_vq(M, prec)
                 assert str(got.value) == str(want.value)
-                assert got.value.needed == want.value.needed == prec + 1
+                # the least precision that holds the q roots is 0 = sep
+                needed = got.value.needed
+                assert needed == want.value.needed == sep == 0
+                assert len(torsion_vq(M, needed)) == q
+                with pytest.raises(PrecisionError):
+                    torsion_vq(M, needed - 1)
 
 
 def test_torsion_vq_refuses_huge_sets():
@@ -822,6 +885,47 @@ def test_carlitz_act_matches_operator(args):
         assert horner.prec == coeffs.prec
 
 
+def tstep_operator(M: Poly, modulus=None) -> list:
+    """The coefficients of rho_M from those of every rho_{T^k}, k <= deg M,
+    each built from the last by the T-step c'_j = c_{j-1}^q + T*c_j."""
+    gf = M.gf
+    zero = Poly.zero(gf)
+
+    def reduce(f):
+        return f if modulus is None else f % modulus
+
+    pow_vecs = [[Poly.one(gf)]]
+    for _ in range(M.degree):
+        prev = pow_vecs[-1]
+        nxt = []
+        for j in range(len(prev) + 1):
+            below = prev[j - 1].frobenius() if j >= 1 else zero
+            here = prev[j].shift(1) if j < len(prev) else zero
+            nxt.append(reduce(below + here))
+        pow_vecs.append(nxt)
+    out = [zero] * max(M.degree + 1, 1)
+    for k, a in enumerate(M.coeffs):
+        for j, c in enumerate(pow_vecs[k]):
+            out[j] = out[j] + c.scale(a)
+    return out
+
+
+@pytest.mark.parametrize("q", X_FIELDS)
+def test_operator_coefficients_match_t_steps(q):
+    # deg M from -1 to 6, T^d and a random M of each degree, exact and
+    # reduced mod P^N for a P of degree 1 and one of degree 2
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    irreducible = [P for P in all_monic(gf, 1)[:1] + all_monic(gf, 2) if is_irreducible(P)]
+    moduli = [None, irreducible[0] ** 3, irreducible[1] ** 2]
+    for d in range(-1, 7):
+        Ms = [Poly.zero(gf)] if d < 0 else [Poly.one(gf).shift(d), _rand(gf, d + 1, rng.random())]
+        for M in Ms:
+            for modulus in moduli:
+                want = AdditiveOperator(gf, tstep_operator(M, modulus)).coeffs
+                assert carlitz_operator(M, modulus).coeffs == want, (M, modulus)
+
+
 # ---------------------------------------------------------------- Frobenius matrix mod f
 
 
@@ -1059,13 +1163,84 @@ def test_eisenstein_orbit_sum_matches_full_enumeration(q, k):
 # ---------------------------------------------------------------- F_{p^r} tables
 
 
+def fp_polymul(a, b, p):
+    """Schoolbook product of coefficient lists over F_p."""
+    res = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            res[i + j] = (res[i + j] + x * y) % p
+    return res
+
+
+def fp_polymod(a, m, p):
+    """a mod a monic m over F_p, by long division, without trailing zeros."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        c = a[-1]
+        shift = len(a) - 1 - dm
+        for i, y in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fp_irreducible(coeffs, p):
+    """Irreducibility over F_p by trial division by every monic polynomial
+    of degree 1 .. deg/2."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for c in digit_vectors(p, d):
+            if not fp_polymod(coeffs, c + [1], p):
+                return False
+    return deg >= 1
+
+
+def fp_monic(p, r):
+    """The monic polynomials of degree r over F_p, least base-p code first."""
+    return [c + [1] for c in digit_vectors(p, r)]
+
+
 @pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 8)])
 def test_gf_add_neg_tables_match_coordinates(p, r):
-    # q in {4, 8, 9, 16, 25, 27, 49, 256}: every pair against coordinatewise sums
+    # q in {4, 8, 9, 16, 25, 27, 49, 256}: the default modulus, every sum,
+    # negative, product, inverse and power, and the slot reduction table,
+    # against coordinates and the schoolbook F_p polynomials
     gf = GF(p, r)
+    m = next(f for f in fp_monic(p, r) if fp_irreducible(f, p))
+    assert gf.modulus == tuple(m)
     coords = [gf.coords(a) for a in range(gf.q)]
     for a, ca in enumerate(coords):
         assert gf.neg(a) == gf._from_coords([-c for c in ca])
         assert [gf.add(a, b) for b in range(gf.q)] == [
             gf._from_coords([x + y for x, y in zip(ca, cb)]) for cb in coords
         ]
+        assert [gf.mul(a, b) for b in range(gf.q)] == [
+            gf._from_coords(fp_polymod(fp_polymul(ca, cb, p), m, p)) for cb in coords
+        ]
+        if a:
+            assert gf.mul(a, gf.inv(a)) == 1
+    x, power = random.Random(gf.q).randrange(1, gf.q), 1
+    for e in range(2 * gf.q):
+        assert gf.pow(x, e) == power and gf.pow(x, -e) == gf.inv(power)
+        power = gf.mul(power, x)
+    digits, reduce = gf.slot_tables()
+    assert digits == [bytes(c + (0,) * (r - 1)) for c in coords]
+    assert reduce == {
+        w: gf._from_coords(fp_polymod(w, m, p)) for w in product(range(p), repeat=2 * r - 1)
+    }
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 8)])
+def test_gf_supplied_modulus_checked(p, r):
+    # every monic modulus of degree r is taken exactly when it is irreducible
+    for f in fp_monic(p, r):
+        if fp_irreducible(f, p):
+            assert GF(p, r, f).modulus == tuple(f)
+        else:
+            with pytest.raises(DomainError, match="^supplied modulus is reducible$"):
+                GF(p, r, f)
+    with pytest.raises(DomainError, match="^modulus must be monic of degree r$"):
+        GF(p, r, [1] * r)

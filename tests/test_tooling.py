@@ -1,7 +1,10 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and every
+module imports on its own."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "carlitz"
@@ -24,3 +27,13 @@ def test_runtime_is_standard_library_only():
                 if top != "carlitz" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
+
+
+def test_each_module_imports_alone():
+    # a fresh interpreter per module, so an import cycle shows whichever
+    # module is imported first
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    for path in sorted(SRC.glob("*.py")):
+        name = "carlitz" if path.stem == "__init__" else f"carlitz.{path.stem}"
+        proc = subprocess.run([sys.executable, "-c", f"import {name}"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{name}: {proc.stderr}"
