@@ -95,9 +95,6 @@ class XPoly:
             flat.extend([0] * (S - len(c.coeffs)))
         return Poly(self.gf, flat)
 
-    def scale(self, c: Poly):
-        return XPoly(self.gf, [c * a for a in self.coeffs])
-
     def __divmod__(self, other: "XPoly"):
         return self.divmod(other)
 

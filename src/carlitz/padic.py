@@ -9,15 +9,16 @@ BelowPrecision.
 from __future__ import annotations
 
 from .errors import BelowPrecision, DomainError
-from .poly import Poly, all_polys, inv_mod, is_irreducible
+from .poly import Modulus, Poly, all_polys, inv_mod, is_irreducible
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
 
 
 class PadicCtx:
-    """Ambient ring F_q[T] / P^N for a monic irreducible P."""
+    """Ambient ring F_q[T] / P^N for a monic irreducible P.  Every element
+    is reduced by one Modulus of P^N, by two products (see poly.Modulus)."""
 
-    __slots__ = ("gf", "P", "N", "modulus")
+    __slots__ = ("gf", "P", "N", "modulus", "_reducer")
 
     def __init__(self, P: Poly, N: int):
         if N < 1:
@@ -28,18 +29,16 @@ class PadicCtx:
         self.P = P
         self.N = N
         self.modulus = P ** N
+        self._reducer = Modulus(self.modulus)
 
     def elem(self, f: Poly) -> "PadicElem":
-        return PadicElem(self, f % self.modulus)
+        return PadicElem(self, self._reducer.reduce(f))
 
     def zero(self):
         return self.elem(Poly.zero(self.gf))
 
     def one(self):
         return self.elem(Poly.one(self.gf))
-
-    def from_ratfn(self, num: Poly, den: Poly) -> "PadicElem":
-        return self.elem(num) / self.elem(den)
 
     def residues(self):
         """All residues mod P, as polynomials of degree < deg P."""

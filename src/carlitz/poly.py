@@ -192,13 +192,6 @@ class Poly:
             return self
         return Poly(self.gf, (0,) * k + self.coeffs)
 
-    def derivative(self):
-        gf = self.gf
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(gf.mul(i % gf.p, self.coeffs[i]))
-        return Poly(gf, out)
-
     def evaluate(self, x: int) -> int:
         """Horner evaluation at a field element."""
         gf = self.gf
@@ -411,6 +404,63 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
     if g.degree != 0:
         raise DomainError("element is not invertible modulo the given modulus")
     return x % modulus
+
+
+class Modulus:
+    """Reduction mod a fixed nonzero f by two packed products (Barrett;
+    von zur Gathen-Gerhard, Modern Computer Algebra, 9.1).
+
+    For a of degree n - 1 + m, n = deg f, the quotient a // f has m digits.
+    Reversed, they are the first m digits of rev(a) / rev(f), so they are
+    rev(a)'s first m digits times 1/rev(f) mod x^m.  The remainder is then
+    a - quotient * f mod x^n, which only needs f's low n digits.  The
+    reciprocal is the quotient x^(n-1+m) // f read backwards, one packed
+    division, built on the first reduction that needs it and rebuilt longer
+    when a longer quotient is asked for; shorter ones read its first digits.
+    """
+
+    __slots__ = ("f", "_recip", "_packed")
+
+    def __init__(self, f: Poly):
+        if f.is_zero():
+            raise DomainError("polynomial division by zero")
+        self.f = f
+        self._recip = ()
+        # slot bytes k -> (packed -f_low, packed reciprocal)
+        self._packed = {}
+
+    def _operands(self, m: int, k: int):
+        if m > len(self._recip):
+            n = self.f.degree
+            self._recip = (Poly.one(self.f.gf).shift(n - 1 + m) // self.f).coeffs[::-1]
+            self._packed = {}
+        if k not in self._packed:
+            gf = self.f.gf
+            neg_low = [gf.neg(c) for c in self.f.coeffs[:-1]]
+            self._packed[k] = (_pack(gf, neg_low, k), _pack(gf, self._recip, k))
+        return self._packed[k]
+
+    def reduce(self, a: Poly) -> Poly:
+        """a mod f."""
+        a = self.f._coerce(a)
+        gf, n = a.gf, self.f.degree
+        m = len(a.coeffs) - n
+        if m <= 0:
+            return a
+        if n == 0:
+            return Poly.zero(gf)
+        p, r = gf.p, gf.r
+        group = (2 * r - 1) * 8
+        # the reversed quotient: the low m groups of top * reciprocal
+        k = _slot_bytes(m * r * (p - 1) ** 2)
+        recip = self._operands(m, k)[1]
+        top = _pack(gf, a.coeffs[: n - 1 : -1], k)
+        mask = (1 << (m * group * k)) - 1
+        quo = _unpack(gf, (top * (recip & mask)) & mask, m, k)
+        # a's low n digits plus quotient * (-f_low), in the low n groups
+        k = _slot_bytes(p - 1 + min(m, n) * r * (p - 1) ** 2)
+        rem = _pack(gf, a.coeffs[:n], k) + _pack(gf, quo[::-1], k) * self._operands(m, k)[0]
+        return Poly(gf, _unpack(gf, rem & ((1 << (n * group * k)) - 1), n, k))
 
 
 class FrobeniusMatrix:

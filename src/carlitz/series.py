@@ -393,11 +393,6 @@ class VqElem(Series):
     def from_poly(cls, f: Poly) -> "VqElem":
         return cls.from_inf(InfLaurent.from_poly(f))
 
-    @classmethod
-    def from_ratfn(cls, x, prec_s):
-        e = x.gf.q - 1
-        return cls.from_inf(InfLaurent.from_ratfn(x, prec=-(-prec_s // e)))
-
     def to_inf(self) -> InfLaurent:
         """Inverse of the embedding; requires support on exponents = 0 mod (q-1)."""
         gf = self.gf

@@ -93,19 +93,31 @@ class TorsionSetVq:
         )
 
 
+# q^{deg M} torsion points are listed one by one; beyond this many (the size
+# of the largest GF table) the set is refused before rho_M is built
+MAX_TORSION_POINTS = 2**16
+
+
 def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
-    """Lift every residue class mod P to a root of rho_{P-1} mod P^N.
+    """All roots of rho_{P-1} mod P^N, one over each residue class mod P.
 
     rho_{P-1}(x) is congruent to x^{q^d} - x mod P (d = deg P), so each of the
     q^d residue classes carries exactly one simple root; its x-derivative is
-    the unit P-1, so Hensel applies everywhere.
+    the unit P-1, so Hensel applies everywhere.  rho_{P-1} is F_q-linear, so
+    the roots b_i over T^i, i < d, are the only lifts: sum c_i b_i is the root
+    over sum c_i T^i.  The points come in the order of ctx.residues().
     """
+    q, d = P.gf.q, P.degree
+    if q**d > MAX_TORSION_POINTS:
+        raise DomainError(f"{q}^{d} torsion points are above the supported maximum 2^16")
     ctx = PadicCtx(P, N)
     order = P - Poly.one(P.gf)
     f = carlitz_operator(order, ctx.modulus)
-    points = []
-    for r in ctx.residues():
-        points.append(hensel_lift(f, ctx.elem(r), ctx))
+    T = Poly.T(P.gf)
+    points = [ctx.zero()]
+    for i in range(d):
+        b = hensel_lift(f, ctx.elem(T**i), ctx)
+        points = [p + b.scale(c) for c in range(q) for p in points]
     return TorsionSetPadic(ctx, order, points)
 
 
@@ -126,11 +138,6 @@ def min_separating_prec(M: Poly) -> int:
     (deg M - 1)(q-1) - 1; one digit past that suffices.
     """
     return (M.degree - 1) * (M.gf.q - 1) if M.degree >= 1 else 1
-
-
-# q^{deg M} torsion points are listed one by one; beyond this many (the size
-# of the largest GF table) the set is refused before rho_M is built
-MAX_TORSION_POINTS = 2**16
 
 
 def _echelon(gf, rows, width: int) -> list:

@@ -227,6 +227,14 @@ def test_torsion_vq_size_cap(capsys):
     assert "above the supported maximum 2^16" in err
 
 
+def test_torsion_padic_size_cap(capsys):
+    # 257^2 points, one over each residue mod P, are refused before the
+    # context or rho_{P-1} is built
+    code, _, err = run(capsys, "torsion-padic", "--q", "257", "--P", "T^2+254", "--N", "2")
+    assert code == 1 and err.startswith("error[domain]")
+    assert "257^2 torsion points are above the supported maximum 2^16" in err
+
+
 def test_frobenius_size_cap(capsys):
     # rho_T(T) = T^q + T^2 needs a q-th power of degree q = 2^32 + 15; it
     # fails before the dense list is allocated

@@ -9,8 +9,11 @@ the T-step recursion and the operator coefficients by Horner against that
 recursion, the x-polynomial kernel and ddf against their
 coefficient-by-coefficient loops, the Frobenius matrix, irreducibility and
 the residue symbol against pow_mod, the polynomial enumeration against the
-base-q digit loop, euler_phi against a count of units, and the F_{p^r}
-modulus and tables against coordinates and schoolbook F_p polynomials."""
+base-q digit loop, euler_phi against a count of units, the F_{p^r}
+modulus and tables against coordinates and schoolbook F_p polynomials,
+Barrett reduction against the division loop, P-adic torsion from a lifted
+basis against one Hensel lift per residue class, and F_q[T]/P^N against
+F_q[T]/P^N' for N' <= N."""
 
 import random
 from itertools import product, zip_longest
@@ -23,9 +26,10 @@ from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
 from carlitz.operator import AdditiveOperator, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
-from carlitz.padic import PadicCtx, PadicElem
+from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
     FrobeniusMatrix,
+    Modulus,
     Poly,
     _factor,
     _slot_bytes,
@@ -42,7 +46,7 @@ from carlitz.poly import (
 from carlitz.reciprocity import residue_symbol
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
-from carlitz.torsion import TorsionSetVq, _slope_data, min_separating_prec, torsion_vq
+from carlitz.torsion import TorsionSetVq, _slope_data, min_separating_prec, torsion_padic, torsion_vq
 
 FIELDS = {
     2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7),
@@ -837,6 +841,161 @@ def test_padic_inverse_matches_ext_gcd(x):
     assert inv == inverse_outcome(ext_gcd_inverse, x)
     if not isinstance(inv, str):
         assert x * inv == x.ctx.one()
+
+
+# ---------------------------------------------------------------- Barrett reduction mod f
+
+
+MODULUS_FIELDS = [2, 3, 4, 5, 9, 25]
+
+
+@st.composite
+def modulus_args(draw):
+    """(f, [a1, a2, a3]): f of degree 0-40, monic or not; a1 of degree -1 to
+    q deg f, a2 no longer than a1 and a3 no shorter, so that one Modulus
+    meets a long, a short and a longer quotient in turn."""
+    gf = FIELDS[draw(st.sampled_from(MODULUS_FIELDS))]
+    q = gf.q
+    n = draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lc = 1 if draw(st.booleans()) else rng.randrange(1, q)
+    f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [lc])
+    top = q * n + 1
+    l1 = draw(st.integers(0, top))
+    lengths = (l1, draw(st.integers(0, l1)), draw(st.integers(l1, top)))
+    full = draw(st.booleans())
+
+    def poly(length):
+        # every coefficient q - 1 makes the largest slot sums
+        body = [q - 1] * length if full else [rng.randrange(q) for _ in range(length)]
+        return Poly(gf, body[:-1] + [rng.randrange(1, q)] if length else [])
+
+    return f, [poly(length) for length in lengths]
+
+
+def _modulus_args(q, n, lengths, seed):
+    rng = random.Random(seed)
+    gf = FIELDS[q]
+    f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)])
+    return f, [Poly(gf, [rng.randrange(q) for _ in range(m - 1)] + [q - 1]) for m in lengths]
+
+
+@settings(max_examples=300, deadline=None)
+@given(modulus_args())
+@example(_modulus_args(3, 96, (190, 5, 190), 1))  # deg P^N = 96 at q = 3, a Frobenius image
+@example(_modulus_args(25, 40, (41, 200, 1001), 2))  # r = 2, each quotient longer
+@example(_modulus_args(9, 0, (3, 1, 5), 3))  # a constant f
+def test_modulus_reduce_matches_divmod(args):
+    f, polys = args
+    mod = Modulus(f)
+    for a in polys:
+        assert mod.reduce(a) == a % f
+
+
+def test_modulus_refuses_zero():
+    with pytest.raises(DomainError, match="division by zero"):
+        Modulus(Poly.zero(FIELDS[3]))
+
+
+# ---------------------------------------------------------------- P-adic torsion from a basis
+
+
+def torsion_padic_by_class(P: Poly, N: int) -> list:
+    """The roots of rho_{P-1} mod P^N as torsion_padic found them before the
+    basis lift: one Hensel lift per residue class mod P."""
+    ctx = PadicCtx(P, N)
+    f = carlitz_operator(P - Poly.one(P.gf), ctx.modulus)
+    return [hensel_lift(f, ctx.elem(r), ctx) for r in ctx.residues()]
+
+
+def _torsion_primes(q):
+    """Per degree 1-3 with q^deg <= 729, a random monic irreducible, and the
+    first one too where q^deg <= 125 (the per-class oracle takes seconds on
+    the largest sets)."""
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    out = []
+    for d in range(1, 4):
+        if q**d > 729:
+            break
+        irr = [f for f in all_polys(gf, d, monic=True) if is_irreducible(f)]
+        out += ([irr[0]] if q**d <= 125 else []) + [rng.choice(irr)]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_torsion_padic_matches_per_class_lifts(q, monkeypatch):
+    import carlitz.torsion
+
+    lifts = []
+    monkeypatch.setattr(
+        carlitz.torsion, "hensel_lift", lambda *args: lifts.append(1) or hensel_lift(*args)
+    )
+    for P in _torsion_primes(q):
+        for N in (1, 2, 3, 8, 16):
+            lifts.clear()
+            got = torsion_padic(P, N).points
+            assert len(lifts) == P.degree
+            want = torsion_padic_by_class(P, N)
+            assert [str(x) for x in got] == [str(x) for x in want], (P, N)
+            assert got == want
+
+
+def test_torsion_padic_refuses_huge_sets():
+    # 257^2 > 2^16 points; refused before the context checks P, so the
+    # reducible T^2 gets the same error
+    gf = GF(257)
+    for P in (Poly(gf, [254, 0, 1]), Poly(gf, [0, 0, 1])):
+        with pytest.raises(DomainError, match="257\\^2 torsion points are above the supported maximum 2\\^16"):
+            torsion_padic(P, 2)
+    assert len(torsion_padic(Poly(gf, [3, 1]), 2)) == 257
+
+
+# ---------------------------------------------------------------- F_q[T]/P^N against F_q[T]/P^N'
+
+
+@st.composite
+def coarse_fine_args(draw):
+    """(x, y, e, N'): x and y in F_q[T]/P^N with deg P 1-3 and N 1-12, often
+    non-units, e an exponent of either sign, N' <= N."""
+    gf = FIELDS[draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))]
+    P = draw(moduli(gf))
+    ctx = PadicCtx(P, draw(st.integers(1, 12)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = ctx.modulus.degree
+
+    def elem():
+        x = ctx.elem(Poly(gf, [rng.randrange(gf.q) for _ in range(n)]))
+        return x * ctx.elem(P) if draw(st.integers(0, 3)) == 0 else x
+
+    e = draw(st.integers(-2 * gf.q, 3 * gf.q))
+    return elem(), elem(), e, draw(st.integers(1, ctx.N))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coarse_fine_args())
+def test_padic_coarse_agrees_with_fine(args):
+    x, y, e, N = args
+    coarse = PadicCtx(x.ctx.P, N)
+
+    def down(z):
+        return z if isinstance(z, type) else coarse.elem(z.rep)
+
+    cx, cy = down(x), down(y)
+    assert down(x * y) == cx * cy
+    assert down(x + y) == cx + cy
+    assert down(x.frobenius()) == cx.frobenius()
+    assert down(outcome(PadicElem.inverse, x)) == outcome(PadicElem.inverse, cx)
+    assert down(outcome(pow, x, e)) == outcome(pow, cx, e)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_padic_torsion_coarse_agrees_with_fine(q):
+    for P in _torsion_primes(q):
+        fine = torsion_padic(P, 8)
+        for N in (1, 3, 8):
+            coarse = torsion_padic(P, N)
+            assert [coarse.ctx.elem(x.rep) for x in fine] == coarse.points, (P, N)
 
 
 # ---------------------------------------------------------------- Carlitz action
