@@ -74,6 +74,7 @@ class GF:
         self._mul_table = None
         self._inv_table = None
         self._slot_tables = None
+        self._packed_groups = {}
 
     # -- element arithmetic (elements are ints in [0, q)) --
 
@@ -153,6 +154,17 @@ class GF:
                     reduce[coords[low] + key] = self.add(low, top)
             self._slot_tables = digits, reduce
         return self._slot_tables
+
+    def packed_groups(self, k: int):
+        """Every element as one packed group of k-byte slots (see
+        ``slot_tables``): ``packed_groups(k)[a]`` is the int whose slot j
+        holds coordinate j of a.  Built on first use for each k."""
+        groups = self._packed_groups.get(k)
+        if groups is None:
+            shift = 8 * k
+            groups = [sum(c << (shift * j) for j, c in enumerate(self.coords(a))) for a in range(self.q)]
+            self._packed_groups[k] = groups
+        return groups
 
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:

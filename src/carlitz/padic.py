@@ -8,7 +8,7 @@ BelowPrecision.
 
 from __future__ import annotations
 
-from .errors import BelowPrecision, DomainError
+from .errors import BelowPrecision, CarlitzError, DomainError
 from .poly import Modulus, Poly, all_polys, inv_mod, is_irreducible
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
@@ -187,7 +187,8 @@ def hensel_lift(f, a0: PadicElem, ctx: PadicCtx) -> PadicElem:
     AdditiveOperator, whose derivative is the constant M.  Requires
     f(a0) = 0 and f'(a0) != 0 mod P.  Each step works at full precision and
     doubles the number of correct digits, so it stops after at most
-    ceil(log2 N) steps, when f(a) = 0 mod P^N.
+    ceil(log2 N) steps, when f(a) = 0 mod P^N.  A root still missing after
+    ceil(log2 N) + 1 steps raises CarlitzError.
     """
     a = ctx.elem(a0.rep)
     df = f.derivative()
@@ -196,7 +197,11 @@ def hensel_lift(f, a0: PadicElem, ctx: PadicCtx) -> PadicElem:
         raise DomainError(f"{a0} is not a root of the polynomial mod {ctx.P}")
     if (df.evaluate(a).rep % ctx.P).is_zero():
         raise DomainError(f"the root {a0} mod {ctx.P} is not simple; Newton step undefined")
-    while not fa.is_zero():
+    for _ in range((ctx.N - 1).bit_length() + 1):
+        if fa.is_zero():
+            return a
         a = a - fa / df.evaluate(a)
         fa = f.evaluate(a)
+    if not fa.is_zero():
+        raise CarlitzError(f"Newton from {a0} did not reach a root mod {ctx.P}^{ctx.N}")
     return a

@@ -136,7 +136,10 @@ class Poly:
         # clear is always group 0: quotient digit f adds (-f) * (divisor
         # without its leading term) at groups 1..db, and group 0 is dropped.
         # A group takes at most min(nq, db) such additions.  Over F_p a
-        # group is one slot holding the coefficient itself.
+        # group is one slot holding the coefficient itself.  Over F_{p^r}
+        # digit c is read from group 0's 2r-1 slots by shift and mask and the
+        # field's reduction table, and -f comes packed from a table of the q
+        # elements, so the loop neither unpacks nor packs.
         p, r = gf.p, gf.r
         k = _slot_bytes(p - 1 + min(nq, db) * r * (p - 1) ** 2)
         width = (2 * r - 1) * 8 * k
@@ -144,14 +147,17 @@ class Poly:
         rem = _pack(gf, a[::-1], k)
         low = _pack(gf, b[:-1][::-1], k) << width
         inv_lc = gf.inv(b[-1])
+        if r > 1:
+            reduce, groups = gf.slot_tables()[1], gf.packed_groups(k)
+            slot, shifts = (1 << 8 * k) - 1, range(0, width, 8 * k)
         quo = [0] * nq
         for i in range(nq - 1, -1, -1):
             top = rem & mask
-            c = top % p if r == 1 else _unpack(gf, top, 1, k)[0]
+            c = top % p if r == 1 else reduce[tuple([(top >> s & slot) % p for s in shifts])]
             if c:
                 f = quo[i] = gf.mul(c, inv_lc)
-                # -f = (p-1)*f; over F_p that is p - f
-                rem += (p - f if r == 1 else _pack(gf, (gf.mul(f, p - 1),), k)) * low
+                # over F_p, -f is p - f
+                rem += (p - f if r == 1 else groups[gf.neg(f)]) * low
             rem >>= width
         return Poly(gf, quo), Poly(gf, _unpack(gf, rem, db, k)[::-1])
 

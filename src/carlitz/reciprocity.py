@@ -4,6 +4,7 @@ predicates, Newton polygons, and the (q-1)-st power Kummer map on V_q.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import CarlitzError, DomainError
@@ -25,6 +26,19 @@ __all__ = [
 ]
 
 
+# P's Frobenius matrix, once P has passed Rabin's test: a function of P alone,
+# so the symbols for every A and d share it.  A failed test raises and is not
+# cached.  cache_info() reports hits, misses and size.
+@functools.lru_cache(maxsize=512)
+def _prime_frobenius(P: Poly) -> FrobeniusMatrix:
+    if P.degree < 1 or not P.is_monic():
+        raise DomainError(f"{P} is not monic irreducible")
+    frob = FrobeniusMatrix(P)
+    if not frob.is_irreducible():
+        raise DomainError(f"{P} is not monic irreducible")
+    return frob
+
+
 def residue_symbol(A: Poly, P: Poly, d: int) -> int:
     """The d-th power residue symbol (A/P)_d = A^((q^r - 1)/d) mod P in F_q^*.
 
@@ -32,16 +46,13 @@ def residue_symbol(A: Poly, P: Poly, d: int) -> int:
     computed as N(a)^((q-1)/d) with a = A mod P and the norm
     N(a) = a^(1 + q + ... + q^(r-1)), the product of a's r conjugates, each
     one application of P's Frobenius matrix (Rosen, Number Theory in Function
-    Fields, ch. 3).
+    Fields, ch. 3).  P's matrix and its irreducibility check are built once
+    per P and kept in a bounded memo.
     """
     gf = P.gf
     if d < 1 or (gf.q - 1) % d != 0:
         raise DomainError(f"d = {d} does not divide q - 1 = {gf.q - 1}")
-    if P.degree < 1 or not P.is_monic():
-        raise DomainError(f"{P} is not monic irreducible")
-    frob = FrobeniusMatrix(P)
-    if not frob.is_irreducible():
-        raise DomainError(f"{P} is not monic irreducible")
+    frob = _prime_frobenius(P)
     a = A % P
     if a.is_zero():
         raise DomainError(f"{A} is not coprime to {P}")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import field, rand_poly, all_polys
-from carlitz.errors import BelowPrecision, DomainError
+from carlitz.errors import BelowPrecision, CarlitzError, DomainError
 from carlitz.gf import GF
 from carlitz.padic import PadicCtx, hensel_lift
 from carlitz.poly import (
@@ -257,6 +257,32 @@ def test_hensel_rejects_double_root():
     f = XPoly(gf, [zero, zero, one])  # x^2: a root at 0, and so is f'
     with pytest.raises(DomainError, match="not simple"):
         hensel_lift(f, ctx.zero(), ctx)
+
+
+def test_hensel_fails_fast_without_a_root():
+    # a stub f that is 0 mod P but P^(N-1) mod P^N however a moves: Newton
+    # never lands, and the lift gives up after ceil(log2 N) + 1 steps
+    gf = field(3)
+    T = Poly.T(gf)
+    ctx = PadicCtx(T, 5)
+    calls = []
+
+    class Stuck:
+        def evaluate(self, a):
+            calls.append(a)
+            return ctx.elem(T ** 4)
+
+        def derivative(self):
+            return Const()
+
+    class Const:
+        def evaluate(self, a):
+            return ctx.one()
+
+    with pytest.raises(CarlitzError, match="did not reach a root"):
+        hensel_lift(Stuck(), ctx.zero(), ctx)
+    # the first value, then one per step: ceil(log2 5) + 1 = 4 steps
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])

@@ -242,6 +242,25 @@ def test_slot_width_edges_all_fields(q):
         check_divmod(Poly(gf, [gf.neg(top)] * n) * b, b)
 
 
+@pytest.mark.parametrize("q", [9, 25])
+def test_division_slot_width_edges_extension_fields(q):
+    # The division's slot bound p-1 + min(nq, db) r (p-1)^2 straddles 2^8
+    # and 2^16 at these lengths, so the quotient digits are read from 1-, 2-
+    # and 4-byte slots.  A quotient with three nonzero digits keeps the
+    # schoolbook oracle at three passes over the divisor.
+    gf = FIELDS[q]
+    p = gf.p
+    per_term = gf.r * (p - 1) ** 2
+    widths = []
+    for edge in (2**8 - 1, 2**16 - 1):
+        for n in ((edge - (p - 1)) // per_term, (edge - (p - 1)) // per_term + 1):
+            widths.append(_slot_bytes(p - 1 + n * per_term))
+            b = _rand(gf, n + 1, n)
+            quo = Poly(gf, [q - 1] + [0] * (n // 2 - 1) + [1] + [0] * (n - n // 2 - 2) + [gf.p])
+            check_divmod(quo * b + _rand(gf, n, -n), b)
+    assert widths == [1, 2, 2, 4]
+
+
 @pytest.mark.parametrize("n", [1, 2, 17, 64])
 def test_slots_wider_than_64_bits(n):
     # p = 2^32 + 15: one product of two coefficients already needs 65 bits

@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import field, rand_poly
+from carlitz import reciprocity as reciprocity_module
 from carlitz.errors import CarlitzError, DomainError
-from carlitz.poly import Poly, monic_irreducibles, parse_poly
+from carlitz.gf import GF
+from carlitz.padic import PadicCtx
+from carlitz.poly import Poly, is_irreducible, monic_irreducibles, parse_poly
 from carlitz.operator import cyclotomic_poly
 from carlitz.reciprocity import (
     check_reciprocity,
@@ -51,6 +54,66 @@ def test_residue_symbol_preconditions():
         residue_symbol(T, T * T, 2)  # modulus not irreducible
     with pytest.raises(DomainError):
         residue_symbol(T, T + one, 4)  # d does not divide q - 1
+
+
+# ---------------------------------------------------------------- the prime memo
+
+_memo = reciprocity_module._prime_frobenius
+
+
+def test_only_the_symbol_fills_the_prime_memo():
+    # the other users of a prime's irreducibility build their own matrix
+    gf = field(9)
+    P = parse_poly("T^2+T+(w)", gf)
+    assert is_irreducible(P)
+    _memo.cache_clear()
+    assert is_irreducible(P)
+    ddf(cyclotomic_poly(Poly.T(gf)).coeffs, P)
+    PadicCtx(P, 3)
+    cyclotomic_poly(P)
+    assert _memo.cache_info().currsize == 0
+    residue_symbol(Poly.T(gf), P, 2)
+    assert _memo.cache_info().currsize == 1
+
+
+def test_prime_memo_caches_no_failure():
+    gf = field(3)
+    T, one = Poly.T(gf), Poly.one(gf)
+    bad = [T * T, T.scale(2) + one, one]  # reducible, non-monic, constant
+    _memo.cache_clear()
+    for _ in range(2):
+        for P in bad:
+            with pytest.raises(DomainError, match="not monic irreducible"):
+                residue_symbol(T + one, P, 2)
+        # a success on another prime leaves the failures failing
+        assert residue_symbol(T, T + one, 2) == 2
+    assert _memo.cache_info().currsize == 1
+
+
+def test_cold_and_warm_symbols_agree():
+    gf = field(9)
+    rng = random.Random(12)
+    primes = [P for P in monic_irreducibles(gf, 2) if P.degree == 2][:6]
+    args = [(rand_poly(gf, rng, 4, nonzero=True), P, d) for P in primes for d in (1, 2, 4, 8)]
+    args = [(A, P, d) for A, P, d in args if not (A % P).is_zero()]
+    cold = []
+    for A, P, d in args:
+        _memo.cache_clear()
+        cold.append(residue_symbol(A, P, d))
+    warm = [residue_symbol(A, P, d) for A, P, d in args]
+    assert cold == warm
+    assert _memo.cache_info().hits >= len(args) - len(primes)
+
+
+def test_prime_memo_is_bounded():
+    gf = GF(601)
+    T = Poly.T(gf)
+    maxsize = _memo.cache_info().maxsize
+    assert maxsize is not None and 512 <= maxsize < gf.q
+    for c in range(1, gf.q):
+        residue_symbol(T, T + Poly.const(gf, c), 2)
+        assert _memo.cache_info().currsize <= maxsize
+    assert _memo.cache_info().currsize == maxsize
 
 
 def test_symbol_multiplicativity():
