@@ -274,6 +274,16 @@ def cmd_family(args):
     emit(args, {"members": lines}, lines)
 
 
+def _descartes_rows(gf, seed: int, count: int):
+    """(members, form, zero) for each of count random tangent families drawn
+    from one seeded generator: the rows of both Descartes sweeps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        fam = geometry.random_tangent_family(gf, rng)
+        val = geometry.descartes_form(fam)
+        yield ";".join(str(m) for m in fam), _form_text(val), val.is_zero()
+
+
 def cmd_descartes(args):
     gf = build_gf(args)
     if args.descartes_cmd == "family":
@@ -293,18 +303,10 @@ def cmd_descartes(args):
         form = _form_text(val)
         emit(args, {"form": form, "zero": val.is_zero()}, [form])
     else:  # sweep
-        rng = random.Random(args.seed)
-        rows = []
-        bad = 0
-        for _ in range(args.count):
-            fam = geometry.random_tangent_family(gf, rng)
-            val = geometry.descartes_form(fam)
-            rows.append((";".join(str(m) for m in fam), _form_text(val), val.is_zero()))
-            if not val.is_zero():
-                bad += 1
-        rows.sort()
+        rows = sorted(_descartes_rows(gf, args.seed, args.count))
         for members, form, zero in rows:
             print(f"{members}\t{form}\t{'zero' if zero else 'NONZERO'}")
+        bad = sum(1 for row in rows if not row[2])
         if bad:
             raise CarlitzError(f"{bad} of {args.count} families violate the form")
 
@@ -371,7 +373,7 @@ def cmd_ray(args):
 
 def cmd_normal_basis(args):
     gf = build_gf(args)
-    data = geometry.normal_basis(gf, args.prec)
+    data = geometry.normal_basis(gf)
     emit(
         args,
         {
@@ -450,12 +452,9 @@ def cmd_sweep(args):
                     if not holds:
                         bad += 1
     elif kind == "descartes":
-        rng = random.Random(args.seed)
-        for _ in range(args.count):
-            fam = geometry.random_tangent_family(gf, rng)
-            val = geometry.descartes_form(fam)
-            rows.append((";".join(str(m) for m in fam), _form_text(val), str(val.is_zero())))
-            if not val.is_zero():
+        for members, form, zero in _descartes_rows(gf, args.seed, args.count):
+            rows.append((members, form, str(zero)))
+            if not zero:
                 bad += 1
     elif kind == "torsion":
         for P in monic_irreducibles(gf, args.max_deg):

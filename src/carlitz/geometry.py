@@ -101,11 +101,12 @@ def soddy_form(n: int, ks) -> Rational:
     return s * s - n * sum(k * k for k in ks)
 
 
-def random_tangent_family(gf, rng, max_deg: int = 3):
-    """A random mutually tangent family: start from a random unimodular pair."""
+def random_tangent_family(gf, rng):
+    """A random mutually tangent family: start from a random unimodular pair
+    of polynomials of degree at most 3."""
     while True:
-        a = Poly(gf, [rng.randrange(gf.q) for _ in range(rng.randint(1, max_deg + 1))])
-        c = Poly(gf, [rng.randrange(gf.q) for _ in range(rng.randint(1, max_deg + 1))])
+        a = Poly(gf, [rng.randrange(gf.q) for _ in range(rng.randint(1, 4))])
+        c = Poly(gf, [rng.randrange(gf.q) for _ in range(rng.randint(1, 4))])
         if a.is_zero() and c.is_zero():
             continue
         try:
@@ -250,7 +251,7 @@ class NormalBasisData:
         self.det_valuation = det_valuation
 
 
-def normal_basis(gf, prec: int = None) -> NormalBasisData:
+def normal_basis(gf) -> NormalBasisData:
     """theta = sum of lambda^{-i} for a T-torsion generator lambda = s^{-1};
     the Galois conjugates lambda -> zeta*lambda expand over the power basis
     {s^i} through the Vandermonde matrix (zeta^{ij}), a unit."""

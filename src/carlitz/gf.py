@@ -14,7 +14,7 @@ are those of ``poly`` over GF(p).
 from __future__ import annotations
 
 from .errors import DomainError
-from .poly import Poly, all_polys, is_irreducible, square_multiply
+from .poly import Poly, all_polys, format_term, is_irreducible, parse_term, square_multiply
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
 # sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
@@ -211,49 +211,32 @@ class GF:
             k += 1
         return k
 
-    # -- text form --
+    # -- text form (README, "One text grammar") --
 
     def fmt_elem(self, a: int) -> str:
+        """a as terms c*w^i, highest i first, in parentheses when more than one."""
         if self.r == 1 or a < self.p:
             return str(a)
-        parts = []
-        for i in reversed(range(self.r)):
-            c = self.coords(a)[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                power = "w" if i == 1 else f"w^{i}"
-                parts.append(power if c == 1 else f"{c}*{power}")
-        if len(parts) == 1:
-            return parts[0]
-        return "(" + "+".join(parts) + ")"
+        parts = [format_term(str(c), "w", i) for i, c in enumerate(self.coords(a)) if c]
+        return parts[0] if len(parts) == 1 else "(" + "+".join(reversed(parts)) + ")"
 
     def parse_elem(self, s: str) -> int:
-        s = s.strip()
+        """Parse a field element: terms c, c*w^i, w^i or w joined by +, with
+        0 <= c < p and 0 <= i < r, in parentheses or not (README, "One text
+        grammar")."""
+        s = "".join(s.split())
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1]
         coords = [0] * self.r
         for term in s.split("+"):
-            term = term.strip()
             if not term:
                 raise DomainError("empty coefficient term")
-            if "w" in term:
-                if self.r == 1:
-                    raise DomainError("w not allowed over a prime field")
-                if "*" in term:
-                    cpart, wpart = term.split("*", 1)
-                    c = int(cpart)
-                else:
-                    c, wpart = 1, term
-                wpart = wpart.strip()
-                i = 1 if wpart == "w" else int(wpart[2:])
-            else:
-                c, i = int(term), 0
+            if "w" in term and self.r == 1:
+                raise DomainError("w not allowed over a prime field")
+            c, i = parse_term(term, "w", int)
             if not 0 <= c < self.p:
                 raise DomainError(f"coefficient {c} out of range [0, {self.p})")
-            if i >= self.r:
+            if not 0 <= i < self.r:
                 raise DomainError(f"w^{i} out of range for degree-{self.r} extension")
             coords[i] = (coords[i] + c) % self.p
         return self._from_coords(coords)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CarlitzError, DomainError
-from .poly import Poly, inv_mod, is_irreducible
+from .poly import Poly, format_term, inv_mod, is_irreducible
 
 __all__ = [
     "XPoly",
@@ -156,18 +156,13 @@ class XPoly:
     def __str__(self):
         parts = []
         for e in range(self.deg(), -1, -1):
-            c = self.coeff(e)
+            c = self.coeffs[e]
             if c.is_zero():
                 continue
-            xs = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-            multi = len([1 for t in c.coeffs if t]) > 1
-            if e == 0:
-                parts.append(f"({c})" if multi else str(c))
-            elif c == Poly.one(self.gf):
-                parts.append(xs)
-            else:
-                parts.append(f"({c})*{xs}" if multi else f"{c}*{xs}")
-        return " + ".join(parts) if parts else "0"
+            # a coefficient of more than one T-term is put in parentheses
+            multi = sum(1 for t in c.coeffs if t) > 1
+            parts.append(format_term(f"({c})" if multi else str(c), "x", e))
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"XPoly({self})"

@@ -221,24 +221,14 @@ class Poly:
             return other
         raise TypeError(f"cannot combine Poly with {type(other).__name__}")
 
-    # -- text form (see the polynomial grammar in the README) --
+    # -- text form (see "One text grammar" in the README) --
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         gf = self.gf
-        parts = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = gf.fmt_elem(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                t = "T" if i == 1 else f"T^{i}"
-                parts.append(t if c == 1 else f"{cs}*{t}")
-        return "+".join(parts)
+        # over F_p an element's text is the int itself
+        fmt = str if gf.r == 1 else gf.fmt_elem
+        parts = [format_term(fmt(c), "T", i) for i, c in enumerate(self.coeffs) if c]
+        return "+".join(reversed(parts)) or "0"
 
     def __repr__(self):
         return f"Poly({self})"
@@ -305,6 +295,32 @@ def _unpack(gf: GF, x: int, n: int, k: int) -> list:
     return [reduce[w] for w in zip(*[iter(digits)] * g)]
 
 
+# -- the text grammar (README, "One text grammar") --
+
+
+def format_term(c: str, var: str, k: int) -> str:
+    """The term c*var^k from the text c of its coefficient: var^k when c is
+    "1", var when k = 1, and c alone when k = 0."""
+    if k == 0:
+        return c
+    power = var if k == 1 else f"{var}^{k}"
+    return power if c == "1" else f"{c}*{power}"
+
+
+def parse_term(term: str, var: str, coeff):
+    """(c, k) from one term c*var^k, c*var, var^k, var or c, as written by
+    format_term; ``coeff`` reads the coefficient text.  k may be negative."""
+    if var not in term:
+        return coeff(term), 0
+    cpart, _, power = term.partition(var)
+    c = coeff(cpart.rstrip("*") or "1")
+    if power == "":
+        return c, 1
+    if not power.startswith("^"):
+        raise DomainError(f"syntax error in term {term!r}")
+    return c, int(power[1:])
+
+
 def split_terms(s: str):
     """Split on + at paren depth 0 (coefficients over F_{p^r} carry parens)."""
     terms, depth, cur = [], 0, []
@@ -323,7 +339,8 @@ def split_terms(s: str):
 
 
 def parse_poly(s: str, gf: GF) -> Poly:
-    """Parse the polynomial text grammar: terms joined by +, term = c, c*T^k, T^k, T."""
+    """Parse a polynomial in T: terms joined by +, each c, c*T^k, T^k or T
+    (README, "One text grammar")."""
     s = "".join(s.split())
     if not s:
         raise DomainError("empty polynomial string")
@@ -332,24 +349,12 @@ def parse_poly(s: str, gf: GF) -> Poly:
     for term in split_terms(s):
         if not term:
             raise DomainError(f"syntax error near position {pos} in {s!r}")
-        if "T" in term:
-            cpart, _, tpart = term.partition("T")
-            cpart = cpart.rstrip("*")
-            c = gf.parse_elem(cpart) if cpart else 1
-            if tpart == "":
-                k = 1
-            elif tpart.startswith("^"):
-                k = int(tpart[1:])
-            else:
-                raise DomainError(f"syntax error in term {term!r}")
-            if k < 0:
-                raise DomainError("negative exponent in polynomial")
-        else:
-            c, k = gf.parse_elem(term), 0
+        c, k = parse_term(term, "T", gf.parse_elem)
+        if k < 0:
+            raise DomainError("negative exponent in polynomial")
         coeffs[k] = gf.add(coeffs.get(k, 0), c)
         pos += len(term) + 1
-    n = max(coeffs) + 1 if coeffs else 0
-    vec = [0] * n
+    vec = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         vec[k] = c
     return Poly(gf, vec)

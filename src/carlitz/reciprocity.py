@@ -144,17 +144,12 @@ class NewtonPolygon:
         return f"NewtonPolygon(vertices={self.vertices})"
 
 
-def newton_polygon(f: XPoly, val=None) -> NewtonPolygon:
-    """Newton polygon of f with respect to a coefficient valuation.
-
-    Default valuation is the one at infinity, v = -deg.  Works for any XPoly;
-    pass ``val`` to value coefficients differently.
-    """
+def newton_polygon(f: XPoly) -> NewtonPolygon:
+    """Newton polygon of f for the valuation at infinity of its
+    coefficients, v = -deg."""
     if f.is_zero():
         raise DomainError("zero polynomial has no Newton polygon")
-    if val is None:
-        val = lambda c: -c.degree
-    pts = [(e, val(c)) for e, c in enumerate(f.coeffs) if not c.is_zero()]
+    pts = [(e, -c.degree) for e, c in enumerate(f.coeffs) if not c.is_zero()]
     # Andrew-monotone-chain lower hull, left to right
     hull = []
     for p in pts:

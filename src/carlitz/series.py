@@ -20,7 +20,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, check_frobenius_degree, split_terms, square_multiply
+from .poly import Poly, check_frobenius_degree, format_term, parse_term, split_terms, square_multiply
 
 INF = math.inf
 
@@ -36,8 +36,11 @@ def _min_prec(*ps):
 class Series:
     __slots__ = ("gf", "v", "coeffs", "prec")
 
-    #: subclasses set the uniformizer name used by the text format
+    #: subclasses set the uniformizer's name, used in messages, and the text
+    #: form's variable with the sign that turns an exponent of the uniformizer
+    #: into an exponent of that variable
     VAR = "?"
+    TEXT = ("?", 1)
 
     def __init__(self, gf: GF, v: int, coeffs, prec=None):
         coeffs = list(coeffs)
@@ -270,32 +273,25 @@ class Series:
     # -- text form --
 
     def __str__(self):
-        parts = []
-        for k, c in self.terms():
-            cs = self.gf.fmt_elem(c)
-            if k == 0:
-                parts.append(cs)
-            else:
-                t = self.VAR if k == 1 else f"{self.VAR}^{k}"
-                parts.append(t if cs == "1" else f"{cs}*{t}")
+        var, sign = self.TEXT
+        fmt = self.gf.fmt_elem
+        parts = [format_term(fmt(c), var, sign * k) for k, c in self.terms()]
         if self.prec is not None:
-            parts.append(f"O({self.VAR}^{self.prec})")
-        if not parts:
-            return "0"
-        return " + ".join(parts)
+            parts.append(f"O({var}^{sign * self.prec})")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
 
 def parse_series(text: str, gf: GF, cls):
-    """Parse the series text format: `c*VAR^k` terms joined by `+`, with an
-    optional `O(VAR^prec)` tail marker.  InfLaurent uses variable T, VqElem
-    uses s; exponents may be negative."""
+    """Parse a series of class ``cls``: terms c*VAR^k joined by +, with an
+    optional O(VAR^prec) tail marker, VAR and the exponents as in
+    ``cls.TEXT`` (README, "One text grammar")."""
     s = "".join(text.split())
     if not s:
         raise DomainError("empty series string")
-    var = "T" if cls is InfLaurent else "s"
+    var, sign = cls.TEXT
     terms = {}
     prec = None
     for part in split_terms(s):
@@ -309,23 +305,10 @@ def parse_series(text: str, gf: GF, cls):
                 k = int(inner[len(var) + 1 :])
             else:
                 raise DomainError(f"bad tail marker {part!r}")
-            p = -k if var == "T" else k
-            prec = p if prec is None else min(prec, p)
+            prec = sign * k if prec is None else min(prec, sign * k)
             continue
-        if var in part:
-            cpart, _, vpart = part.partition(var)
-            cpart = cpart.rstrip("*")
-            c = gf.parse_elem(cpart) if cpart else 1
-            if vpart == "":
-                k = 1
-            elif vpart.startswith("^"):
-                k = int(vpart[1:])
-            else:
-                raise DomainError(f"syntax error in term {part!r}")
-        else:
-            c, k = gf.parse_elem(part), 0
-        e = -k if var == "T" else k
-        terms[e] = gf.add(terms.get(e, 0), c)
+        c, k = parse_term(part, var, gf.parse_elem)
+        terms[sign * k] = gf.add(terms.get(sign * k, 0), c)
     return cls.from_terms(gf, terms, prec)
 
 
@@ -333,6 +316,7 @@ class InfLaurent(Series):
     """Laurent series at the infinite place of F_q(T), in the uniformizer 1/T."""
 
     VAR = "u"  # u = 1/T
+    TEXT = ("T", -1)  # the text form writes u^k as T^-k
 
     @classmethod
     def from_poly(cls, f: Poly):
@@ -354,29 +338,12 @@ class InfLaurent(Series):
             return num * den.inverse()
         return num * den.inverse(prec=prec - num.v)
 
-    # -- text form prints powers of T (exponent of T = -exponent of u) --
-
-    def __str__(self):
-        parts = []
-        for k, c in self.terms():
-            cs = self.gf.fmt_elem(c)
-            m = -k
-            if m == 0:
-                parts.append(cs)
-            else:
-                t = "T" if m == 1 else f"T^{m}"
-                parts.append(t if cs == "1" else f"{cs}*{t}")
-        if self.prec is not None:
-            parts.append(f"O(T^{-self.prec})")
-        if not parts:
-            return "0"
-        return " + ".join(parts)
-
 
 class VqElem(Series):
     """Laurent series in the uniformizer s of V_q, with T = -s^{-(q-1)}."""
 
     VAR = "s"
+    TEXT = ("s", 1)
 
     @classmethod
     def from_inf(cls, x: InfLaurent) -> "VqElem":

@@ -296,8 +296,6 @@ def completed_action(M, u: VqElem) -> VqElem:
     if isinstance(M, Poly):
         return carlitz_act(M, u)
     # M is an InfLaurent: u-exponent k corresponds to T^{-k}
-    if M.is_zero():
-        return VqElem.zero(gf)
     acc = VqElem.zero(gf)
     # polynomial part: u-exponents <= 0
     poly_coeffs = {}
@@ -313,7 +311,6 @@ def completed_action(M, u: VqElem) -> VqElem:
         acc = acc + carlitz_act(Poly(gf, vec), u)
     if depth:
         chain = division_chain(u, depth)
-        target = u.prec if u.prec is not None else None
         prev_val = None
         for k in range(1, depth + 1):
             a = M.digit(k) if (M.prec is None or k < M.prec) else 0
@@ -329,7 +326,7 @@ def completed_action(M, u: VqElem) -> VqElem:
                 )
             prev_val = val
             if a:
-                if target is not None and val is not None and val >= target:
+                if u.prec is not None and val is not None and val >= u.prec:
                     break
                 acc = acc + vk.scale(a)
     return acc

@@ -20,7 +20,7 @@ from carlitz.poly import (
 )
 from carlitz.operator import XPoly, carlitz_operator
 from carlitz.residues import ddf
-from carlitz.series import InfLaurent, VqElem
+from carlitz.series import InfLaurent, VqElem, parse_series
 
 
 # ---------------------------------------------------------------- GF
@@ -57,6 +57,25 @@ def test_gf_elem_format_roundtrip():
     gf = field(4)
     for a in range(4):
         assert gf.parse_elem(gf.fmt_elem(a)) == a
+
+
+@pytest.mark.parametrize("text", ["wx1", "w_2", "w2", "2w0", "w^-1"])
+def test_malformed_power_of_w_raises(text):
+    # each was once read as some power of w, or raised a bare ValueError
+    with pytest.raises(DomainError):
+        field(8).parse_elem(text)
+
+
+def test_malformed_coefficient_in_a_polynomial_raises():
+    with pytest.raises(DomainError):
+        parse_poly("(w_2+1)*T", GF(2, 3))
+
+
+def test_coefficient_before_w_without_star():
+    gf, w = field(9), 3
+    assert gf.parse_elem("2w") == gf.mul(2, w) == gf.parse_elem("2*w")
+    assert parse_poly("2T", gf) == parse_poly("2*T", gf)
+    assert parse_series("2s", gf, VqElem) == parse_series("2*s", gf, VqElem)
 
 
 def test_gf_size_cap():

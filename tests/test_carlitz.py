@@ -18,7 +18,7 @@ from carlitz.operator import (
 )
 from carlitz.padic import PadicCtx, hensel_lift
 from carlitz.poly import Poly, monic_irreducibles, parse_poly
-from carlitz.series import InfLaurent, VqElem
+from carlitz.series import InfLaurent, VqElem, parse_series
 from carlitz.torsion import (
     completed_action,
     dirichlet_approx,
@@ -280,6 +280,14 @@ def test_completed_action_matches_polynomial_action():
         assert a.agrees(b, upto=min(a.prec, b.prec))
         a2 = completed_action(InfLaurent.from_poly(M), u)
         assert a2.agrees(b, upto=min(a2.prec, b.prec, 10))
+
+
+def test_completed_action_of_zero_is_exact_zero():
+    gf = field(3)
+    u = parse_series("s^-1 + 2*s + O(s^9)", gf, VqElem)
+    for M in (InfLaurent.zero(gf), InfLaurent.zero(gf, 4)):
+        out = completed_action(M, u)
+        assert out == VqElem.zero(gf) and out.prec is None
 
 
 def test_completed_action_principal_part_is_division():

@@ -110,6 +110,14 @@ def test_descartes_subcommands(capsys):
     run_ok(capsys, "descartes", "sweep", "--q", "3", "--count", "5", "--seed", "2")
 
 
+def test_both_descartes_sweeps_draw_the_same_families(capsys):
+    out = run_ok(capsys, "descartes", "sweep", "--q", "5", "--count", "6", "--seed", "4")
+    sweep = run_ok(capsys, "sweep", "--kind", "descartes", "--q", "5", "--count", "6", "--seed", "4")
+    rows = [r.split("\t") for r in out.splitlines()]
+    assert [r[2] for r in rows] == ["zero"] * 6
+    assert [r.split("\t") for r in sweep.splitlines()] == [[m, f, "True"] for m, f, _ in rows]
+
+
 def test_descartes_form_text_frozen(capsys):
     # Descartes values print as (num)/(den), unlike the members' 1/T form
     out = run_ok(capsys, "descartes", "eval", "--q", "3", "--curvatures", "1/T;1/T^2;1;T")
@@ -278,3 +286,10 @@ def test_degree_cap(capsys, monkeypatch):
 def test_malformed_series_is_usage_error(capsys):
     code, _, _ = run(capsys, "tree", "distance", "--q", "3", "--v1", "0;0", "--v2", "2;s^-1")
     assert code == 2
+
+
+def test_malformed_field_element_is_domain_error(capsys):
+    # "w_2" is no power of w: it is refused, not read as w^2
+    code, out, err = run(capsys, "act", "--q", "8", "--M", "(w_2+1)*T", "--u", "T")
+    assert code == 1 and out == ""
+    assert err.startswith("error[domain]")
