@@ -165,8 +165,9 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
             if alpha.is_zero():
                 continue
             any_term = True
-            t = max(prec + (e - 1) * alpha.v, -alpha.v + 1)
-            shell = shell - alpha.inverse(prec=t) ** e
+            # alpha^-e as one inverse of the short power alpha^e: it claims the
+            # digits that alpha^-1 ** e would, with alpha^-1 at a longer precision
+            shell = shell - (alpha**e).inverse(prec=max(prec, 1 - e * alpha.v))
         if not any_term:
             continue
         sval = _valuation_or_none(shell)

@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction as Rational
+from itertools import accumulate
 
 from . import analytic, geometry, reciprocity, torsion
 from .errors import CarlitzError, DomainError, PrecisionError
@@ -84,13 +85,20 @@ def _prime_power(q: int):
     return p, r
 
 
+def _unwrap(side: str) -> str:
+    """side without one pair of parentheses that encloses all of it."""
+    side = side.strip()
+    depth = list(accumulate((ch == "(") - (ch == ")") for ch in side))
+    return side[1:-1] if side[:1] == "(" and side[-1:] == ")" and 0 not in depth[:-1] else side
+
+
 def parse_fraction(s: str, gf) -> RatFn:
     s = s.strip()
     if s in ("inf", "infinity", "1/0"):
         return RatFn.infinity(gf)
     if "/" in s:
         num, den = s.split("/", 1)
-        return RatFn(parse_poly(num.strip("() "), gf), parse_poly(den.strip("() "), gf))
+        return RatFn(parse_poly(_unwrap(num), gf), parse_poly(_unwrap(den), gf))
     return RatFn.from_poly(parse_poly(s, gf))
 
 

@@ -237,7 +237,7 @@ def _det(gf, M):
         for r in range(col + 1, n):
             if M[r][col]:
                 factor = gf.mul(M[r][col], inv)
-                M[r] = [gf.sub(a, gf.mul(factor, b)) for a, b in zip(M[r], M[col])]
+                M[r] = gf.sub_vec(M[r], gf.scale_vec(factor, M[col]))
     return det
 
 

@@ -99,15 +99,56 @@ class GF:
             self._build_tables()
         return self._add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.p
         if self._neg_table is None:
             self._build_tables()
         return self._neg_table[a]
+
+    # -- coefficient vectors, no field call per digit; a sum or difference
+    # runs in place over the shorter operand and copies the longer one's tail --
+
+    def add_vec(self, a, b) -> list:
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        if self.r == 1:
+            p = self.p
+            for i, y in enumerate(b):
+                out[i] = (out[i] + y) % p
+        else:
+            add = self._add_table or self._build_tables()[0]
+            for i, y in enumerate(b):
+                out[i] = add[out[i]][y]
+        return out
+
+    def sub_vec(self, a, b) -> list:
+        n = min(len(a), len(b))
+        out = list(a) if n == len(b) else list(a) + self.neg_vec(b[n:])
+        if self.r == 1:
+            p = self.p
+            for i, y in enumerate(b[:n]):
+                out[i] = (out[i] - y) % p
+        else:
+            add, neg = self._add_table or self._build_tables()[0], self._neg_table
+            for i, y in enumerate(b[:n]):
+                out[i] = add[out[i]][neg[y]]
+        return out
+
+    def neg_vec(self, a) -> list:
+        if self.r == 1:
+            p = self.p
+            return [p - x if x else 0 for x in a]
+        neg = self._neg_table or self._build_tables()[1]
+        return [neg[x] for x in a]
+
+    def scale_vec(self, c: int, a) -> list:
+        if self.r == 1:
+            p = self.p
+            return [c * x % p for x in a]
+        row = (self._mul_table or self._build_tables()[2])[c]
+        return [row[x] for x in a]
 
     def _build_tables(self):
         q, p = self.q, self.p
@@ -131,6 +172,7 @@ class GF:
                     inv[a] = b
                     break
         self._inv_table = inv
+        return self._add_table, self._neg_table, self._mul_table
 
     def slot_tables(self):
         """Tables of the packed polynomial kernel (``poly``), built on first use.
@@ -242,7 +284,7 @@ class GF:
         return self._from_coords(coords)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, GF)
             and self.p == other.p
             and self.r == other.r

@@ -37,10 +37,11 @@ class Poly:
 
     def __init__(self, gf: GF, coeffs):
         self.gf = gf
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        self.coeffs = coeffs[:n]
 
     # -- constructors --
 
@@ -88,22 +89,13 @@ class Poly:
     # -- ring operations --
 
     def __add__(self, other):
-        other = self._coerce(other)
-        gf = self.gf
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = gf.add(out[i], c)
-        return Poly(gf, out)
+        return Poly(self.gf, self.gf.add_vec(self.coeffs, self._coerce(other).coeffs))
 
     def __neg__(self):
-        gf = self.gf
-        return Poly(gf, [gf.neg(c) for c in self.coeffs])
+        return Poly(self.gf, self.gf.neg_vec(self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return Poly(self.gf, self.gf.sub_vec(self.coeffs, self._coerce(other).coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -119,8 +111,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c: int):
-        gf = self.gf
-        return Poly(gf, [gf.mul(c, x) for x in self.coeffs])
+        return Poly(self.gf, self.gf.scale_vec(c, self.coeffs))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -447,7 +438,7 @@ class Modulus:
             self._packed = {}
         if k not in self._packed:
             gf = self.f.gf
-            neg_low = [gf.neg(c) for c in self.f.coeffs[:-1]]
+            neg_low = gf.neg_vec(self.f.coeffs[:-1])
             self._packed[k] = (_pack(gf, neg_low, k), _pack(gf, self._recip, k))
         return self._packed[k]
 

@@ -43,20 +43,19 @@ class Series:
     TEXT = ("?", 1)
 
     def __init__(self, gf: GF, v: int, coeffs, prec=None):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if prec is not None:
-            cut = int(prec) - v
-            if cut < len(coeffs):
-                coeffs = coeffs[: max(cut, 0)]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            v += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+            prec = int(prec)
+            coeffs = coeffs[: prec - v] if prec > v else ()
+        start, end = 0, len(coeffs)
+        while start < end and coeffs[start] == 0:
+            start += 1
+        while end > start and coeffs[end - 1] == 0:
+            end -= 1
         self.gf = gf
-        self.coeffs = tuple(coeffs)
-        self.v = v if coeffs else 0
-        self.prec = int(prec) if prec is not None else None
+        self.coeffs = coeffs[start:end]
+        self.v = v + start if end > start else 0
+        self.prec = prec
 
     # -- constructors --
 
@@ -131,29 +130,24 @@ class Series:
     def _new(self, v, coeffs, prec):
         return type(self)(self.gf, v, coeffs, prec)
 
-    def __add__(self, other):
+    def _combine(self, other, vec_op):
+        # align the digits at the lower valuation; a zero operand adds no span
         self._check(other)
-        gf = self.gf
-        prec = _min_prec(self.prec, other.prec)
-        if self.is_zero():
-            return self._new(other.v, other.coeffs, prec)
-        if other.is_zero():
-            return self._new(self.v, self.coeffs, prec)
-        lo = min(self.v, other.v)
-        hi = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
-        vec = [0] * (hi - lo)
-        for k, c in self.terms():
-            vec[k - lo] = c
-        for k, c in other.terms():
-            vec[k - lo] = gf.add(vec[k - lo], c)
-        return self._new(lo, vec, prec)
+        a, b = self.coeffs, other.coeffs
+        va = self.v if a else other.v
+        vb = other.v if b else va
+        lo = min(va, vb)
+        vec = vec_op((0,) * (va - lo) + a, (0,) * (vb - lo) + b)
+        return self._new(lo, vec, _min_prec(self.prec, other.prec))
 
-    def __neg__(self):
-        gf = self.gf
-        return self._new(self.v, [gf.neg(c) for c in self.coeffs], self.prec)
+    def __add__(self, other):
+        return self._combine(other, self.gf.add_vec)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, self.gf.sub_vec)
+
+    def __neg__(self):
+        return self._new(self.v, self.gf.neg_vec(self.coeffs), self.prec)
 
     def __mul__(self, other):
         self._check(other)
@@ -176,8 +170,7 @@ class Series:
         return self._new(v, (x * y).coeffs, prec)
 
     def scale(self, c: int):
-        gf = self.gf
-        return self._new(self.v, [gf.mul(c, x) for x in self.coeffs], self.prec)
+        return self._new(self.v, self.gf.scale_vec(c, self.coeffs), self.prec)
 
     def shifted(self, k: int):
         """Multiply by the k-th power of the uniformizer."""
@@ -320,8 +313,8 @@ class InfLaurent(Series):
 
     @classmethod
     def from_poly(cls, f: Poly):
-        gf = f.gf
-        return cls.from_terms(gf, {-i: c for i, c in enumerate(f.coeffs) if c})
+        # T^i = u^-i: the digits are f's coefficients, highest degree first
+        return cls(f.gf, 1 - len(f.coeffs), f.coeffs[::-1])
 
     @classmethod
     def from_ratfn(cls, x, prec):
@@ -350,11 +343,12 @@ class VqElem(Series):
         """Embed via 1/T = -s^(q-1); valuations scale by the ramification q-1."""
         gf = x.gf
         e = gf.q - 1
-        out = {}
-        for k, c in x.terms():
-            out[e * k] = gf.neg(c) if k % 2 else c  # u^k = (-1)^k s^((q-1)k)
-        prec = None if x.prec is None else e * x.prec
-        return cls.from_terms(gf, out, prec)
+        # u^k = (-1)^k s^((q-1)k): digits at odd k change sign
+        digits = list(x.coeffs)
+        digits[(x.v + 1) % 2 :: 2] = gf.neg_vec(digits[(x.v + 1) % 2 :: 2])
+        out = [0] * (e * len(digits) - e + 1) if digits else []
+        out[::e] = digits
+        return cls(gf, e * x.v, out, None if x.prec is None else e * x.prec)
 
     @classmethod
     def from_poly(cls, f: Poly) -> "VqElem":
@@ -364,13 +358,10 @@ class VqElem(Series):
         """Inverse of the embedding; requires support on exponents = 0 mod (q-1)."""
         gf = self.gf
         e = gf.q - 1
-        out = {}
-        for k, c in self.terms():
-            if k % e:
-                raise DomainError(
-                    f"digit at s-exponent {k} is outside the base-field lattice"
-                )
-            j = k // e
-            out[j] = gf.neg(c) if j % 2 else c
-        prec = None if self.prec is None else -(-self.prec // e)
-        return InfLaurent.from_terms(gf, out, prec)
+        k = next((k for k, c in self.terms() if k % e), None)
+        if k is not None:
+            raise DomainError(f"digit at s-exponent {k} is outside the base-field lattice")
+        # every nonzero digit, the first one too, sits at a multiple of q - 1
+        digits, j = list(self.coeffs[::e]), self.v // e
+        digits[(j + 1) % 2 :: 2] = gf.neg_vec(digits[(j + 1) % 2 :: 2])
+        return InfLaurent(gf, j, digits, None if self.prec is None else -(-self.prec // e))

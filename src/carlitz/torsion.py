@@ -151,14 +151,11 @@ def _echelon(gf, rows, width: int) -> list:
         if i is None:
             continue
         row = rows.pop(i)
-        inv = gf.inv(row[col])
-        row = [gf.mul(inv, x) for x in row]
+        row = gf.scale_vec(gf.inv(row[col]), row)
         for other in rows + reduced:
             c = other[col]
             if c:
-                c = gf.neg(c)
-                for j in range(col, width):
-                    other[j] = gf.add(other[j], gf.mul(c, row[j]))
+                other[col:] = gf.sub_vec(other[col:], gf.scale_vec(c, row[col:]))
         reduced.append(row)
     return reduced
 
@@ -219,8 +216,8 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     # digit where two points differ is c_j at b_j's leading position
     points = [[0] * width]
     for b in reversed(basis):
-        multiples = [[gf.mul(c, x) for x in b] for c in range(1, q)]
-        points += [list(map(gf.add, m, p)) for m in multiples for p in points]
+        multiples = [gf.scale_vec(c, b) for c in range(1, q)]
+        points += [gf.add_vec(m, p) for m in multiples for p in points]
     return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
 
 

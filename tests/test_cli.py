@@ -4,8 +4,13 @@ JSON output is well formed, and failures map to the documented exit codes."""
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from carlitz.cli import main
+from carlitz.cli import main, parse_fraction
+from carlitz.errors import DomainError
+from carlitz.gf import GF
+from carlitz.poly import Poly, RatFn
 
 
 def run(capsys, *argv):
@@ -101,6 +106,39 @@ def test_tangent_and_family(capsys):
     assert "true" in out
     out = run_ok(capsys, "family", "--q", "3", "--f1", "1/T", "--f2", "0")
     assert "1/(T+1)" in out
+
+
+def test_tangent_reads_a_side_that_starts_with_a_coefficient_in_parens(capsys):
+    # the outer pair encloses the whole numerator; the inner one is (w+1)
+    gf = GF(2, 2)
+    assert parse_fraction("((w+1)*T+1)/T", gf) == RatFn(Poly(gf, [1, 3]), Poly.T(gf))
+    out = run_ok(capsys, "tangent", "--q", "4", "--f1", "((w+1)*T+1)/T", "--f2", "0")
+    assert out == "false\n"
+
+
+def test_parse_fraction_keeps_parens_that_do_not_enclose_the_side():
+    gf = GF(2, 2)
+    # the first pair closes before the side ends: nothing is removed
+    assert parse_fraction("(w+1)*T+(w+1)/T", gf) == RatFn(Poly(gf, [3, 3]), Poly.T(gf))
+    # an unclosed pair is a syntax error, not a cue to drop the last character
+    with pytest.raises((ValueError, DomainError)):
+        parse_fraction("(T+12/T", gf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([GF(2, 2), GF(3, 2)]).flatmap(
+    lambda gf: st.tuples(*[st.lists(st.integers(0, gf.q - 1), max_size=5).map(lambda c: Poly(gf, c))] * 2)
+))
+@example((Poly(GF(2, 2), [0, 3]), Poly(GF(2, 2), [0, 1])))  # ((w+1))/T before reduction
+@example((Poly(GF(3, 2), [1]), Poly(GF(3, 2), [])))  # inf
+def test_parse_fraction_reads_back_printed_fractions(pair):
+    num, den = pair
+    assume(not (num.is_zero() and den.is_zero()))
+    f = RatFn(num, den)
+    gf = num.gf
+    assert parse_fraction(str(f), gf) == f
+    if not f.is_infinity():
+        assert parse_fraction(f"({f.num})/({f.den})", gf) == f
 
 
 def test_descartes_subcommands(capsys):

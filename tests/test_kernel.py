@@ -1,5 +1,7 @@
 """The packed F_q[T] kernel against the schoolbook definitions, series
-multiply and inverse on that kernel against the digit loops, the V_q
+multiply and inverse on that kernel against the digit loops, Poly and
+Series add, subtract, negate and scale by coefficient vectors against the
+per-digit loops and the series precision contract, the V_q
 torsion kernel against the per-candidate digit search, the orbit Eisenstein
 sum against the sum over every nonzero lattice element, top-down powers
 against bottom-up square-and-multiply, q-power exponentiation in F_q[T]/P^N
@@ -82,7 +84,7 @@ def school_divmod(a: Poly, b: Poly):
             f = gf.mul(c, inv_lc)
             quo[i - db] = f
             for j, y in enumerate(b.coeffs):
-                rem[i - db + j] = gf.sub(rem[i - db + j], gf.mul(f, y))
+                rem[i - db + j] = gf.add(rem[i - db + j], gf.neg(gf.mul(f, y)))
     return Poly(gf, quo), Poly(gf, rem)
 
 
@@ -445,6 +447,227 @@ def test_series_inverse_precision_contract(args, data):
     elif isinstance(fine, Series):
         # only a request beyond the coarser input's own precision can fail
         assert rough is DomainError
+
+
+# ---------------------------------------------------------------- coefficient vectors
+
+# F_2 .. F_25 and the largest prime field under the cap
+VEC_FIELDS = [FIELDS[q] for q in (2, 3, 4, 5, 8, 9, 25)] + [GF(2**40 - 87)]
+
+
+def school_series(cls, gf, v, coeffs, prec):
+    """cls(gf, v, coeffs, prec) normalized by the digit loop: cut at prec,
+    pop leading zeros one at a time, then trailing zeros."""
+    coeffs = list(coeffs)
+    if prec is not None and prec - v < len(coeffs):
+        coeffs = coeffs[: max(prec - v, 0)]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        v += 1
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    x = cls.__new__(cls)
+    x.gf, x.v, x.coeffs, x.prec = gf, v if coeffs else 0, tuple(coeffs), prec
+    return x
+
+
+def school_add(a, b):
+    """a + b by one gf.add per digit: the shorter Poly vector added into a
+    copy of the longer one, or both series' terms scattered into one vector."""
+    gf = a.gf
+    if isinstance(a, Poly):
+        x, y = (a.coeffs, b.coeffs) if len(a.coeffs) >= len(b.coeffs) else (b.coeffs, a.coeffs)
+        out = list(x)
+        for i, c in enumerate(y):
+            out[i] = gf.add(out[i], c)
+        return Poly(gf, out)
+    prec = _min_prec(a.prec, b.prec)
+    if a.is_zero():
+        return school_series(type(a), gf, b.v, b.coeffs, prec)
+    if b.is_zero():
+        return school_series(type(a), gf, a.v, a.coeffs, prec)
+    lo = min(a.v, b.v)
+    vec = [0] * (max(a.v + len(a.coeffs), b.v + len(b.coeffs)) - lo)
+    for k, c in a.terms():
+        vec[k - lo] = c
+    for k, c in b.terms():
+        vec[k - lo] = gf.add(vec[k - lo], c)
+    return school_series(type(a), gf, lo, vec, prec)
+
+
+def school_neg(a):
+    gf = a.gf
+    out = [gf.neg(c) for c in a.coeffs]
+    return Poly(gf, out) if isinstance(a, Poly) else school_series(type(a), gf, a.v, out, a.prec)
+
+
+def school_scale(c, a):
+    gf = a.gf
+    out = [gf.mul(c, x) for x in a.coeffs]
+    return Poly(gf, out) if isinstance(a, Poly) else school_series(type(a), gf, a.v, out, a.prec)
+
+
+def school_from_inf(x: InfLaurent) -> VqElem:
+    """VqElem.from_inf through a dict of exponents, one gf.neg per odd one."""
+    gf = x.gf
+    e = gf.q - 1
+    out = {}
+    for k, c in x.terms():
+        out[e * k] = gf.neg(c) if k % 2 else c
+    prec = None if x.prec is None else e * x.prec
+    if not out:
+        return school_series(VqElem, gf, 0, (), prec)
+    lo = min(out)
+    vec = [0] * (max(out) - lo + 1)
+    for k, c in out.items():
+        vec[k - lo] = c
+    return school_series(VqElem, gf, lo, vec, prec)
+
+
+def school_to_inf(x: VqElem) -> InfLaurent:
+    """VqElem.to_inf through a dict of exponents, one gf.neg per odd one."""
+    gf = x.gf
+    e = gf.q - 1
+    out = {}
+    for k, c in x.terms():
+        if k % e:
+            raise DomainError(f"digit at s-exponent {k} is outside the base-field lattice")
+        out[k // e] = gf.neg(c) if k // e % 2 else c
+    return InfLaurent.from_terms(gf, out, None if x.prec is None else -(-x.prec // e))
+
+
+def vec_digits(gf, max_len):
+    """Digits that often start or end in zeros and reach 0, 1 and q - 1."""
+    elem = st.sampled_from([0, 1, gf.q - 1]) | st.integers(0, gf.q - 1)
+    zeros = st.lists(st.just(0), max_size=4)
+    return st.tuples(zeros, st.lists(elem, max_size=max_len), zeros).map(lambda t: t[0] + t[1] + t[2])
+
+
+@st.composite
+def vec_series(draw, gf, cls, max_len=40):
+    """A series with a valuation in -8..8: exact, truncated, or a zero of
+    either kind, before the constructor trims its zeros."""
+    v = draw(st.integers(-8, 8))
+    digits = draw(vec_digits(gf, max_len))
+    prec = draw(st.none() | st.integers(v - 3, v + len(digits) + 6))
+    return v, digits, prec
+
+
+@st.composite
+def vec_args(draw, kind):
+    """Two operands of one type over one field, and a scalar."""
+    gf = draw(st.sampled_from(VEC_FIELDS))
+    c = draw(st.sampled_from([0, 1, gf.q - 1]) | st.integers(0, gf.q - 1))
+    if kind is Poly:
+        return Poly(gf, draw(vec_digits(gf, 40))), Poly(gf, draw(vec_digits(gf, 40))), c
+    cls = draw(st.sampled_from([InfLaurent, VqElem]))
+    return cls(gf, *draw(vec_series(gf, cls))), cls(gf, *draw(vec_series(gf, cls))), c
+
+
+def check_vector_ops(a, b, c):
+    assert a + b == school_add(a, b)
+    assert a - b == school_add(a, school_neg(b))
+    assert b - a == school_add(b, school_neg(a))
+    assert -a == school_neg(a)
+    assert a.scale(c) == school_scale(c, a)
+    # cancellation: an exact zero, or a zero truncated at a's precision
+    assert a - a == school_add(a, school_neg(a))
+    assert (a - a).is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec_args(Poly))
+@example((Poly(GF(2**40 - 87), [2**40 - 88, 5, 0]), Poly(GF(2**40 - 87), [1, 2**40 - 92]), 2**40 - 88))
+@example((Poly(FIELDS[9], [3, 0, 7]), Poly(FIELDS[9], [6, 1, 7]), 0))  # the top digits cancel
+def test_poly_vector_ops_match_digit_loops(args):
+    check_vector_ops(*args)
+
+
+@settings(max_examples=250, deadline=None)
+@given(vec_args(Series))
+@example((_vq(3, 0, [], None), _vq(3, -2, [0, 1, 2, 0], 5), 2))  # exact zero
+@example((_vq(4, 0, [], 4), _vq(4, 7, [1, 2], None), 3))  # truncated zero
+@example((_vq(25, -8, [7] * 20, 10), _vq(25, 8, [3] * 20, None), 24))  # disjoint spans
+@example((_vq(5, -3, [1, 2, 3], None), _vq(5, -3, [4, 3], None), 1))  # leading digits cancel
+def test_series_vector_ops_match_digit_loops(args):
+    check_vector_ops(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VEC_FIELDS).flatmap(lambda gf: st.tuples(st.just(gf), vec_series(gf, VqElem))))
+@example((FIELDS[3], (-2, [0, 0, 1, 0, 2, 0, 0], 1)))  # zeros trimmed at both ends and by prec
+@example((FIELDS[3], (4, [0, 0, 0], 9)))  # all zeros: a truncated zero
+@example((FIELDS[3], (4, [1, 2], 2)))  # prec below v: a truncated zero
+def test_series_constructor_matches_digit_loop(args):
+    gf, (v, digits, prec) = args
+    assert VqElem(gf, v, digits, prec) == school_series(VqElem, gf, v, digits, prec)
+    assert VqElem(gf, v, tuple(digits), prec) == school_series(VqElem, gf, v, digits, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VEC_FIELDS[:-1]).flatmap(lambda gf: st.tuples(st.just(gf), vec_series(gf, InfLaurent))))
+@example((FIELDS[3], (-3, [1, 2, 0, 1], 1)))  # odd v, truncated
+@example((FIELDS[5], (-3, [2, 2, 4, 1, 3], None)))  # odd v, exact
+@example((FIELDS[2], (1, [1, 1], None)))  # q = 2: ramification 1 and -1 = 1
+@example((FIELDS[9], (0, [], 3)))  # truncated zero
+def test_from_inf_and_to_inf_match_dict_versions(args):
+    gf, (v, digits, prec) = args
+    x = InfLaurent(gf, v, digits, prec)
+    assert VqElem.from_inf(x) == school_from_inf(x)
+    assert VqElem.from_inf(x).to_inf() == x
+    # a precision off the lattice rounds up; a digit off it raises
+    y = VqElem(gf, v, digits, prec)
+    assert outcome(y.to_inf) == outcome(school_to_inf, y)
+    f = Poly(gf, digits)
+    assert InfLaurent.from_poly(f) == InfLaurent.from_terms(gf, {-i: c for i, c in enumerate(f.coeffs) if c})
+    assert VqElem.from_poly(f) == school_from_inf(InfLaurent.from_poly(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inverse_args(max_len=12), st.integers(1, 3), st.integers(-4, 30))
+@example((_vq(3, -1, [1], None), None), 1, 16)  # exact single term
+@example((_vq(3, -1, [1, 2, 1], 30), None), 2, 16)  # truncated multi-term
+@example((_vq(5, 2, [3, 1], 4), None), 1, 20)  # alpha's own precision binds: O(s^-6)
+def test_eisenstein_term_matches_inverse_then_power(args, k, prec):
+    # alpha^(-e) as one inverse of alpha^e claims exactly the digits of the
+    # inverse of alpha at the longer precision raised to the e-th power
+    alpha = args[0]
+    e = (alpha.gf.q - 1) * k
+    old = outcome(lambda: alpha.inverse(prec=max(prec + (e - 1) * alpha.v, -alpha.v + 1)) ** e)
+    new = outcome(lambda: (alpha**e).inverse(prec=max(prec, 1 - e * alpha.v)))
+    assert new == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs(), st.data())
+def test_series_add_sub_precision_contract(pair, data):
+    # truncating either operand changes no digit the coarser sum or
+    # difference claims
+    a, b = pair
+    top = a.prec if a.prec is not None else a.v + len(a.coeffs) + 4
+    coarse = a.truncate(data.draw(st.integers(min(a._veff(), top) - 3, top)))
+    for fine, rough in [(a + b, coarse + b), (b + a, b + coarse), (a - b, coarse - b), (b - a, b - coarse)]:
+        assert rough.prec is not None
+        assert rough.agrees(fine)
+        assert fine.prec is None or rough.prec <= fine.prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs(max_len=40), st.data())
+def test_series_frobenius_truncate_precision_contract(pair, data):
+    # a coarser input changes no digit the coarser q-th power or truncation claims
+    x = pair[0]
+    top = x.prec if x.prec is not None else x.v + len(x.coeffs) + 4
+    low = min(x._veff(), top) - 3
+    coarse = x.truncate(data.draw(st.integers(low, top)))
+    fine, rough = x.frobenius(), coarse.frobenius()
+    assert rough.agrees(fine)
+    assert rough.prec == x.gf.q * coarse.prec
+    assert fine.prec is None or rough.prec <= fine.prec
+    cut = data.draw(st.integers(low, top + 3))
+    assert coarse.truncate(cut).agrees(x.truncate(cut))
+    assert x.truncate(cut).agrees(x)
+    assert x.truncate(cut).prec == _min_prec(x.prec, cut)
 
 
 def test_carlitz_exp_at_precision_300():
