@@ -231,10 +231,6 @@ class GF:
             return pow(a, e, self.p)
         return square_multiply(a, e, self.mul) if e else 1
 
-    def frob(self, a: int) -> int:
-        """Frobenius x -> x^p."""
-        return self.pow(a, self.p)
-
     def primitive_element(self) -> int:
         """A generator of the multiplicative group F_q^*."""
         n = self.q - 1

@@ -262,12 +262,12 @@ def carlitz_act(M: Poly, u):
 
     rho_M = sum a_k rho_T^k, so Horner's rule in rho_T gives
     v <- rho_T(v) + a_k u = v^q + T v + a_k u from k = deg M down to 0,
-    with no operator coefficients built.
+    with no operator coefficients built.  Each ring's ``rho_T`` takes one
+    step without a ring product.
     """
-    T = u.from_poly(Poly.T(M.gf))
     v = u.from_poly(Poly.zero(M.gf))
     for a in reversed(M.coeffs):
-        v = v.frobenius() + T * v
+        v = v.rho_T()
         if a:
             v = v + u.scale(a)
     return v

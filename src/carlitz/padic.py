@@ -65,7 +65,8 @@ class PadicElem:
         if not isinstance(other, PadicElem) or (other.ctx is not self.ctx and other.ctx != self.ctx):
             raise DomainError("operands live in different completions")
 
-    # reps are reduced mod P^N, and so are their sums and negatives
+    # reps are reduced mod P^N, and so are their sums, negatives and F_q
+    # multiples
 
     def __add__(self, other):
         self._check(other)
@@ -79,7 +80,7 @@ class PadicElem:
         return PadicElem(self.ctx, -self.rep)
 
     def scale(self, a: int) -> "PadicElem":
-        return self.ctx.elem(self.rep.scale(a))
+        return PadicElem(self.ctx, self.rep.scale(a))
 
     def __mul__(self, other):
         self._check(other)
@@ -112,6 +113,10 @@ class PadicElem:
     def frobenius(self) -> "PadicElem":
         """The q-th power."""
         return self ** self.ctx.gf.q
+
+    def rho_T(self) -> "PadicElem":
+        """The Carlitz step u^q + T*u, reduced once."""
+        return self.ctx.elem(self.rep.rho_T())
 
     def __pow__(self, e: int):
         if e < 0:

@@ -183,6 +183,10 @@ class Poly:
                 out[q * i] = c
         return Poly(self.gf, out)
 
+    def rho_T(self):
+        """The Carlitz step u^q + T*u."""
+        return self.frobenius() + self.shift(1)
+
     def shift(self, k: int):
         """Multiply by T^k."""
         if self.is_zero():
@@ -697,15 +701,15 @@ class RatFn:
 
     def __str__(self):
         """inf, a polynomial, or num/den with a side in parens when it has
-        more than one term: 1/T, (T+1)/T^2."""
+        more than one nonzero T-term: 1/T, (T+1)/T^2, (w+1)/T over F_4."""
         if self.is_infinity():
             return "inf"
         if self.den == Poly.one(self.gf):
             return str(self.num)
 
         def wrap(p):
-            s = str(p)
-            return f"({s})" if "+" in s else s
+            multi = sum(1 for c in p.coeffs if c) > 1
+            return f"({p})" if multi else str(p)
 
         return f"{wrap(self.num)}/{wrap(self.den)}"
 

@@ -331,6 +331,10 @@ class InfLaurent(Series):
             return num * den.inverse()
         return num * den.inverse(prec=prec - num.v)
 
+    def rho_T(self):
+        """The Carlitz step u^q + T*u; T = u^-1 is a shift."""
+        return self.frobenius() + self.shifted(-1)
+
 
 class VqElem(Series):
     """Laurent series in the uniformizer s of V_q, with T = -s^{-(q-1)}."""
@@ -353,6 +357,10 @@ class VqElem(Series):
     @classmethod
     def from_poly(cls, f: Poly) -> "VqElem":
         return cls.from_inf(InfLaurent.from_poly(f))
+
+    def rho_T(self):
+        """The Carlitz step u^q + T*u; T = -s^(1-q) is a shift and a sign."""
+        return self.frobenius() - self.shifted(1 - self.gf.q)
 
     def to_inf(self) -> InfLaurent:
         """Inverse of the embedding; requires support on exponents = 0 mod (q-1)."""

@@ -44,10 +44,10 @@ def test_gf_field_axioms_sampled(q):
 def test_gf_frobenius_and_primitive(q):
     gf = field(q)
     p = gf.p
+    # x -> x^p is additive
     for a in range(gf.q):
         for b in range(gf.q):
-            assert gf.frob(gf.add(a, b)) == gf.add(gf.frob(a), gf.frob(b))
-        assert gf.frob(a) == gf.pow(a, p)
+            assert gf.pow(gf.add(a, b), p) == gf.add(gf.pow(a, p), gf.pow(b, p))
     g = gf.primitive_element()
     seen = {gf.pow(g, k) for k in range(gf.q - 1)}
     assert len(seen) == gf.q - 1
@@ -194,6 +194,17 @@ def test_ratfn_text_form():
     assert str(RatFn(T + one, T * T)) == "(T+1)/T^2"
     assert str(RatFn(T.scale(2), T + one)) == "2*T/(T+1)"
     assert str(RatFn(T * T + T, T)) == "T+1"
+
+
+def test_ratfn_text_form_parenthesizes_sides_by_t_terms():
+    # a side is wrapped when it has more than one nonzero T-term, not when
+    # its coefficient's text holds a "+"
+    gf = GF(2, 2)
+    T = Poly.T(gf)
+    assert str(RatFn(Poly(gf, [3]), T)) == "(w+1)/T"
+    assert str(RatFn(Poly(gf, [0, 0, 3]), T + Poly.one(gf))) == "(w+1)*T^2/(T+1)"
+    assert str(RatFn(Poly(gf, [1, 3]), T)) == "((w+1)*T+1)/T"
+    assert str(RatFn(Poly.one(gf), Poly(gf, [3, 1]))) == "1/(T+(w+1))"
 
 
 # ---------------------------------------------------------------- residues / ddf

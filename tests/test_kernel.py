@@ -1,21 +1,22 @@
 """The packed F_q[T] kernel against the schoolbook definitions, series
 multiply and inverse on that kernel against the digit loops, Poly and
 Series add, subtract, negate and scale by coefficient vectors against the
-per-digit loops and the series precision contract, the V_q
-torsion kernel against the per-candidate digit search, the orbit Eisenstein
-sum against the sum over every nonzero lattice element, top-down powers
-against bottom-up square-and-multiply, q-power exponentiation in F_q[T]/P^N
-against plain square-and-multiply and the Newton inverse there against the
-extended gcd, the Horner Carlitz action against the operator coefficients of
-the T-step recursion and the operator coefficients by Horner against that
-recursion, the x-polynomial kernel and ddf against their
-coefficient-by-coefficient loops, the Frobenius matrix, irreducibility and
-the residue symbol against pow_mod, the polynomial enumeration against the
-base-q digit loop, euler_phi against a count of units, the F_{p^r}
-modulus and tables against coordinates and schoolbook F_p polynomials,
-Barrett reduction against the division loop, P-adic torsion from a lifted
-basis against one Hensel lift per residue class, and F_q[T]/P^N against
-F_q[T]/P^N' for N' <= N."""
+per-digit loops, the precision contract of series, T-division and Kummer
+roots, the V_q torsion kernel against the per-candidate digit search, the
+orbit Eisenstein sum against the sum over every nonzero lattice element,
+top-down powers against bottom-up square-and-multiply, q-power
+exponentiation in F_q[T]/P^N against plain square-and-multiply and the
+Newton inverse there against the extended gcd, each ring's rho_T step
+against u^q + T*u, the Horner Carlitz action against the operator
+coefficients of the T-step recursion and the operator coefficients by
+Horner against that recursion, the x-polynomial kernel and ddf against
+their coefficient-by-coefficient loops, the Frobenius matrix,
+irreducibility and the residue symbol against pow_mod, the polynomial
+enumeration against the base-q digit loop, euler_phi against a count of
+units, the F_{p^r} modulus and tables against coordinates and schoolbook
+F_p polynomials, Barrett reduction against the division loop, P-adic
+torsion from a lifted basis against one Hensel lift per residue class, and
+F_q[T]/P^N against F_q[T]/P^N' for N' <= N."""
 
 import random
 from itertools import product, zip_longest
@@ -45,10 +46,17 @@ from carlitz.poly import (
     poly_gcd,
     pow_mod,
 )
-from carlitz.reciprocity import residue_symbol
+from carlitz.reciprocity import kummer_solve, residue_symbol
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
-from carlitz.torsion import TorsionSetVq, _slope_data, min_separating_prec, torsion_padic, torsion_vq
+from carlitz.torsion import (
+    TorsionSetVq,
+    _slope_data,
+    divide_T,
+    min_separating_prec,
+    torsion_padic,
+    torsion_vq,
+)
 
 FIELDS = {
     2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7),
@@ -670,6 +678,66 @@ def test_series_frobenius_truncate_precision_contract(pair, data):
     assert x.truncate(cut).prec == _min_prec(x.prec, cut)
 
 
+def coarser(x, data):
+    """x truncated at a drawn precision no finer than its own."""
+    top = x.prec if x.prec is not None else x.v + len(x.coeffs) + 4
+    return x.truncate(data.draw(st.integers(min(x._veff(), top) - 3, top)))
+
+
+@st.composite
+def divide_args(draw):
+    """u in V_q with v(u) from -q - 1 to 8 (divide_T refuses v(u) <= -q),
+    exact or truncated, and an optional working precision."""
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    v = draw(st.integers(-gf.q - 1, 8))
+    digits = draw(st.lists(st.integers(0, gf.q - 1), max_size=20))
+    prec = draw(st.none() | st.integers(v - 3, v + len(digits) + 6))
+    return VqElem(gf, v, digits, prec), draw(st.none() | st.integers(v, v + 24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(divide_args(), st.data())
+def test_divide_T_precision_contract(args, data):
+    # dividing a coarser truncation by T changes no digit a coarser branch claims
+    u, prec = args
+    fine = outcome(divide_T, u, prec)
+    rough = outcome(divide_T, coarser(u, data), prec)
+    if isinstance(fine, list) and isinstance(rough, list):
+        assert len(rough) == len(fine) == u.gf.q
+        assert all(r.agrees(f) for r, f in zip(rough, fine))
+        if u.prec is not None:
+            assert all(r.prec <= f.prec for r, f in zip(rough, fine))
+    elif not isinstance(fine, list):
+        # an argument of valuation <= -q stays refused when truncated; a
+        # truncation at or below -q may be refused when u is not
+        assert rough is fine is PrecisionError
+
+
+@st.composite
+def kummer_args(draw):
+    """M at infinity, exact or truncated, with a root in V_q: its unit part
+    (-T)^m M, m = v(M), has residue 1."""
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    m = draw(st.integers(-6, 6))
+    digits = [gf.neg(1) if m % 2 else 1] + draw(st.lists(st.integers(0, gf.q - 1), max_size=16))
+    prec = draw(st.none() | st.integers(m + 1, m + len(digits) + 6))
+    return InfLaurent(gf, m, digits, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kummer_args(), st.data())
+def test_kummer_solve_precision_contract(M, data):
+    # a root of a coarser truncation changes no digit the coarser root claims
+    fine = kummer_solve(M)
+    rough = outcome(kummer_solve, coarser(M, data))
+    if rough is DomainError:
+        # the truncation left only zero, which has no root
+        return
+    assert rough.agrees(fine)
+    if M.prec is not None:
+        assert rough.prec <= fine.prec
+
+
 def test_carlitz_exp_at_precision_300():
     # five divisions by D_n with up to about 1300 digits: quadratic with the
     # digit loop (over a minute), a few hundredths of a second by reversal
@@ -1284,6 +1352,41 @@ def test_carlitz_act_matches_operator(args):
     assert str(horner) == str(coeffs)
     if isinstance(u, Series):
         assert horner.prec == coeffs.prec
+
+
+@st.composite
+def step_args(draw):
+    """An element of one of the four rings over q in X_FIELDS: a Poly or a
+    P-adic element, zero included, or an exact or truncated series."""
+    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
+    digits = st.lists(st.integers(0, gf.q - 1), max_size=12)
+    ring = draw(st.sampled_from(["poly", "padic", "inf", "vq"]))
+    if ring == "poly":
+        return Poly(gf, draw(digits))
+    if ring == "padic":
+        ctx = PadicCtx(draw(moduli(gf)), draw(st.integers(1, 4)))
+        return ctx.elem(Poly(gf, draw(digits)))
+    return draw(series(gf, InfLaurent if ring == "inf" else VqElem, max_len=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_args())
+@example(InfLaurent(FIELDS[3], 0, [], None))  # exact zero
+@example(VqElem(FIELDS[4], 0, [], None))
+@example(InfLaurent(FIELDS[5], 2, [], 2))  # truncated zero
+@example(VqElem(FIELDS[9], -1, [], 3))
+@example(VqElem(FIELDS[2], -2, [1, 0, 1], 4))  # q = 2: T = s^-1
+@example(VqElem(FIELDS[3], -3, [2, 1], None))  # exact
+@example(Poly(FIELDS[2], []))
+@example(PadicCtx(Poly(FIELDS[9], [3, 1, 0, 1]), 4).zero())
+@example(PadicCtx(Poly(FIELDS[3], [1, 1]), 1).elem(Poly(FIELDS[3], [2])))  # deg P^N = 1
+def test_rho_T_matches_frobenius_plus_T_times(x):
+    gf = x.ctx.gf if isinstance(x, PadicElem) else x.gf
+    step = x.rho_T()
+    oracle = x.frobenius() + x.from_poly(Poly.T(gf)) * x
+    assert type(step) is type(oracle)
+    assert str(step) == str(oracle)
+    assert getattr(step, "prec", None) == getattr(oracle, "prec", None)
 
 
 def tstep_operator(M: Poly, modulus=None) -> list:
