@@ -63,7 +63,7 @@ def _valuation_or_none(x):
 
 
 def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool = False):
-    """e(z) = sum over n of (-1)^n z^(q^n) / D_n, truncated with a rigorous
+    """e(z) = sum over n of z^(q^n) / D_n, truncated with a rigorous
     tail check: once the term valuations first rise they must strictly
     increase, and they must pass the precision cutoff within the term budget."""
     budget = budget or SeriesBudget()

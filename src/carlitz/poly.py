@@ -412,6 +412,16 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
     return x % modulus
 
 
+# Modulus.frobenius takes h^q mod f as the spread h(T^q) and one reduce while
+# the spread packs at most this many slots, (2r - 1) q (deg f - 1); above it,
+# square-and-multiply through reduce, the only route that runs at large q.
+# Rabin's test on random monic f of degree n, spread time over
+# square-and-multiply time (Python 3.11, 2-vCPU x86-64): 0.64 at
+# (q, n) = (3, 128), 0.83 at (257, 2), 1.29 at (257, 3), 0.89 at (9, 12),
+# 1.23 at (9, 16), 0.86 at (16, 4), 1.50 at (16, 6), 5.9 at (256, 2).
+SPREAD_MAX_SLOTS = 400
+
+
 class Modulus:
     """Reduction mod a fixed nonzero f by two packed products (Barrett;
     von zur Gathen-Gerhard, Modern Computer Algebra, 9.1).
@@ -468,83 +478,37 @@ class Modulus:
         rem = _pack(gf, a.coeffs[:n], k) + _pack(gf, quo[::-1], k) * self._operands(m, k)[0]
         return Poly(gf, _unpack(gf, rem & ((1 << (n * group * k)) - 1), n, k))
 
-
-class FrobeniusMatrix:
-    """The q-th power map h -> h^q on F_q[T]/f, for f of degree n >= 1.
-
-    The map is F_q-linear, (sum c_i T^i)^q = sum c_i T^(iq), so its matrix
-    has rows T^(iq) mod f for i < n: Berlekamp's Q-matrix (von zur
-    Gathen-Gerhard, Modern Computer Algebra, ch. 14).  The rows are packed
-    into one int, row i at block n-1-i of n coefficient groups each.  A
-    reduced h spread to one coefficient per block then meets row i at block
-    n-1 exactly in the product h_i * row_i, so one bigint multiply applies
-    the matrix.  A slot of a block sums at most n products of two
-    coefficients, which bounds it by n r (p-1)^2.
-    """
-
-    __slots__ = ("f", "_k", "_block", "_rows")
-
-    def __init__(self, f: Poly):
-        gf, n = f.gf, f.degree
-        self.f = f
-        self._k = _slot_bytes(n * gf.r * (gf.p - 1) ** 2)
-        self._block = n * (2 * gf.r - 1) * 8 * self._k
-        rows = [Poly.one(gf)]
-        if n > 1:
-            x = pow_mod(Poly.T(gf), gf.q, f)
-            while len(rows) < n:
-                rows.append((rows[-1] * x) % f)
-        coeffs = []
-        for row in reversed(rows):
-            coeffs += row.coeffs + (0,) * (n - len(row.coeffs))
-        self._rows = _pack(gf, coeffs, self._k)
-
-    def apply(self, h: Poly) -> Poly:
+    def frobenius(self, h: Poly) -> Poly:
         """h^q mod f for h reduced mod f."""
-        gf, n, k = h.gf, self.f.degree, self._k
-        if not h.coeffs:
-            return h
-        spread = [0] * (n * len(h.coeffs))
-        spread[::n] = h.coeffs
-        block = (_pack(gf, spread, k) * self._rows) >> (self._block * (n - 1))
-        return Poly(gf, _unpack(gf, block & ((1 << self._block) - 1), n, k))
-
-    def is_irreducible(self) -> bool:
-        """Rabin's test on f: T^(q^n) = T mod f, and gcd(f, T^(q^(n/l)) - T)
-        = 1 for every prime l dividing n."""
-        f, n = self.f, self.f.degree
-        if n == 1:
-            return True
-        T = Poly.T(f.gf)
-        # prime divisors of n
-        primes, m = [], n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.append(m)
-        # powers[k] = T^{q^k} mod f
-        powers = [T]
-        for _ in range(n):
-            powers.append(self.apply(powers[-1]))
-        if powers[n] != T:
-            return False
-        for pdiv in primes:
-            g = powers[n // pdiv] - T
-            if g.is_zero() or poly_gcd(f, g).degree > 0:
-                return False
-        return True
+        gf, n = self.f.gf, self.f.degree
+        if (2 * gf.r - 1) * gf.q * (n - 1) <= SPREAD_MAX_SLOTS:
+            return self.reduce(h.frobenius())
+        return square_multiply(h, gf.q, lambda x, y: self.reduce(x * y))
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's criterion via gcd(f, T^{q^k} - T) ladders."""
-    if f.degree < 1:
+    """Rabin's test: T^(q^n) = T mod f, and gcd(f, T^(q^(n/l)) - T) = 1 for
+    every prime l dividing n = deg f (Rosen, Number Theory in Function
+    Fields, ch. 3)."""
+    n = f.degree
+    if n < 1:
         raise DomainError("irreducibility is defined for degree >= 1")
-    return FrobeniusMatrix(f).is_irreducible()
+    if n == 1:
+        return True
+    mod, T = Modulus(f), Poly.T(f.gf)
+    # powers[k] = T^(q^k) mod f
+    powers = [T]
+    for _ in range(n):
+        powers.append(mod.frobenius(powers[-1]))
+    if powers[n] != T:
+        return False
+    for l in range(2, n + 1):
+        if n % l or any(l % e == 0 for e in range(2, l)):
+            continue
+        g = powers[n // l] - T
+        if g.is_zero() or poly_gcd(f, g).degree > 0:
+            return False
+    return True
 
 
 def all_polys(gf: GF, n: int, monic: bool = False):

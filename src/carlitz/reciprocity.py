@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly, carlitz_act, carlitz_operator
-from .poly import FrobeniusMatrix, Poly, euler_phi, poly_gcd
+from .poly import Poly, euler_phi, is_irreducible, poly_gcd
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -26,45 +26,53 @@ __all__ = [
 ]
 
 
-# P's Frobenius matrix, once P has passed Rabin's test: a function of P alone,
-# so the symbols for every A and d share it.  A failed test raises and is not
+# That P is monic irreducible: a function of P alone, so the symbols for
+# every A and d share one Rabin test.  A failed test raises and is not
 # cached.  cache_info() reports hits, misses and size.
 @functools.lru_cache(maxsize=512)
-def _prime_frobenius(P: Poly) -> FrobeniusMatrix:
-    if P.degree < 1 or not P.is_monic():
+def _check_prime(P: Poly) -> None:
+    if P.degree < 1 or not P.is_monic() or not is_irreducible(P):
         raise DomainError(f"{P} is not monic irreducible")
-    frob = FrobeniusMatrix(P)
-    if not frob.is_irreducible():
-        raise DomainError(f"{P} is not monic irreducible")
-    return frob
+
+
+def _norm(a: Poly, P: Poly) -> int:
+    """N(a) from F_q[T]/P to F_q for monic P: the resultant Res(P, a), by
+    Euclid's algorithm (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 6).  With f = s*g + r, Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f -
+    deg r) Res(g, r), and Res(f, c) = c^(deg f) for a constant c."""
+    gf = P.gf
+    f, g, res = P, a, 1
+    while g.degree > 0:
+        r = f % g
+        if r.is_zero():
+            return 0
+        if f.degree * g.degree % 2:
+            res = gf.neg(res)
+        res = gf.mul(res, gf.pow(g.lc, f.degree - r.degree))
+        f, g = g, r
+    return gf.mul(res, gf.pow(g.lc, f.degree)) if g.coeffs else 0
 
 
 def residue_symbol(A: Poly, P: Poly, d: int) -> int:
     """The d-th power residue symbol (A/P)_d = A^((q^r - 1)/d) mod P in F_q^*.
 
     The symbol is 1 exactly when A is a d-th power residue mod P.  It is
-    computed as N(a)^((q-1)/d) with a = A mod P and the norm
-    N(a) = a^(1 + q + ... + q^(r-1)), the product of a's r conjugates, each
-    one application of P's Frobenius matrix (Rosen, Number Theory in Function
-    Fields, ch. 3).  P's matrix and its irreducibility check are built once
-    per P and kept in a bounded memo.
+    computed as N(a)^((q-1)/d) with a = A mod P and N(a) = a^(1 + q + ... +
+    q^(r-1)) the norm to F_q (Rosen, Number Theory in Function Fields,
+    ch. 3), taken as the resultant Res(P, a).  P's irreducibility check is
+    run once per P and kept in a bounded memo.
     """
     gf = P.gf
     if d < 1 or (gf.q - 1) % d != 0:
         raise DomainError(f"d = {d} does not divide q - 1 = {gf.q - 1}")
-    frob = _prime_frobenius(P)
+    _check_prime(P)
     a = A % P
     if a.is_zero():
         raise DomainError(f"{A} is not coprime to {P}")
-    norm = conj = a
-    for _ in range(P.degree - 1):
-        conj = frob.apply(conj)
-        norm = (norm * conj) % P
-    if not norm.is_const():
-        raise CarlitzError(
-            f"symbol computation left the constant field: {norm} mod {P}"
-        )
-    return gf.pow(norm[0], (gf.q - 1) // d)
+    norm = _norm(a, P)
+    if norm == 0:
+        raise CarlitzError(f"the norm of {a} mod {P} is 0")
+    return gf.pow(norm, (gf.q - 1) // d)
 
 
 def check_reciprocity(P: Poly, Q: Poly, d: int):

@@ -10,8 +10,8 @@ Newton inverse there against the extended gcd, each ring's rho_T step
 against u^q + T*u, the Horner Carlitz action against the operator
 coefficients of the T-step recursion and the operator coefficients by
 Horner against that recursion, the x-polynomial kernel and ddf against
-their coefficient-by-coefficient loops, the Frobenius matrix,
-irreducibility and the residue symbol against pow_mod, the polynomial
+their coefficient-by-coefficient loops, the q-th power mod f,
+irreducibility, the norm and the residue symbol against pow_mod, the polynomial
 enumeration against the base-q digit loop, euler_phi against a count of
 units, the F_{p^r} modulus and tables against coordinates and schoolbook
 F_p polynomials, Barrett reduction against the division loop, P-adic
@@ -31,7 +31,6 @@ from carlitz.gf import GF
 from carlitz.operator import AdditiveOperator, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
-    FrobeniusMatrix,
     Modulus,
     Poly,
     _factor,
@@ -46,7 +45,7 @@ from carlitz.poly import (
     poly_gcd,
     pow_mod,
 )
-from carlitz.reciprocity import kummer_solve, residue_symbol
+from carlitz.reciprocity import _norm, kummer_solve, residue_symbol
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import (
@@ -1430,12 +1429,12 @@ def test_operator_coefficients_match_t_steps(q):
                 assert carlitz_operator(M, modulus).coeffs == want, (M, modulus)
 
 
-# ---------------------------------------------------------------- Frobenius matrix mod f
+# ---------------------------------------------------------------- q-th powers mod f
 
 
 def rabin_pow_mod(f: Poly) -> bool:
-    """Rabin's test with each T^(q^k) mod f by square-and-multiply, as
-    is_irreducible computed it before the Frobenius matrix."""
+    """Rabin's test with each T^(q^k) mod f by pow_mod, independent of
+    Modulus and of its route choice."""
     n = f.degree
     if n == 1:
         return True
@@ -1470,23 +1469,46 @@ def frobenius_args(draw):
     return f, h
 
 
+# prime fields where q (deg f - 1) passes SPREAD_MAX_SLOTS at small deg f
+LARGE_FIELDS = {q: GF(q) for q in (257, 10007, 1000003, 4294967311, 2**40 - 87)}
+
+
 def _frob_args(q, n, seed):
     """A random monic f of degree n and h with every coefficient q - 1."""
+    gf = FIELDS.get(q) or LARGE_FIELDS[q]
     rng = random.Random(seed)
-    return Poly(FIELDS[q], [rng.randrange(q) for _ in range(n)] + [1]), Poly(FIELDS[q], [q - 1] * n)
+    return Poly(gf, [rng.randrange(q) for _ in range(n)] + [1]), Poly(gf, [q - 1] * n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(frobenius_args())
 @example(_frob_args(7, 30, 1))  # slot sums near 30 * 36: two-byte slots
 @example(_frob_args(27, 30, 2))  # r = 3, slot sums near 30 * 12
-@example(_frob_args(5, 1, 3))  # deg f = 1: the matrix is (1)
+@example(_frob_args(5, 1, 3))  # deg f = 1: h^q = h
 @example((Poly(FIELDS[4], [1, 0, 1]), Poly(FIELDS[4], [])))  # h = 0
-def test_frobenius_matrix_matches_pow_mod(args):
+# square-and-multiply: (2r - 1) q (deg f - 1) above SPREAD_MAX_SLOTS
+@example(_frob_args(257, 8, 4))
+@example(_frob_args(10007, 2, 5))
+@example(_frob_args(10007, 4, 6))
+@example(_frob_args(1000003, 3, 7))
+@example(_frob_args(4294967311, 2, 8))
+@example(_frob_args(4294967311, 4, 9))
+def test_modulus_frobenius_matches_pow_mod(args):
     f, h = args
-    frob = FrobeniusMatrix(f)
-    assert frob.apply(h) == pow_mod(h, f.gf.q, f)
+    assert Modulus(f).frobenius(h) == pow_mod(h, f.gf.q, f)
     assert is_irreducible(f) == rabin_pow_mod(f)
+
+
+def test_is_irreducible_at_a_large_prime():
+    # the spread h(T^q) would have degree q: above MAX_FROBENIUS_DEGREE
+    gf = LARGE_FIELDS[4294967311]
+    T = Poly.T(gf)
+    for c in (1, 2, 3, 5):
+        f = T * T + Poly.const(gf, c)
+        assert is_irreducible(f) == rabin_pow_mod(f)
+    # -1 is a non-square: 4294967311 = 3 mod 4
+    assert is_irreducible(T * T + Poly.one(gf))
+    assert not is_irreducible(T * T - Poly.one(gf))
 
 
 @pytest.mark.parametrize("q", FROB_FIELDS)
@@ -1522,6 +1544,33 @@ def symbol_args(draw):
     A = Poly(gf, [rng.randrange(q) for _ in range(2 * n + 1)])
     assume(not (A % P).is_zero())
     return A, P
+
+
+@st.composite
+def norm_args(draw):
+    """(a, P): P monic irreducible of degree 1-8, a nonzero and reduced mod P."""
+    q = draw(st.sampled_from(FROB_FIELDS + [2**40 - 87]))
+    gf = FIELDS.get(q) or LARGE_FIELDS[q]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 8))
+    while True:
+        P = Poly(gf, [rng.randrange(q) for _ in range(n)] + [1])
+        if rabin_pow_mod(P):
+            break
+    a = Poly(gf, [rng.randrange(q) for _ in range(n)])
+    assume(not a.is_zero())
+    return a, P
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_args())
+@example((Poly(FIELDS[9], [5]), Poly(FIELDS[9], [1, 2, 0, 1])))  # a constant: c^r
+@example((Poly(FIELDS[27], [26] * 3), Poly(FIELDS[27], [1, 3, 0, 1])))
+def test_norm_matches_pow_mod(args):
+    # the resultant Res(P, a) against N(a) = a^((q^r - 1)/(q - 1)) mod P
+    a, P = args
+    q = P.gf.q
+    assert Poly.const(P.gf, _norm(a, P)) == pow_mod(a, (q**P.degree - 1) // (q - 1), P)
 
 
 @settings(max_examples=200, deadline=None)

@@ -58,11 +58,11 @@ def test_residue_symbol_preconditions():
 
 # ---------------------------------------------------------------- the prime memo
 
-_memo = reciprocity_module._prime_frobenius
+_memo = reciprocity_module._check_prime
 
 
 def test_only_the_symbol_fills_the_prime_memo():
-    # the other users of a prime's irreducibility build their own matrix
+    # the other users of a prime's irreducibility run their own Rabin test
     gf = field(9)
     P = parse_poly("T^2+T+(w)", gf)
     assert is_irreducible(P)
@@ -147,7 +147,7 @@ def test_reciprocity_exhaustive_small():
 def test_reciprocity_over_extension_fields(q, max_sum):
     # every ordered pair of distinct monic irreducibles of degree <= 3 with
     # deg P + deg Q <= max_sum, every d | q - 1: 1740 checks over F_4 and
-    # 2880 over F_9, where the symbol's norm takes r - 1 Frobenius steps
+    # 2880 over F_9, where the symbol's norm is a resultant over F_{p^r}
     gf = field(q)
     irr = monic_irreducibles(gf, 3 if q == 4 else 2)
     divisors = [d for d in range(1, q) if (q - 1) % d == 0]

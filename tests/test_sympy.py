@@ -1,5 +1,5 @@
 """Differential checks over F_p against sympy's galoistools: gcd, pow_mod,
-irreducibility, and ddf at a linear prime P = T - a, where F_q[T]/P is F_q
+irreducibility at small and at large degree and p, and ddf at a linear prime P = T - a, where F_q[T]/P is F_q
 and ddf is distinct-degree factorization of the coefficients evaluated at a.
 Skipped when sympy is not installed."""
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+sympy_random = pytest.importorskip("sympy.core.random")
 
 from carlitz.errors import DomainError  # noqa: E402
 from carlitz.gf import GF  # noqa: E402
@@ -62,6 +63,20 @@ def test_is_irreducible_matches_sympy(args):
     if f.degree < 1:
         return
     assert is_irreducible(f) == galoistools.gf_irreducible_p(to_sympy(f), gf.p, ZZ)
+
+
+@pytest.mark.parametrize("p", [257, 10007, 2**31 - 1])
+def test_is_irreducible_at_large_degree_matches_sympy(p):
+    # irreducible g, h of degree 20 and 32 from sympy, and the reducible
+    # g*h and h^2 of degree 52 and 64; at these p every degree >= 2 takes
+    # q-th powers by square-and-multiply
+    sympy_random.seed(p)
+    gf = GF(p)
+    g, h = (galoistools.gf_irreducible(n, p, ZZ) for n in (20, 32))
+    fs = [g, h, galoistools.gf_mul(g, h, p, ZZ), galoistools.gf_sqr(h, p, ZZ)]
+    want = [galoistools.gf_irreducible_p(f, p, ZZ) for f in fs]
+    assert want == [True, True, False, False]
+    assert [is_irreducible(from_sympy(gf, f)) for f in fs] == want
 
 
 @settings(max_examples=300, deadline=None)
