@@ -414,11 +414,14 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
 
 # Modulus.frobenius takes h^q mod f as the spread h(T^q) and one reduce while
 # the spread packs at most this many slots, (2r - 1) q (deg f - 1); above it,
-# square-and-multiply through reduce, the only route that runs at large q.
+# square-and-multiply through reduce.  That branch exists for large q, where
+# the spread cannot be built: over GF(2^32+15) the spread of T has degree q,
+# above the 2^24 cap on q-th powers.  The 400 is a crossover timed by hand,
 # Rabin's test on random monic f of degree n, spread time over
 # square-and-multiply time (Python 3.11, 2-vCPU x86-64): 0.64 at
 # (q, n) = (3, 128), 0.83 at (257, 2), 1.29 at (257, 3), 0.89 at (9, 12),
 # 1.23 at (9, 16), 0.86 at (16, 4), 1.50 at (16, 6), 5.9 at (256, 2).
+# Every benchmark workload sits below it, so no benchmark checks where it is.
 SPREAD_MAX_SLOTS = 400
 
 
@@ -495,6 +498,14 @@ def is_irreducible(f: Poly) -> bool:
         raise DomainError("irreducibility is defined for degree >= 1")
     if n == 1:
         return True
+    # prime divisors of n
+    primes, m, d = [], n, 2
+    while m > 1:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
     mod, T = Modulus(f), Poly.T(f.gf)
     # powers[k] = T^(q^k) mod f
     powers = [T]
@@ -502,9 +513,7 @@ def is_irreducible(f: Poly) -> bool:
         powers.append(mod.frobenius(powers[-1]))
     if powers[n] != T:
         return False
-    for l in range(2, n + 1):
-        if n % l or any(l % e == 0 for e in range(2, l)):
-            continue
+    for l in primes:
         g = powers[n // l] - T
         if g.is_zero() or poly_gcd(f, g).degree > 0:
             return False

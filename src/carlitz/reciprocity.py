@@ -50,7 +50,7 @@ def _norm(a: Poly, P: Poly) -> int:
             res = gf.neg(res)
         res = gf.mul(res, gf.pow(g.lc, f.degree - r.degree))
         f, g = g, r
-    return gf.mul(res, gf.pow(g.lc, f.degree)) if g.coeffs else 0
+    return gf.mul(res, gf.pow(g.lc, f.degree))
 
 
 def residue_symbol(A: Poly, P: Poly, d: int) -> int:
