@@ -9,6 +9,8 @@ the values for inspection and CLI output.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import BelowPrecision, CarlitzError, DomainError
 from .poly import Poly, RatFn, all_polys
 from .series import InfLaurent, VqElem
@@ -116,18 +118,20 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
 def period_partial(gf, N: int, prec: int = None):
     """The partial period product: prod over n = 1..N of (1 - [n]/[n+1]).
 
-    Returns the exact rational function; with ``prec`` also its Laurent
-    expansion at infinity, as a pair (ratfn, series).
+    Each factor is ([n+1] - [n])/[n+1], so numerator and denominator are
+    multiplied out as polynomials and reduced once at the end.  Returns the
+    exact rational function; with ``prec`` also its Laurent expansion at
+    infinity, as a pair (ratfn, series).
     """
     if N < 1:
         raise DomainError("need at least one factor")
-    one = RatFn.from_poly(Poly.one(gf))
     T = Poly.T(gf)
     # [n] = T^(q^n) - T for n = 1..N+1
     brackets = [Poly.one(gf).shift(gf.q**n) - T for n in range(1, N + 2)]
-    acc = one
+    num = den = Poly.one(gf)
     for b, b_next in zip(brackets, brackets[1:]):
-        acc = acc * (one - RatFn(b, b_next))
+        num, den = num * (b_next - b), den * b_next
+    acc = RatFn(num, den)
     if prec is None:
         return acc
     return acc, InfLaurent.from_ratfn(acc, prec=prec)
@@ -142,6 +146,9 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
     convergence certificate.  alpha and c*alpha (c in F_q^*) give the same
     term, as c^((q-1)k) = 1, so each F_q^*-orbit is summed once, through the
     representative whose first nonzero A_i is monic, with weight q-1 = -1.
+    A shell's terms are subtracted into one digit vector, which gives the
+    same digits as subtracting them one by one: the sum is exact and the
+    shell's precision is the least of its terms'.
     """
     budget = budget or SeriesBudget()
     if k < 1:
@@ -155,8 +162,7 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
     cert = {}
     prev = None
     for m in range(budget.degree_bound + 1):
-        shell = VqElem.zero(gf)
-        any_term = False
+        terms = []
         for coeffs in _shell_coeffs(gf, L.rank, m):
             alpha = VqElem.zero(gf)
             for c, b in zip(coeffs, L.basis):
@@ -164,12 +170,17 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
                     alpha = alpha + VqElem.from_poly(c) * b
             if alpha.is_zero():
                 continue
-            any_term = True
             # alpha^-e as one inverse of the short power alpha^e: it claims the
             # digits that alpha^-1 ** e would, with alpha^-1 at a longer precision
-            shell = shell - (alpha**e).inverse(prec=max(prec, 1 - e * alpha.v))
-        if not any_term:
+            terms.append((alpha**e).inverse(prec=max(prec, 1 - e * alpha.v)))
+        if not terms:
             continue
+        lo = min(t.v for t in terms)
+        vec = [0] * (max(t.v + len(t.coeffs) for t in terms) - lo)
+        for t in terms:
+            i, j = t.v - lo, t.v - lo + len(t.coeffs)
+            vec[i:j] = gf.sub_vec(vec[i:j], t.coeffs)
+        shell = VqElem(gf, lo, vec, min(t.prec for t in terms))
         sval = _valuation_or_none(shell)
         cert[m] = sval if sval is not None else f">={shell.prec}"
         if sval is not None and prev is not None and sval < prev:
@@ -188,18 +199,13 @@ def _shell_coeffs(gf, rank: int, m: int):
     """One coefficient tuple (A_1..A_rank) with max degree exactly m per
     F_q^*-orbit: the one whose first nonzero A_i is monic (for m = 0, the
     tuples of constants)."""
-
-    def rec(i, tup, has_max):
-        if i == rank:
-            if has_max:
-                yield tuple(tup)
-            return
-        leading = all(p.is_zero() for p in tup)
-        for p in all_polys(gf, m + 1):
-            if leading and not p.is_zero() and p.lc != 1:
-                continue
-            yield from rec(i + 1, tup + [p], has_max or p.degree == m)
-
     if m < 0:
         return
-    yield from rec(0, [], False)
+    polys = list(all_polys(gf, m + 1))
+    monic = [p for p in polys if not p.is_zero() and p.lc == 1]
+    zero = Poly.zero(gf)
+    for i in range(rank):
+        for lead in monic:
+            for rest in itertools.product(polys, repeat=rank - 1 - i):
+                if lead.degree == m or any(p.degree == m for p in rest):
+                    yield (zero,) * i + (lead,) + rest

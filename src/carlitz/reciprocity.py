@@ -193,8 +193,7 @@ def kummer_solve(M: InfLaurent) -> VqElem:
         raise DomainError("zero has no nonzero (q-1)-st root; kappa(0) = 0")
     m = M.v
     sign = gf.neg(1) if m % 2 else 1
-    Tm = InfLaurent.monomial(gf, sign, -m)  # (-1)^m T^m sits at u-exponent -m
-    U = M * Tm
+    U = M.shifted(-m).scale(sign)  # (-1)^m T^m = (-1)^m u^-m is a shift and a sign
     eta = U.coeffs[0]
     if eta != 1:
         raise CarlitzError(

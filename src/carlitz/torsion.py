@@ -238,7 +238,6 @@ def divide_T(u: VqElem, prec: int = None) -> list:
     """
     gf = u.gf
     q = gf.q
-    T_inv = VqElem.monomial(gf, gf.neg(1), q - 1)  # 1/T = -s^(q-1)
     try:
         vu = u.valuation()
     except BelowPrecision:
@@ -260,7 +259,8 @@ def divide_T(u: VqElem, prec: int = None) -> list:
         budget = u.prec - min(vu if vu != float("inf") else 0, 0) + q + 2
     v = VqElem.zero(gf)
     for _ in range(max(budget, 4)):
-        v_new = (u - v.frobenius()) * T_inv
+        # 1/T = -s^(q-1) is a shift and a sign
+        v_new = (v.frobenius() - u).shifted(q - 1)
         if v_new == v:
             break
         v = v_new

@@ -160,6 +160,24 @@ def test_eisenstein_scaling_law():
     assert Ec.agrees(scaled, upto=min(Ec.prec, scaled.prec, 20))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("degree_bound", [1, 2, 3])
+def test_eisenstein_of_A_is_minus_the_period_power(q, degree_bound):
+    # for the lattice A = F_q[T], Carlitz's logarithm gives
+    # E_(q-1)(A) = -pi^(q-1)/l_1 with l_1 = T - T^q = -[1], and
+    # pi^(q-1) = -[1] P^(q-1) for P the limit of period_partial, so
+    # E_(q-1)(A) = -P^(q-1); four factors of P are exact far past these
+    # digits.  The precision is the tail bound (q-1)^2 (degree_bound+1),
+    # so only certified digits are checked.
+    gf = field(q)
+    L = Lattice([VqElem.from_poly(Poly.one(gf))])
+    prec = (q - 1) ** 2 * (degree_bound + 1)
+    E = eisenstein(L, 1, SeriesBudget(degree_bound=degree_bound, precision=prec))
+    P = period_partial(gf, 4, prec=prec + 10)[1]
+    assert E.prec == prec
+    assert E.agrees(-(VqElem.from_inf(P) ** (q - 1)))
+
+
 def test_lattice_validation():
     gf = field(3)
     with pytest.raises(DomainError):

@@ -2,10 +2,12 @@
 multiply and inverse on that kernel against the digit loops, Poly and
 Series add, subtract, negate and scale by coefficient vectors against the
 per-digit loops, the precision contract of series, T-division and Kummer
-roots, the V_q torsion kernel against the per-candidate digit search, the
-orbit Eisenstein sum against the sum over every nonzero lattice element,
-top-down powers against bottom-up square-and-multiply, q-power
-exponentiation in F_q[T]/P^N against plain square-and-multiply and the
+roots, the T-division step as a shift against the product by 1/T, the V_q
+torsion kernel against the per-candidate digit search, the orbit Eisenstein
+sum against the sum over every nonzero lattice element, the shell
+enumeration against its rule, the period product reduced once against one
+reduction per factor, top-down powers against bottom-up square-and-multiply,
+q-power exponentiation in F_q[T]/P^N against plain square-and-multiply and the
 Newton inverse there against the extended gcd, each ring's rho_T step
 against u^q + T*u, the Horner Carlitz action against the operator
 coefficients of the T-step recursion and the operator coefficients by
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein
+from carlitz.analytic import Lattice, SeriesBudget, _shell_coeffs, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
 from carlitz.operator import AdditiveOperator, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
@@ -33,6 +35,7 @@ from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
     Modulus,
     Poly,
+    RatFn,
     _factor,
     _slot_bytes,
     all_polys,
@@ -710,6 +713,27 @@ def test_divide_T_precision_contract(args, data):
         # an argument of valuation <= -q stays refused when truncated; a
         # truncation at or below -q may be refused when u is not
         assert rough is fine is PrecisionError
+
+
+@st.composite
+def vq_pairs(draw, max_len=40):
+    gf = FIELDS[draw(st.sampled_from(SERIES_FIELDS))]
+    return draw(series(gf, VqElem, max_len)), draw(series(gf, VqElem, max_len))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vq_pairs())
+@example((_vq(3, 0, [], None), _vq(3, 0, [], None)))  # exact zeros
+@example((_vq(3, 0, [], 4), _vq(3, -2, [1, 2], None)))  # truncated zero u
+@example((_vq(5, 0, [], 2), _vq(5, 0, [], 1)))  # truncated zeros
+@example((_vq(4, -3, [1, 0, 2], 6), _vq(4, -1, [3, 1], 2)))  # truncated, v^q binds
+def test_divide_T_step_matches_product_by_inverse_T(pair):
+    # divide_T's step (v^q - u) shifted by q - 1 against (u - v^q) times the
+    # exact monomial 1/T = -s^(q-1), digits and precision alike
+    u, v = pair
+    gf = u.gf
+    inv_T = VqElem.monomial(gf, gf.neg(1), gf.q - 1)
+    assert (v.frobenius() - u).shifted(gf.q - 1) == (u - v.frobenius()) * inv_T
 
 
 @st.composite
@@ -1711,6 +1735,42 @@ def test_eisenstein_orbit_sum_matches_full_enumeration(q, k):
             lambda *a: eisenstein(*a, with_certificate=True), L, k, budget
         )
         assert got == eisenstein_outcome(full_eisenstein, L, k, budget)
+
+
+def brute_shell_coeffs(gf, rank, m):
+    """_shell_coeffs by its rule: every tuple of polynomials of degree <= m
+    whose maximum degree is m and whose first nonzero entry is monic."""
+    out = []
+    for coeffs in product(list(all_polys(gf, m + 1)), repeat=rank):
+        if max(c.degree for c in coeffs) != m:
+            continue
+        if next(c for c in coeffs if not c.is_zero()).lc == 1:
+            out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_shell_coeffs_matches_rule(q, rank, m):
+    gf = FIELDS[q]
+    got = list(_shell_coeffs(gf, rank, m))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(brute_shell_coeffs(gf, rank, m))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_period_partial_matches_chained_factors(q):
+    # one reduction of the multiplied-out product against one gcd-normalised
+    # RatFn product per factor
+    gf = FIELDS[q]
+    one = RatFn.from_poly(Poly.one(gf))
+    brackets = [Poly.one(gf).shift(q**n) - Poly.T(gf) for n in range(1, 5)]
+    acc = one
+    for N in range(1, 4):
+        acc = acc * (one - RatFn(brackets[N - 1], brackets[N]))
+        got = period_partial(gf, N)
+        assert got == acc and str(got) == str(acc)
 
 
 # ---------------------------------------------------------------- F_{p^r} tables
