@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction as Rational
 
 from .errors import DomainError
-from .poly import Poly, RatFn, poly_ext_gcd, poly_gcd
+from .poly import Poly, RatFn, poly_ext_gcd
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -62,10 +62,10 @@ def tangent_family(f1: RatFn, f2: RatFn):
 def descartes_form(xs) -> RatFn:
     """The form (sum X_i)^(q-1) - sum X_i^(q-1) on q+1 exact curvatures.
 
-    Curvatures are the fractions themselves (polynomials are allowed);
-    families containing infinity are rejected.  With D the lcm of the
-    denominators and X_i = n_i/D, the form is (S^(q-1) - sum n_i^(q-1)) /
-    D^(q-1) with S = sum n_i: one reduction for the whole form.
+    Curvatures are fractions or polynomials; infinity is rejected.  With D
+    the product of the denominators (their lcm on a tangent family, whose
+    cross-determinants are units) and X_i = n_i/D, the form is
+    (S^(q-1) - sum n_i^(q-1)) / D^(q-1), S = sum n_i, reduced once.
     """
     pairs = []
     for x in xs:
@@ -81,7 +81,7 @@ def descartes_form(xs) -> RatFn:
         raise DomainError(f"expected {q + 1} curvatures, got {len(pairs)}")
     D = pairs[0][1]
     for _, den in pairs[1:]:
-        D = D * (den // poly_gcd(D, den))
+        D = D * den
     ns = [num * (D // den) for num, den in pairs]
     S = Poly.zero(gf)
     for n in ns:

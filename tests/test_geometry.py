@@ -5,7 +5,7 @@ residue extension."""
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import field
@@ -167,11 +167,28 @@ def _same_form(xs):
 @settings(max_examples=80, deadline=None)
 @given(tangent_families())
 def test_descartes_form_matches_stepwise_on_tangent_families(fam):
+    # pairwise tangency makes the denominators pairwise coprime, so their
+    # product is their lcm
+    for i, a in enumerate(fam):
+        for b in fam[i + 1:]:
+            assert tangent(a, b)
     assert _same_form(fam).is_zero()
+
+
+def _over(den, nums, q):
+    gf = field(q)
+    return [frac(n, den, gf) for n in nums]
 
 
 @settings(max_examples=120, deadline=None)
 @given(curvature_tuples())
+# the product of the denominators exceeds their lcm: one shared denominator
+# at q = 3, 4 and 5, and denominators with a common factor beside a Poly
+@example(_over("T^2+1", ["1", "T", "T+1", "2"], 3))
+@example([frac("1", "T", field(3)), frac("1", "T^2+T", field(3)),
+          frac("T", "T+1", field(3)), parse_poly("T+2", field(3))])
+@example(_over("T^3+T+1", ["1", "T", "T^2", "T+1", "w*T"], 4))
+@example(_over("T^2+2", ["1", "T", "2*T+1", "3", "T^2+4", "4*T"], 5))
 def test_descartes_form_matches_stepwise_on_tuples(xs):
     _same_form(xs)
 
