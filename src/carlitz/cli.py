@@ -523,8 +523,8 @@ def build_parser():
 
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, setup=None):
-        sp = sub.add_parser(name)
+    def add(name, fn, setup=None, parent=sub):
+        sp = parent.add_parser(name)
         common(sp)
         if setup:
             setup(sp)
@@ -546,54 +546,25 @@ def build_parser():
     add("xi", cmd_xi, lambda sp: sp.add_argument("--A", required=True))
     add("newton", cmd_newton, lambda sp: sp.add_argument("--A", required=True))
 
-    kp = add("kummer", cmd_kummer)
-    ksub = kp.add_subparsers(dest="kummer_cmd", required=True)
-    km = ksub.add_parser("map")
-    common(km)
-    km.add_argument("--u", required=True)
-    km.set_defaults(fn=cmd_kummer)
-    ks = ksub.add_parser("solve")
-    common(ks)
-    ks.add_argument("--M", required=True)
-    ks.set_defaults(fn=cmd_kummer)
+    ksub = add("kummer", cmd_kummer).add_subparsers(dest="kummer_cmd", required=True)
+    add("map", cmd_kummer, lambda sp: sp.add_argument("--u", required=True), parent=ksub)
+    add("solve", cmd_kummer, lambda sp: sp.add_argument("--M", required=True), parent=ksub)
 
     add("star", cmd_star, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--nu", required=True)))
     add("tangent", cmd_tangent, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)))
     add("family", cmd_family, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)))
 
-    dp = add("descartes", cmd_descartes)
-    dsub = dp.add_subparsers(dest="descartes_cmd", required=True)
-    df = dsub.add_parser("family")
-    common(df)
-    df.add_argument("--f1", required=True)
-    df.add_argument("--f2", required=True)
-    df.set_defaults(fn=cmd_descartes)
-    de = dsub.add_parser("eval")
-    common(de)
-    de.add_argument("--curvatures", required=True, help="semicolon-separated fractions")
-    de.set_defaults(fn=cmd_descartes)
-    ds = dsub.add_parser("sweep")
-    common(ds)
-    ds.add_argument("--count", type=int, default=20)
-    ds.set_defaults(fn=cmd_descartes)
+    dsub = add("descartes", cmd_descartes).add_subparsers(dest="descartes_cmd", required=True)
+    add("family", cmd_descartes, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), parent=dsub)
+    add("eval", cmd_descartes, lambda sp: sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions"), parent=dsub)
+    add("sweep", cmd_descartes, lambda sp: sp.add_argument("--count", type=int, default=20), parent=dsub)
 
     add("soddy", cmd_soddy, lambda sp: (sp.add_argument("--n", type=int, default=2), sp.add_argument("--ks", required=True)))
 
-    tp = add("tree", cmd_tree)
-    tsub = tp.add_subparsers(dest="tree_cmd", required=True)
-    tn = tsub.add_parser("neighbors")
-    common(tn)
-    tn.add_argument("--vertex", required=True, help="level;series")
-    tn.set_defaults(fn=cmd_tree)
-    td = tsub.add_parser("distance")
-    common(td)
-    td.add_argument("--v1", required=True)
-    td.add_argument("--v2", required=True)
-    td.set_defaults(fn=cmd_tree)
-    te = tsub.add_parser("export")
-    common(te)
-    te.add_argument("--radius", type=int, default=2)
-    te.set_defaults(fn=cmd_tree)
+    tsub = add("tree", cmd_tree).add_subparsers(dest="tree_cmd", required=True)
+    add("neighbors", cmd_tree, lambda sp: sp.add_argument("--vertex", required=True, help="level;series"), parent=tsub)
+    add("distance", cmd_tree, lambda sp: (sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), parent=tsub)
+    add("export", cmd_tree, lambda sp: sp.add_argument("--radius", type=int, default=2), parent=tsub)
 
     add("ray", cmd_ray, lambda sp: (sp.add_argument("--f", required=True), sp.add_argument("--steps", type=int, default=5)))
     add("normal-basis", cmd_normal_basis)

@@ -45,18 +45,17 @@ def tangent(f1: RatFn, f2: RatFn) -> bool:
 
 def tangent_family(f1: RatFn, f2: RatFn):
     """The q+1 mutually tangent horoballs spanned by a tangent pair:
-    f2 together with (num1 + b*num2)/(den1 + b*den2) for b in F_q."""
+    f2 together with (num1 + b*num2)/(den1 + b*den2) for b in F_q.
+
+    These are the images of infinity, 0, ..., q-1 under the Moebius map
+    g = ((num2, num1), (den2, den1)).  det g = -cross_det(f1, f2) is a unit,
+    so g is a bijection of the projective line and the members are distinct.
+    """
     if not tangent(f1, f2):
         raise DomainError(f"{f1} and {f2} are not tangent")
-    gf = f1.gf
-    members = [f2]
-    for b in range(gf.q):
-        members.append(
-            RatFn(f1.num + f2.num.scale(b), f1.den + f2.den.scale(b))
-        )
-    if len(set(members)) != gf.q + 1:
-        raise DomainError("degenerate family: members collide")
-    return members
+    return [f2] + [
+        RatFn(f1.num + f2.num.scale(b), f1.den + f2.den.scale(b)) for b in range(f1.gf.q)
+    ]
 
 
 def descartes_form(xs) -> RatFn:
@@ -103,16 +102,17 @@ def soddy_form(n: int, ks) -> Rational:
 
 def random_tangent_family(gf, rng):
     """A random mutually tangent family: start from a random unimodular pair
-    of polynomials of degree at most 3."""
+    of polynomials of degree at most 3.
+
+    a and c are never both zero when poly_ext_gcd runs, and ad - bc = 1 makes
+    the columns a/c and b/d tangent, hence distinct.
+    """
     while True:
         a = Poly(gf, [rng.randrange(gf.q) for _ in range(rng.randint(1, 4))])
         c = Poly(gf, [rng.randrange(gf.q) for _ in range(rng.randint(1, 4))])
         if a.is_zero() and c.is_zero():
             continue
-        try:
-            g, x, y = poly_ext_gcd(a, c)
-        except DomainError:
-            continue
+        g, x, y = poly_ext_gcd(a, c)
         if g.degree != 0:
             continue
         inv = gf.inv(g.lc)
@@ -121,7 +121,7 @@ def random_tangent_family(gf, rng):
         # now a*d - b*c = 1; the two columns give a tangent pair
         f1 = RatFn(a, c)
         f2 = RatFn(b, d)
-        if f1.is_infinity() or f2.is_infinity() or f1 == f2:
+        if f1.is_infinity() or f2.is_infinity():
             continue
         fam = tangent_family(f1, f2)
         if any(m.is_infinity() for m in fam):
@@ -179,15 +179,12 @@ def tree_neighbors(v: TreeVertex):
 
 
 def tree_distance(v1: TreeVertex, v2: TreeVertex) -> int:
-    """Graph distance: (m - l) + (n - l) where l is the level of the deepest
-    common ancestor, bounded by the first differing class digit."""
+    """Graph distance: (m - l) + (n - l) where l, the level of the deepest
+    common ancestor, is the least of the two levels and of every exponent
+    at which the two classes differ."""
     if v1.gf != v2.gf:
         raise DomainError("vertices of different trees")
-    d1, d2 = dict(v1.cls), dict(v2.cls)
-    diff_exps = [e for e in set(d1) | set(d2) if d1.get(e, 0) != d2.get(e, 0)]
-    l = min(v1.level, v2.level)
-    if diff_exps:
-        l = min(l, min(diff_exps))
+    l = min(v1.level, v2.level, *(e for e, _ in set(v1.cls) ^ set(v2.cls)))
     return (v1.level - l) + (v2.level - l)
 
 
@@ -195,30 +192,20 @@ def geodesic_ray(f: RatFn, steps: int):
     """The first steps+1 vertices of the ray from the base vertex toward the
     boundary point f.
 
-    The ray first descends to level min(0, v(f)) through truncations of 0,
-    then climbs through the classes f mod pi^n read off the Laurent digits of
-    f; toward infinity it descends forever.
+    The ray descends through (n, 0) for n = 0, -1, ..., down = min(0, v(f)),
+    then climbs through (n, f mod pi^n) for n = down + 1, down + 2, ..., the
+    classes read off the Laurent digits of f; toward infinity it descends
+    forever, so there down = -steps.
     """
     gf = f.gf
-    out = [TreeVertex.base(gf)]
     if f.is_infinity():
-        while len(out) <= steps:
-            out.append(out[-1].parent())
-        return out
-    ser = InfLaurent.from_ratfn(f, prec=steps + 1)
-    digits = dict(ser.terms())
-    v = min(digits) if digits else 0
-    down = min(0, v)
-    level = 0
-    while level > down:
-        level -= 1
-        out.append(TreeVertex(gf, level, {}))
-        if len(out) > steps:
-            return out[: steps + 1]
-    while len(out) <= steps:
-        level += 1
-        out.append(TreeVertex(gf, level, {e: c for e, c in digits.items() if e < level}))
-    return out[: steps + 1]
+        digits, down = {}, -steps
+    else:
+        digits = dict(InfLaurent.from_ratfn(f, prec=steps + 1).terms())
+        down = max(min([0, *digits]), -steps)
+    return [TreeVertex(gf, n, {}) for n in range(0, down - 1, -1)] + [
+        TreeVertex(gf, n, digits) for n in range(down + 1, 2 * down + steps + 1)
+    ]
 
 
 def _det(gf, M):

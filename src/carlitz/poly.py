@@ -178,9 +178,7 @@ class Poly:
         q = self.gf.q
         check_frobenius_degree(q * self.degree)
         out = [0] * (q * self.degree + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[q * i] = c
+        out[::q] = self.coeffs
         return Poly(self.gf, out)
 
     def rho_T(self):

@@ -318,7 +318,8 @@ class InfLaurent(Series):
 
     @classmethod
     def from_ratfn(cls, x, prec):
-        """Expansion of a rational function to the given (exclusive) precision."""
+        """Expansion of a rational function to the given (exclusive) precision,
+        or through its leading digit when that lies at or beyond it."""
         if isinstance(x, Poly):
             return cls.from_poly(x)
         if x.is_infinity():
@@ -329,7 +330,7 @@ class InfLaurent(Series):
             return cls.zero(den.gf)
         if len(den.coeffs) == 1:
             return num * den.inverse()
-        return num * den.inverse(prec=prec - num.v)
+        return num * den.inverse(prec=max(prec - num.v, 1 - den.v))
 
     def rho_T(self):
         """The Carlitz step u^q + T*u; T = u^-1 is a shift."""

@@ -238,11 +238,8 @@ def divide_T(u: VqElem, prec: int = None) -> list:
     """
     gf = u.gf
     q = gf.q
-    try:
-        vu = u.valuation()
-    except BelowPrecision:
-        vu = u.prec
-    if vu != float("inf") and vu <= -q:
+    vu = u._veff()
+    if vu <= -q:
         raise PrecisionError(
             f"argument valuation {vu} <= -{q}; the contraction does not converge"
         )
@@ -256,7 +253,7 @@ def divide_T(u: VqElem, prec: int = None) -> list:
     if u.prec is None:
         budget = 2
     else:
-        budget = u.prec - min(vu if vu != float("inf") else 0, 0) + q + 2
+        budget = u.prec - min(vu, 0) + q + 2
     v = VqElem.zero(gf)
     for _ in range(max(budget, 4)):
         # 1/T = -s^(q-1) is a shift and a sign
@@ -292,40 +289,25 @@ def completed_action(M, u: VqElem) -> VqElem:
     gf = u.gf
     if isinstance(M, Poly):
         return carlitz_act(M, u)
-    # M is an InfLaurent: u-exponent k corresponds to T^{-k}
-    acc = VqElem.zero(gf)
-    # polynomial part: u-exponents <= 0
-    poly_coeffs = {}
-    depth = 0
-    for k, c in M.terms():
-        if k <= 0:
-            poly_coeffs[-k] = c
-        else:
-            depth = max(depth, k)
-    if poly_coeffs:
-        n = max(poly_coeffs)
-        vec = [poly_coeffs.get(i, 0) for i in range(n + 1)]
-        acc = acc + carlitz_act(Poly(gf, vec), u)
-    if depth:
-        chain = division_chain(u, depth)
-        prev_val = None
-        for k in range(1, depth + 1):
-            a = M.digit(k) if (M.prec is None or k < M.prec) else 0
-            vk = chain[k - 1]
-            try:
-                val = vk.valuation()
-            except BelowPrecision:
-                val = vk.prec
-            if prev_val is not None and val is not None and val < prev_val:
-                raise CarlitzError(
-                    f"tail term {k} has valuation {val} < previous {prev_val}; "
-                    "division tail fails to converge"
-                )
-            prev_val = val
-            if a:
-                if u.prec is not None and val is not None and val >= u.prec:
-                    break
-                acc = acc + vk.scale(a)
+    # M is an InfLaurent: u-exponent k corresponds to T^{-k}, and the
+    # polynomial part is the digits at k <= 0
+    digits = dict(M.terms())
+    poly_part = Poly(gf, [digits.get(-i, 0) for i in range(1 - min(digits, default=0))])
+    acc = carlitz_act(poly_part, u)
+    prev_val = -float("inf")
+    for k, vk in enumerate(division_chain(u, max(digits, default=0)), 1):
+        val = vk._veff()
+        if val < prev_val:
+            raise CarlitzError(
+                f"tail term {k} has valuation {val} < previous {prev_val}; "
+                "division tail fails to converge"
+            )
+        prev_val = val
+        a = digits.get(k, 0)
+        if a:
+            if u.prec is not None and val >= u.prec:
+                break
+            acc = acc + vk.scale(a)
     return acc
 
 

@@ -41,6 +41,16 @@ def test_from_ratfn_geometric_series():
     assert x.prec == 6
 
 
+def test_from_ratfn_at_or_below_the_valuation_keeps_the_leading_digit():
+    gf = field(3)
+    one = Poly.one(gf)
+    T = Poly.T(gf)
+    # v(1/(T-1)) = 1: a precision of 1 or less used to ask for a vacuous inverse
+    for prec in (1, 0, -3):
+        x = InfLaurent.from_ratfn(RatFn(one, T - one), prec)
+        assert dict(x.terms()) == {1: 1} and x.prec == 2
+
+
 def test_parse_roundtrip_inf():
     gf = field(3)
     for text in ["T^2 + 2*T + 1 + O(T^-4)", "2*T^-1", "0"]:

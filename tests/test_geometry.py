@@ -1,6 +1,7 @@
-"""Horoball curvature geometry (tangency, Descartes-type form, Soddy check)
-and the Bruhat-Tits tree at infinity, plus the normal-basis data of the
-residue extension."""
+"""Horoball curvature geometry (tangency, Descartes-type form, Soddy check),
+the Moebius action of GL_2(F_q[T]) on tangent pairs, and the Bruhat-Tits
+tree at infinity with its ray and distance against stepwise oracles, plus
+the normal-basis data of the residue extension."""
 
 import random
 
@@ -193,6 +194,90 @@ def test_descartes_form_matches_stepwise_on_tuples(xs):
     _same_form(xs)
 
 
+# ---------------------------------------------------------------- Moebius action
+
+MOBIUS_QS = [2, 3, 4, 5]
+
+
+def mobius(g, pair):
+    """g = ((alpha, beta), (gamma, delta)) on an unreduced pair (a, b):
+    (alpha*a + beta*b, gamma*a + delta*b)."""
+    (alpha, beta), (gamma, delta) = g
+    a, b = pair
+    return alpha * a + beta * b, gamma * a + delta * b
+
+
+def cross(p1, p2):
+    """The cross-determinant of two unreduced pairs."""
+    return p1[0] * p2[1] - p2[0] * p1[1]
+
+
+def det(g):
+    (alpha, beta), (gamma, delta) = g
+    return alpha * delta - beta * gamma
+
+
+def act(g, f: RatFn) -> RatFn:
+    return RatFn(*mobius(g, (f.num, f.den)))
+
+
+@st.composite
+def unit_det_matrices(draw, gf):
+    """g with det g in F_q^*: a unimodular g from a random coprime column
+    (a, c), its first row scaled by a random unit."""
+    a, c = _nonzero_poly(draw, gf, 3), _nonzero_poly(draw, gf, 3)
+    g, x, y = poly_ext_gcd(a, c)
+    assume(g.degree == 0)
+    unit = draw(st.integers(1, gf.q - 1))
+    # a*x + c*y = 1, so ((a, -y), (c, x)) has determinant 1
+    return (a.scale(unit), y.scale(gf.neg(unit))), (c, x)
+
+
+@st.composite
+def tangent_pairs(draw):
+    """A tangent pair (f1, f2): the columns of a matrix whose determinant is
+    a unit; f2 may be infinity."""
+    gf = field(draw(st.sampled_from(MOBIUS_QS)))
+    (a, b), (c, d) = draw(unit_det_matrices(gf))
+    return RatFn(a, c), RatFn(b, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mobius_scales_the_cross_determinant_by_det(data):
+    # on unreduced pairs, cross_det(g.f1, g.f2) = det g * cross_det(f1, f2)
+    gf = field(data.draw(st.sampled_from(MOBIUS_QS)))
+    g = tuple(tuple(_poly(data.draw, gf, 3) for _ in range(2)) for _ in range(2))
+    p1, p2 = [tuple(_poly(data.draw, gf, 3) for _ in range(2)) for _ in range(2)]
+    assert cross(mobius(g, p1), mobius(g, p2)) == det(g) * cross(p1, p2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tangent_pairs())
+def test_tangent_family_is_the_mobius_image_of_infinity_and_F_q(pair):
+    # the family is g.(infinity, 0, 1, ..., q-1) in order, for
+    # g = ((num2, num1), (den2, den1))
+    f1, f2 = pair
+    gf = f1.gf
+    g = (f2.num, f1.num), (f2.den, f1.den)
+    assert det(g).degree == 0
+    points = [RatFn.infinity(gf)] + [RatFn.from_poly(Poly(gf, [b])) for b in range(gf.q)]
+    assert tangent_family(f1, f2) == [act(g, x) for x in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tangent_pairs(), st.data())
+def test_unit_det_mobius_maps_families_onto_families(pair, data):
+    # det g in F_q^* keeps the pair tangent, and g carries the family of
+    # (f1, f2) onto the family of (g.f1, g.f2)
+    f1, f2 = pair
+    g = data.draw(unit_det_matrices(f1.gf))
+    assert det(g).degree == 0
+    image = tangent_family(act(g, f1), act(g, f2))
+    assert len(set(image)) == f1.gf.q + 1
+    assert set(image) == {act(g, m) for m in tangent_family(f1, f2)}
+
+
 def test_soddy_values():
     assert soddy_form(2, (-1, 2, 2, 3)) == 0
     assert soddy_form(2, (1, 1, 1, 1)) == 8
@@ -257,6 +342,96 @@ def test_geodesic_ray_is_a_path():
         assert len(ray) == 7
         for a, b in zip(ray, ray[1:]):
             assert tree_distance(a, b) == 1
+
+
+def geodesic_ray_stepwise(f: RatFn, steps: int):
+    """The ray by walking it one vertex at a time, down through parents and
+    up through the truncations of f's digits: the oracle for geodesic_ray's
+    two ranges."""
+    gf = f.gf
+    out = [TreeVertex.base(gf)]
+    if f.is_infinity():
+        while len(out) <= steps:
+            out.append(out[-1].parent())
+        return out
+    ser = InfLaurent.from_ratfn(f, prec=steps + 1)
+    digits = dict(ser.terms())
+    v = min(digits) if digits else 0
+    down = min(0, v)
+    level = 0
+    while level > down:
+        level -= 1
+        out.append(TreeVertex(gf, level, {}))
+        if len(out) > steps:
+            return out[: steps + 1]
+    while len(out) <= steps:
+        level += 1
+        out.append(TreeVertex(gf, level, {e: c for e, c in digits.items() if e < level}))
+    return out[: steps + 1]
+
+
+def tree_distance_by_dicts(v1: TreeVertex, v2: TreeVertex) -> int:
+    """The distance from the first exponent where the class digits differ,
+    compared digit by digit: the oracle for tree_distance's symmetric
+    difference."""
+    d1, d2 = dict(v1.cls), dict(v2.cls)
+    diff_exps = [e for e in set(d1) | set(d2) if d1.get(e, 0) != d2.get(e, 0)]
+    l = min(v1.level, v2.level)
+    if diff_exps:
+        l = min(l, min(diff_exps))
+    return (v1.level - l) + (v2.level - l)
+
+
+TREE_QS = [2, 3, 4, 5]
+
+
+@st.composite
+def boundary_points(draw):
+    """Infinity, 0, or num/den with v(f) anywhere in -17..17, so both
+    v(f) < -steps and v(f) > 0 occur."""
+    gf = field(draw(st.sampled_from(TREE_QS)))
+    kind = draw(st.sampled_from(["infinity", "zero", "ratio"]))
+    if kind == "infinity":
+        return RatFn.infinity(gf)
+    if kind == "zero":
+        return RatFn.zero(gf)
+    shifts = st.integers(0, 14)
+    num = _nonzero_poly(draw, gf, 3).shift(draw(shifts))
+    return RatFn(num, _nonzero_poly(draw, gf, 3).shift(draw(shifts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_points(), st.integers(0, 12))
+@example(Fraction.infinity(field(2)), 0)
+@example(Fraction.zero(field(3)), 12)
+@example(frac("T^14", "1", field(3)), 12)  # v(f) = -14 < -steps
+@example(frac("1", "T^3+1", field(4)), 7)  # v(f) = 3 > 0
+@example(frac("1", "T^7+1", field(3)), 5)  # v(f) = 7 > steps
+def test_geodesic_ray_matches_stepwise(f, steps):
+    ray = geodesic_ray(f, steps)
+    assert len(ray) == steps + 1
+    assert ray == geodesic_ray_stepwise(f, steps)
+
+
+@st.composite
+def vertex_pairs(draw):
+    """Two vertices at levels -3..5 whose classes share most digits."""
+    gf = field(draw(st.sampled_from(TREE_QS)))
+    exps, digit = st.integers(-8, 4), st.integers(0, gf.q - 1)
+    shared = draw(st.dictionaries(exps, digit, max_size=8))
+
+    def vertex():
+        own = draw(st.dictionaries(exps, digit, max_size=2))
+        return TreeVertex(gf, draw(st.integers(-3, 5)), {**shared, **own})
+
+    return vertex(), vertex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_pairs())
+def test_tree_distance_matches_digit_by_digit(pair):
+    v1, v2 = pair
+    assert tree_distance(v1, v2) == tree_distance_by_dicts(v1, v2) == tree_distance(v2, v1)
 
 
 # ---------------------------------------------------------------- normal basis

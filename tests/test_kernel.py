@@ -2,7 +2,8 @@
 multiply and inverse on that kernel against the digit loops, Poly and
 Series add, subtract, negate and scale by coefficient vectors against the
 per-digit loops, the precision contract of series, T-division and Kummer
-roots, the T-division step as a shift against the product by 1/T, the V_q
+roots, the T-division step as a shift against the product by 1/T, the
+completed action against its term-by-term reading of the digits, the V_q
 torsion kernel against the per-candidate digit search, the orbit Eisenstein
 sum against the sum over every nonzero lattice element, the shell
 enumeration against its rule, the period product reduced once against one
@@ -54,7 +55,9 @@ from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_ser
 from carlitz.torsion import (
     TorsionSetVq,
     _slope_data,
+    completed_action,
     divide_T,
+    division_chain,
     min_separating_prec,
     torsion_padic,
     torsion_vq,
@@ -734,6 +737,83 @@ def test_divide_T_step_matches_product_by_inverse_T(pair):
     gf = u.gf
     inv_T = VqElem.monomial(gf, gf.neg(1), gf.q - 1)
     assert (v.frobenius() - u).shifted(gf.q - 1) == (u - v.frobenius()) * inv_T
+
+
+def completed_action_stepwise(M, u):
+    """The completed action with the polynomial part gathered term by term
+    and each tail digit and valuation read through its checks: the oracle
+    for completed_action's single read of M's digits."""
+    gf = u.gf
+    if isinstance(M, Poly):
+        return carlitz_act(M, u)
+    acc = VqElem.zero(gf)
+    poly_coeffs = {}
+    depth = 0
+    for k, c in M.terms():
+        if k <= 0:
+            poly_coeffs[-k] = c
+        else:
+            depth = max(depth, k)
+    if poly_coeffs:
+        n = max(poly_coeffs)
+        vec = [poly_coeffs.get(i, 0) for i in range(n + 1)]
+        acc = acc + carlitz_act(Poly(gf, vec), u)
+    if depth:
+        chain = division_chain(u, depth)
+        prev_val = None
+        for k in range(1, depth + 1):
+            a = M.digit(k) if (M.prec is None or k < M.prec) else 0
+            vk = chain[k - 1]
+            try:
+                val = vk.valuation()
+            except BelowPrecision:
+                val = vk.prec
+            if prev_val is not None and val is not None and val < prev_val:
+                raise CarlitzError(
+                    f"tail term {k} has valuation {val} < previous {prev_val}; "
+                    "division tail fails to converge"
+                )
+            prev_val = val
+            if a:
+                if u.prec is not None and val is not None and val >= u.prec:
+                    break
+                acc = acc + vk.scale(a)
+    return acc
+
+
+@st.composite
+def completed_args(draw):
+    """M at infinity, zero, polynomial-only, principal-only or both, exact or
+    truncated (at a precision that may be <= 0); u in V_q with v(u) from
+    -q to 6, exact or truncated."""
+    gf = FIELDS[draw(st.sampled_from([2, 3, 4, 5]))]
+    digit = st.integers(0, gf.q - 1)
+    exps = draw(st.sampled_from([None, (-3, 0), (1, 4), (-3, 4)]))
+    terms = {} if exps is None else draw(st.dictionaries(st.integers(*exps), digit, max_size=5))
+    M = InfLaurent.from_terms(gf, terms, draw(st.none() | st.integers(-5, 6)))
+    v = draw(st.integers(-gf.q, 6))
+    digits = draw(st.lists(digit, max_size=10))
+    u = VqElem(gf, v, digits, draw(st.none() | st.integers(v - 2, v + len(digits) + 6)))
+    return M, u
+
+
+def raised(f, *args):
+    """f(*args), or the type and message of the library error it raises."""
+    try:
+        return f(*args)
+    except CarlitzError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(completed_args())
+@example((InfLaurent.zero(FIELDS[3]), _vq(3, -1, [1, 0, 2], 9)))  # M exact zero
+@example((InfLaurent.zero(FIELDS[3], -2), _vq(3, -1, [1, 0, 2], 9)))  # truncated zero, prec < 0
+@example((InfLaurent(FIELDS[4], -2, [1, 0, 3], None), _vq(4, 1, [2, 1], None)))  # polynomial only
+@example((InfLaurent(FIELDS[5], 1, [2, 0, 1], None), _vq(5, 1, [3], 12)))  # principal only
+@example((InfLaurent(FIELDS[2], -1, [1, 1, 1, 1], 0), _vq(2, 0, [1, 1], 8)))  # prec 0 cuts the tail
+def test_completed_action_matches_stepwise(args):
+    assert raised(completed_action, *args) == raised(completed_action_stepwise, *args)
 
 
 @st.composite
