@@ -197,6 +197,8 @@ def geodesic_ray(f: RatFn, steps: int):
     classes read off the Laurent digits of f; toward infinity it descends
     forever, so there down = -steps.
     """
+    if steps < 0:
+        raise DomainError(f"a ray has steps >= 0, got {steps}")
     gf = f.gf
     if f.is_infinity():
         digits, down = {}, -steps

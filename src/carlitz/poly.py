@@ -302,16 +302,20 @@ def format_term(c: str, var: str, k: int) -> str:
 
 def parse_term(term: str, var: str, coeff):
     """(c, k) from one term c*var^k, c*var, var^k, var or c, as written by
-    format_term; ``coeff`` reads the coefficient text.  k may be negative."""
-    if var not in term:
-        return coeff(term), 0
-    cpart, _, power = term.partition(var)
-    c = coeff(cpart.rstrip("*") or "1")
-    if power == "":
-        return c, 1
-    if not power.startswith("^"):
-        raise DomainError(f"syntax error in term {term!r}")
-    return c, int(power[1:])
+    format_term; ``coeff`` reads the coefficient text.  k may be negative.
+    A coefficient or exponent that is no integer is a syntax error."""
+    try:
+        if var not in term:
+            return coeff(term), 0
+        cpart, _, power = term.partition(var)
+        c = coeff(cpart.rstrip("*") or "1")
+        if power == "":
+            return c, 1
+        if power.startswith("^"):
+            return c, int(power[1:])
+    except ValueError:
+        pass
+    raise DomainError(f"syntax error in term {term!r}")
 
 
 def split_terms(s: str):

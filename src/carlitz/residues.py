@@ -1,14 +1,18 @@
 """Distinct-degree factorization over the residue field F_q[T]/(P).
 
-Polynomials in x are ``XPoly`` values whose coefficients are kept reduced mod
-P; every product and division runs on the ``XPoly`` kernel with modulus P.
+At a prime of degree 1, P = T - a, the residue field is F_q itself: each
+coefficient of f is reduced mod P by evaluating it at a, and the loop runs on
+the packed ``Poly`` kernel with ``Modulus`` reducing mod the unsplit part of f.
+At a prime of degree >= 2, polynomials in x are ``XPoly`` values whose
+coefficients are kept reduced mod P, and every product and division runs on
+the ``XPoly`` kernel with modulus P.
 """
 
 from __future__ import annotations
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly
-from .poly import Poly, is_irreducible, square_multiply
+from .poly import Modulus, Poly, is_irreducible, poly_gcd, square_multiply
 
 
 def _gcd(a: XPoly, b: XPoly, P: Poly) -> XPoly:
@@ -16,6 +20,33 @@ def _gcd(a: XPoly, b: XPoly, P: Poly) -> XPoly:
     while not b.is_zero():
         a, b = b, a.divmod(b, P)[1]
     return a
+
+
+def _ddf_fq(f: Poly):
+    """ddf of f over F_q, f a Poly whose variable stands for x."""
+    gf = f.gf
+    if f.degree < 1:
+        raise DomainError("ddf requires a nonconstant polynomial")
+    fp = Poly(gf, [gf.mul(i % gf.p, c) for i, c in enumerate(f.coeffs[1:], start=1)])
+    if fp.is_zero() or poly_gcd(f, fp).degree > 0:
+        raise DomainError("ddf input must be squarefree over the residue field")
+    out = []
+    x = Poly.T(gf)
+    h, d, rest, mod = x, 0, f, Modulus(f)
+    while rest.degree >= 2 * (d + 1):
+        d += 1
+        # h = x^(q^d) mod rest: the residue field has q elements
+        h = mod.frobenius(h)
+        g = poly_gcd(rest, h - x)
+        if g.degree > 0:
+            out.append((d, g.degree // d))
+            rest, r = divmod(rest, g)
+            if not r.is_zero():
+                raise CarlitzError("ddf: a gcd factor does not divide the polynomial")
+            h, mod = h % rest, Modulus(rest)
+    if rest.degree > 0:
+        out.append((rest.degree, 1))
+    return out
 
 
 def ddf(f, P: Poly):
@@ -27,6 +58,10 @@ def ddf(f, P: Poly):
     if not P.is_monic() or not is_irreducible(P):
         raise DomainError("residue field modulus must be monic irreducible")
     gf = P.gf
+    if P.degree == 1:
+        # c mod (T - a) is c(a)
+        a = gf.neg(P.coeffs[0])
+        return _ddf_fq(Poly(gf, [P._coerce(c).evaluate(a) for c in f]))
     f = XPoly(gf, [c % P for c in f])
     if f.deg() < 1:
         raise DomainError("ddf requires a nonconstant polynomial")

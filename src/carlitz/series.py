@@ -16,6 +16,7 @@ operation ever reports digits it cannot certify.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
@@ -291,12 +292,13 @@ def parse_series(text: str, gf: GF, cls):
         if not part:
             raise DomainError(f"syntax error in series {text!r}")
         if part.startswith("O(") and part.endswith(")"):
-            inner = part[2:-1]
+            inner, k = part[2:-1], None
             if inner == var:
                 k = 1
             elif inner.startswith(var + "^"):
-                k = int(inner[len(var) + 1 :])
-            else:
+                with contextlib.suppress(ValueError):
+                    k = int(inner[len(var) + 1 :])
+            if k is None:
                 raise DomainError(f"bad tail marker {part!r}")
             prec = sign * k if prec is None else min(prec, sign * k)
             continue

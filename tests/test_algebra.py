@@ -224,6 +224,14 @@ def test_ddf_splits_known_polynomials():
     assert ddf(f, T - Poly.one(gf)) == [(1, 2)]
 
 
+@pytest.mark.parametrize("P", ["T+1", "T^2+1"])
+def test_ddf_refuses_mixed_coefficient_fields(P):
+    # a coefficient over F_9 mod a prime over F_3, on both routes of ddf
+    f = [Poly(field(9), [5]), Poly.zero(field(9)), Poly.one(field(9))]
+    with pytest.raises(DomainError, match="mixed coefficient fields"):
+        ddf(f, parse_poly(P, field(3)))
+
+
 # ---------------------------------------------------------------- padic
 
 

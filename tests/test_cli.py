@@ -189,6 +189,12 @@ def test_ray(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+def test_ray_negative_steps_is_domain_error(capsys):
+    code, out, err = run(capsys, "ray", "--q", "3", "--f", "inf", "--steps", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error[domain]")
+
+
 def test_normal_basis(capsys):
     out = run_ok(capsys, "normal-basis", "--q", "3")
     assert "1" in out
@@ -321,9 +327,12 @@ def test_degree_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "torsion-padic", "--q", "3", "--P", "T^3+2*T+1", "--N", "3")
     assert code == 2
 
-def test_malformed_series_is_usage_error(capsys):
-    code, _, _ = run(capsys, "tree", "distance", "--q", "3", "--v1", "0;0", "--v2", "2;s^-1")
-    assert code == 2
+def test_malformed_series_is_domain_error(capsys):
+    # "s^-1" is no term in T: a syntax error of the grammar, as "--M T^x" is
+    code, _, err = run(capsys, "tree", "distance", "--q", "3", "--v1", "0;0", "--v2", "2;s^-1")
+    assert code == 1 and err.startswith("error[domain]")
+    code, _, err = run(capsys, "act", "--q", "3", "--M", "T^x", "--u", "T")
+    assert code == 1 and err.startswith("error[domain]")
 
 
 def test_malformed_field_element_is_domain_error(capsys):

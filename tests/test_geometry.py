@@ -344,6 +344,13 @@ def test_geodesic_ray_is_a_path():
             assert tree_distance(a, b) == 1
 
 
+def test_geodesic_ray_refuses_negative_steps():
+    gf = field(3)
+    for f in (Fraction.infinity(gf), Fraction.zero(gf)):
+        with pytest.raises(DomainError):
+            geodesic_ray(f, -1)
+
+
 def geodesic_ray_stepwise(f: RatFn, steps: int):
     """The ray by walking it one vertex at a time, down through parents and
     up through the truncations of f's digits: the oracle for geodesic_ray's

@@ -7,6 +7,7 @@ from conftest import field
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carlitz.errors import DomainError
 from carlitz.operator import XPoly, cyclotomic_poly
 from carlitz.poly import Poly, parse_poly, parse_term, split_terms
 from carlitz.series import InfLaurent, VqElem, parse_series
@@ -49,6 +50,22 @@ def test_series_text_roundtrip(x):
     y = parse_series(text, x.gf, type(x))
     assert y == x
     assert str(y) == text
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda gf: parse_poly("T^x", gf),  # exponent
+        lambda gf: parse_poly("x*T", gf),  # F_p coefficient
+        lambda gf: parse_series("T^-1+O(T^x)", gf, InfLaurent),  # tail marker
+    ],
+    ids=["T^x", "x*T", "O(T^x)"],
+)
+def test_non_integer_text_is_a_syntax_error(parse):
+    # a failed int() is a DomainError, as every other syntax error of the
+    # grammar, not a bare ValueError
+    with pytest.raises(DomainError, match="syntax error|bad tail marker"):
+        parse(field(3))
 
 
 @pytest.mark.parametrize("q", QS)

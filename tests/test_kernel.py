@@ -1194,6 +1194,7 @@ def _ddf_args(q, P, *rows):
 @example(_ddf_args(3, [2, 0, 1], [1], [], [1]))  # P = T^2 + 2 = (T + 1)(T + 2)
 @example(_ddf_args(4, [2, 1], [1, 2, 3]))  # constant f
 @example(_ddf_args(9, [1, 1], [0, 1], [1, 1], [1, 1]))  # leading coefficient T + 1 vanishes mod P
+@example(_ddf_args(3, [0, 1], [0, 2], [], [1]))  # x^2 + 2T: squarefree over F_3(T), not mod P = T
 def test_ddf_matches_residue_loop(args):
     assert outcome(ddf, *args) == outcome(rf_ddf, *args)
 

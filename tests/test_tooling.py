@@ -1,13 +1,18 @@
-"""The runtime imports nothing outside the standard library, and every
-module imports on its own."""
+"""The runtime imports nothing outside the standard library, every module
+imports on its own, and the README's CLI quick start runs."""
 
 import ast
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "carlitz"
+from carlitz.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "carlitz"
 
 
 def test_runtime_is_standard_library_only():
@@ -37,3 +42,13 @@ def test_each_module_imports_alone():
         name = "carlitz" if path.stem == "__init__" else f"carlitz.{path.stem}"
         proc = subprocess.run([sys.executable, "-c", f"import {name}"], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, f"{name}: {proc.stderr}"
+
+
+def test_readme_cli_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start \(CLI\)\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("carlitz ")]
+    assert commands
+    for argv in commands:
+        code = main(argv[1:])
+        assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"
