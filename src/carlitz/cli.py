@@ -20,7 +20,7 @@ from . import analytic, geometry, reciprocity, torsion
 from .errors import CarlitzError, DomainError, PrecisionError
 from .gf import GF, MAX_PRIME
 from .operator import carlitz_act, carlitz_operator, cyclotomic_poly
-from .poly import Poly, RatFn, monic_irreducibles, parse_poly
+from .poly import Poly, RatFn, monic_irreducibles, parse_int, parse_poly
 from .series import InfLaurent, VqElem, parse_series
 
 
@@ -36,12 +36,17 @@ DEFAULT_MAX_DEG = 6
 MAX_SPLITTING_WORK = 10**5
 
 
+def integer(text: str) -> int:
+    """An integer option: ASCII digits with an optional leading minus."""
+    return parse_int(text.strip(), signed=True)
+
+
 def max_deg_cap() -> int:
     raw = os.environ.get("CARLITZ_MAX_DEG")
     if raw is None:
         return DEFAULT_MAX_DEG
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise UsageError(f"CARLITZ_MAX_DEG={raw!r} is not an integer")
 
@@ -60,7 +65,7 @@ def build_gf(args) -> GF:
     p, r = _prime_power(q)
     modulus = None
     if getattr(args, "modulus", None):
-        modulus = [int(c) for c in args.modulus.split(",")]
+        modulus = [integer(c) for c in args.modulus.split(",")]
     return GF(p, r, modulus)
 
 
@@ -328,7 +333,7 @@ def cmd_soddy(args):
 def _parse_vertex(s: str, gf) -> geometry.TreeVertex:
     # format: level;series  (series in the T-digit format, possibly 0)
     level_s, _, ser_s = s.partition(";")
-    level = int(level_s)
+    level = integer(level_s)
     digits = {}
     if ser_s.strip() not in ("", "0"):
         ser = parse_series(ser_s, gf, InfLaurent)
@@ -400,7 +405,7 @@ def cmd_exp(args):
     gf = build_gf(args)
     z = parse_series(args.z, gf, VqElem)
     budget = analytic.SeriesBudget(
-        term_count=args.terms, precision=args.prec or 24
+        term_count=args.terms, precision=args.prec if args.prec is not None else 24
     )
     val, cert = analytic.carlitz_exp(z, budget, with_certificate=True)
     cert_s = {str(k): str(v) for k, v in cert.items()}
@@ -413,7 +418,7 @@ def cmd_exp(args):
 
 def cmd_period(args):
     gf = build_gf(args)
-    prec = args.prec or 16
+    prec = args.prec if args.prec is not None else 16
     ratfn, series = analytic.period_partial(gf, args.N, prec=prec)
     exact = _form_text(ratfn)
     emit(
@@ -428,7 +433,7 @@ def cmd_eisenstein(args):
     basis = [parse_series(s, gf, VqElem) for s in args.basis.split(";")]
     L = analytic.Lattice(basis)
     budget = analytic.SeriesBudget(
-        degree_bound=args.degree_bound, precision=args.prec or 24
+        degree_bound=args.degree_bound, precision=args.prec if args.prec is not None else 24
     )
     val, cert = analytic.eisenstein(L, args.k, budget, with_certificate=True)
     cert_s = {str(k): str(v) for k, v in cert.items()}
@@ -515,10 +520,10 @@ def build_parser():
     )
 
     def common(sp):
-        sp.add_argument("--q", type=int, default=3, help="field size, a prime power")
+        sp.add_argument("--q", type=integer, default=3, help="field size, a prime power")
         sp.add_argument("--modulus", help="comma-separated F_p coefficients of the field modulus (r > 1)")
-        sp.add_argument("--prec", type=int, default=None, help="working precision")
-        sp.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized sweeps")
+        sp.add_argument("--prec", type=integer, default=None, help="working precision")
+        sp.add_argument("--seed", type=integer, default=0, help="PRNG seed for randomized sweeps")
         sp.add_argument("--output", choices=("text", "json"), default="text")
 
     sub = top.add_subparsers(dest="command", required=True)
@@ -533,15 +538,15 @@ def build_parser():
 
     add("act", cmd_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)))
     add("operator", cmd_operator, lambda sp: sp.add_argument("--M", required=True))
-    add("cyclotomic", cmd_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--n", type=int, default=1)))
-    add("torsion-padic", cmd_torsion_padic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--N", type=int, default=6)))
+    add("cyclotomic", cmd_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--n", type=integer, default=1)))
+    add("torsion-padic", cmd_torsion_padic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--N", type=integer, default=6)))
     add("torsion-vq", cmd_torsion_vq, lambda sp: sp.add_argument("--M", required=True))
     add("divide-t", cmd_divide_t, lambda sp: sp.add_argument("--u", required=True))
     add("completed-act", cmd_completed_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)))
-    add("dirichlet", cmd_dirichlet, lambda sp: (sp.add_argument("--target", required=True), sp.add_argument("--n", type=int, required=True)))
-    add("symbol", cmd_symbol, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=int, required=True)))
-    add("reciprocity", cmd_reciprocity, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=int, required=True)))
-    add("split-kummer", cmd_split_kummer, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=int, required=True)))
+    add("dirichlet", cmd_dirichlet, lambda sp: (sp.add_argument("--target", required=True), sp.add_argument("--n", type=integer, required=True)))
+    add("symbol", cmd_symbol, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)))
+    add("reciprocity", cmd_reciprocity, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=integer, required=True)))
+    add("split-kummer", cmd_split_kummer, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)))
     add("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--A", required=True)))
     add("xi", cmd_xi, lambda sp: sp.add_argument("--A", required=True))
     add("newton", cmd_newton, lambda sp: sp.add_argument("--A", required=True))
@@ -557,21 +562,21 @@ def build_parser():
     dsub = add("descartes", cmd_descartes).add_subparsers(dest="descartes_cmd", required=True)
     add("family", cmd_descartes, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), parent=dsub)
     add("eval", cmd_descartes, lambda sp: sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions"), parent=dsub)
-    add("sweep", cmd_descartes, lambda sp: sp.add_argument("--count", type=int, default=20), parent=dsub)
+    add("sweep", cmd_descartes, lambda sp: sp.add_argument("--count", type=integer, default=20), parent=dsub)
 
-    add("soddy", cmd_soddy, lambda sp: (sp.add_argument("--n", type=int, default=2), sp.add_argument("--ks", required=True)))
+    add("soddy", cmd_soddy, lambda sp: (sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", required=True)))
 
     tsub = add("tree", cmd_tree).add_subparsers(dest="tree_cmd", required=True)
     add("neighbors", cmd_tree, lambda sp: sp.add_argument("--vertex", required=True, help="level;series"), parent=tsub)
     add("distance", cmd_tree, lambda sp: (sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), parent=tsub)
-    add("export", cmd_tree, lambda sp: sp.add_argument("--radius", type=int, default=2), parent=tsub)
+    add("export", cmd_tree, lambda sp: sp.add_argument("--radius", type=integer, default=2), parent=tsub)
 
-    add("ray", cmd_ray, lambda sp: (sp.add_argument("--f", required=True), sp.add_argument("--steps", type=int, default=5)))
+    add("ray", cmd_ray, lambda sp: (sp.add_argument("--f", required=True), sp.add_argument("--steps", type=integer, default=5)))
     add("normal-basis", cmd_normal_basis)
-    add("exp", cmd_exp, lambda sp: (sp.add_argument("--z", required=True), sp.add_argument("--terms", type=int, default=10)))
-    add("period", cmd_period, lambda sp: sp.add_argument("--N", type=int, required=True))
-    add("eisenstein", cmd_eisenstein, lambda sp: (sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=int, default=1), sp.add_argument("--degree-bound", type=int, default=3)))
-    add("sweep", cmd_sweep, lambda sp: (sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=int, default=2), sp.add_argument("--count", type=int, default=20), sp.add_argument("--N", type=int, default=4)))
+    add("exp", cmd_exp, lambda sp: (sp.add_argument("--z", required=True), sp.add_argument("--terms", type=integer, default=10)))
+    add("period", cmd_period, lambda sp: sp.add_argument("--N", type=integer, required=True))
+    add("eisenstein", cmd_eisenstein, lambda sp: (sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)))
+    add("sweep", cmd_sweep, lambda sp: (sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=integer, default=2), sp.add_argument("--count", type=integer, default=20), sp.add_argument("--N", type=integer, default=4)))
 
     return top
 

@@ -14,7 +14,7 @@ are those of ``poly`` over GF(p).
 from __future__ import annotations
 
 from .errors import DomainError
-from .poly import Poly, all_polys, format_term, is_irreducible, parse_term, square_multiply
+from .poly import Poly, all_polys, format_term, is_irreducible, parse_int, parse_term, square_multiply
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
 # sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
@@ -271,7 +271,7 @@ class GF:
                 raise DomainError("empty coefficient term")
             if "w" in term and self.r == 1:
                 raise DomainError("w not allowed over a prime field")
-            c, i = parse_term(term, "w", int)
+            c, i = parse_term(term, "w", parse_int)
             if not 0 <= c < self.p:
                 raise DomainError(f"coefficient {c} out of range [0, {self.p})")
             if not 0 <= i < self.r:

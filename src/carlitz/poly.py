@@ -80,9 +80,6 @@ class Poly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def is_const(self):
-        return len(self.coeffs) <= 1
-
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -300,6 +297,15 @@ def format_term(c: str, var: str, k: int) -> str:
     return power if c == "1" else f"{c}*{power}"
 
 
+def parse_int(text: str, signed: bool = False) -> int:
+    """The integer in ASCII digits, after a minus when ``signed``; ValueError
+    otherwise (int() also reads other digits, underscores, signs, spaces)."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_term(term: str, var: str, coeff):
     """(c, k) from one term c*var^k, c*var, var^k, var or c, as written by
     format_term; ``coeff`` reads the coefficient text.  k may be negative.
@@ -312,7 +318,7 @@ def parse_term(term: str, var: str, coeff):
         if power == "":
             return c, 1
         if power.startswith("^"):
-            return c, int(power[1:])
+            return c, parse_int(power[1:], signed=True)
     except ValueError:
         pass
     raise DomainError(f"syntax error in term {term!r}")

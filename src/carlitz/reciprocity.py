@@ -183,9 +183,11 @@ def kummer_solve(M: InfLaurent) -> VqElem:
     """One root of X^(q-1) = M in V_q (the rest are its F_q^*-multiples).
 
     Strategy: with m = v(M) (u-adic), M = (-T)^(-m) * U for a unit U; a root
-    is s^m * Y with Y^(q-1) = U, found by Newton iteration from the residue.
-    Solvable only when U has residue 1 — the residue field is F_q, where the
-    only (q-1)-st power is 1; anything else is reported.
+    is s^m * Y with Y^(q-1) = U.  Solvable only when U has residue 1 — the
+    residue field is F_q, where the only (q-1)-st power is 1; anything else
+    is reported.  In Z_p, 1/(q-1) = -(1 + q + q^2 + ...), and the Frobenius
+    image U^(q^k) is 1 + O(u^(q^k)), so Y = (U * U^q * ... * U^(q^K))^(-1)
+    for the least K with q^(K+1) >= prec.
     """
     gf = M.gf
     q = gf.q
@@ -204,15 +206,14 @@ def kummer_solve(M: InfLaurent) -> VqElem:
     if prec is None:
         prec = max(10, 2 * (q - 1))
         U = U.truncate(prec)
-    # Newton for g(Y) = Y^(q-1) - U; g'(Y) = -Y^(q-2) (since q-1 = -1 mod p)
-    Y = InfLaurent.one(gf, prec)
-    for _ in range(prec + 2):
-        g = Y ** (q - 1) - U
-        if g.is_zero():
-            break
-        dg = (Y ** (q - 2)).scale(gf.neg(1)) if q > 2 else InfLaurent.one(gf, prec)
-        Y = Y - g / dg
-    return VqElem.from_inf(Y).shifted(m)
+    # U^(q^(k+1)) spreads the digits of U^(q^k) below ceil(prec/q), which
+    # are all it needs for its own digits below prec
+    product, factor, reach = U, U, q
+    while reach < prec:
+        factor = factor.truncate(-(-prec // q)).frobenius()
+        product = product * factor
+        reach *= q
+    return VqElem.from_inf(product.inverse()).shifted(m)
 
 
 def star_action(A: Poly, nu: InfLaurent) -> InfLaurent:

@@ -21,7 +21,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, check_frobenius_degree, format_term, parse_term, split_terms, square_multiply
+from .poly import Poly, check_frobenius_degree, format_term, parse_int, parse_term, split_terms, square_multiply
 
 INF = math.inf
 
@@ -297,7 +297,7 @@ def parse_series(text: str, gf: GF, cls):
                 k = 1
             elif inner.startswith(var + "^"):
                 with contextlib.suppress(ValueError):
-                    k = int(inner[len(var) + 1 :])
+                    k = parse_int(inner[len(var) + 1 :], signed=True)
             if k is None:
                 raise DomainError(f"bad tail marker {part!r}")
             prec = sign * k if prec is None else min(prec, sign * k)

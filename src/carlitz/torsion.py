@@ -232,9 +232,12 @@ def torsion_vq_cached(M: Poly, prec: int) -> TorsionSetVq:
 def divide_T(u: VqElem, prec: int = None) -> list:
     """The q solutions v of v^q + T*v = u, canonical branch first.
 
-    The canonical branch is the fixed point of v <- (u - v^q)/T, which is the
-    unique solution of maximal valuation; the others differ from it by the
-    nonzero elements of the kernel of rho_T (the multiples of s^{-1}).
+    The canonical branch, the solution of maximal valuation, is the fixed
+    point of v <- (u - v^q)/T: v = sum_k w^(q^k) s^((q-1) e_k) with
+    w = u/T and e_k = (q^k - 1)/(q - 1).  As v(u) > -q, v(w) >= 0 and the
+    term valuations rise, so the sum ends at the first term with no digit
+    below the precision.  The others differ from it by the nonzero elements
+    of the kernel of rho_T (the multiples of s^{-1}).
     """
     gf = u.gf
     q = gf.q
@@ -250,21 +253,15 @@ def divide_T(u: VqElem, prec: int = None) -> list:
         u = u.truncate(work)
     elif prec is not None:
         u = u.truncate(prec)
-    if u.prec is None:
-        budget = 2
-    else:
-        budget = u.prec - min(vu, 0) + q + 2
-    v = VqElem.zero(gf)
-    for _ in range(max(budget, 4)):
-        # 1/T = -s^(q-1) is a shift and a sign
-        v_new = (v.frobenius() - u).shifted(q - 1)
-        if v_new == v:
-            break
-        v = v_new
-    out = [v]
-    for z in range(1, q):
-        out.append(v + VqElem.monomial(gf, z, -1))
-    return out
+    # 1/T = -s^(q-1) is a shift and a sign
+    w = (-u).shifted(q - 1)
+    v, image, e = VqElem.zero(gf, w.prec), w, 0
+    while image.coeffs:
+        v = v + image.shifted((q - 1) * e)
+        # the next term keeps the digits of image^q below w.prec - (q-1) e_(k+1)
+        e = q * e + 1
+        image = image.truncate(-((e * (q - 1) - w.prec) // q)).frobenius()
+    return [v] + [v + VqElem.monomial(gf, z, -1) for z in range(1, q)]
 
 
 def division_chain(u: VqElem, depth: int) -> list:
@@ -282,9 +279,9 @@ def completed_action(M, u: VqElem) -> VqElem:
 
     The polynomial part acts through iterated rho_T; each principal-part term
     a_{-k} T^{-k} contributes a_{-k} times the canonical k-fold T-division
-    point of u.  Tail term valuations must eventually increase strictly
-    (slope q-1 per division step); the sum is truncated once they pass the
-    working precision.
+    point of u.  Each T-division raises the valuation by exactly q-1 (the
+    leading term of divide_T is u/T), so the tail term valuations rise and
+    the sum is truncated once they pass the working precision.
     """
     gf = u.gf
     if isinstance(M, Poly):
@@ -294,18 +291,10 @@ def completed_action(M, u: VqElem) -> VqElem:
     digits = dict(M.terms())
     poly_part = Poly(gf, [digits.get(-i, 0) for i in range(1 - min(digits, default=0))])
     acc = carlitz_act(poly_part, u)
-    prev_val = -float("inf")
     for k, vk in enumerate(division_chain(u, max(digits, default=0)), 1):
-        val = vk._veff()
-        if val < prev_val:
-            raise CarlitzError(
-                f"tail term {k} has valuation {val} < previous {prev_val}; "
-                "division tail fails to converge"
-            )
-        prev_val = val
         a = digits.get(k, 0)
         if a:
-            if u.prec is not None and val >= u.prec:
+            if u.prec is not None and vk._veff() >= u.prec:
                 break
             acc = acc + vk.scale(a)
     return acc

@@ -11,7 +11,7 @@ from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein, per
 from carlitz.errors import DomainError
 from carlitz.operator import carlitz_act
 from carlitz.poly import Poly, RatFn
-from carlitz.series import VqElem
+from carlitz.series import VqElem, parse_series
 
 
 # ---------------------------------------------------------------- exponential
@@ -114,6 +114,27 @@ def test_exp_certifying_term_is_not_computed():
     # a term whose valuation equals the cutoff already certifies it
     _, cert = carlitz_exp(VqElem.monomial(gf, 1, 2, prec=60), SeriesBudget(precision=54), with_certificate=True)
     assert cert == {0: 2, 1: 12, 2: 54}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_exp_of_exact_argument_is_exp_of_its_truncation(q):
+    # an exact z needs no working precision of its own: each z^(q^n) is cut
+    # to the budget's precision before its division by the exact D_n
+    gf = field(q)
+    for terms in [{1: 1}, {-1: 1}, {-1: 1, 0: 1, 3: 1}, {2: 1, 5: 1}, {0: 1, 1: 1}]:
+        z = VqElem.from_terms(gf, terms)
+        for precision in [1, 7, 24]:
+            budget = SeriesBudget(term_count=12, precision=precision)
+            exact = carlitz_exp(z, budget)
+            assert exact == carlitz_exp(z.truncate(precision), budget)
+            assert exact.prec == precision
+
+
+def test_exp_past_the_cutoff_keeps_its_truncated_zero():
+    # v(z) = 30 is read from the untruncated z, so the first term certifies
+    # the cutoff 24 and no digit is claimed
+    z = parse_series("s^30 + O(s^40)", field(3), VqElem)
+    assert str(carlitz_exp(z, SeriesBudget(precision=24))) == "O(s^24)"
 
 
 # ---------------------------------------------------------------- period

@@ -340,3 +340,50 @@ def test_malformed_field_element_is_domain_error(capsys):
     code, out, err = run(capsys, "act", "--q", "8", "--M", "(w_2+1)*T", "--u", "T")
     assert code == 1 and out == ""
     assert err.startswith("error[domain]")
+
+
+def test_prec_zero_is_not_the_default(capsys):
+    # --prec 0 is a precision, not an unset option: the budget refuses it as
+    # it refuses --prec -3
+    for argv in [("exp", "--z", "s"), ("eisenstein", "--basis", "s^-1")]:
+        for prec in ("0", "-3"):
+            code, out, err = run(capsys, *argv, "--q", "3", "--prec", prec)
+            assert code == 1 and out == ""
+            assert err.strip() == "error[domain]: budget fields must be positive"
+    # the period's expansion at precision 0 stops at its leading digit
+    out = run_ok(capsys, "period", "--q", "3", "--N", "2", "--prec", "0")
+    assert out.splitlines()[1] == "series = 1 + O(T^-1)"
+
+
+def test_exp_of_exact_argument(capsys):
+    out = run_ok(capsys, "exp", "--q", "3", "--z", "s")
+    assert out.splitlines()[0] == "s + 2*s^9 + 2*s^13 + 2*s^17 + 2*s^21 + O(s^24)"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("act", "--q", "3", "--M", "T^1_0", "--u", "T"), 1),  # exponent
+        (("act", "--q", "3", "--M", "T^٣", "--u", "T"), 1),  # Arabic-Indic three
+        (("act", "--q", "11", "--M", "1_0*T", "--u", "T"), 1),  # F_p coefficient
+        (("act", "--q", "9", "--M", "(w^١)*T", "--u", "T"), 1),  # power of w
+        (("completed-act", "--q", "3", "--M", "T", "--u", "s + O(s^1_0)"), 1),  # tail marker
+        (("tree", "distance", "--q", "3", "--v1", "1_0;0", "--v2", "0;0"), 2),  # vertex level
+        (("tree", "distance", "--q", "3", "--v1", "١;0", "--v2", "0;0"), 2),
+        (("act", "--q", "9", "--modulus", "1,0,1_0", "--M", "T", "--u", "T"), 2),  # modulus
+        (("act", "--q", "9", "--modulus", "١,0,1", "--M", "T", "--u", "T"), 2),
+        (("act", "--q", "٣", "--M", "T", "--u", "T"), 2),  # integer option
+    ],
+    ids=["T^1_0", "T^3-arabic", "1_0*T", "w^1-arabic", "O(s^1_0)", "level-1_0", "level-arabic",
+         "modulus-1_0", "modulus-arabic", "q-arabic"],
+)
+def test_integers_are_ascii_digits(capsys, argv, code):
+    # each was read by int(), which takes underscores and any Unicode digit;
+    # the grammar's sites stay domain errors and the options usage errors
+    assert run(capsys, *argv)[0] == code
+
+
+def test_ascii_integers_still_read(capsys):
+    assert run_ok(capsys, "tree", "distance", "--q", "3", "--v1", " 1;0", "--v2=-1;0").strip().endswith("2")
+    assert run_ok(capsys, "act", "--q", "9", "--modulus", "1, 0,1", "--M", "T", "--u", "T").strip() == "T^9+T^2"
+    assert run_ok(capsys, "act", "--q", "9", "--modulus=-2,0,1", "--M", "T", "--u", "T").strip() == "T^9+T^2"

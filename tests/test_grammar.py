@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from carlitz.errors import DomainError
 from carlitz.operator import XPoly, cyclotomic_poly
-from carlitz.poly import Poly, parse_poly, parse_term, split_terms
+from carlitz.gf import GF
+from carlitz.poly import Poly, parse_int, parse_poly, parse_term, split_terms
 from carlitz.series import InfLaurent, VqElem, parse_series
 
 QS = [2, 3, 4, 5, 7, 8, 9]
@@ -66,6 +67,40 @@ def test_non_integer_text_is_a_syntax_error(parse):
     # grammar, not a bare ValueError
     with pytest.raises(DomainError, match="syntax error|bad tail marker"):
         parse(field(3))
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: parse_poly("T^1_0", field(3)),  # exponent, underscored
+        lambda: parse_poly("T^٣", field(3)),  # exponent, Arabic-Indic three
+        lambda: parse_poly("T^+3", field(3)),  # exponent, signed
+        lambda: parse_poly("1_0*T", GF(11)),  # F_p coefficient
+        lambda: parse_poly("٢*T", field(3)),
+        lambda: field(9).parse_elem("w^١"),  # power of w
+        lambda: field(7).parse_elem("٣"),  # field element
+        lambda: parse_series("s^-1_0", field(3), VqElem),  # negative exponent
+        lambda: parse_series("s^-٣", field(3), VqElem),
+        lambda: parse_series("s+O(s^1_0)", field(3), VqElem),  # tail marker
+        lambda: parse_series("T+O(T^-٣)", field(3), InfLaurent),
+    ],
+    ids=["T^1_0", "T^3-arabic", "T^+3", "1_0*T", "2-arabic*T", "w^1-arabic", "3-arabic",
+         "s^-1_0", "s^-3-arabic", "O(s^1_0)", "O(T^-3-arabic)"],
+)
+def test_integers_are_ascii_digits(parse):
+    # int() reads underscores, signs and every Unicode digit; the grammar's
+    # integers are ASCII digits, with a leading minus on exponents
+    with pytest.raises(DomainError, match="syntax error|bad tail marker"):
+        parse()
+
+
+def test_parse_int():
+    assert parse_int("0") == 0 and parse_int("042") == 42
+    assert parse_int("-7", signed=True) == -7
+    for text, signed in [("-7", False), ("", False), ("-", True), ("--7", True), ("+7", True),
+                         (" 7", True), ("7_0", False), ("٧", False), ("²", False), ("0x7", False)]:
+        with pytest.raises(ValueError):
+            parse_int(text, signed)
 
 
 @pytest.mark.parametrize("q", QS)

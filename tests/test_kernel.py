@@ -3,8 +3,10 @@ multiply and inverse on that kernel against the digit loops, Poly and
 Series add, subtract, negate and scale by coefficient vectors against the
 per-digit loops, the precision contract of series, T-division and Kummer
 roots, the T-division step as a shift against the product by 1/T, the
-completed action against its term-by-term reading of the digits, the V_q
-torsion kernel against the per-candidate digit search, the orbit Eisenstein
+completed action against its term-by-term reading of the digits, T-division
+as a Frobenius sum against the fixed-point loop and the Kummer root as a
+Frobenius product against Newton's iteration, the V_q torsion kernel
+against the per-candidate digit search, the orbit Eisenstein
 sum against the sum over every nonzero lattice element, the shell
 enumeration against its rule, the period product reduced once against one
 reduction per factor, top-down powers against bottom-up square-and-multiply,
@@ -839,6 +841,172 @@ def test_kummer_solve_precision_contract(M, data):
     assert rough.agrees(fine)
     if M.prec is not None:
         assert rough.prec <= fine.prec
+
+
+# ---------------------------------------------------------------- closed forms at infinity
+
+
+def divide_T_fixed_point(u: VqElem, prec=None) -> list:
+    """divide_T by iterating v <- (v^q - u) s^(q-1) from 0 until v is stable,
+    within a cap read off the precision: the oracle for the Frobenius sum."""
+    gf = u.gf
+    q = gf.q
+    vu = u._veff()
+    if vu <= -q:
+        raise PrecisionError(
+            f"argument valuation {vu} <= -{q}; the contraction does not converge"
+        )
+    if u.prec is None and not u.is_zero():
+        work = prec if prec is not None else u.v + 10 * (q - 1)
+        u = u.truncate(work)
+    elif prec is not None:
+        u = u.truncate(prec)
+    budget = 2 if u.prec is None else u.prec - min(vu, 0) + q + 2
+    v = VqElem.zero(gf)
+    for _ in range(max(budget, 4)):
+        v_new = (v.frobenius() - u).shifted(q - 1)
+        if v_new == v:
+            break
+        v = v_new
+    return [v] + [v + VqElem.monomial(gf, z, -1) for z in range(1, q)]
+
+
+def kummer_solve_newton(M: InfLaurent) -> VqElem:
+    """kummer_solve by Newton's iteration for Y^(q-1) = U from Y = 1: the
+    oracle for the Frobenius product."""
+    gf = M.gf
+    q = gf.q
+    if M.is_zero():
+        raise DomainError("zero has no nonzero (q-1)-st root; kappa(0) = 0")
+    m = M.v
+    U = M.shifted(-m).scale(gf.neg(1) if m % 2 else 1)
+    eta = U.coeffs[0]
+    if eta != 1:
+        raise CarlitzError(
+            f"residue {gf.fmt_elem(eta)} is not a (q-1)-st power in F_q; "
+            "no root exists in this completion"
+        )
+    prec = U.prec
+    if prec is None:
+        prec = max(10, 2 * (q - 1))
+        U = U.truncate(prec)
+    # g(Y) = Y^(q-1) - U, g'(Y) = -Y^(q-2) as q - 1 = -1 mod p
+    Y = InfLaurent.one(gf, prec)
+    for _ in range(prec + 2):
+        g = Y ** (q - 1) - U
+        if g.is_zero():
+            break
+        dg = (Y ** (q - 2)).scale(gf.neg(1)) if q > 2 else InfLaurent.one(gf, prec)
+        Y = Y - g / dg
+    return VqElem.from_inf(Y).shifted(m)
+
+
+CLOSED_FORM_FIELDS = [2, 3, 4, 5, 7, 8, 9]
+
+
+@st.composite
+def frobenius_sum_args(draw, working=lambda q, v: st.none() | st.integers(-q, v + 24)):
+    """u in V_q with v(u) from -q + 1 to 6, exact, truncated or truncated to
+    zero (then possibly at or below -q), and a working precision or None
+    drawn by ``working`` from q and v."""
+    gf = FIELDS[draw(st.sampled_from(CLOSED_FORM_FIELDS))]
+    q = gf.q
+    v = draw(st.integers(-q + 1, 6))
+    digits = draw(st.lists(st.integers(0, q - 1), max_size=20))
+    u = VqElem(gf, v, digits, draw(st.none() | st.integers(v - 3, v + len(digits) + 6)))
+    return u, draw(working(q, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frobenius_sum_args())
+@example((_vq(3, 0, [], None), None))  # exact zero: exact zero branch
+@example((_vq(3, 0, [], None), 4))  # exact zero at a working precision
+@example((_vq(5, 2, [], 2), None))  # truncated zero
+@example((_vq(4, -3, [1, 2, 3], None), None))  # exact, v(u) = -q + 1
+@example((_vq(9, 0, [1] * 20, 20), -9))  # working precision -q: nothing certified
+@example((_vq(2, -1, [1, 1], 40), None))  # v(w) = 0: every Frobenius image kept
+def test_divide_T_matches_fixed_point(args):
+    # the Frobenius sum has the fixed point's digits and precision
+    assert outcome(divide_T, *args) == outcome(divide_T_fixed_point, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frobenius_sum_args(working=lambda q, v: st.integers(-q - 8, -q - 1)))
+def test_divide_T_below_minus_q_is_vacuous_and_finer(args):
+    # a working precision below -q certifies no digit of any branch (the
+    # canonical one has valuation >= 0); the sum reports O(s^(prec + q - 1)),
+    # where the fixed point's precision fell by a factor of q per step
+    u, prec = args
+    new, old = outcome(divide_T, u, prec), outcome(divide_T_fixed_point, u, prec)
+    if not isinstance(old, list):
+        assert new is old is PrecisionError
+        return
+    for n, o in zip(new, old):
+        assert n.is_zero() and n.prec == prec + u.gf.q - 1
+        assert n.agrees(o) and n.prec >= o.prec
+
+
+@st.composite
+def frobenius_product_args(draw):
+    """M at infinity with valuation -6..6, exact, truncated or truncated to
+    zero, whose unit part has residue 1 or, now and then, another one."""
+    gf = FIELDS[draw(st.sampled_from(CLOSED_FORM_FIELDS))]
+    m = draw(st.integers(-6, 6))
+    residue = draw(st.sampled_from([1] * 4 + list(range(2, gf.q))))
+    digits = [gf.neg(residue) if m % 2 else residue] + draw(st.lists(st.integers(0, gf.q - 1), max_size=30))
+    return InfLaurent(gf, m, digits, draw(st.none() | st.integers(m - 1, m + len(digits) + 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frobenius_product_args())
+@example(InfLaurent(FIELDS[2], 3, [1, 1, 0, 1], None))  # q = 2: the root is U itself
+@example(InfLaurent(FIELDS[3], -2, [1], 1))  # prec - m = 3 = q: one factor
+@example(InfLaurent(FIELDS[3], 0, [1, 2, 2, 1], 4))  # prec 4 > q: two factors
+@example(InfLaurent(FIELDS[9], 1, [2, 5, 3], None))  # exact, leading digit -1 at odd m: working precision 16
+@example(InfLaurent(FIELDS[9], 1, [8, 5, 3], None))  # U has residue w+1: no root
+def test_kummer_solve_matches_newton(M):
+    # the Frobenius product has Newton's digits and precision, and the same
+    # errors
+    assert raised(kummer_solve, M) == raised(kummer_solve_newton, M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frobenius_sum_args(working=lambda q, v: st.none()), st.integers(1, 8))
+def test_division_chain_valuations_rise_by_q_minus_1(args, depth):
+    # each T-division raises the valuation by exactly q - 1: its leading term
+    # is w = u/T and every later one is strictly higher; so completed_action
+    # needs no check that its tail converges
+    u = args[0]
+    assume(u._veff() > -u.gf.q)
+    vals = [x._veff() for x in [u] + division_chain(u, depth)]
+    assert all(b == a + u.gf.q - 1 for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CLOSED_FORM_FIELDS),
+    st.integers(-16, 12),
+    st.none() | st.integers(1, 60),
+    st.integers(1, 10),
+    st.integers(1, 80),
+)
+def test_carlitz_exp_certificate_never_falls_after_it_rises(q, v, rel, terms, prec):
+    # the term valuations q^n (v + (q-1) n) fall, staying at or below v, then
+    # rise for good; so e(z) needs no check that they keep rising, and the
+    # first one at or past the cutoff certifies the tail
+    gf = FIELDS[q]
+    z = VqElem.monomial(gf, 1, v, None if rel is None else v + rel)
+    budget = SeriesBudget(term_count=terms, precision=prec)
+    try:
+        _, cert = carlitz_exp(z, budget, with_certificate=True)
+    except CarlitzError as err:
+        assert str(err).startswith(f"term budget {terms} exhausted")
+        return
+    vals = list(cert.values())
+    steps = [b - a for a, b in zip(vals, vals[1:])]
+    rise = next((i for i, d in enumerate(steps) if d > 0), len(steps))
+    assert all(d <= 0 for d in steps[:rise]) and all(d > 0 for d in steps[rise:])
+    assert all(x <= v for x in vals[: rise + 1])
 
 
 def test_carlitz_exp_at_precision_300():

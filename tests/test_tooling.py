@@ -1,5 +1,5 @@
 """The runtime imports nothing outside the standard library, every module
-imports on its own, and the README's CLI quick start runs."""
+imports on its own, and the README's library and CLI quick starts run."""
 
 import ast
 import os
@@ -52,3 +52,17 @@ def test_readme_cli_quick_start_runs(capsys):
     for argv in commands:
         code = main(argv[1:])
         assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the block runs as written, and its comments state what it gives
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    expr, value = re.search(r"^(carlitz_operator\(M\)\.to_xpoly\(\))\s+# (.*)$", block, re.M).groups()
+    assert str(eval(expr, namespace)) == value == "x^9 + (T^3+T)*x^3 + T^2*x"
+    count = int(re.search(r"# all (\d+) roots", block).group(1))
+    assert len(printed) == len(set(printed)) == count == 9
+    assert re.search(r"# e\.g\. (.*)$", block, re.M).group(1) in printed
