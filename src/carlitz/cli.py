@@ -51,7 +51,20 @@ def max_deg_cap() -> int:
         raise UsageError(f"CARLITZ_MAX_DEG={raw!r} is not an integer")
 
 
+def rational(text: str) -> Rational:
+    """A rational entry: a or a/b in ASCII digits, a after an optional minus
+    and b nonzero."""
+    num, slash, den = text.strip().partition("/")
+    a, b = parse_int(num, signed=True), parse_int(den) if slash else 1
+    if b == 0:
+        raise UsageError(f"zero denominator in {text.strip()!r}")
+    return Rational(a, b)
+
+
 def check_cap(deg: int, what: str):
+    """An enumeration bound from 0 up to the cap."""
+    if deg < 0:
+        raise UsageError(f"{what} degree {deg} is negative")
     cap = max_deg_cap()
     if deg > cap:
         raise UsageError(
@@ -290,6 +303,8 @@ def cmd_family(args):
 def _descartes_rows(gf, seed: int, count: int):
     """(members, form, zero) for each of count random tangent families drawn
     from one seeded generator: the rows of both Descartes sweeps."""
+    if count < 0:
+        raise UsageError(f"count {count} is negative")
     rng = random.Random(seed)
     for _ in range(count):
         fam = geometry.random_tangent_family(gf, rng)
@@ -325,7 +340,7 @@ def cmd_descartes(args):
 
 
 def cmd_soddy(args):
-    ks = [Rational(x) for x in args.ks.split(",")]
+    ks = [rational(x) for x in args.ks.split(",")]
     val = geometry.soddy_form(args.n, ks)
     emit(args, {"form": str(val), "zero": val == 0}, [str(val)])
 

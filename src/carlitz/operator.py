@@ -1,9 +1,12 @@
 """Additive operators of the Carlitz module and the polynomials built from them.
 
 The T-action is rho_T(u) = u^q + T*u; it extends F_q-linearly and
-multiplicatively to rho_M for every M in F_q[T].  rho_M is F_q-linear in u, so
-it is determined by its coefficient vector (c_0, ..., c_d) with
-rho_M(u) = sum c_i u^(q^i), c_0 = M, d = deg M.
+multiplicatively to rho_M for every M in F_q[T].  carlitz_act is the one
+evaluation of rho_M(u), by Horner's rule in rho_T, in every ring.  rho_M is
+F_q-linear in u, so it is also determined by its coefficient vector
+(c_0, ..., c_d) with rho_M(u) = sum c_i u^(q^i), c_0 = M, d = deg M:
+carlitz_operator builds that vector, which the x-polynomials, the slopes and
+the CLI read.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ class XPoly:
 
 
 class AdditiveOperator:
-    """The operator rho_M: u -> sum c_i u^(q^i) with c_0 = M."""
+    """The coefficients (c_0, ..., c_d) of rho_M(u) = sum c_i u^(q^i), c_0 = M."""
 
     __slots__ = ("gf", "coeffs")
 
@@ -180,33 +183,11 @@ class AdditiveOperator:
         self.gf = gf
         self.coeffs = tuple(coeffs)
 
-    @property
-    def M(self) -> Poly:
-        return self.coeffs[0]
-
     def to_xpoly(self) -> XPoly:
         return XPoly.from_terms(
             self.gf,
             {self.gf.q ** i: c for i, c in enumerate(self.coeffs) if not c.is_zero()},
         )
-
-    def derivative(self) -> XPoly:
-        """The x-derivative: the constant M, since (u^(q^i))' = 0 for i >= 1."""
-        return XPoly(self.gf, [self.M])
-
-    def apply(self, u):
-        """rho_M(u) in u's ring (Poly, PadicElem or Series): each ring embeds
-        the c_i by from_poly and gives u^(q^i) by its q-power frobenius."""
-        acc = u.from_poly(self.M) * u
-        p = u
-        for c in self.coeffs[1:]:
-            p = p.frobenius()
-            if not c.is_zero():
-                acc = acc + u.from_poly(c) * p
-        return acc
-
-    # the name XPoly evaluates by, which hensel_lift calls
-    evaluate = apply
 
     def __eq__(self, other):
         return (
@@ -227,34 +208,23 @@ _CACHE_SIZE = 512
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _operator_cached(M: Poly, modulus) -> AdditiveOperator:
+def _operator_cached(M: Poly) -> AdditiveOperator:
     gf = M.gf
     zero = Poly.zero(gf)
-
-    def reduce(f):
-        # Reduction mod P^N commutes with the q-power map in characteristic
-        # p, so reducing as we go agrees with reducing the exact operator,
-        # whose coefficients have degree (deg M - i)*q^i.
-        return f if modulus is None else f % modulus
-
     # Horner in rho_T, as in carlitz_act: c <- rho_T o c + a_k from k = deg M
     # down to 0, where rho_T o c has coefficients c'_j = c_{j-1}^q + T*c_j
     c = []
     for a in reversed(M.coeffs):
         below = [zero] + [f.frobenius() for f in c]
-        c = [reduce(x + y.shift(1)) for x, y in zip(below, c + [zero])]
+        c = [x + y.shift(1) for x, y in zip(below, c + [zero])]
         if a:
             c[0] = c[0] + Poly.const(gf, a)
     return AdditiveOperator(gf, c or [zero])
 
 
-def carlitz_operator(M: Poly, modulus: Poly = None) -> AdditiveOperator:
-    """The additive operator rho_M, with coefficient degrees (deg M - i)*q^i.
-
-    With a modulus P^N the coefficients are reduced mod P^N, which is all
-    that acting on F_q[T]/P^N needs.
-    """
-    return _operator_cached(M, modulus)
+def carlitz_operator(M: Poly) -> AdditiveOperator:
+    """The additive operator rho_M, with coefficient degrees (deg M - i)*q^i."""
+    return _operator_cached(M)
 
 
 def carlitz_act(M: Poly, u):

@@ -9,7 +9,7 @@ BelowPrecision.
 from __future__ import annotations
 
 from .errors import BelowPrecision, CarlitzError, DomainError
-from .poly import Modulus, Poly, all_polys, inv_mod, is_irreducible
+from .poly import Modulus, Poly, all_polys, inv_mod, is_irreducible, square_multiply
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
 
@@ -111,8 +111,8 @@ class PadicElem:
         return self.ctx.elem(f)
 
     def frobenius(self) -> "PadicElem":
-        """The q-th power."""
-        return self ** self.ctx.gf.q
+        """The q-th power: the Frobenius image of the rep, reduced once."""
+        return self.ctx.elem(self.rep.frobenius())
 
     def rho_T(self) -> "PadicElem":
         """The Carlitz step u^q + T*u, reduced once."""
@@ -121,23 +121,7 @@ class PadicElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        # x^e = prod_i (x^(q^i))^(e_i) over the base-q digits e_i of e
-        q = self.ctx.gf.q
-        res = None  # stands for one, saving a multiplication by it
-        base = self
-        while e:
-            e, d = divmod(e, q)
-            sq = base
-            while d:
-                if d & 1:
-                    res = sq if res is None else res * sq
-                d >>= 1
-                if d:
-                    sq = sq * sq
-            if e:
-                # the q-th power of a rep is its Frobenius image
-                base = self.ctx.elem(base.rep.frobenius())
-        return self.ctx.one() if res is None else res
+        return square_multiply(self, e) if e else self.ctx.one()
 
     def is_zero(self):
         return self.rep.is_zero()
@@ -188,8 +172,7 @@ def hensel_lift(f, a0: PadicElem, ctx: PadicCtx) -> PadicElem:
     """Lift a simple root of f mod P to a root mod P^N by Newton iteration.
 
     ``f`` is anything exposing ``evaluate(a)`` in a's ring and a
-    ``derivative()`` that does too: an XPoly over F_q[T], or an
-    AdditiveOperator, whose derivative is the constant M.  Requires
+    ``derivative()`` that does too, such as an XPoly over F_q[T].  Requires
     f(a0) = 0 and f'(a0) != 0 mod P.  Each step works at full precision and
     doubles the number of correct digits, so it stops after at most
     ceil(log2 N) steps, when f(a) = 0 mod P^N.  A root still missing after

@@ -3,10 +3,11 @@ and Dirichlet-style approximation by torsion.
 
 Torsion here means the kernel of rho_M.  In the P-adic completion the relevant
 kernel is that of rho_{P-1}, which splits completely: one simple root over
-every residue class mod P, lifted by Hensel.  In V_q (the ramified extension
-of the completion at infinity, uniformizer s) the kernel of rho_M consists of
-q^{deg M} Laurent series.  rho_M is F_q-linear, so their truncations form the
-kernel of an F_q-linear map on the digit vectors, found by row reduction.
+every residue class mod P, lifted by Newton's step on carlitz_act.  In V_q
+(the ramified extension of the completion at infinity, uniformizer s) the
+kernel of rho_M consists of q^{deg M} Laurent series.  rho_M is F_q-linear,
+so their truncations form the kernel of an F_q-linear map on the digit
+vectors, found by row reduction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 
 from .errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from .operator import carlitz_act, carlitz_operator
-from .padic import PadicCtx, PadicElem, hensel_lift
+from .padic import PadicCtx, PadicElem
 from .poly import Poly
 from .series import VqElem
 
@@ -102,21 +103,32 @@ def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
     """All roots of rho_{P-1} mod P^N, one over each residue class mod P.
 
     rho_{P-1}(x) is congruent to x^{q^d} - x mod P (d = deg P), so each of the
-    q^d residue classes carries exactly one simple root; its x-derivative is
-    the unit P-1, so Hensel applies everywhere.  rho_{P-1} is F_q-linear, so
-    the roots b_i over T^i, i < d, are the only lifts: sum c_i b_i is the root
-    over sum c_i T^i.  The points come in the order of ctx.residues().
+    q^d residue classes carries exactly one simple root.  Its x-derivative is
+    the constant P-1, a unit, so one inverse of P-1 serves every Newton step
+    b <- b - rho_{P-1}(b)/(P-1), and each step doubles the correct digits:
+    the image is zero after at most ceil(log2 N) steps, and one still
+    nonzero after ceil(log2 N) + 1 evaluations raises CarlitzError.  rho_{P-1} is
+    F_q-linear, so the roots b_i over T^i, i < d, are the only lifts:
+    sum c_i b_i is the root over sum c_i T^i.  The points come in the order
+    of ctx.residues().
     """
     q, d = P.gf.q, P.degree
     if q**d > MAX_TORSION_POINTS:
         raise DomainError(f"{q}^{d} torsion points are above the supported maximum 2^16")
     ctx = PadicCtx(P, N)
     order = P - Poly.one(P.gf)
-    f = carlitz_operator(order, ctx.modulus)
+    step = ctx.elem(order).inverse()
     T = Poly.T(P.gf)
     points = [ctx.zero()]
     for i in range(d):
-        b = hensel_lift(f, ctx.elem(T**i), ctx)
+        b = ctx.elem(T**i)
+        for _ in range((N - 1).bit_length() + 1):
+            image = carlitz_act(order, b)
+            if image.is_zero():
+                break
+            b = b - image * step
+        else:
+            raise CarlitzError(f"Newton from {T**i} did not reach a root mod {P}^{N}")
         points = [p + b.scale(c) for c in range(q) for p in points]
     return TorsionSetPadic(ctx, order, points)
 

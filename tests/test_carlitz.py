@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import field, rand_poly
+from test_kernel import CoefficientOperator
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
@@ -120,8 +121,6 @@ def test_cyclotomic_degree_mismatch_raises(monkeypatch):
 
 def test_operator_caches_are_bounded():
     gf = field(2)
-    ctx = PadicCtx(parse_poly("T^2+T+1", gf), 3)
-    # one memo holds the exact and the reduced operators
     caches = (operator_module._operator_cached, torsion_module.torsion_vq_cached)
     for cache in caches:
         assert cache.cache_info().maxsize is not None
@@ -129,7 +128,6 @@ def test_operator_caches_are_bounded():
     for code in range(1, caches[0].cache_info().maxsize + 50):
         M = Poly(gf, [(code >> i) & 1 for i in range(code.bit_length())])
         carlitz_operator(M)
-        carlitz_operator(M, ctx.modulus)
     for prec in range(1, caches[1].cache_info().maxsize + 50):
         torsion_module.torsion_vq_cached(Poly.one(gf), prec)
     for cache in caches:
@@ -166,21 +164,23 @@ def test_torsion_padic_is_a_module():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_hensel_on_the_operator_matches_the_xpoly(q):
-    # Newton on rho_{P-1} (derivative the constant P-1, evaluated by a
-    # Frobenius chain) against Newton on the dense x-polynomial, whose
-    # derivative is formed and evaluated term by term
+    # Newton on rho_{P-1} (derivative the constant P-1, evaluated by the
+    # coefficient loop) against Newton on the dense x-polynomial, whose
+    # derivative is formed and evaluated term by term; the Horner action
+    # sends the root to zero
     gf = field(q)
     for d in (1, 2, 3):
         if q**d > 125:
             continue  # the dense x-polynomial has degree q^d
         P = [f for f in monic_irreducibles(gf, d) if f.degree == d][-1]
         ctx = PadicCtx(P, 5)
-        op = carlitz_operator(P - Poly.one(gf))
-        f = op.to_xpoly()
+        order = P - Poly.one(gf)
+        op = CoefficientOperator(order)
+        f = carlitz_operator(order).to_xpoly()
         for r in ctx.residues():
             a = hensel_lift(op, ctx.elem(r), ctx)
             assert a == hensel_lift(f, ctx.elem(r), ctx)
-            assert op.apply(a).is_zero()
+            assert carlitz_act(order, a).is_zero()
 
 
 # ---------------------------------------------------------------- V_q torsion

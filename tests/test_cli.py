@@ -175,6 +175,23 @@ def test_soddy(capsys):
     assert out.strip().endswith("0")
 
 
+def test_soddy_reads_ascii_rationals(capsys):
+    assert run_ok(capsys, "soddy", "--n", "2", "--ks=1/2,1/2,1/2,1/2").strip() == "2"
+    assert run_ok(capsys, "soddy", "--n", "2", "--ks= -1, 2,2,3").strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "ks",
+    ["1_0,2,2,3", "٣,2,2,3", "1/0,1,1,1", "1/-2,1,1,1", "+1,2,2,3", "1.5,2,2,3", ",1,1,1"],
+    ids=["underscore", "arabic", "zero-denominator", "signed-denominator", "plus", "decimal", "empty"],
+)
+def test_soddy_malformed_ks_is_usage_error(capsys, ks):
+    # Fraction() read 1_0 as 10 and ٣ as 3, and 1/0 raised ZeroDivisionError
+    code, out, err = run(capsys, "soddy", "--n", "2", f"--ks={ks}")
+    assert code == 2 and out == ""
+    assert err.startswith("error[usage]")
+
+
 def test_tree_subcommands(capsys):
     out = run_ok(capsys, "tree", "neighbors", "--q", "3", "--vertex", "0;0")
     assert len(out.strip().splitlines()) == 4
@@ -193,6 +210,23 @@ def test_ray_negative_steps_is_domain_error(capsys):
     code, out, err = run(capsys, "ray", "--q", "3", "--f", "inf", "--steps", "-1")
     assert code == 1 and out == ""
     assert err.startswith("error[domain]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("descartes", "sweep", "--count", "-2"),
+        ("sweep", "--kind", "descartes", "--count", "-1"),
+        ("sweep", "--kind", "reciprocity", "--max-deg", "-1"),
+        ("tree", "export", "--radius", "-1"),
+    ],
+    ids=["descartes-count", "sweep-count", "sweep-max-deg", "tree-radius"],
+)
+def test_negative_count_is_usage_error(capsys, argv):
+    # each printed nothing (or only the base vertex) and exited 0
+    code, out, err = run(capsys, *argv, "--q", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error[usage]") and "is negative" in err
 
 
 def test_normal_basis(capsys):

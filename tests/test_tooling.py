@@ -1,7 +1,10 @@
 """The runtime imports nothing outside the standard library, every module
-imports on its own, and the README's library and CLI quick starts run."""
+imports on its own, the README's library and CLI quick starts run, and every
+layer boundary the benchmark traces exists in the library."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -66,3 +69,18 @@ def test_readme_library_quick_start_runs(capsys):
     count = int(re.search(r"# all (\d+) roots", block).group(1))
     assert len(printed) == len(set(printed)) == count == 9
     assert re.search(r"# e\.g\. (.*)$", block, re.M).group(1) in printed
+
+
+def test_every_benchmark_boundary_exists():
+    # a boundary the library no longer defines reads 0 in every per-layer
+    # row; the tracer is loaded from its file and only read
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BOUNDARIES
+    missing = []
+    for name, (module, attr) in sorted(tracer.BOUNDARIES.items()):
+        importlib.import_module(module)
+        if tracer._resolve(module, attr)[1] is None:
+            missing.append(name)
+    assert missing == []
