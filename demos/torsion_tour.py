@@ -16,7 +16,7 @@ gf = GF(3)
 M = parse_poly("T^2", gf)
 
 print(f"base field F_{gf.q}(T), order M = {M}")
-print(f"rho_M as an additive polynomial: {carlitz_operator(M).to_xpoly()}")
+print(f"rho_M as an additive polynomial: {carlitz_operator(M)}")
 print()
 
 print("--- torsion at a finite prime (P = T, depth 6) ---")

@@ -23,7 +23,7 @@ from .geometry import (
 )
 from .gf import GF
 from .operator import (
-    AdditiveOperator,
+    AdditivePoly,
     XPoly,
     brackets_D,
     carlitz_act,

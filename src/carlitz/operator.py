@@ -1,12 +1,12 @@
-"""Additive operators of the Carlitz module and the polynomials built from them.
+"""Additive polynomials of the Carlitz module and the polynomials built from them.
 
 The T-action is rho_T(u) = u^q + T*u; it extends F_q-linearly and
-multiplicatively to rho_M for every M in F_q[T].  carlitz_act is the one
-evaluation of rho_M(u), by Horner's rule in rho_T, in every ring.  rho_M is
-F_q-linear in u, so it is also determined by its coefficient vector
-(c_0, ..., c_d) with rho_M(u) = sum c_i u^(q^i), c_0 = M, d = deg M:
-carlitz_operator builds that vector, which the x-polynomials, the slopes and
-the CLI read.
+multiplicatively to rho_M for every M in F_q[T].  carlitz_act evaluates
+rho_M(u) by Horner's rule in rho_T in every ring.  rho_M(x) = sum c_i x^(q^i),
+c_0 = M, d = deg M, is an additive polynomial, held by AdditivePoly as its
+d + 1 coefficients; in characteristic p, rho_T keeps a polynomial additive,
+so rho_M(x) is carlitz_act(M, x) in that ring.  carlitz_operator memoises it
+for the slopes, torsion at infinity, the division polynomials and the CLI.
 """
 
 from __future__ import annotations
@@ -14,16 +14,28 @@ from __future__ import annotations
 import functools
 
 from .errors import CarlitzError, DomainError
-from .poly import Poly, format_term, inv_mod, is_irreducible
+from .poly import MAX_FROBENIUS_DEGREE, Poly, format_term, inv_mod, is_irreducible
 
 __all__ = [
     "XPoly",
-    "AdditiveOperator",
+    "AdditivePoly",
     "carlitz_operator",
     "carlitz_act",
     "cyclotomic_poly",
     "brackets_D",
 ]
+
+
+def _format_x(terms) -> str:
+    """The terms c*x^e, in the order given, joined by ' + '."""
+    parts = []
+    for e, c in terms:
+        if c.is_zero():
+            continue
+        # a coefficient of more than one T-term is put in parentheses
+        multi = sum(1 for t in c.coeffs if t) > 1
+        parts.append(format_term(f"({c})" if multi else str(c), "x", e))
+    return " + ".join(parts) or "0"
 
 
 class XPoly:
@@ -157,73 +169,76 @@ class XPoly:
         return hash((self.gf, self.coeffs))
 
     def __str__(self):
-        parts = []
-        for e in range(self.deg(), -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            # a coefficient of more than one T-term is put in parentheses
-            multi = sum(1 for t in c.coeffs if t) > 1
-            parts.append(format_term(f"({c})" if multi else str(c), "x", e))
-        return " + ".join(parts) or "0"
+        return _format_x((e, self.coeffs[e]) for e in range(self.deg(), -1, -1))
 
     def __repr__(self):
         return f"XPoly({self})"
 
 
-class AdditiveOperator:
-    """The coefficients (c_0, ..., c_d) of rho_M(u) = sum c_i u^(q^i), c_0 = M."""
+class AdditivePoly:
+    """An additive x-polynomial sum c_i x^(q^i) over F_q[T], held by its
+    coefficients (c_0, ..., c_d): d + 1 of them for x-degree q^d.
+
+    The ring carlitz_operator runs carlitz_act in: rho_T, scale and + keep a
+    polynomial additive, and 0 is the one additive constant.
+    """
 
     __slots__ = ("gf", "coeffs")
 
     def __init__(self, gf, coeffs):
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n > 1 and coeffs[n - 1].is_zero():
+            n -= 1
         self.gf = gf
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs[:n]
 
-    def to_xpoly(self) -> XPoly:
-        return XPoly.from_terms(
-            self.gf,
-            {self.gf.q ** i: c for i, c in enumerate(self.coeffs) if not c.is_zero()},
-        )
+    @staticmethod
+    def from_poly(f: Poly):
+        """f as a constant, which is additive only for f = 0."""
+        if not f.is_zero():
+            raise DomainError(f"the constant {f} is not an additive polynomial")
+        return AdditivePoly(f.gf, [f])
+
+    def scale(self, a: int):
+        return AdditivePoly(self.gf, [c.scale(a) for c in self.coeffs])
+
+    def rho_T(self):
+        """f^q + T*f.  In characteristic p, (c_j x^(q^j))^q = c_j^q x^(q^(j+1)),
+        so the coefficients become c'_j = c_(j-1)^q + T*c_j."""
+        c = self.coeffs
+        up = [f.frobenius() for f in c]
+        return AdditivePoly(self.gf, [c[0].shift(1)] + [a + f.shift(1) for a, f in zip(up, c[1:])] + up[-1:])
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return AdditivePoly(self.gf, tuple(map(Poly.__add__, a, b)) + a[len(b) :])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AdditiveOperator)
-            and self.gf == other.gf
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, AdditivePoly) and self.gf == other.gf and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.gf, self.coeffs))
+    def __str__(self):
+        q = self.gf.q
+        return _format_x((q**i, self.coeffs[i]) for i in range(len(self.coeffs) - 1, -1, -1))
 
     def __repr__(self):
-        return f"AdditiveOperator({', '.join(str(c) for c in self.coeffs)})"
+        return f"AdditivePoly({self})"
 
 
-# entries kept by each operator memo; cache_info() reports hits, misses, size
+# entries kept by the operator memo; cache_info() reports hits, misses, size
 _CACHE_SIZE = 512
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _operator_cached(M: Poly) -> AdditiveOperator:
-    gf = M.gf
-    zero = Poly.zero(gf)
-    # Horner in rho_T, as in carlitz_act: c <- rho_T o c + a_k from k = deg M
-    # down to 0, where rho_T o c has coefficients c'_j = c_{j-1}^q + T*c_j
-    c = []
-    for a in reversed(M.coeffs):
-        below = [zero] + [f.frobenius() for f in c]
-        c = [x + y.shift(1) for x, y in zip(below, c + [zero])]
-        if a:
-            c[0] = c[0] + Poly.const(gf, a)
-    return AdditiveOperator(gf, c or [zero])
+def _operator_cached(M: Poly) -> AdditivePoly:
+    return carlitz_act(M, AdditivePoly(M.gf, [Poly.one(M.gf)]))
 
 
-def carlitz_operator(M: Poly) -> AdditiveOperator:
-    """The additive operator rho_M, with coefficient degrees (deg M - i)*q^i."""
+def carlitz_operator(M: Poly) -> AdditivePoly:
+    """rho_M(x) = sum c_i x^(q^i), c_i = .coeffs[i] of T-degree
+    (deg M - i)*q^i; memoised."""
     return _operator_cached(M)
 
 
@@ -231,9 +246,9 @@ def carlitz_act(M: Poly, u):
     """rho_M(u) in whichever ring u lives in.
 
     rho_M = sum a_k rho_T^k, so Horner's rule in rho_T gives
-    v <- rho_T(v) + a_k u = v^q + T v + a_k u from k = deg M down to 0,
-    with no operator coefficients built.  Each ring's ``rho_T`` takes one
-    step without a ring product.
+    v <- rho_T(v) + a_k u = v^q + T v + a_k u from k = deg M down to 0.
+    Each ring's ``rho_T`` takes one step without a ring product; in
+    AdditivePoly, from u = x, the loop builds rho_M(x) itself.
     """
     v = u.from_poly(Poly.zero(M.gf))
     for a in reversed(M.coeffs):
@@ -260,18 +275,34 @@ def brackets_D(gf, n: int):
 
 
 def cyclotomic_poly(P: Poly, n: int = 1) -> XPoly:
-    """The division polynomial rho_{P^n}(x) / rho_{P^(n-1)}(x), exact in x."""
+    """The division polynomial rho_{P^n}(x) / rho_{P^(n-1)}(x), exact in x.
+
+    The division runs on the dense x-polynomials: rho_{P^n}(x) has about
+    q^(dn) x-coefficients, d = deg P, each of T-degree up to about
+    dn*q^(d(n-1)); above 2^24 in all (poly.MAX_FROBENIUS_DEGREE) it is
+    refused before either is built.
+    """
     if n < 1:
         raise DomainError("exponent must be positive")
     if P.degree < 1 or not is_irreducible(P):
         raise DomainError(f"{P} is not irreducible")
-    num = carlitz_operator(P ** n).to_xpoly()
-    den = carlitz_operator(P ** (n - 1)).to_xpoly()
-    quo, rem = divmod(num, den)
+    q, d = P.gf.q, P.degree
+    # q^e >= 2^e, so an exponent past the cap's bit length is refused unpowered
+    e = d * (2 * n - 1)
+    if e >= MAX_FROBENIUS_DEGREE.bit_length() or d * n * q**e > MAX_FROBENIUS_DEGREE:
+        raise DomainError(
+            f"rho_(P^{n})(x) for P = {P} is above the supported size "
+            f"2^{MAX_FROBENIUS_DEGREE.bit_length() - 1} ({q}^{d * n} x-coefficients "
+            f"of T-degree up to {d * n}*{q}^{d * (n - 1)})"
+        )
+
+    def dense(M):
+        return XPoly.from_terms(P.gf, {q**i: c for i, c in enumerate(carlitz_operator(M).coeffs)})
+
+    quo, rem = divmod(dense(P**n), dense(P ** (n - 1)))
     if not rem.is_zero():
         raise CarlitzError("inexact division while forming a cyclotomic polynomial")
     # deg = |(F_q[T]/P^n)^*| = q^(d(n-1)) (q^d - 1), P irreducible of degree d
-    q, d = P.gf.q, P.degree
     if quo.deg() != q ** (d * (n - 1)) * (q**d - 1):
         raise CarlitzError(f"cyclotomic polynomial has degree {quo.deg()}, not the order of (F_q[T]/P^{n})^*")
     return quo

@@ -133,16 +133,6 @@ def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
     return TorsionSetPadic(ctx, order, points)
 
 
-def _slope_data(M: Poly):
-    """s-valuations of the operator coefficients, indexed by Frobenius power."""
-    gf = M.gf
-    e = gf.q - 1
-    op = carlitz_operator(M)
-    return [
-        (i, -e * c.degree) for i, c in enumerate(op.coeffs) if not c.is_zero()
-    ], op
-
-
 def min_separating_prec(M: Poly) -> int:
     """Smallest s-precision that tells all q^{deg M} roots of rho_M apart.
 
@@ -175,15 +165,16 @@ def _echelon(gf, rows, width: int) -> list:
 def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     """All roots of rho_M in V_q, to the given s-adic precision.
 
-    A truncation x = sum_{k=-1}^{prec-1} a_k s^k is a root exactly when
-    rho_M(x) has no digit below F = min_i (v(c_i) + q^i * prec), the least
+    With rho_M(x) = sum c_i x^(q^i) and E_i = VqElem.from_poly(c_i), a
+    truncation x = sum_{k=-1}^{prec-1} a_k s^k is a root exactly when
+    rho_M(x) has no digit below F = min_i (v(E_i) + q^i * prec), the least
     exponent the image of any tail beyond the truncation reaches.  As
     a^(q^i) = a for a in F_q, rho_M is F_q-linear on the digit vector, so the
-    roots are the kernel of the map taking s^k to the digits of rho_M(s^k)
-    below F.  Reducing the rows (image of s^k | unit vector k) to echelon
-    form leaves the kernel as the rows with no image part, in reduced
-    echelon form with the earliest leading digits first; that basis lists
-    the points in lexicographic digit order.
+    roots are the kernel of the map taking s^k to the digits of
+    rho_M(s^k) = sum_i E_i s^(k q^i) below F.  Reducing the rows (image of
+    s^k | unit vector k) to echelon form leaves the kernel as the rows with
+    no image part, in reduced echelon form with the earliest leading digits
+    first; that basis lists the points in lexicographic digit order.
     """
     if M.is_zero():
         raise DomainError("torsion of the zero polynomial is everything")
@@ -200,19 +191,21 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
         )
     if d == 0:
         return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
-    coeff_vals, op = _slope_data(M)
-    floor = min(v + (q**i) * prec for i, v in coeff_vals)
+    coeffs = carlitz_operator(M).coeffs
+    # (q^i, E_i's digits lowest first), so the first exponent is v(E_i)
+    E = [(q**i, list(VqElem.from_poly(c).terms())) for i, c in enumerate(coeffs)]
+    floor = min(digits[0][0] + Q * prec for Q, digits in E)
     # digits of rho_M(s^k) below the floor, k = -1 .. prec-1 (no root has
-    # valuation below -1); T^j = (-1)^j s^(-(q-1) j)
+    # valuation below -1)
     images = []
     for k in range(-1, prec):
         image = {}
-        for i, v in coeff_vals:
-            if v + k * q**i < floor:
-                for j, cj in enumerate(op.coeffs[i].coeffs):
-                    exp = k * q**i - (q - 1) * j
-                    if cj and exp < floor:
-                        image[exp] = gf.add(image.get(exp, 0), cj if j % 2 == 0 else gf.neg(cj))
+        for Q, digits in E:
+            for exp, c in digits:
+                exp += k * Q
+                if exp >= floor:
+                    break
+                image[exp] = gf.add(image.get(exp, 0), c)
         images.append(image)
     exps = sorted(set().union(*images))
     n, width = len(exps), prec + 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from carlitz import operator as operator_module
 from carlitz.cli import main, parse_fraction
 from carlitz.errors import DomainError
 from carlitz.gf import GF
@@ -229,6 +230,36 @@ def test_negative_count_is_usage_error(capsys, argv):
     assert err.startswith("error[usage]") and "is negative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torsion-padic", "--P", "T", "--N", "0"),
+        ("sweep", "--kind", "torsion", "--N", "0"),
+        ("cyclotomic", "--P", "T", "--n", "0"),
+    ],
+    ids=["torsion-padic-N", "sweep-torsion-N", "cyclotomic-n"],
+)
+def test_library_refused_count_is_domain_error(capsys, argv):
+    # the CLI checks --count, --max-deg and --radius itself (exit 2); these
+    # reach the library, which refuses them (exit 1), as ray --steps -1
+    code, out, err = run(capsys, *argv, "--q", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error[domain]")
+
+
+def test_cyclotomic_size_cap(capsys):
+    # rho_{P^2}(x) for deg P = 3 over F_9 has about 9^6 x-coefficients of
+    # T-degree up to 6*9^3; it is refused before any operator is built
+    misses = operator_module._operator_cached.cache_info().misses
+    code, out, err = run(capsys, "cyclotomic", "--q", "9", "--P", "T^3+2*T+1", "--n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error[domain]") and "above the supported size 2^24" in err
+    assert operator_module._operator_cached.cache_info().misses == misses
+    # a reducible P is named as such, however large
+    code, out, err = run(capsys, "cyclotomic", "--q", "9", "--P", "T^4", "--n", "2")
+    assert code == 1 and err.startswith("error[domain]") and "T^4 is not irreducible" in err
+
+
 def test_normal_basis(capsys):
     out = run_ok(capsys, "normal-basis", "--q", "3")
     assert "1" in out
@@ -336,6 +367,13 @@ def test_frobenius_size_cap(capsys):
     assert run_ok(capsys, "completed-act", "--q", "4294967311", "--M", "2", "--u", u).strip() == (
         "2*s^-1 + 2 + O(s^10)"
     )
+
+
+def test_operator_over_a_large_field(capsys):
+    # rho_T(x) = x^q + T*x is held by its two coefficients, so nothing of
+    # x-degree q = 2^32 + 15 is allocated
+    assert run_ok(capsys, "operator", "--q", "4294967311", "--M", "T").strip() == "T; 1"
+    assert run_ok(capsys, "xi", "--q", "4294967311", "--A", "T").strip() == "x + T"
 
 
 def test_json_error_object(capsys):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from carlitz.analytic import Lattice, SeriesBudget, _shell_coeffs, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
-from carlitz.operator import AdditiveOperator, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
+from carlitz.operator import AdditivePoly, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
     Modulus,
@@ -51,13 +51,13 @@ from carlitz.poly import (
     poly_ext_gcd,
     poly_gcd,
     pow_mod,
+    square_multiply,
 )
 from carlitz.reciprocity import _norm, kummer_solve, residue_symbol
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import (
     TorsionSetVq,
-    _slope_data,
     completed_action,
     divide_T,
     division_chain,
@@ -1030,17 +1030,25 @@ def test_carlitz_exp_at_precision_300():
 # ---------------------------------------------------------------- torsion search
 
 
+def _slope_data(M: Poly):
+    """s-valuations of the operator coefficients c_i, indexed by Frobenius
+    power, and the c_i."""
+    cs = carlitz_operator(M).coeffs
+    return [(i, -(M.gf.q - 1) * c.degree) for i, c in enumerate(cs) if not c.is_zero()], cs
+
+
 def search_torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
-    """torsion_vq with the digit image rebuilt for every candidate."""
+    """torsion_vq with the digit image rebuilt for every candidate, and each
+    T^j read as (-1)^j s^(-(q-1) j)."""
     gf = M.gf
     q = gf.q
-    coeff_vals, op = _slope_data(M)
+    coeff_vals, cs = _slope_data(M)
     cands = [({}, {})]
     for k in range(-1, prec):
         floor_next = min(v + (q ** i) * (k + 1) for i, v in coeff_vals)
         contrib = []
         for i, _ in coeff_vals:
-            c = op.coeffs[i]
+            c = cs[i]
             terms = [
                 ((q - 1) * (-j) + k * (q ** i), (1 if (j % 2 == 0) else -1), cj)
                 for j, cj in enumerate(c.coeffs)
@@ -1301,6 +1309,26 @@ def test_xpoly_mul_matches_dict_multiply(pair):
     assert a * a == dict_xmul(a, a)
 
 
+@pytest.mark.parametrize("q", X_FIELDS)
+def test_additive_rho_T_is_frobenius_plus_T(q):
+    # the step on the coefficients of sum c_i x^(q^i) against the dense
+    # f^q by Kronecker products plus the product by T, zero first
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    T = XPoly(gf, [Poly.T(gf)])
+
+    def dense(f):
+        return XPoly.from_terms(gf, {q**i: c for i, c in enumerate(f.coeffs)})
+
+    def coeff():
+        return Poly(gf, [rng.randrange(q) for _ in range(rng.randrange(6))])
+
+    cases = [AdditivePoly.from_poly(Poly.zero(gf))]
+    cases += [AdditivePoly(gf, [coeff() for _ in range(rng.randrange(1, 4))]) for _ in range(40)]
+    for f in cases:
+        assert dense(f.rho_T()) == square_multiply(dense(f), q) + T * dense(f), f
+
+
 @settings(max_examples=200, deadline=None)
 @given(xpoly_pairs(), st.integers(1, 8))
 @example((_xp(3, [1], [2, 1]), _xp(3, [0, 1], [1, 1])), 1)  # non-constant lead
@@ -1508,6 +1536,12 @@ class CoefficientOperator:
         return XPoly(self.gf, [self.coeffs[0]])
 
 
+def dense_operator(M: Poly) -> XPoly:
+    """rho_M(x) with all its q^(deg M) + 1 x-coefficients."""
+    q = M.gf.q
+    return XPoly.from_terms(M.gf, {q**i: c for i, c in enumerate(carlitz_operator(M).coeffs)})
+
+
 def torsion_padic_by_class(P: Poly, N: int) -> list:
     """The roots of rho_{P-1} mod P^N by one Hensel lift per residue class
     mod P, on the coefficient loop reduced mod P^N."""
@@ -1667,6 +1701,16 @@ def test_carlitz_act_matches_operator(args):
     assert str(horner) == str(coeffs)
     if isinstance(u, Series):
         assert horner.prec == coeffs.prec
+    # Horner in x on the dense rho_M(x), which takes no rho_T step: on a
+    # truncated series each product by u costs precision, so there it
+    # agrees on every digit it certifies and certifies no more
+    dense = dense_operator(M).evaluate(u)
+    assert type(dense) is type(horner)
+    if isinstance(u, Series) and u.prec is not None:
+        assert horner.agrees(dense)
+        assert _min_prec(horner.prec, dense.prec) == dense.prec
+    else:
+        assert str(dense) == str(horner)
 
 
 @st.composite
@@ -1734,8 +1778,7 @@ def test_operator_coefficients_match_t_steps(q):
     for d in range(-1, 7):
         Ms = [Poly.zero(gf)] if d < 0 else [Poly.one(gf).shift(d), _rand(gf, d + 1, rng.random())]
         for M in Ms:
-            want = AdditiveOperator(gf, tstep_operator(M)).coeffs
-            assert carlitz_operator(M).coeffs == want, M
+            assert carlitz_operator(M) == AdditivePoly(gf, tstep_operator(M)), M
 
 
 # ---------------------------------------------------------------- q-th powers mod f
