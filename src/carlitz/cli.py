@@ -470,10 +470,13 @@ def cmd_sweep(args):
         divisors = [d for d in range(1, gf.q) if (gf.q - 1) % d == 0]
         for i, P in enumerate(irr):
             for Q in irr[i + 1 :]:
+                # one norm each way: the d-th symbol is the (q-1)-th raised
+                # to (q-1)/d (Euler's criterion)
+                pq1 = reciprocity.residue_symbol(P, Q, gf.q - 1)
+                qp1 = reciprocity.residue_symbol(Q, P, gf.q - 1)
                 for d in divisors:
-                    pq = reciprocity.residue_symbol(P, Q, d)
-                    qp = reciprocity.residue_symbol(Q, P, d)
-                    lhs, rhs, holds = reciprocity.check_reciprocity(P, Q, d)
+                    pq, qp = gf.pow(pq1, (gf.q - 1) // d), gf.pow(qp1, (gf.q - 1) // d)
+                    _, rhs, holds = reciprocity.reciprocity_sides(P, Q, d, pq, qp)
                     rows.append(
                         (str(P), str(Q), str(d), gf.fmt_elem(pq), gf.fmt_elem(qp), gf.fmt_elem(rhs), str(holds))
                     )

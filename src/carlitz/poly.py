@@ -238,7 +238,8 @@ class Poly:
 # F_{p^r} the group's 2r-1 digits are the key of the field's reduction table
 # (GF.slot_tables).
 
-# struct codes of 2-, 4- and 8-byte slots; wider slots go through int.to_bytes
+# struct codes of 2-, 4- and 8-byte slots; _pack packs wider slots through
+# int.to_bytes, _unpack reads them as pairs of 8-byte words
 _FORMATS = {2: "H", 4: "I", 8: "Q"}
 
 
@@ -276,7 +277,10 @@ def _unpack(gf: GF, x: int, n: int, k: int) -> list:
         if k in _FORMATS:
             slots = struct.unpack(f"<{n * g}{_FORMATS[k]}", data)
         else:
-            slots = [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+            # k = 16, the widest slot: with p <= MAX_PRIME = 2^40 and fewer
+            # than 2^48 coefficients, slot values stay below 2^128
+            words = struct.unpack(f"<{2 * n * g}Q", data)
+            slots = [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
         digits = [s % p for s in slots]
     if g == 1:
         return list(digits)
@@ -497,6 +501,21 @@ class Modulus:
         return square_multiply(h, gf.q, lambda x, y: self.reduce(x * y))
 
 
+def prime_divisors(n: int) -> list:
+    """The primes dividing n >= 1, ascending, by trial division up to the
+    square root of what is left."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: T^(q^n) = T mod f, and gcd(f, T^(q^(n/l)) - T) = 1 for
     every prime l dividing n = deg f (Rosen, Number Theory in Function
@@ -506,14 +525,6 @@ def is_irreducible(f: Poly) -> bool:
         raise DomainError("irreducibility is defined for degree >= 1")
     if n == 1:
         return True
-    # prime divisors of n
-    primes, m, d = [], n, 2
-    while m > 1:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
     mod, T = Modulus(f), Poly.T(f.gf)
     # powers[k] = T^(q^k) mod f
     powers = [T]
@@ -521,7 +532,7 @@ def is_irreducible(f: Poly) -> bool:
         powers.append(mod.frobenius(powers[-1]))
     if powers[n] != T:
         return False
-    for l in primes:
+    for l in prime_divisors(n):
         g = powers[n // l] - T
         if g.is_zero() or poly_gcd(f, g).degree > 0:
             return False

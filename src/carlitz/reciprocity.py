@@ -9,12 +9,13 @@ from fractions import Fraction
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly, carlitz_act, carlitz_operator
-from .poly import Poly, euler_phi, is_irreducible, poly_gcd
+from .poly import Poly, euler_phi, is_irreducible, poly_gcd, pow_mod, prime_divisors
 from .series import InfLaurent, VqElem
 
 __all__ = [
     "residue_symbol",
     "check_reciprocity",
+    "reciprocity_sides",
     "residue_degree_kummer",
     "residue_degree_cyclotomic",
     "xi_poly",
@@ -80,12 +81,16 @@ def check_reciprocity(P: Poly, Q: Poly, d: int):
 
     Returns (lhs, rhs, holds).
     """
-    gf = P.gf
     if P == Q:
         raise DomainError("the pair must be coprime")
-    lhs = gf.mul(residue_symbol(P, Q, d), gf.inv(residue_symbol(Q, P, d)))
-    exp = ((gf.q - 1) // d) * P.degree * Q.degree
-    rhs = gf.pow(gf.neg(1), exp)
+    return reciprocity_sides(P, Q, d, residue_symbol(P, Q, d), residue_symbol(Q, P, d))
+
+
+def reciprocity_sides(P: Poly, Q: Poly, d: int, pq: int, qp: int):
+    """(lhs, rhs, holds) of the law from pq = (P/Q)_d and qp = (Q/P)_d."""
+    gf = P.gf
+    lhs = gf.mul(pq, gf.inv(qp))
+    rhs = gf.pow(gf.neg(1), ((gf.q - 1) // d) * P.degree * Q.degree)
     return lhs, rhs, lhs == rhs
 
 
@@ -97,18 +102,20 @@ def residue_degree_kummer(A: Poly, P: Poly, d: int) -> int:
 
 def residue_degree_cyclotomic(P: Poly, A: Poly) -> int:
     """Residue degree of P in the A-division-point extension: the
-    multiplicative order of P in (F_q[T]/A)^*."""
+    multiplicative order of P in (F_q[T]/A)^*.  It divides the group order
+    phi(A), so it is phi(A) divided by each prime l of phi(A) while the
+    power of P stays 1."""
     if poly_gcd(P, A).degree != 0:
         raise DomainError(f"{P} is not coprime to {A}")
     base = P % A
     one = Poly.one(P.gf)
-    cap = euler_phi(A)
-    x = base
-    for k in range(1, cap + 1):
-        if x == one:
-            return k
-        x = (x * base) % A
-    raise CarlitzError(f"order of {P} mod {A} exceeds the group order {cap}")
+    order = euler_phi(A)
+    if pow_mod(base, order, A) != one:
+        raise CarlitzError(f"order of {P} mod {A} exceeds the group order {order}")
+    for l in prime_divisors(order):
+        while order % l == 0 and pow_mod(base, order // l, A) == one:
+            order //= l
+    return order
 
 
 def xi_poly(A: Poly) -> XPoly:

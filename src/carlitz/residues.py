@@ -2,13 +2,16 @@
 
 At a prime of degree 1, P = T - a, the residue field is F_q itself: each
 coefficient of f is reduced mod P by evaluating it at a, and the loop runs on
-the packed ``Poly`` kernel with ``Modulus`` reducing mod the unsplit part of f.
+the packed ``Poly`` kernel with ``Modulus`` reducing mod the unsplit part of f
+and one gcd per block of degrees.
 At a prime of degree >= 2, polynomials in x are ``XPoly`` values whose
 coefficients are kept reduced mod P, and every product and division runs on
 the ``XPoly`` kernel with modulus P.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly
@@ -32,18 +35,33 @@ def _ddf_fq(f: Poly):
         raise DomainError("ddf input must be squarefree over the residue field")
     out = []
     x = Poly.T(gf)
+    # one gcd per block of about sqrt(deg f) degrees (von zur Gathen-Shoup,
+    # Comput. Complexity 2, 1992): gcd(rest, prod_e (x^(q^e) - x)) holds the
+    # factors of every degree e of the block, and only a nontrivial one is
+    # split degree by degree
+    block = math.isqrt(f.degree - 1) + 1
     h, d, rest, mod = x, 0, f, Modulus(f)
     while rest.degree >= 2 * (d + 1):
-        d += 1
-        # h = x^(q^d) mod rest: the residue field has q elements
-        h = mod.frobenius(h)
-        g = poly_gcd(rest, h - x)
-        if g.degree > 0:
-            out.append((d, g.degree // d))
-            rest, r = divmod(rest, g)
-            if not r.is_zero():
-                raise CarlitzError("ddf: a gcd factor does not divide the polynomial")
-            h, mod = h % rest, Modulus(rest)
+        # hs[i] = x^(q^e) mod rest for e = d + 1 + i: the residue field has
+        # q elements
+        hs, prod = [], Poly.one(gf)
+        while len(hs) < block and rest.degree >= 2 * (d + 1):
+            d += 1
+            h = mod.frobenius(h)
+            hs.append(h)
+            prod = mod.reduce(prod * (h - x))
+        g = poly_gcd(rest, prod)
+        if g.degree == 0:
+            continue
+        for e, he in enumerate(hs, start=d + 1 - len(hs)):
+            ge = poly_gcd(g, he - x)
+            if ge.degree > 0:
+                out.append((e, ge.degree // e))
+                g = g // ge
+                rest, r = divmod(rest, ge)
+                if not r.is_zero():
+                    raise CarlitzError("ddf: a gcd factor does not divide the polynomial")
+        h, mod = h % rest, Modulus(rest)
     if rest.degree > 0:
         out.append((rest.degree, 1))
     return out

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite."""
 
 from carlitz.gf import GF
-from carlitz.poly import Poly
+from carlitz.poly import Poly, is_irreducible
 
 _FIELDS = {}
 
@@ -45,3 +45,44 @@ def all_polys(gf, max_deg):
     for _ in range(max_deg + 1):
         out = [c + [a] for c in out for a in range(gf.q)]
     return [Poly(gf, c) for c in out]
+
+
+# Degree plans for ddf at a linear prime, by the block length ceil(sqrt(deg f))
+# of the blocked gcds: factors of degrees 4 and 5 on both sides of the first
+# block edge (deg f = 16, blocks of 4); degrees 1, 2 and 4 in the first block
+# (deg f = 25, blocks of 5), where x^(q^2) - x and x^(q^4) - x also vanish on
+# the lower degrees; three factors of degree 4 and two of degree 5 (deg f =
+# 22, blocks of 5).  None over F_2 needs more irreducibles of one degree than
+# there are.
+DDF_PLANS = {
+    "block-edge": [4, 5, 7],
+    "e-and-2e": [1, 2, 3, 4, 6, 9],
+    "one-degree": [4, 4, 4, 5, 5],
+}
+
+
+def planned_product(gf, degrees, rng):
+    """A monic product of distinct monic irreducibles over gf, one of each
+    listed degree, drawn at random; the variable stands for x."""
+    chosen = []
+    for e in degrees:
+        while True:
+            g = Poly(gf, [rng.randrange(gf.q) for _ in range(e)] + [1])
+            if g not in chosen and is_irreducible(g):
+                chosen.append(g)
+                break
+    prod = Poly.one(gf)
+    for g in chosen:
+        prod = prod * g
+    return prod
+
+
+def lift_to_linear_prime(f, a, rng, unit=1):
+    """Coefficients c_i(T) with c_i(a) = unit * f_i: each coefficient of f
+    plus (T - a) times a random polynomial, so ddf at T - a must evaluate."""
+    gf = f.gf
+    t_minus_a = Poly(gf, [gf.neg(a), 1])
+    return [
+        Poly.const(gf, gf.mul(unit, c)) + t_minus_a * Poly(gf, [rng.randrange(gf.q) for _ in range(3)])
+        for c in f.coeffs
+    ]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface: every subcommand runs,
-JSON output is well formed, and failures map to the documented exit codes."""
+JSON output is well formed, failures map to the documented exit codes, and
+the reciprocity sweep prints the rows of per-d symbol calls."""
 
 import json
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import field
 from carlitz import operator as operator_module
 from carlitz.cli import main, parse_fraction
 from carlitz.errors import DomainError
 from carlitz.gf import GF
-from carlitz.poly import Poly, RatFn
+from carlitz.poly import Poly, RatFn, monic_irreducibles
+from carlitz.reciprocity import check_reciprocity, residue_symbol
 
 
 def run(capsys, *argv):
@@ -288,6 +291,26 @@ def test_sweeps_pass(capsys, kind):
     rows = out.strip().splitlines()
     assert rows == sorted(rows)
     assert all("False" not in r for r in rows)
+
+
+@pytest.mark.parametrize("max_deg", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_reciprocity_sweep_rows_match_per_d_calls(capsys, q, max_deg):
+    # the rows as the sweep built them from two residue_symbol calls and
+    # one check_reciprocity call per pair and d, in text and in JSON output
+    gf = field(q)
+    irr = monic_irreducibles(gf, max_deg)
+    rows = []
+    for i, P in enumerate(irr):
+        for Q in irr[i + 1 :]:
+            for d in (d for d in range(1, q) if (q - 1) % d == 0):
+                pq, qp = residue_symbol(P, Q, d), residue_symbol(Q, P, d)
+                _, rhs, holds = check_reciprocity(P, Q, d)
+                rows.append("\t".join((str(P), str(Q), str(d), gf.fmt_elem(pq), gf.fmt_elem(qp), gf.fmt_elem(rhs), str(holds))))
+    want = "".join(row + "\n" for row in sorted(rows))
+    for output in ("text", "json"):
+        argv = ["sweep", "--kind", "reciprocity", "--q", str(q), "--max-deg", str(max_deg), "--output", output]
+        assert run_ok(capsys, *argv) == want
 
 
 def test_splitting_sweep_work_cap(capsys, monkeypatch):

@@ -25,12 +25,14 @@ coefficient-loop operator per residue class, and F_q[T]/P^N against
 F_q[T]/P^N' for N' <= N."""
 
 import random
+from collections import Counter
 from itertools import product, zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import DDF_PLANS, lift_to_linear_prime, planned_product
 from carlitz.analytic import Lattice, SeriesBudget, _shell_coeffs, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
@@ -1409,6 +1411,32 @@ def test_ddf_of_cyclotomic_polys_matches_residue_loop(q):
                 assert ddf(psi, P) == rf_ddf(psi, P)
 
 
+@pytest.mark.parametrize("q", X_FIELDS)
+@pytest.mark.parametrize("plan", sorted(DDF_PLANS) + ["split"])
+def test_blocked_ddf_at_a_linear_prime_matches_residue_loop(q, plan):
+    # the planned products of conftest, and "split": x^q - x, where
+    # x^q = x mod f; a unit times f, coefficients lifted off T = a
+    gf = FIELDS[q]
+    rng = random.Random(f"{q}-{plan}")
+    degrees = [1] * q if plan == "split" else DDF_PLANS[plan]
+    f = planned_product(gf, degrees, rng)
+    a = rng.randrange(q)
+    coeffs = lift_to_linear_prime(f, a, rng, unit=rng.randrange(1, q))
+    P = Poly(gf, [gf.neg(a), 1])
+    assert ddf(coeffs, P) == rf_ddf(coeffs, P) == sorted(Counter(degrees).items())
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_blocked_ddf_of_an_irreducible_matches_residue_loop(q):
+    # degree 40: blocks of 7 up to degree 20, no gcd nontrivial
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    f = planned_product(gf, [40], rng)
+    coeffs = lift_to_linear_prime(f, 1, rng, unit=q - 1)
+    P = Poly(gf, [gf.neg(1), 1])
+    assert ddf(coeffs, P) == rf_ddf(coeffs, P) == [(40, 1)]
+
+
 # ---------------------------------------------------------------- Newton inverse in F_q[T]/P^N
 
 
@@ -1823,6 +1851,20 @@ def frobenius_args(draw):
 
 # prime fields where q (deg f - 1) passes SPREAD_MAX_SLOTS at small deg f
 LARGE_FIELDS = {q: GF(q) for q in (257, 10007, 1000003, 4294967311, 2**40 - 87)}
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 2**40 - 87])
+def test_wide_slots_match_schoolbook(q):
+    # slot sums above 2^64 take 16-byte slots, unpacked as pairs of 8-byte
+    # words; random operands and operands with every coefficient q - 1
+    gf = LARGE_FIELDS.get(q) or GF(q)
+    full = [Poly(gf, [q - 1] * n) for n in (40, 9)]
+    pairs = [(_rand(gf, n, seed), _rand(gf, m, seed + 1)) for n, m, seed in [(40, 40, 1), (64, 9, 3), (9, 30, 5)]]
+    for a, b in pairs + [tuple(full)]:
+        assert _slot_bytes(min(a.degree, b.degree) * (q - 1) ** 2) == 16
+        check_mul(a, b)
+        check_divmod(a, b)
+        assert Modulus(b).reduce(a) == school_divmod(a, b)[1]
 
 
 def _frob_args(q, n, seed):

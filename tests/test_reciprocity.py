@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import field, rand_poly
+from conftest import all_polys, field, rand_poly
 from carlitz import reciprocity as reciprocity_module
 from carlitz.errors import CarlitzError, DomainError
 from carlitz.gf import GF
 from carlitz.padic import PadicCtx
-from carlitz.poly import Poly, is_irreducible, monic_irreducibles, parse_poly
+from carlitz.poly import Poly, euler_phi, is_irreducible, monic_irreducibles, parse_poly, poly_gcd
 from carlitz.operator import cyclotomic_poly
 from carlitz.reciprocity import (
     check_reciprocity,
@@ -194,6 +194,55 @@ def test_residue_degree_cyclotomic_values():
     assert residue_degree_cyclotomic(T, T - one) == 1
     with pytest.raises(DomainError):
         residue_degree_cyclotomic(T, T * T)
+
+
+def stepping_order(P, A):
+    """The order of P mod A by stepping through its powers up to phi(A), as
+    residue_degree_cyclotomic computed it before it divided phi(A) down."""
+    if poly_gcd(P, A).degree != 0:
+        raise DomainError(f"{P} is not coprime to {A}")
+    base = P % A
+    one = Poly.one(P.gf)
+    cap = euler_phi(A)
+    x = base
+    for k in range(1, cap + 1):
+        if x == one:
+            return k
+        x = (x * base) % A
+    raise CarlitzError(f"order of {P} mod {A} exceeds the group order {cap}")
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the library error it raises."""
+    try:
+        return f(*args)
+    except (CarlitzError, DomainError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_residue_degree_cyclotomic_matches_stepping(q):
+    # A: every monic A of degree 1 (and 2 up to q = 5, a sample at q = 9), a
+    # sample of degree 3, T^2, T^2 (T + 1), a non-monic A, a constant and
+    # 0; P: random of degree <= 3, P = 1 mod A, P sharing a factor with A,
+    # a constant and 0.  Errors must match in type and text.
+    gf = field(q)
+    rng = random.Random(q)
+    T, one = Poly.T(gf), Poly.one(gf)
+    deg2 = [A for A in all_polys(gf, 2) if A.degree == 2 and A.is_monic()]
+    As = [A for A in all_polys(gf, 1) if A.degree == 1 and A.is_monic()]
+    As += deg2 if q <= 5 else rng.sample(deg2, 20)
+    As += [Poly(gf, [rng.randrange(q) for _ in range(3)] + [1]) for _ in range(4)]
+    As += [T * T, T * T * (T + one), (T * T + one).scale(gf.q - 1), Poly.const(gf, 1), Poly.zero(gf)]
+    orders = set()
+    for A in As:
+        Ps = [rand_poly(gf, rng, 3) for _ in range(6)]
+        Ps += [A + one, A * T + T, Poly.const(gf, gf.q - 1), Poly.zero(gf)]
+        for P in Ps:
+            want = outcome(stepping_order, P, A)
+            assert outcome(residue_degree_cyclotomic, P, A) == want, (str(P), str(A))
+            orders.add(want if isinstance(want, int) else want[0])
+    assert {1, CarlitzError, DomainError} <= orders
 
 
 # ---------------------------------------------------------------- newton

@@ -1,7 +1,10 @@
 """Differential checks over F_p against sympy's galoistools: gcd, pow_mod,
 irreducibility at small and at large degree and p, and ddf at a linear prime P = T - a, where F_q[T]/P is F_q
-and ddf is distinct-degree factorization of the coefficients evaluated at a.
+and ddf is distinct-degree factorization of the coefficients evaluated at a,
+on random inputs and on products planned around the blocks of its gcds.
 Skipped when sympy is not installed."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 sympy_random = pytest.importorskip("sympy.core.random")
 
+from conftest import DDF_PLANS, lift_to_linear_prime, planned_product  # noqa: E402
 from carlitz.errors import DomainError  # noqa: E402
 from carlitz.gf import GF  # noqa: E402
 from carlitz.poly import Poly, is_irreducible, pow_mod, poly_gcd  # noqa: E402
@@ -97,3 +101,19 @@ def test_ddf_at_linear_prime_matches_sympy(data):
     fbar = galoistools.gf_monic(fbar, p, ZZ)[1]
     want = [(d, (len(g) - 1) // d) for g, d in galoistools.gf_ddf_zassenhaus(fbar, p, ZZ)]
     assert ddf(f, P) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("plan", sorted(DDF_PLANS) + ["split", "irreducible"])
+def test_blocked_ddf_at_linear_prime_matches_sympy(p, plan):
+    # the planned products of conftest; "split" is x^p - x, where
+    # x^p = x mod f, and "irreducible" one factor of degree 80, the degree of
+    # the benchmark's division polynomials (blocks of 9, no gcd nontrivial)
+    gf = FIELDS[p]
+    rng = random.Random(f"{p}-{plan}")
+    degrees = {"split": [1] * p, "irreducible": [80]}.get(plan) or DDF_PLANS[plan]
+    f = planned_product(gf, degrees, rng)
+    a = rng.randrange(p)
+    coeffs = lift_to_linear_prime(f, a, rng, unit=rng.randrange(1, p))
+    want = [(d, (len(g) - 1) // d) for g, d in galoistools.gf_ddf_zassenhaus(to_sympy(f), p, ZZ)]
+    assert ddf(coeffs, Poly(gf, [gf.neg(a), 1])) == want

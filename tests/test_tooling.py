@@ -1,16 +1,20 @@
 """The runtime imports nothing outside the standard library, every module
-imports on its own, the README's library and CLI quick starts run, and every
-layer boundary the benchmark traces exists in the library."""
+imports on its own, the README's library and CLI quick starts run, every
+layer boundary the benchmark traces exists in the library, and the
+benchmark's workloads compute the pinned outputs."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import re
 import shlex
 import subprocess
 import sys
+
+import pytest
 
 from carlitz.cli import main
 
@@ -84,3 +88,23 @@ def test_every_benchmark_boundary_exists():
         if tracer._resolve(module, attr)[1] is None:
             missing.append(name)
     assert missing == []
+
+
+# The digest of every task output of one seed-1 pass per workload.  A
+# speed-up must leave them as they are; a change that means to move one
+# updates it here and says why.
+BENCH_DIGESTS = {
+    "quotient": "64c7a623bc0df2538de1bb34cceaa43b142919b4fd98b6fe0f2ac4a053763d43",
+    "infinity": "7bf907afd627bc7a50d33a0b885f758e5c10b4b6267b73a5b43590e823a04f00",
+    "symbols": "158a1f488b56a1361f8dce1ef3318bcac0dcff19fb4c5d82dd98e4a24665b7d4",
+    "geometry": "2e06b0bea5cabae9cbe18d0a46939f9e4ef5854f44f54d84feab6d180214ac15",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_benchmark_outputs_are_pinned(workload):
+    worker = ROOT / "bench" / "worker.py"
+    argv = [sys.executable, str(worker), "timing", workload, "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["digest"] == BENCH_DIGESTS[workload]
