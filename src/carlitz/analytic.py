@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BelowPrecision, CarlitzError, DomainError
-from .poly import Poly, RatFn, all_polys
+from .poly import Poly, RatFn, all_polys, check_frobenius_degree
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -131,27 +131,123 @@ def period_partial(gf, N: int, prec: int = None):
 def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate: bool = False):
     """E_(q-1)k(L) = sum over nonzero alpha in L of alpha^(-(q-1)k).
 
-    Enumeration is by coefficient-degree shells: shell m holds the
+    Summation is by coefficient-degree shells: shell m holds the
     combinations sum A_i * basis_i with max deg A_i = m.  Shell-sum
     valuations must not decrease; the last shell's valuation is the
-    convergence certificate.  alpha and c*alpha (c in F_q^*) give the same
-    term, as c^((q-1)k) = 1, so each F_q^*-orbit is summed once, through the
-    representative whose first nonzero A_i is monic, with weight q-1 = -1.
-    A shell's terms are subtracted into one digit vector, which gives the
-    same digits as subtracting them one by one: the sum is exact and the
-    shell's precision is the least of its terms'.
+    convergence certificate.  Every term of shell m is kept to the same
+    precision, so a shell is its exact sum truncated there.
     """
     budget = budget or SeriesBudget()
     if k < 1:
         raise DomainError("the weight index must be positive")
-    b0 = L.basis[0]
-    gf = b0.gf
-    q = gf.q
-    e = (q - 1) * k
-    prec = budget.precision
+    gf = L.basis[0].gf
+    e = (gf.q - 1) * k
+    shells = _rank_one_shells if L.rank == 1 else _orbit_shells
     acc = VqElem.zero(gf)
     cert = {}
     prev = None
+    for m, shell in shells(L, e, budget):
+        sval = _valuation_or_none(shell)
+        cert[m] = sval if sval is not None else f">={shell.prec}"
+        if sval is not None and prev is not None and sval < prev:
+            raise CarlitzError(
+                f"shell {m} valuation {sval} dropped below {prev}; "
+                "the Eisenstein sum diverges at this precision"
+            )
+        if sval is not None:
+            prev = sval
+        acc = acc + shell
+    acc = acc.truncate(budget.precision)
+    return (acc, cert) if with_certificate else acc
+
+
+def _rank_one_shells(L: Lattice, e: int, budget: SeriesBudget):
+    """Shell m of L = [b] is -b^-e S_m(e), as A*b and c*A*b (c in F_q^*)
+    give the same term and q - 1 = -1.  Its terms all have valuation
+    v_m = v(b) - (q-1)m, so all keep the digits below
+    t_m = max(prec, 1 - e v_m), and below (b.prec - v(b)) - e v_m when b is
+    truncated; those digits depend only on b's known digits."""
+    b = L.basis[0]
+    gf = b.gf
+    q = gf.q
+    bx = VqElem(gf, b.v, b.coeffs)  # b's known digits, exact
+    for m, (c, D) in enumerate(_carlitz_e(gf, e, budget.degree_bound)):
+        vm = b.v - (q - 1) * m
+        t = max(budget.precision, 1 - e * vm)
+        if b.prec is not None:
+            t = min(t, b.prec - b.v - e * vm)
+        # the shell's digits below t take those of S_m(e) below t + e v(b),
+        # and rel digits of b^-e; rel <= b.prec - v(b), as
+        # v(S_m(e)) >= e (q-1) m
+        S = VqElem.from_inf(_power_sum(c, D, e, -(-(t + e * b.v) // (q - 1))))
+        rel = t + e * b.v - S._veff()
+        if rel <= 0:
+            yield m, VqElem.zero(gf, t)
+            continue
+        x = (bx.truncate(b.v + rel) ** e).inverse(prec=rel - e * b.v)
+        yield m, -(x * S).truncate(t)
+
+
+def _carlitz_e(gf, n: int, top: int):
+    """For m = 0..top, D_m, the product of the monic polynomials of degree
+    m, and the coefficients c_i of x^(q^i) in
+    e_m(x) = prod over deg a < m of (x - a), for i = 0 and the q^i < n.
+
+    e_0(x) = x and D_0 = 1; e_(m+1) = e_m^q - D_m^(q-1) e_m and
+    D_(m+1) = [m+1] D_m^q.  D_top has T-degree top * q^top, refused past
+    the Frobenius cap before any work.
+    """
+    q = gf.q
+    check_frobenius_degree(top * q**top)
+    zero, one = Poly.zero(gf), Poly.one(gf)
+    width = 1
+    while q**width < n:
+        width += 1
+    c = [one] + [zero] * (width - 1)
+    D = one
+    for m in range(top + 1):
+        if m:
+            Dq1 = D ** (q - 1)
+            c = [(c[i - 1].frobenius() if i else zero) - Dq1 * c[i] for i in range(width)]
+            D = (one.shift(q**m) - Poly.T(gf)) * D.frobenius()
+        yield c, D
+
+
+def _power_sum(c, D, n: int, prec: int) -> InfLaurent:
+    """S_m(n) = sum over monic A of degree m of A^-n, to u-precision prec,
+    from _carlitz_e's c_i and D = D_m.
+
+    e_m is F_q-linear and e_m(T^m) = D, so
+    sum_A 1/(A + y) = c_0/e_m(T^m + y) = c_0/(D + sum_i c_i y^(q^i)), whose
+    y^(n-1) coefficient is (-1)^(n-1) S_m(n).  With y_i = c_i/D, that is
+    S_m(n) = (-1)^(n-1) y_0 h_(n-1), where h_0 = 1 and
+    h_j = -sum over 1 <= q^i <= j of y_i h_(j-q^i).  Each c_i has degree at
+    most deg D, so every y_i and h_j has valuation >= 0, and h_(n-1) is
+    needed only below prec - v(y_0).
+    """
+    gf = D.gf
+    q = gf.q
+    need = prec - (D.degree - c[0].degree)
+    if need <= 0:
+        return InfLaurent.zero(gf, prec)
+    inv = InfLaurent.from_poly(D).inverse(prec=D.degree + need)
+    y = [InfLaurent.from_poly(ci) * inv for ci in c]
+    h = [InfLaurent.one(gf)]
+    for j in range(1, n):
+        h.append(-sum((yi * h[j - q**i] for i, yi in enumerate(y) if q**i <= j), InfLaurent.zero(gf)))
+    S = y[0] * h[n - 1]
+    return S if n % 2 else -S
+
+
+def _orbit_shells(L: Lattice, e: int, budget: SeriesBudget):
+    """The shells of a lattice of rank >= 2, one term per F_q^*-orbit:
+    alpha and c*alpha (c in F_q^*) give the same term, as c^e = 1, so the
+    representative whose first nonzero A_i is monic is summed with weight
+    q-1 = -1.  A shell's terms are subtracted into one digit vector, which
+    gives the same digits as subtracting them one by one: the sum is exact
+    and the shell's precision is the least of its terms'."""
+    gf = L.basis[0].gf
+    prec = budget.precision
     for m in range(budget.degree_bound + 1):
         terms = []
         for coeffs in _shell_coeffs(gf, L.rank, m):
@@ -171,19 +267,7 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
         for t in terms:
             i, j = t.v - lo, t.v - lo + len(t.coeffs)
             vec[i:j] = gf.sub_vec(vec[i:j], t.coeffs)
-        shell = VqElem(gf, lo, vec, min(t.prec for t in terms))
-        sval = _valuation_or_none(shell)
-        cert[m] = sval if sval is not None else f">={shell.prec}"
-        if sval is not None and prev is not None and sval < prev:
-            raise CarlitzError(
-                f"shell {m} valuation {sval} dropped below {prev}; "
-                "the Eisenstein sum diverges at this precision"
-            )
-        if sval is not None:
-            prev = sval
-        acc = acc + shell
-    acc = acc.truncate(prec)
-    return (acc, cert) if with_certificate else acc
+        yield m, VqElem(gf, lo, vec, min(t.prec for t in terms))
 
 
 def _shell_coeffs(gf, rank: int, m: int):

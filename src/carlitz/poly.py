@@ -554,22 +554,34 @@ def monic_irreducibles(gf: GF, max_deg: int):
     ]
 
 
+# trial division tries every monic polynomial of a degree; beyond this many
+# (the bound on listed torsion points) the factorization is refused
+MAX_TRIAL_DIVISORS = 2**16
+
+
 def _factor(m: Poly):
     """Trial-division factorization into monic irreducibles (desk scale).
 
     Returns a dict {irreducible: multiplicity}; the unit is discarded.  When
     degree d is tried every factor of lower degree is gone, so a monic
-    divisor of degree d is irreducible.
+    divisor of degree d is irreducible.  A degree with more than
+    MAX_TRIAL_DIVISORS monic candidates is refused before it is tried.
     """
     if m.is_zero():
         raise DomainError("cannot factor zero")
     m = m.monic()
+    q = m.gf.q
     factors = {}
     d = 1
     while m.degree > 0:
         if d > m.degree // 2:
             factors[m] = factors.get(m, 0) + 1
             break
+        if q**d > MAX_TRIAL_DIVISORS:
+            raise DomainError(
+                f"factoring {m} needs the {q}^{d} monic divisors of degree {d}, "
+                "above the supported maximum 2^16"
+            )
         for p in all_polys(m.gf, d, monic=True):
             while (m % p).is_zero():
                 m = m // p

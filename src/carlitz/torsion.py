@@ -65,14 +65,19 @@ class TorsionSetPadic:
 
 
 class TorsionSetVq:
-    """All q^{deg M} roots of rho_M in V_q, as truncated s-series."""
+    """All q^{deg M} roots of rho_M in V_q, as truncated s-series.
 
-    __slots__ = ("order", "prec", "points")
+    ``basis``, when given, is the reduced echelon basis of their digit
+    vectors (exponents -1 .. prec-1), in order of the leading positions.
+    """
 
-    def __init__(self, order: Poly, prec: int, points):
+    __slots__ = ("order", "prec", "points", "basis")
+
+    def __init__(self, order: Poly, prec: int, points, basis=()):
         self.order = order
         self.prec = prec
         self.points = list(points)
+        self.basis = list(basis)
 
     def __iter__(self):
         return iter(self.points)
@@ -223,7 +228,7 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     for b in reversed(basis):
         multiples = [gf.scale_vec(c, b) for c in range(1, q)]
         points += [gf.add_vec(m, p) for m in multiples for p in points]
-    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
+    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points], basis)
 
 
 # Torsion sets are pure functions of (M, prec).  torsion_vq itself stays
@@ -310,7 +315,16 @@ def dirichlet_approx(lam: VqElem, n: int):
 
     Requires v(lam) = i(q-1) - 1 for some i >= 0 and n >= i + 1.  Returns
     (T^n, lam_n) with lam_n in the kernel of rho_{T^n} and
-    v(lam_n - lam) > (n-1)(q-1) - 1.
+    v(lam_n - lam) > (n-1)(q-1) - 1: of the torsion points in their listed
+    order, the first that agrees with lam on the most digits.
+
+    It is read off the reduced echelon basis b_j of the points: the point
+    sum c_j b_j has digit c_j at b_j's leading position, and b_j, b_(j+1),
+    ... vanish before it.  So, going through the b_j in order, the sum
+    takes c_j = lam's digit there, until a position at or past lam's
+    precision; the later c_j are 0, the first of the points that tie.  A
+    sum that parts from lam before some b_j's position parts from it
+    before the last, (n-1)(q-1) - 1, and fails the bound whatever the c_j.
     """
     gf = lam.gf
     q = gf.q
@@ -332,15 +346,20 @@ def dirichlet_approx(lam: VqElem, n: int):
     sep = min_separating_prec(Mn)
     prec = max(lam.prec if lam.prec is not None else sep + q, sep)
     tset = torsion_vq_cached(Mn, prec)
-    best, best_val = None, None
-    for p in tset:
-        diff = p - lam
-        try:
-            dv = diff.valuation()
-        except BelowPrecision:
-            dv = float("inf")
-        if best_val is None or dv > best_val:
-            best, best_val = p, dv
+    # lam's digits from exponent -1 up to the precision of p - lam, which
+    # is lam's own (prec when lam is exact)
+    target = [lam.digit(k) for k in range(-1, prec if lam.prec is None else lam.prec)]
+    best = [0] * (prec + 1)
+    for b in tset.basis:
+        lead = next(i for i, c in enumerate(b) if c)
+        if lead >= len(target):
+            break
+        best = gf.add_vec(best, gf.scale_vec(target[lead], b))
+    best = VqElem(gf, -1, best, prec)
+    try:
+        best_val = (best - lam).valuation()
+    except BelowPrecision:
+        best_val = float("inf")
     bound = (n - 1) * (q - 1) - 1
     if best_val <= bound:
         raise CarlitzError(

@@ -375,6 +375,18 @@ def test_torsion_padic_size_cap(capsys):
     assert "257^2 torsion points are above the supported maximum 2^16" in err
 
 
+def test_trial_division_size_cap(capsys):
+    # the order of (F_q[T]/A)^* factors A by trial division: 1000003 monic
+    # divisors of degree 1 are refused before one is tried, while 10007 of
+    # them, or a linear A that needs no trial, still run
+    argv = ("split-cyclotomic", "--P", "T", "--A", "T^2+T+1")
+    code, _, err = run(capsys, *argv, "--q", "1000003")
+    assert code == 1 and err.startswith("error[domain]")
+    assert "1000003^1 monic divisors of degree 1, above the supported maximum 2^16" in err
+    assert run_ok(capsys, *argv, "--q", "10007").strip() == "3"
+    assert run_ok(capsys, "split-cyclotomic", "--q", "1000003", "--P", "T", "--A", "T+1").strip() == "2"
+
+
 def test_frobenius_size_cap(capsys):
     # rho_T(T) = T^q + T^2 needs a q-th power of degree q = 2^32 + 15; it
     # fails before the dense list is allocated
