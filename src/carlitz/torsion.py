@@ -7,7 +7,8 @@ every residue class mod P, lifted by Newton's step on carlitz_act.  In V_q
 (the ramified extension of the completion at infinity, uniformizer s) the
 kernel of rho_M consists of q^{deg M} Laurent series.  rho_M is F_q-linear,
 so their truncations form the kernel of an F_q-linear map on the digit
-vectors, found by row reduction.
+vectors, found by row reduction.  The T^n-torsion needs none of it: it is
+the F_q-span of s^-1 and its n - 1 iterated T-divisions (tower_basis).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import json
 from .errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from .operator import carlitz_act, carlitz_operator
 from .padic import PadicCtx, PadicElem
-from .poly import Poly
-from .series import VqElem
+from .poly import MAX_FROBENIUS_DEGREE, Poly
+from .series import INF, VqElem
 
 __all__ = [
     "TorsionSetPadic",
@@ -65,19 +66,14 @@ class TorsionSetPadic:
 
 
 class TorsionSetVq:
-    """All q^{deg M} roots of rho_M in V_q, as truncated s-series.
+    """All q^{deg M} roots of rho_M in V_q, as truncated s-series."""
 
-    ``basis``, when given, is the reduced echelon basis of their digit
-    vectors (exponents -1 .. prec-1), in order of the leading positions.
-    """
+    __slots__ = ("order", "prec", "points")
 
-    __slots__ = ("order", "prec", "points", "basis")
-
-    def __init__(self, order: Poly, prec: int, points, basis=()):
+    def __init__(self, order: Poly, prec: int, points):
         self.order = order
         self.prec = prec
         self.points = list(points)
-        self.basis = list(basis)
 
     def __iter__(self):
         return iter(self.points)
@@ -99,9 +95,13 @@ class TorsionSetVq:
         )
 
 
-# q^{deg M} torsion points are listed one by one; beyond this many (the size
-# of the largest GF table) the set is refused before rho_M is built
+# torsion sets of more points (the size of the largest GF table) are refused
+# before rho_M is built, as are T^n bases of more digits before any T-division
 MAX_TORSION_POINTS = 2**16
+# torsion_vq's kernel matrix has prec + 1 rows of (image exponents + prec + 1)
+# entries; a larger one is refused before it is built (prec 1000 at M = T^2
+# over F_3 is about 2^21 entries)
+MAX_KERNEL_ENTRIES = 2**22
 
 
 def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
@@ -179,7 +179,8 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     rho_M(s^k) = sum_i E_i s^(k q^i) below F.  Reducing the rows (image of
     s^k | unit vector k) to echelon form leaves the kernel as the rows with
     no image part, in reduced echelon form with the earliest leading digits
-    first; that basis lists the points in lexicographic digit order.
+    first; that basis lists the points in lexicographic digit order.  A
+    matrix of more than 2^22 entries is refused before it is built.
     """
     if M.is_zero():
         raise DomainError("torsion of the zero polynomial is everything")
@@ -196,6 +197,10 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
         )
     if d == 0:
         return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
+    width = prec + 1
+    if width * width > MAX_KERNEL_ENTRIES:
+        # the matrix has at least width^2 entries: refuse before the images
+        raise DomainError(f"a kernel matrix of over {width} x {width} entries is above the supported maximum 2^22")
     coeffs = carlitz_operator(M).coeffs
     # (q^i, E_i's digits lowest first), so the first exponent is v(E_i)
     E = [(q**i, list(VqElem.from_poly(c).terms())) for i, c in enumerate(coeffs)]
@@ -213,7 +218,9 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
                 image[exp] = gf.add(image.get(exp, 0), c)
         images.append(image)
     exps = sorted(set().union(*images))
-    n, width = len(exps), prec + 1
+    n = len(exps)
+    if width * (n + width) > MAX_KERNEL_ENTRIES:
+        raise DomainError(f"a kernel matrix of {width} x {n + width} entries is above the supported maximum 2^22")
     rows = [[im.get(e, 0) for e in exps] + [int(j == k) for j in range(width)] for k, im in enumerate(images)]
     basis = [row[n:] for row in _echelon(gf, rows, n + width) if not any(row[:n])]
     if len(basis) != d:
@@ -228,15 +235,7 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     for b in reversed(basis):
         multiples = [gf.scale_vec(c, b) for c in range(1, q)]
         points += [gf.add_vec(m, p) for m in multiples for p in points]
-    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points], basis)
-
-
-# Torsion sets are pure functions of (M, prec).  torsion_vq itself stays
-# uncached, so timing it measures the row reduction; the call below looks the
-# name up at run time, so a wrapper put on torsion_vq sees cached misses too.
-@functools.lru_cache(maxsize=512)
-def torsion_vq_cached(M: Poly, prec: int) -> TorsionSetVq:
-    return torsion_vq(M, prec)
+    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
 
 
 def divide_T(u: VqElem, prec: int = None) -> list:
@@ -284,6 +283,16 @@ def division_chain(u: VqElem, depth: int) -> list:
     return chain
 
 
+@functools.lru_cache(maxsize=512)
+def tower_basis(Tn: Poly, prec: int) -> tuple:
+    """The reduced echelon basis of the T^n-torsion digit vectors, exponents
+    -1 .. prec-1: the F_q-span of s^-1, the kernel of rho_T, and its n - 1
+    canonical T-divisions, each of which rho_T maps to the one before."""
+    root = VqElem.monomial(Tn.gf, 1, -1, prec)
+    rows = [[x.digit(k) for k in range(-1, prec)] for x in [root] + division_chain(root, Tn.degree - 1)]
+    return tuple(map(tuple, _echelon(Tn.gf, rows, prec + 1)))
+
+
 def completed_action(M, u: VqElem) -> VqElem:
     """Action of a Laurent series M = sum a_k T^k on u.
 
@@ -291,7 +300,16 @@ def completed_action(M, u: VqElem) -> VqElem:
     a_{-k} T^{-k} contributes a_{-k} times the canonical k-fold T-division
     point of u.  Each T-division raises the valuation by exactly q-1 (the
     leading term of divide_T is u/T), so the tail term valuations rise and
-    the sum is truncated once they pass the working precision.
+    every term carries its own certified precision.
+
+    M's digits at exponents >= p = M.prec are unknown, so the sum is cut at a
+    lower bound on their terms' valuations, with b = v(u) (u.prec for a
+    truncated zero): each
+    a_k T^{-k}, k >= max(p, 1), reaches b + (q-1)k; when p <= 0, a_0 u
+    reaches b_0 = b and a_{-j} rho_{T^j}(u), j <= -p, reaches
+    b_j = min(q b_(j-1), b_(j-1) - (q-1)), which falls by q - 1 while
+    b_(j-1) >= -1 and is then multiplied by q.  A bound below -2^24, the
+    valuation of a q-th power past the Frobenius cap, is refused.
     """
     gf = u.gf
     if isinstance(M, Poly):
@@ -302,12 +320,20 @@ def completed_action(M, u: VqElem) -> VqElem:
     poly_part = Poly(gf, [digits.get(-i, 0) for i in range(1 - min(digits, default=0))])
     acc = carlitz_act(poly_part, u)
     for k, vk in enumerate(division_chain(u, max(digits, default=0)), 1):
-        a = digits.get(k, 0)
-        if a:
-            if u.prec is not None and vk._veff() >= u.prec:
-                break
-            acc = acc + vk.scale(a)
-    return acc
+        if digits.get(k, 0):
+            acc = acc + vk.scale(digits[k])
+    p, q, b = M.prec, gf.q, u._veff()
+    if p is None:
+        return acc
+    if p > 0 or b == INF:
+        return acc.truncate(b + (q - 1) * max(p, 1))
+    steps = max(0, min(-p, (b + 1) // (q - 1) + 1))
+    b, steps = b - steps * (q - 1), -p - steps
+    for _ in range(steps):
+        if b < -MAX_FROBENIUS_DEGREE:
+            raise DomainError(f"M's unknown digits up to T^{-p} reach valuations below the supported -2^24")
+        b *= q
+    return acc.truncate(b)
 
 
 def dirichlet_approx(lam: VqElem, n: int):
@@ -315,10 +341,11 @@ def dirichlet_approx(lam: VqElem, n: int):
 
     Requires v(lam) = i(q-1) - 1 for some i >= 0 and n >= i + 1.  Returns
     (T^n, lam_n) with lam_n in the kernel of rho_{T^n} and
-    v(lam_n - lam) > (n-1)(q-1) - 1: of the torsion points in their listed
-    order, the first that agrees with lam on the most digits.
+    v(lam_n - lam) > (n-1)(q-1) - 1: of the torsion points in torsion_vq's
+    order, the first that agrees with lam on the most digits.  A basis of
+    more than 2^16 digits, n (prec + 1), is refused before any T-division.
 
-    It is read off the reduced echelon basis b_j of the points: the point
+    It is read off tower_basis, the reduced echelon basis b_j: the point
     sum c_j b_j has digit c_j at b_j's leading position, and b_j, b_(j+1),
     ... vanish before it.  So, going through the b_j in order, the sum
     takes c_j = lam's digit there, until a position at or past lam's
@@ -342,15 +369,16 @@ def dirichlet_approx(lam: VqElem, n: int):
             raise DomainError(f"order {n} too small for valuation {v}; need n >= {i + 1}")
     if n < 1:
         raise DomainError("order must be positive")
-    Mn = Poly.T(gf) ** n
-    sep = min_separating_prec(Mn)
+    sep = (n - 1) * (q - 1)  # min_separating_prec(T^n)
     prec = max(lam.prec if lam.prec is not None else sep + q, sep)
-    tset = torsion_vq_cached(Mn, prec)
+    if n * (prec + 1) > MAX_TORSION_POINTS:
+        raise DomainError(f"the T^{n}-torsion basis of {n} x {prec + 1} digits is above the supported maximum 2^16")
+    Mn = Poly.T(gf) ** n
     # lam's digits from exponent -1 up to the precision of p - lam, which
     # is lam's own (prec when lam is exact)
     target = [lam.digit(k) for k in range(-1, prec if lam.prec is None else lam.prec)]
     best = [0] * (prec + 1)
-    for b in tset.basis:
+    for b in tower_basis(Mn, prec):
         lead = next(i for i, c in enumerate(b) if c)
         if lead >= len(target):
             break

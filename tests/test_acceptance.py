@@ -5,6 +5,7 @@ terminal summary by conftest) and then asserts, so the gate is readable from
 the test log even on a fully green run.
 """
 
+import functools
 import random
 
 import pytest
@@ -42,8 +43,11 @@ from carlitz.torsion import (
     divide_T,
     division_chain,
     torsion_padic,
-    torsion_vq_cached,
+    torsion_vq,
 )
+
+# the criteria reuse torsion sets, which are pure functions of (M, prec)
+torsion_vq_cached = functools.lru_cache(maxsize=None)(torsion_vq)
 
 
 def report(num, name, ok, detail=""):

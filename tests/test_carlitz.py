@@ -21,6 +21,7 @@ from carlitz.padic import PadicCtx, hensel_lift
 from carlitz.poly import Poly, monic_irreducibles, parse_poly
 from carlitz.series import InfLaurent, VqElem, parse_series
 from carlitz.torsion import (
+    _echelon,
     completed_action,
     dirichlet_approx,
     divide_T,
@@ -121,7 +122,7 @@ def test_cyclotomic_degree_mismatch_raises(monkeypatch):
 
 def test_operator_caches_are_bounded():
     gf = field(2)
-    caches = (operator_module._operator_cached, torsion_module.torsion_vq_cached)
+    caches = (operator_module._operator_cached, torsion_module.tower_basis)
     for cache in caches:
         assert cache.cache_info().maxsize is not None
         assert cache.cache_info().maxsize >= 512
@@ -129,7 +130,7 @@ def test_operator_caches_are_bounded():
         M = Poly(gf, [(code >> i) & 1 for i in range(code.bit_length())])
         carlitz_operator(M)
     for prec in range(1, caches[1].cache_info().maxsize + 50):
-        torsion_module.torsion_vq_cached(Poly.one(gf), prec)
+        torsion_module.tower_basis(Poly.T(gf), prec)
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
@@ -285,9 +286,33 @@ def test_completed_action_matches_polynomial_action():
 def test_completed_action_of_zero_is_exact_zero():
     gf = field(3)
     u = parse_series("s^-1 + 2*s + O(s^9)", gf, VqElem)
-    for M in (InfLaurent.zero(gf), InfLaurent.zero(gf, 4)):
-        out = completed_action(M, u)
-        assert out == VqElem.zero(gf) and out.prec is None
+    out = completed_action(InfLaurent.zero(gf), u)
+    assert out == VqElem.zero(gf) and out.prec is None
+    # O(T^-4) leaves a_k T^-k, k >= 4, unknown: valuation >= -1 + 2*4
+    assert completed_action(InfLaurent.zero(gf, 4), u) == VqElem.zero(gf, 7)
+
+
+@pytest.mark.parametrize(
+    "M, u, completion, expected",
+    [
+        # M's digit at T^-1 is unknown, and 1 + T^-1 moves the s^1 digit
+        ("1 + O(T^-1)", "s^-1 + s + O(s^20)", "1 + T^-1", "s^-1 + O(s^1)"),
+        # the canonical T^2-division of u has the certified digit s^3
+        ("T^-1 + T^-2", "s^-1 + O(s^3)", "T^-1 + T^-2", "2*s + s^3 + O(s^5)"),
+        # T^-1 on an unknown u of valuation >= 3 is unknown from s^5 on
+        ("T^-1", "O(s^3)", "T^-1", "O(s^5)"),
+    ],
+)
+def test_completed_action_claims_only_certified_digits(M, u, completion, expected):
+    gf = field(3)
+    M, u = parse_series(M, gf, InfLaurent), parse_series(u, gf, VqElem)
+    out = completed_action(M, u)
+    assert str(out) == expected
+    # a completion of M, and of u by two digits past its precision, agrees
+    # on every claimed digit
+    filled = VqElem.from_terms(gf, {**dict(u.terms()), u.prec: 1, u.prec + 1: 2}, 40)
+    exact = completed_action(parse_series(completion, gf, InfLaurent), filled)
+    assert out.agrees(exact)
 
 
 def test_completed_action_principal_part_is_division():
@@ -317,6 +342,31 @@ def test_dirichlet_approx_bound():
     except BelowPrecision:
         dv = diff.prec
     assert dv > bound
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_tower_basis_is_the_echelon_form_of_the_listed_points(q):
+    gf = field(q)
+    for n in range(1, 13):
+        if q**n > 2**12:
+            break
+        Tn = Poly.T(gf) ** n
+        sep = min_separating_prec(Tn)
+        for prec in range(sep, sep + 2 * q + 1):
+            points = [[p.digit(k) for k in range(-1, prec)] for p in torsion_vq(Tn, prec)]
+            assert torsion_module.tower_basis(Tn, prec) == tuple(map(tuple, _echelon(gf, points, prec + 1)))
+
+
+def test_dirichlet_needs_neither_torsion_vq_nor_rho(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dirichlet_approx reached the general torsion search")
+
+    monkeypatch.setattr(torsion_module, "torsion_vq", refuse)
+    monkeypatch.setattr(operator_module, "carlitz_operator", refuse)
+    torsion_module.tower_basis.cache_clear()
+    gf = field(3)
+    order, best = dirichlet_approx(parse_series("s^-1 + s", gf, VqElem), 10)
+    assert (str(order), str(best)) == ("T^10", "s^-1 + s + O(s^21)")
 
 
 def test_dirichlet_rejects_bad_valuation():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import field
 from carlitz import operator as operator_module
+from carlitz import torsion as torsion_module
 from carlitz.cli import main, parse_fraction
 from carlitz.errors import DomainError
 from carlitz.gf import GF
@@ -365,6 +366,37 @@ def test_torsion_vq_size_cap(capsys):
     code, _, err = run(capsys, "torsion-vq", "--q", "256", "--M", "T^6")
     assert code == 1 and err.startswith("error[domain]")
     assert "above the supported maximum 2^16" in err
+
+
+def test_torsion_vq_matrix_cap(capsys, monkeypatch):
+    # the kernel matrix at prec 100000 has over 10^10 entries: refused
+    # before the images of rho_M or any row reduction
+    def refuse(*args):
+        raise AssertionError("the kernel matrix was built")
+
+    monkeypatch.setattr(torsion_module, "carlitz_operator", refuse)
+    monkeypatch.setattr(torsion_module, "_echelon", refuse)
+    code, _, err = run(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "100000")
+    assert code == 1 and "above the supported maximum 2^22" in err
+    # prec 1500 passes the lower bound but not the count of image exponents
+    monkeypatch.undo()
+    monkeypatch.setattr(torsion_module, "_echelon", refuse)
+    code, _, err = run(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "1500")
+    assert code == 1 and "a kernel matrix of 1501 x 3004 entries" in err
+    monkeypatch.undo()
+    out = run_ok(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "1000")
+    assert out.count("O(s^1000)") == 9
+
+
+def test_dirichlet_reaches_past_listed_torsion(capsys):
+    # 3^11 points are above the listing cap, but the basis is 11 rows of 24 digits
+    out = run_ok(capsys, "dirichlet", "--q", "3", "--target", "s^-1+s", "--n", "11")
+    assert "lambda_n = s^-1 + s + 2*s^21 + O(s^23)" in out
+    out = run_ok(capsys, "dirichlet", "--q", "4001", "--target", "s^-1", "--n", "1")
+    assert "lambda_n = s^-1 + O(s^4001)" in out
+    # one row of 65538 digits is above 2^16, refused before any T-division
+    code, _, err = run(capsys, "dirichlet", "--q", "65537", "--target", "s^-1", "--n", "1")
+    assert code == 1 and "1 x 65538 digits is above the supported maximum 2^16" in err
 
 
 def test_torsion_padic_size_cap(capsys):

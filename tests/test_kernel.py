@@ -758,9 +758,10 @@ def test_divide_T_step_matches_product_by_inverse_T(pair):
 
 
 def completed_action_stepwise(M, u):
-    """The completed action with the polynomial part gathered term by term
-    and each tail digit and valuation read through its checks: the oracle
-    for completed_action's single read of M's digits."""
+    """The completed action with the polynomial part gathered term by term,
+    each tail digit and valuation read through its checks, and the bound on
+    M's unknown terms taken one rho_T step at a time: the oracle for
+    completed_action's single read of M's digits."""
     gf = u.gf
     if isinstance(M, Poly):
         return carlitz_act(M, u)
@@ -793,10 +794,17 @@ def completed_action_stepwise(M, u):
                 )
             prev_val = val
             if a:
-                if u.prec is not None and val is not None and val >= u.prec:
-                    break
                 acc = acc + vk.scale(a)
-    return acc
+    if M.prec is None:
+        return acc
+    # the unknown a_k T^-k, k >= max(p, 1), and, when p <= 0, the unknown
+    # a_-j rho_{T^j}(u), 0 <= j <= -p
+    q, b = gf.q, u._veff()
+    bounds = [b + (q - 1) * max(M.prec, 1)]
+    for j in range(-M.prec + 1):
+        bounds.append(b)
+        b = min(q * b, b - (q - 1))
+    return acc.truncate(min(bounds))
 
 
 @st.composite
@@ -832,6 +840,21 @@ def raised(f, *args):
 @example((InfLaurent(FIELDS[2], -1, [1, 1, 1, 1], 0), _vq(2, 0, [1, 1], 8)))  # prec 0 cuts the tail
 def test_completed_action_matches_stepwise(args):
     assert raised(completed_action, *args) == raised(completed_action_stepwise, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(completed_args(), st.data())
+def test_completed_action_precision_contract(args, data):
+    # a coarser M or u changes no digit the coarser action claims
+    M, u = args
+    fine = raised(completed_action, M, u)
+    rough = raised(completed_action, coarser(M, data), coarser(u, data))
+    if isinstance(rough, VqElem) and isinstance(fine, VqElem):
+        assert rough.agrees(fine)
+        assert fine.prec is None or rough.prec <= fine.prec
+    elif isinstance(fine, VqElem):
+        # only a truncation of u at or below -q can be refused
+        assert rough[0] is PrecisionError
 
 
 @st.composite
