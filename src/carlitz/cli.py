@@ -32,7 +32,8 @@ DEFAULT_MAX_DEG = 6
 
 # The most work `sweep --kind splitting` takes on, in units of (x-degree of
 # psi_A)^2 summed over the ordered pairs (P, A): --q 3 --max-deg 3 is 72956
-# (about 5 s), --q 9 --max-deg 2 is about 10^7 (over 7 minutes).
+# (about 0.8 s), --q 9 --max-deg 2 is about 10^7 (about a minute, from four
+# timed pairs per pair of degrees; Python 3.11, 2-vCPU x86-64).
 MAX_SPLITTING_WORK = 10**5
 
 
@@ -531,7 +532,54 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------- parser
 
 
-def build_parser():
+# Every subcommand: (name, handler, setup, nested), nested being None or the
+# dest and the entries of its own subcommands.
+SUBCOMMANDS = [
+    ("act", cmd_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
+    ("operator", cmd_operator, lambda sp: sp.add_argument("--M", required=True), None),
+    ("cyclotomic", cmd_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--n", type=integer, default=1)), None),
+    ("torsion-padic", cmd_torsion_padic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--N", type=integer, default=6)), None),
+    ("torsion-vq", cmd_torsion_vq, lambda sp: sp.add_argument("--M", required=True), None),
+    ("divide-t", cmd_divide_t, lambda sp: sp.add_argument("--u", required=True), None),
+    ("completed-act", cmd_completed_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
+    ("dirichlet", cmd_dirichlet, lambda sp: (sp.add_argument("--target", required=True), sp.add_argument("--n", type=integer, required=True)), None),
+    ("symbol", cmd_symbol, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("reciprocity", cmd_reciprocity, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("split-kummer", cmd_split_kummer, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--A", required=True)), None),
+    ("xi", cmd_xi, lambda sp: sp.add_argument("--A", required=True), None),
+    ("newton", cmd_newton, lambda sp: sp.add_argument("--A", required=True), None),
+    ("kummer", cmd_kummer, None, ("kummer_cmd", [
+        ("map", cmd_kummer, lambda sp: sp.add_argument("--u", required=True), None),
+        ("solve", cmd_kummer, lambda sp: sp.add_argument("--M", required=True), None),
+    ])),
+    ("star", cmd_star, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--nu", required=True)), None),
+    ("tangent", cmd_tangent, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+    ("family", cmd_family, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+    ("descartes", cmd_descartes, None, ("descartes_cmd", [
+        ("family", cmd_descartes, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+        ("eval", cmd_descartes, lambda sp: sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions"), None),
+        ("sweep", cmd_descartes, lambda sp: sp.add_argument("--count", type=integer, default=20), None),
+    ])),
+    ("soddy", cmd_soddy, lambda sp: (sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", required=True)), None),
+    ("tree", cmd_tree, None, ("tree_cmd", [
+        ("neighbors", cmd_tree, lambda sp: sp.add_argument("--vertex", required=True, help="level;series"), None),
+        ("distance", cmd_tree, lambda sp: (sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), None),
+        ("export", cmd_tree, lambda sp: sp.add_argument("--radius", type=integer, default=2), None),
+    ])),
+    ("ray", cmd_ray, lambda sp: (sp.add_argument("--f", required=True), sp.add_argument("--steps", type=integer, default=5)), None),
+    ("normal-basis", cmd_normal_basis, None, None),
+    ("exp", cmd_exp, lambda sp: (sp.add_argument("--z", required=True), sp.add_argument("--terms", type=integer, default=10)), None),
+    ("period", cmd_period, lambda sp: sp.add_argument("--N", type=integer, required=True), None),
+    ("eisenstein", cmd_eisenstein, lambda sp: (sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)), None),
+    ("sweep", cmd_sweep, lambda sp: (sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=integer, default=2), sp.add_argument("--count", type=integer, default=20), sp.add_argument("--N", type=integer, default=4)), None),
+]
+
+
+def build_parser(argv=()):
+    """The parser of ``carlitz``.  When argv starts with a subcommand's name,
+    only that subcommand and its nested ones are added: argparse hands the
+    rest of argv to that one alone.  Any other argv gets all of them."""
     top = argparse.ArgumentParser(
         prog="carlitz",
         description="Exact arithmetic for the Carlitz module over F_q(T).",
@@ -544,58 +592,26 @@ def build_parser():
         sp.add_argument("--seed", type=integer, default=0, help="PRNG seed for randomized sweeps")
         sp.add_argument("--output", choices=("text", "json"), default="text")
 
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, setup=None, parent=sub):
+    def add(parent, name, fn, setup, nested):
         sp = parent.add_parser(name)
         common(sp)
         if setup:
             setup(sp)
         sp.set_defaults(fn=fn)
-        return sp
+        if nested:
+            dest, entries = nested
+            sub = sp.add_subparsers(dest=dest, required=True)
+            for entry in entries:
+                add(sub, *entry)
 
-    add("act", cmd_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)))
-    add("operator", cmd_operator, lambda sp: sp.add_argument("--M", required=True))
-    add("cyclotomic", cmd_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--n", type=integer, default=1)))
-    add("torsion-padic", cmd_torsion_padic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--N", type=integer, default=6)))
-    add("torsion-vq", cmd_torsion_vq, lambda sp: sp.add_argument("--M", required=True))
-    add("divide-t", cmd_divide_t, lambda sp: sp.add_argument("--u", required=True))
-    add("completed-act", cmd_completed_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)))
-    add("dirichlet", cmd_dirichlet, lambda sp: (sp.add_argument("--target", required=True), sp.add_argument("--n", type=integer, required=True)))
-    add("symbol", cmd_symbol, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)))
-    add("reciprocity", cmd_reciprocity, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=integer, required=True)))
-    add("split-kummer", cmd_split_kummer, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)))
-    add("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--A", required=True)))
-    add("xi", cmd_xi, lambda sp: sp.add_argument("--A", required=True))
-    add("newton", cmd_newton, lambda sp: sp.add_argument("--A", required=True))
-
-    ksub = add("kummer", cmd_kummer).add_subparsers(dest="kummer_cmd", required=True)
-    add("map", cmd_kummer, lambda sp: sp.add_argument("--u", required=True), parent=ksub)
-    add("solve", cmd_kummer, lambda sp: sp.add_argument("--M", required=True), parent=ksub)
-
-    add("star", cmd_star, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--nu", required=True)))
-    add("tangent", cmd_tangent, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)))
-    add("family", cmd_family, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)))
-
-    dsub = add("descartes", cmd_descartes).add_subparsers(dest="descartes_cmd", required=True)
-    add("family", cmd_descartes, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), parent=dsub)
-    add("eval", cmd_descartes, lambda sp: sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions"), parent=dsub)
-    add("sweep", cmd_descartes, lambda sp: sp.add_argument("--count", type=integer, default=20), parent=dsub)
-
-    add("soddy", cmd_soddy, lambda sp: (sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", required=True)))
-
-    tsub = add("tree", cmd_tree).add_subparsers(dest="tree_cmd", required=True)
-    add("neighbors", cmd_tree, lambda sp: sp.add_argument("--vertex", required=True, help="level;series"), parent=tsub)
-    add("distance", cmd_tree, lambda sp: (sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), parent=tsub)
-    add("export", cmd_tree, lambda sp: sp.add_argument("--radius", type=integer, default=2), parent=tsub)
-
-    add("ray", cmd_ray, lambda sp: (sp.add_argument("--f", required=True), sp.add_argument("--steps", type=integer, default=5)))
-    add("normal-basis", cmd_normal_basis)
-    add("exp", cmd_exp, lambda sp: (sp.add_argument("--z", required=True), sp.add_argument("--terms", type=integer, default=10)))
-    add("period", cmd_period, lambda sp: sp.add_argument("--N", type=integer, required=True))
-    add("eisenstein", cmd_eisenstein, lambda sp: (sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)))
-    add("sweep", cmd_sweep, lambda sp: (sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=integer, default=2), sp.add_argument("--count", type=integer, default=20), sp.add_argument("--N", type=integer, default=4)))
-
+    names = [entry[0] for entry in SUBCOMMANDS]
+    only = argv[0] if argv and argv[0] in names else None
+    # the top-level usage line, printed with an unrecognized argument, lists
+    # every subcommand however many were added
+    sub = top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(names) + "}" if only else None)
+    for entry in SUBCOMMANDS:
+        if only in (None, entry[0]):
+            add(sub, *entry)
     return top
 
 
@@ -613,7 +629,8 @@ def _emit_error(args, code: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -6,7 +6,9 @@ the packed ``Poly`` kernel with ``Modulus`` reducing mod the unsplit part of f
 and one gcd per block of degrees.
 At a prime of degree >= 2, polynomials in x are ``XPoly`` values whose
 coefficients are kept reduced mod P, and every product and division runs on
-the ``XPoly`` kernel with modulus P.
+the ``XPoly`` kernel with modulus P.  x^(Q^d), Q = q^(deg P), is taken by
+deg P applications per degree of the q-th power map, which is F_q-linear
+and read off one table of x^(q i) mod the unsplit part (``_QPower``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly
-from .poly import Modulus, Poly, is_irreducible, poly_gcd, square_multiply
+from .poly import Modulus, Poly, is_irreducible, poly_gcd, pow_mod, square_multiply
 
 
 def _gcd(a: XPoly, b: XPoly, P: Poly) -> XPoly:
@@ -23,6 +25,55 @@ def _gcd(a: XPoly, b: XPoly, P: Poly) -> XPoly:
     while not b.is_zero():
         a, b = b, a.divmod(b, P)[1]
     return a
+
+
+class _QPower:
+    """h -> h^q on F_q[T]/(P)[x]/(rest), an F_q-linear map (von zur
+    Gathen-Shoup, Comput. Complexity 2, 1992; von zur Gathen-Gerhard, Modern
+    Computer Algebra, 14.2): h^q = sum_i s(h_i) R_i mod rest, with rows
+    R_i = x^(q i) mod rest and s(sum_j c_j T^j) = sum_j c_j (T^(q j) mod P),
+    the q-th power on the residue field, as the c_j lie in F_q.  R_1 = x^q
+    by square-and-multiply and R_i = R_(i-1) R_1; each row is held flat,
+    2 deg P - 1 T-slots per x-coefficient, so s(h_i) R_i is one packed
+    product.  When rest moves to a divisor, the rows are reduced mod it."""
+
+    __slots__ = ("P", "tau", "rows", "flat")
+
+    def __init__(self, rest: XPoly, P: Poly):
+        gf = P.gf
+        self.P = P
+        self.tau = [pow_mod(Poly.T(gf), gf.q * j, P).coeffs for j in range(P.degree)]
+
+        def mul(a, b):
+            return (a * b).divmod(rest, P)[1]
+
+        x_q = square_multiply(XPoly(gf, [Poly.zero(gf), Poly.one(gf)]), gf.q, mul)
+        rows = [XPoly(gf, [Poly.one(gf)])]
+        for _ in range(1, rest.deg()):
+            rows.append(mul(rows[-1], x_q))
+        self._set(rows)
+
+    def _set(self, rows):
+        self.rows = rows
+        self.flat = [r._kronecker(2 * self.P.degree - 1) for r in rows]
+
+    def __call__(self, h: XPoly, rest: XPoly) -> XPoly:
+        """h^q mod rest, for h reduced mod rest and rest a divisor of the
+        modulus the rows were built for."""
+        P = self.P
+        gf, S = P.gf, 2 * P.degree - 1
+        if len(self.rows) > rest.deg():
+            self._set([r.divmod(rest, P)[1] for r in self.rows[: rest.deg()]])
+        acc = Poly.zero(gf)
+        for c, row in zip(h.coeffs, self.flat):
+            if not c.is_zero():
+                s = []
+                for a, t in zip(c.coeffs, self.tau):
+                    if a:
+                        s = gf.add_vec(s, gf.scale_vec(a, t))
+                acc = acc + Poly(gf, s) * row
+        v = acc.coeffs
+        return XPoly(gf, [Poly(gf, v[i : i + S]) % P for i in range(0, len(v), S)])
 
 
 def _ddf_fq(f: Poly):
@@ -86,17 +137,19 @@ def ddf(f, P: Poly):
     fp = f.derivative()
     if fp.is_zero() or _gcd(f, fp, P).deg() > 0:
         raise DomainError("ddf input must be squarefree over the residue field")
-    Q = gf.q**P.degree
     out = []
     x = XPoly(gf, [Poly.zero(gf), Poly.one(gf)])
     h = x
     d = 0
     rest = f
+    power = _QPower(f, P)
     while rest.deg() >= 2 * (d + 1):
         d += 1
-        # h = x^(Q^d) mod rest with Q = |F_q[T]/(P)|; the factors of degree
-        # d are those of gcd(rest, x^(Q^d) - x); h is reduced mod rest
-        h = square_multiply(h, Q, lambda a, b: (a * b).divmod(rest, P)[1])
+        # h = x^(Q^d) mod rest with Q = q^(deg P) = |F_q[T]/(P)|, by deg P
+        # q-th powers; the factors of degree d are those of
+        # gcd(rest, x^(Q^d) - x)
+        for _ in range(P.degree):
+            h = power(h, rest)
         g = _gcd(rest, h - x, P)
         if g.deg() > 0:
             out.append((d, g.deg() // d))

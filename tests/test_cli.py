@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: every subcommand runs,
-JSON output is well formed, failures map to the documented exit codes, and
-the reciprocity sweep prints the rows of per-d symbol calls."""
+JSON output is well formed, failures map to the documented exit codes, the
+parser built for one subcommand answers as the full one, and the
+reciprocity sweep prints the rows of per-d symbol calls."""
 
 import json
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import field
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
-from carlitz.cli import main, parse_fraction
+from carlitz.cli import SUBCOMMANDS, build_parser, main, parse_fraction
 from carlitz.errors import DomainError
 from carlitz.gf import GF
 from carlitz.poly import Poly, RatFn, monic_irreducibles
@@ -315,7 +316,7 @@ def test_reciprocity_sweep_rows_match_per_d_calls(capsys, q, max_deg):
 
 
 def test_splitting_sweep_work_cap(capsys, monkeypatch):
-    # 45 irreducibles over F_9 give 1980 pairs, over 7 minutes of ddf: the
+    # 45 irreducibles over F_9 give 1980 pairs, about a minute of ddf: the
     # sweep is refused from the irreducible counts, before any is listed
     import carlitz.cli
 
@@ -342,6 +343,52 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def _parse(capsys, parser, argv):
+    """The exit code of parsing argv (None when it parses), stdout and stderr."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _command_paths(entries=SUBCOMMANDS, prefix=()):
+    for name, _, _, nested in entries:
+        yield prefix + (name,)
+        if nested:
+            yield from _command_paths(nested[1], prefix + (name,))
+
+
+@pytest.mark.parametrize("path", list(_command_paths()), ids=" ".join)
+def test_parser_of_one_subcommand_matches_the_full_parser(capsys, path):
+    # help; the bare subcommand, a missing required option or nested
+    # subcommand where it has one; and an unrecognized argument, whose error
+    # prints the top-level usage line with every subcommand
+    path = list(path)
+    helps = _parse(capsys, build_parser(), path + ["--help"])
+    assert helps[0] == 0 and helps[1].startswith(f"usage: carlitz {' '.join(path)} ")
+    assert run(capsys, *path, "--help") == (0, helps[1], helps[2])
+    bare = _parse(capsys, build_parser(), path)
+    assert bare[0] is None or (bare[0] == 2 and "the following arguments are required" in bare[2])
+    unknown = _parse(capsys, build_parser(), path + ["--no-such-option"])
+    assert unknown[0] == 2
+    for argv, want in ((path + ["--help"], helps), (path, bare), (path + ["--no-such-option"], unknown)):
+        assert _parse(capsys, build_parser(argv), argv) == want
+
+
+def test_parser_is_built_only_for_the_named_subcommand(capsys):
+    # "act" is not a choice of the parser built for "sweep"
+    code, _, err = _parse(capsys, build_parser(["sweep"]), ["act", "--M", "T", "--u", "T"])
+    assert code == 2 and "invalid choice: 'act'" in err
+    for argv in ([], ["-h"], ["--help"], ["no-such-command"], ["--q", "3", "act"]):
+        want = _parse(capsys, build_parser(), argv)
+        assert _parse(capsys, build_parser(argv), argv) == want
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and all(name in out for name, *_ in SUBCOMMANDS)
 
 
 def test_domain_errors_exit_1(capsys):

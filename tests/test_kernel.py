@@ -17,7 +17,8 @@ Newton inverse there against the extended gcd, each ring's rho_T step
 against u^q + T*u, the Horner Carlitz action against the operator
 coefficients of the T-step recursion and the operator coefficients by
 Horner against that recursion, the x-polynomial kernel and ddf against
-their coefficient-by-coefficient loops, the q-th power mod f,
+their coefficient-by-coefficient loops, ddf by q-th powers against
+square-and-multiply by the residue field's order, the q-th power mod f,
 irreducibility, the norm and the residue symbol against pow_mod, the polynomial
 enumeration against the base-q digit loop, euler_phi against a count of
 units, the F_{p^r} modulus and tables against coordinates and schoolbook
@@ -1471,6 +1472,78 @@ def test_blocked_ddf_of_an_irreducible_matches_residue_loop(q):
     coeffs = lift_to_linear_prime(f, 1, rng, unit=q - 1)
     P = Poly(gf, [gf.neg(1), 1])
     assert ddf(coeffs, P) == rf_ddf(coeffs, P) == [(40, 1)]
+
+
+def ddf_by_powering(f, P):
+    """ddf at a prime P of degree >= 2 with h = x^(Q^d) mod the unsplit part
+    by square-and-multiply by Q = q^(deg P), as before the q-th power map;
+    f is a squarefree list of Poly coefficients."""
+    gf = P.gf
+
+    def gcd(a, b):
+        while not b.is_zero():
+            a, b = b, a.divmod(b, P)[1]
+        return a
+
+    Q = gf.q**P.degree
+    out = []
+    x = XPoly(gf, [Poly.zero(gf), Poly.one(gf)])
+    h, d, rest = x, 0, XPoly(gf, [c % P for c in f])
+    while rest.deg() >= 2 * (d + 1):
+        d += 1
+        h = square_multiply(h, Q, lambda a, b: (a * b).divmod(rest, P)[1])
+        g = gcd(rest, h - x)
+        if g.deg() > 0:
+            out.append((d, g.deg() // d))
+            rest = rest.divmod(g, P)[0]
+            h = h.divmod(rest, P)[1]
+    if rest.deg() > 0:
+        out.append((rest.deg(), 1))
+    return out
+
+
+# x-degrees of the factors of planned products over F_q[T]/P; in each, a
+# factor splits off and the loop goes on (rest.deg() >= 2 (d + 1)), so the
+# q-th power rows are reduced mod a divisor mid-loop
+RESIDUE_PLANS = [[1, 2, 3], [1, 1, 2, 3, 3], [2, 2, 3, 3]]
+
+
+def residue_planned_product(P, degrees, rng):
+    """A product of distinct monic irreducibles over F_q[T]/P, one of each
+    listed x-degree, drawn at random and kept when rf_ddf finds them
+    irreducible; a list of reduced Poly coefficients."""
+    gf = P.gf
+    chosen = []
+    for e in degrees:
+        while True:
+            g = [Poly(gf, [rng.randrange(gf.q) for _ in range(P.degree)]) for _ in range(e)] + [Poly.one(gf)]
+            if g not in chosen and outcome(rf_ddf, g, P) == [(e, 1)]:
+                chosen.append(g)
+                break
+    prod = XPoly(gf, [Poly.one(gf)])
+    for g in chosen:
+        prod = XPoly(gf, [c % P for c in (prod * XPoly(gf, g)).coeffs])
+    return list(prod.coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("deg_P", [2, 3])
+def test_ddf_by_q_powers_matches_powering_and_residue_loop(q, deg_P):
+    gf = FIELDS[q]
+    rng = random.Random(f"{q}-{deg_P}")
+    P = next(P for P in monic_irreducibles(gf, deg_P) if P.degree == deg_P)
+    for plan in RESIDUE_PLANS:
+        f = residue_planned_product(P, plan, rng)
+        assert ddf(f, P) == ddf_by_powering(f, P) == rf_ddf(f, P) == sorted(Counter(plan).items())
+
+
+def test_ddf_by_q_powers_over_a_large_prime_field():
+    # q = 2^31 - 1: x^q and T^q are taken by square-and-multiply, never as a
+    # dense list of q coefficients; T^2 + 1 is irreducible as q = 3 mod 4
+    gf = GF(2**31 - 1)
+    P = Poly(gf, [1, 0, 1])
+    f = residue_planned_product(P, [1, 2, 3], random.Random(0))
+    assert ddf(f, P) == ddf_by_powering(f, P) == rf_ddf(f, P) == [(1, 1), (2, 1), (3, 1)]
 
 
 # ---------------------------------------------------------------- Newton inverse in F_q[T]/P^N
