@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BelowPrecision, CarlitzError, DomainError
+from .operator import D_sequence
 from .poly import Poly, RatFn, all_polys, check_frobenius_degree
 from .series import InfLaurent, VqElem
 
@@ -81,8 +82,7 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
     acc = VqElem.zero(gf)
     zq = z  # z^(q^n)
     cert = {}
-    T = Poly.T(gf)
-    Dn = Poly.one(gf)  # D_0 = 1, D_n = [n] * D_{n-1}^q with [n] = T^(q^n) - T
+    Ds = D_sequence(gf)
     for n in range(budget.term_count):
         # v(z^(q^n)) = q^n v(z), and D_n has T-degree n q^n, so valuation
         # -(q-1) n q^n; the term's precision lies above this valuation
@@ -90,12 +90,10 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
         if val >= prec:
             # this term only certifies the cutoff: no digit of it is kept
             break
-        if n:
-            Dn = (Poly.one(gf).shift(q**n) - T) * Dn.frobenius()
         # n-th coefficient is 1/D_n: the unique choice (with the standard D_n
         # recursion) satisfying e(Tz) = e(z)^q + T*e(z), which the test suite
         # enforces
-        acc = acc + zq.truncate(prec) / VqElem.from_poly(Dn)
+        acc = acc + zq.truncate(prec) / VqElem.from_poly(next(Ds))
         zq = zq.frobenius()
     else:
         raise CarlitzError(
@@ -193,8 +191,8 @@ def _carlitz_e(gf, n: int, top: int):
     m, and the coefficients c_i of x^(q^i) in
     e_m(x) = prod over deg a < m of (x - a), for i = 0 and the q^i < n.
 
-    e_0(x) = x and D_0 = 1; e_(m+1) = e_m^q - D_m^(q-1) e_m and
-    D_(m+1) = [m+1] D_m^q.  D_top has T-degree top * q^top, refused past
+    e_0(x) = x and e_(m+1) = e_m^q - D_m^(q-1) e_m, D_m read from
+    D_sequence.  D_top has T-degree top * q^top, refused past
     the Frobenius cap before any work.
     """
     q = gf.q
@@ -204,12 +202,13 @@ def _carlitz_e(gf, n: int, top: int):
     while q**width < n:
         width += 1
     c = [one] + [zero] * (width - 1)
-    D = one
+    Ds = D_sequence(gf)
+    D = next(Ds)
     for m in range(top + 1):
         if m:
             Dq1 = D ** (q - 1)
             c = [(c[i - 1].frobenius() if i else zero) - Dq1 * c[i] for i in range(width)]
-            D = (one.shift(q**m) - Poly.T(gf)) * D.frobenius()
+            D = next(Ds)
         yield c, D
 
 

@@ -20,7 +20,7 @@ from . import analytic, geometry, reciprocity, torsion
 from .errors import CarlitzError, DomainError, PrecisionError
 from .gf import GF, MAX_PRIME
 from .operator import carlitz_act, carlitz_operator, cyclotomic_poly
-from .poly import Poly, RatFn, monic_irreducibles, parse_int, parse_poly
+from .poly import Poly, RatFn, monic_irreducibles, parse_int, parse_poly, prime_divisors
 from .series import InfLaurent, VqElem, parse_series
 
 
@@ -35,6 +35,12 @@ DEFAULT_MAX_DEG = 6
 # (about 0.8 s), --q 9 --max-deg 2 is about 10^7 (about a minute, from four
 # timed pairs per pair of degrees; Python 3.11, 2-vCPU x86-64).
 MAX_SPLITTING_WORK = 10**5
+
+# The most rows `sweep --kind reciprocity` writes, one per pair of monic
+# irreducibles and divisor d of q - 1: --q 101 --max-deg 1 is 45450 rows
+# (about 0.9 s), --q 9 --max-deg 3 is 161880 (about 7 s), --q 65537
+# --max-deg 1 would be about 3.6 * 10^10.
+MAX_RECIPROCITY_ROWS = 2 * 10**5
 
 
 def integer(text: str) -> int:
@@ -86,21 +92,12 @@ def build_gf(args) -> GF:
 def _prime_power(q: int):
     if q > MAX_PRIME:
         raise DomainError(f"q = {q} is above the supported maximum 2^40")
-    if q < 2:
+    primes = prime_divisors(q)  # none for q < 2
+    if len(primes) != 1:
         raise UsageError(f"q = {q} is not a prime power")
-    # the least prime factor, by trial division up to sqrt(q)
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    r = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p, r = primes[0], 1
+    while p**r < q:
         r += 1
-    if m != 1:
-        raise UsageError(f"q = {q} is not a prime power")
     return p, r
 
 
@@ -460,6 +457,15 @@ def cmd_eisenstein(args):
     )
 
 
+def _irreducible_counts(q: int, max_deg: int) -> dict:
+    """The number of monic irreducibles of each degree 1..max_deg, from
+    q^d = sum over e | d of e N(e)."""
+    count = {}
+    for d in range(1, max_deg + 1):
+        count[d] = (q**d - sum(e * n for e, n in count.items() if d % e == 0)) // d
+    return count
+
+
 def cmd_sweep(args):
     gf = build_gf(args)
     kind = args.kind
@@ -467,8 +473,19 @@ def cmd_sweep(args):
     bad = 0
     rows = []
     if kind == "reciprocity":
+        # the divisors of q - 1 from its primes, in no order: the rows are sorted
+        divisors = [1]
+        for l in prime_divisors(gf.q - 1):
+            powers = [l**k for k in range(1, gf.q.bit_length()) if (gf.q - 1) % l**k == 0]
+            divisors += [d * e for d in divisors for e in powers]
+        n = sum(_irreducible_counts(gf.q, args.max_deg).values())
+        count = n * (n - 1) // 2 * len(divisors)
+        if count > MAX_RECIPROCITY_ROWS:
+            raise UsageError(
+                f"sweep 'reciprocity' row count {count} is above the cap {MAX_RECIPROCITY_ROWS} "
+                "(lower --max-deg or --q)"
+            )
         irr = list(monic_irreducibles(gf, args.max_deg))
-        divisors = [d for d in range(1, gf.q) if (gf.q - 1) % d == 0]
         for i, P in enumerate(irr):
             for Q in irr[i + 1 :]:
                 # one norm each way: the d-th symbol is the (q-1)-th raised
@@ -499,10 +516,7 @@ def cmd_sweep(args):
     elif kind == "splitting":
         from .residues import ddf
 
-        # monic irreducibles per degree, from q^d = sum over e | d of e N(e)
-        count = {}
-        for d in range(1, args.max_deg + 1):
-            count[d] = (gf.q**d - sum(e * n for e, n in count.items() if d % e == 0)) // d
+        count = _irreducible_counts(gf.q, args.max_deg)
         work = (sum(count.values()) - 1) * sum(n * (gf.q**d - 1) ** 2 for d, n in count.items())
         if work > MAX_SPLITTING_WORK:
             raise UsageError(

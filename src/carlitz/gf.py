@@ -14,7 +14,8 @@ are those of ``poly`` over GF(p).
 from __future__ import annotations
 
 from .errors import DomainError
-from .poly import Poly, all_polys, format_term, is_irreducible, parse_int, parse_term, square_multiply
+from .poly import Poly, all_polys, format_term, is_irreducible, order_dividing, parse_int, parse_term
+from .poly import prime_divisors, square_multiply
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
 # sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
@@ -23,17 +24,6 @@ from .poly import Poly, all_polys, format_term, is_irreducible, parse_int, parse
 # entries read from those tables, about half a second at the cap.
 MAX_PRIME = 2**40
 MAX_EXTENSION_ORDER = 2**8
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class GF:
@@ -45,7 +35,7 @@ class GF:
         # r > 8 is above the cap for every p; testing it first keeps p**r small
         if r > 1 and (r > 8 or p**r > MAX_EXTENSION_ORDER):
             raise DomainError(f"extension field order {p}^{r} is above the supported maximum 2^8")
-        if not _is_prime(p):
+        if prime_divisors(p) != [p]:
             raise DomainError(f"{p} is not prime")
         if r < 1:
             raise DomainError("extension degree must be positive")
@@ -240,14 +230,10 @@ class GF:
         raise AssertionError("no primitive element")
 
     def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
+        """Multiplicative order of a nonzero element, a divisor of q - 1."""
         if a == 0:
             raise DomainError("0 has no multiplicative order")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return order_dividing(self.q - 1, lambda e: self.pow(a, e) == 1)
 
     # -- text form (README, "One text grammar") --
 

@@ -12,6 +12,7 @@ for the slopes, torsion at infinity, the division polynomials and the CLI.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .errors import CarlitzError, DomainError
 from .poly import MAX_FROBENIUS_DEGREE, Poly, format_term, inv_mod, is_irreducible
@@ -23,6 +24,7 @@ __all__ = [
     "carlitz_act",
     "cyclotomic_poly",
     "brackets_D",
+    "D_sequence",
 ]
 
 
@@ -258,20 +260,23 @@ def carlitz_act(M: Poly, u):
     return v
 
 
+def D_sequence(gf):
+    """D_0 = 1, D_1, D_2, ...: D_n = [n] * D_(n-1)^q with [n] = T^(q^n) - T,
+    the product of the monic polynomials of degree n.  D_n has T-degree
+    n q^n, so each is built only when it is asked for."""
+    one, T = Poly.one(gf), Poly.T(gf)
+    D = one
+    for n in itertools.count(1):
+        yield D
+        D = (one.shift(gf.q**n) - T) * D.frobenius()
+
+
 def brackets_D(gf, n: int):
-    """The pair ([n], D_n): [n] = T^(q^n) - T, D_0 = 1, D_n = [n] * D_{n-1}^q."""
+    """The pair ([n], D_n), with [0] = 0."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    T = Poly.T(gf)
-    q = gf.q
-    D = Poly.one(gf)
-    bracket = Poly.zero(gf)
-    for k in range(1, n + 1):
-        bracket = Poly.one(gf).shift(q ** k) - T
-        D = bracket * D.frobenius()
-    if n == 0:
-        return Poly.zero(gf), D
-    return bracket, D
+    D = next(itertools.islice(D_sequence(gf), n, None))
+    return (Poly.one(gf).shift(gf.q**n) - Poly.T(gf) if n else Poly.zero(gf)), D
 
 
 def cyclotomic_poly(P: Poly, n: int = 1) -> XPoly:

@@ -516,6 +516,17 @@ def prime_divisors(n: int) -> list:
     return primes
 
 
+def order_dividing(n: int, is_one) -> int:
+    """The order of a group element x with x^n = 1, from is_one(e), which
+    tells whether x^e = 1: n divided by each prime l of n while
+    x^(n/l) = 1 (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 1.4.3)."""
+    for l in prime_divisors(n):
+        while n % l == 0 and is_one(n // l):
+            n //= l
+    return n
+
+
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: T^(q^n) = T mod f, and gcd(f, T^(q^(n/l)) - T) = 1 for
     every prime l dividing n = deg f (Rosen, Number Theory in Function

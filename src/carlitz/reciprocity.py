@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import CarlitzError, DomainError
 from .operator import XPoly, carlitz_act, carlitz_operator
-from .poly import Poly, euler_phi, is_irreducible, poly_gcd, pow_mod, prime_divisors
+from .poly import Poly, euler_phi, is_irreducible, order_dividing, poly_gcd, pow_mod
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -112,10 +112,7 @@ def residue_degree_cyclotomic(P: Poly, A: Poly) -> int:
     order = euler_phi(A)
     if pow_mod(base, order, A) != one:
         raise CarlitzError(f"order of {P} mod {A} exceeds the group order {order}")
-    for l in prime_divisors(order):
-        while order % l == 0 and pow_mod(base, order // l, A) == one:
-            order //= l
-    return order
+    return order_dividing(order, lambda e: pow_mod(base, e, A) == one)
 
 
 def xi_poly(A: Poly) -> XPoly:

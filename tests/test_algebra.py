@@ -53,6 +53,39 @@ def test_gf_frobenius_and_primitive(q):
     assert len(seen) == gf.q - 1
 
 
+def stepping_order(gf, a):
+    """The order of a by stepping through a, a^2, ..., as GF.order computed
+    it before it divided q - 1 down."""
+    k, x = 1, a
+    while x != 1:
+        x = gf.mul(x, a)
+        k += 1
+    return k
+
+
+# (p, r, the least element of order q - 1 in the default modulus)
+ORDER_FIELDS = {2: (2, 1, 1), 3: (3, 1, 2), 4: (2, 2, 2), 5: (5, 1, 2), 7: (7, 1, 3),
+                8: (2, 3, 2), 9: (3, 2, 4), 16: (2, 4, 2), 25: (5, 2, 6), 27: (3, 3, 3)}
+
+
+@pytest.mark.parametrize("q", sorted(ORDER_FIELDS))
+def test_gf_order_matches_stepping(q):
+    p, r, primitive = ORDER_FIELDS[q]
+    gf = GF(p, r)
+    assert [gf.order(a) for a in range(1, q)] == [stepping_order(gf, a) for a in range(1, q)]
+    assert gf.primitive_element() == primitive
+    with pytest.raises(DomainError, match="0 has no multiplicative order"):
+        gf.order(0)
+
+
+def test_gf_refuses_a_p_that_is_not_prime():
+    # 2 * 549755813881 is refused only after the largest prime below 2^39
+    # is split off, within the 2^40 cap
+    for p in (-3, 0, 1, 4, 9, 561, 2 * 549755813881):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            GF(p)
+
+
 def test_gf_elem_format_roundtrip():
     gf = field(4)
     for a in range(4):

@@ -9,7 +9,7 @@ import pytest
 from conftest import field
 from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import DomainError
-from carlitz.operator import carlitz_act
+from carlitz.operator import D_sequence, carlitz_act
 from carlitz.poly import Poly, RatFn
 from carlitz.series import VqElem, parse_series
 
@@ -114,6 +114,25 @@ def test_exp_certifying_term_is_not_computed():
     # a term whose valuation equals the cutoff already certifies it
     _, cert = carlitz_exp(VqElem.monomial(gf, 1, 2, prec=60), SeriesBudget(precision=54), with_certificate=True)
     assert cert == {0: 2, 1: 12, 2: 54}
+
+
+def test_exp_pulls_no_D_past_the_cutoff(monkeypatch):
+    # D_n is read from D_sequence only for a term that is kept: the case
+    # above reads D_0..D_4, and D_5 (T-degree 15625) is never built
+    import carlitz.analytic as analytic_module
+
+    pulled = []
+
+    def counting(gf):
+        for D in D_sequence(gf):
+            pulled.append(D.degree)
+            yield D
+
+    monkeypatch.setattr(analytic_module, "D_sequence", counting)
+    gf = field(5)
+    z = VqElem.from_poly(Poly.T(gf)) * VqElem.monomial(gf, 1, -12, prec=12)
+    _, cert = carlitz_exp(z, SeriesBudget(term_count=12, precision=12), with_certificate=True)
+    assert len(cert) == 6 and pulled == [0, 5, 50, 375, 2500]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])

@@ -11,6 +11,7 @@ from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.operator import (
+    D_sequence,
     XPoly,
     brackets_D,
     carlitz_act,
@@ -18,7 +19,7 @@ from carlitz.operator import (
     cyclotomic_poly,
 )
 from carlitz.padic import PadicCtx, hensel_lift
-from carlitz.poly import Poly, monic_irreducibles, parse_poly
+from carlitz.poly import Poly, all_polys, monic_irreducibles, parse_poly
 from carlitz.series import InfLaurent, VqElem, parse_series
 from carlitz.torsion import (
     _echelon,
@@ -93,6 +94,17 @@ def test_brackets_and_D():
     assert D2 == b2 * D1.frobenius()
     _, D0 = brackets_D(gf, 0)
     assert D0 == Poly.one(gf)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_D_sequence_is_the_product_of_the_monic_polynomials(q):
+    # D_n = [n] D_(n-1)^q against the product of the q^n monic A of degree n
+    gf = field(q)
+    for n, D in zip(range(4 if q < 4 else 3), D_sequence(gf)):
+        product = Poly.one(gf)
+        for A in all_polys(gf, n, monic=True):
+            product = product * A
+        assert D == product == brackets_D(gf, n)[1], (q, n)
 
 
 def test_cyclotomic_divides_operator():

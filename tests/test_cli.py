@@ -330,6 +330,34 @@ def test_splitting_sweep_work_cap(capsys, monkeypatch):
     assert "10162944" in err and str(carlitz.cli.MAX_SPLITTING_WORK) in err
 
 
+def test_reciprocity_sweep_row_cap(capsys, monkeypatch):
+    # 65537 irreducibles of degree 1 and the 17 divisors of 2^16 give about
+    # 3.6 * 10^10 rows: refused from the counts, before any is listed
+    import carlitz.cli
+
+    def unreachable(*args):
+        raise AssertionError("the sweep enumerated irreducibles")
+
+    monkeypatch.setattr(carlitz.cli, "monic_irreducibles", unreachable)
+    code, out, err = run(capsys, "sweep", "--q", "65537", "--kind", "reciprocity", "--max-deg", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error[usage]: sweep 'reciprocity' row count 36507779072 is above the cap "
+        f"{carlitz.cli.MAX_RECIPROCITY_ROWS} (lower --max-deg or --q)\n"
+    )
+
+
+def test_normal_basis_cap(capsys, monkeypatch):
+    # a 65536 x 65536 matrix is refused before any entry is built
+    def unreachable(self):
+        raise AssertionError("normal_basis looked for a primitive element")
+
+    monkeypatch.setattr(GF, "primitive_element", unreachable)
+    code, out, err = run(capsys, "normal-basis", "--q", "65537")
+    assert (code, out) == (1, "")
+    assert err == "error[domain]: Galois group order q - 1 = 65536 is above the supported maximum 2^7\n"
+
+
 # ---------------------------------------------------------------- output and errors
 
 
@@ -405,6 +433,32 @@ def test_field_size_cap(capsys):
     code, _, err = run(capsys, "act", "--q", "1024", "--M", "T", "--u", "T")
     assert code == 1 and "extension field order 2^10 is above the supported maximum 2^8" in err
     assert run_ok(capsys, "act", "--q", "4294967311", "--M", "2", "--u", "T+1").strip() == "2*T+2"
+
+
+# --q and its exit code and stderr, in the order of the checks: the 2^40
+# cap, then the prime-power check (a full factorization), then the field
+Q_ERRORS = {
+    0: (2, "error[usage]: q = 0 is not a prime power"),
+    1: (2, "error[usage]: q = 1 is not a prime power"),
+    6: (2, "error[usage]: q = 6 is not a prime power"),
+    12: (2, "error[usage]: q = 12 is not a prime power"),
+    2 * 549755813881: (2, "error[usage]: q = 1099511627762 is not a prime power"),
+    2**40: (1, "error[domain]: extension field order 2^40 is above the supported maximum 2^8"),
+    2**40 + 1: (1, "error[domain]: q = 1099511627777 is above the supported maximum 2^40"),
+}
+
+
+@pytest.mark.parametrize("q", list(Q_ERRORS))
+def test_q_errors(capsys, q):
+    code, message = Q_ERRORS[q]
+    assert run(capsys, "act", "--q", str(q), "--M", "T", "--u", "T") == (code, "", message + "\n")
+
+
+def test_split_kummer_order_at_a_large_prime(capsys):
+    # the order of the symbol in F_q^*, q = 2^31 - 1, from the primes of
+    # q - 1: stepping through its powers did not finish in 20 s
+    argv = ["split-kummer", "--q", "2147483647", "--A", "T+3", "--P", "T", "--d", "2147483646"]
+    assert run_ok(capsys, *argv) == "715827882\n"
 
 
 def test_torsion_vq_size_cap(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import field
 from carlitz.errors import DomainError
 from carlitz.geometry import (
+    MAX_GALOIS_ORDER,
     Fraction,
     NormalBasisData,
     descartes_form,
@@ -26,6 +27,7 @@ from carlitz.geometry import (
     tree_neighbors,
     TreeVertex,
 )
+from carlitz.gf import GF
 from carlitz.poly import Poly, RatFn, parse_poly, poly_ext_gcd
 from carlitz.series import InfLaurent
 
@@ -459,6 +461,15 @@ def test_normal_basis_matrix_invertible(q):
     from carlitz.geometry import _det
 
     assert _det(gf, data.change_matrix) != 0
+
+
+def test_normal_basis_and_galois_embed_cap():
+    # q - 1 = 127 is built, q - 1 = 130 is refused before anything is
+    gf = GF(2, 7)
+    assert len(normal_basis(gf).change_matrix) == len(galois_embed(gf)) == 127 <= MAX_GALOIS_ORDER
+    for f in (normal_basis, galois_embed):
+        with pytest.raises(DomainError, match="q - 1 = 130 is above the supported maximum 2"):
+            f(GF(131))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

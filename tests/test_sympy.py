@@ -1,5 +1,6 @@
 """Differential checks over F_p against sympy's galoistools: gcd, pow_mod,
-irreducibility at small and at large degree and p, and ddf at a linear prime P = T - a, where F_q[T]/P is F_q
+irreducibility at small and at large degree and p, multiplicative orders in
+F_p up to p near 2^40, and ddf at a linear prime P = T - a, where F_q[T]/P is F_q
 and ddf is distinct-degree factorization of the coefficients evaluated at a,
 on random inputs and on products planned around the blocks of its gcds.
 Skipped when sympy is not installed."""
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 sympy_random = pytest.importorskip("sympy.core.random")
+n_order = pytest.importorskip("sympy.ntheory").n_order
 
 from conftest import DDF_PLANS, lift_to_linear_prime, planned_product  # noqa: E402
 from carlitz.errors import DomainError  # noqa: E402
@@ -81,6 +83,18 @@ def test_is_irreducible_at_large_degree_matches_sympy(p):
     want = [galoistools.gf_irreducible_p(f, p, ZZ) for f in fs]
     assert want == [True, True, False, False]
     assert [is_irreducible(from_sympy(gf, f)) for f in fs] == want
+
+
+@pytest.mark.parametrize("p", [10007, 2**31 - 1, 2**40 - 87])
+def test_gf_order_matches_sympy(p):
+    # 2^40 - 87 is the largest prime below 2^40; 20 random a, each with
+    # its inverse (of the same order), then -1 and 1
+    gf = GF(p)
+    rng = random.Random(p)
+    for a in [rng.randrange(1, p) for _ in range(20)] + [p - 1, 1]:
+        assert gf.order(a) == n_order(a, p), a
+        assert gf.order(gf.inv(a)) == gf.order(a)
+    assert gf.order(p - 1) == 2 and gf.order(1) == 1
 
 
 @settings(max_examples=300, deadline=None)
