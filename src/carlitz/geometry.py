@@ -58,6 +58,11 @@ def tangent_family(f1: RatFn, f2: RatFn):
     ]
 
 
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b for monic a and b, where degree 0 means 1 and costs no product."""
+    return b if a.degree == 0 else a if b.degree == 0 else a * b
+
+
 def descartes_form(xs) -> RatFn:
     """The form (sum X_i)^(q-1) - sum X_i^(q-1) on q+1 exact curvatures.
 
@@ -65,6 +70,12 @@ def descartes_form(xs) -> RatFn:
     the product of the denominators (their lcm on a tangent family, whose
     cross-determinants are units) and X_i = n_i/D, the form is
     (S^(q-1) - sum n_i^(q-1)) / D^(q-1), S = sum n_i, reduced once.
+
+    n_i = num_i * prod_{j != i} den_j takes the cofactor of den_i from one
+    prefix and one suffix product over the denominators, with no exact
+    division (Montgomery's simultaneous-inversion trick).  A denominator of
+    degree 0 is exactly 1 (a fraction's is monic, a polynomial's is 1), so
+    it enters no product.
     """
     pairs = []
     for x in xs:
@@ -74,14 +85,25 @@ def descartes_form(xs) -> RatFn:
             pairs.append((x.num, x.den))
         else:
             pairs.append((x, Poly.one(x.gf)))
+    if not pairs:
+        raise DomainError("descartes form needs q + 1 curvatures, got none")
     gf = pairs[0][0].gf
     q = gf.q
     if len(pairs) != q + 1:
         raise DomainError(f"expected {q + 1} curvatures, got {len(pairs)}")
-    D = pairs[0][1]
-    for _, den in pairs[1:]:
-        D = D * den
-    ns = [num * (D // den) for num, den in pairs]
+    one = Poly.one(gf)
+    prefix = [one]  # prefix[i] is the product of the denominators before pairs[i]
+    for _, den in pairs:
+        prefix.append(_times(prefix[-1], den))
+    D = prefix.pop()
+    ns = []
+    suffix = one  # the product of the denominators after the current pair
+    for (num, den), before in zip(reversed(pairs), reversed(prefix)):
+        c = D if den.degree == 0 else _times(before, suffix)
+        ns.append(num * c if c.degree else num)
+        # once every denominator before is 1, no cofactor left reads suffix
+        if before.degree:
+            suffix = _times(den, suffix)
     S = Poly.zero(gf)
     for n in ns:
         S = S + n

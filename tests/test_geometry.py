@@ -93,6 +93,8 @@ def test_descartes_arity_and_infinity():
     gf = field(3)
     with pytest.raises(DomainError):
         descartes_form([Fraction.zero(gf)] * 3)
+    with pytest.raises(DomainError, match="q \\+ 1 curvatures"):
+        descartes_form([])
     with pytest.raises(DomainError):
         descartes_form([Fraction.infinity(gf)] + [Fraction.zero(gf)] * 3)
 
@@ -120,7 +122,7 @@ def descartes_form_stepwise(xs) -> RatFn:
     return acc
 
 
-FORM_QS = [2, 3, 4, 5, 7, 9]
+FORM_QS = [2, 3, 4, 5, 7, 8, 9]
 
 
 def _poly(draw, gf, max_deg):
@@ -192,8 +194,35 @@ def _over(den, nums, q):
           frac("T", "T+1", field(3)), parse_poly("T+2", field(3))])
 @example(_over("T^3+T+1", ["1", "T", "T^2", "T+1", "w*T"], 4))
 @example(_over("T^2+2", ["1", "T", "2*T+1", "3", "T^2+4", "4*T"], 5))
+# denominators of degree 0 enter no product: every member a Poly (D = 1), one
+# fraction among polynomials, and a repeated denominator beside unit ones
+@example([parse_poly(t, field(3)) for t in ["T", "T^2+1", "2", "T+2"]])
+@example([frac("T", "T^2+3", field(5))]
+         + [parse_poly(t, field(5)) for t in ["1", "T", "T^2+4", "2*T+1", "3"]])
+@example([frac("1", "T^2+w", field(4)), parse_poly("T", field(4)),
+          frac("T", "T^2+w", field(4)), frac("w", "1", field(4)), parse_poly("T+1", field(4))])
 def test_descartes_form_matches_stepwise_on_tuples(xs):
     _same_form(xs)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_descartes_form_divides_nothing_on_tangent_families(q, monkeypatch):
+    # each cofactor comes from prefix and suffix products, and the form is 0,
+    # so the final reduction runs no gcd either
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def counted(a, b):
+        calls.append(b)
+        return divmod_(a, b)
+
+    gf = field(q)
+    rng = random.Random(q)
+    fams = [random_tangent_family(gf, rng) for _ in range(5)]
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    for fam in fams:
+        assert descartes_form(fam).is_zero()
+    assert calls == []
 
 
 # ---------------------------------------------------------------- Moebius action
