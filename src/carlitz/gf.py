@@ -35,7 +35,7 @@ class GF:
         # r > 8 is above the cap for every p; testing it first keeps p**r small
         if r > 1 and (r > 8 or p**r > MAX_EXTENSION_ORDER):
             raise DomainError(f"extension field order {p}^{r} is above the supported maximum 2^8")
-        if prime_divisors(p) != [p]:
+        if prime_divisors(p) != (p,):
             raise DomainError(f"{p} is not prime")
         if r < 1:
             raise DomainError("extension degree must be positive")

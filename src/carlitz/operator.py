@@ -124,23 +124,23 @@ class XPoly:
             raise DomainError("division by the zero polynomial")
         gf = self.gf
         lead = other.coeffs[-1]
-        if modulus is None:
-            if lead.degree != 0:
-                raise DomainError("divisor leading coefficient must be a nonzero constant")
-            linv = Poly.const(gf, gf.inv(lead.lc))
-        else:
-            linv = inv_mod(lead, modulus)
+        if modulus is None and lead.degree != 0:
+            raise DomainError("divisor leading coefficient must be a nonzero constant")
 
         def reduce(c):
             return c if modulus is None or c.degree < modulus.degree else c % modulus
 
+        db = other.deg()
+        dq = self.deg() - db
+        if dq < 0:
+            # no quotient digit, so no inverse of the leading coefficient
+            return XPoly(gf, []), XPoly(gf, [reduce(c) for c in self.coeffs])
+        linv = Poly.const(gf, gf.inv(lead.lc)) if modulus is None else inv_mod(lead, modulus)
         # With a modulus, coefficients are reduced only where a quotient digit
         # is read and at the end: for a reduced divisor every product c * b
         # has T-degree at most 2 deg P - 2, and sums over F_q do not raise it.
-        db = other.deg()
-        dq = self.deg() - db
         rem = list(self.coeffs)
-        quo = [Poly.zero(gf)] * max(dq + 1, 0)
+        quo = [Poly.zero(gf)] * (dq + 1)
         low = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if not b.is_zero()]
         for k in range(dq, -1, -1):
             c = quo[k] = reduce(rem[db + k] * linv)

@@ -7,12 +7,14 @@ polynomial has an empty vector and degree -1 by convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import struct
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import CarlitzError, DomainError
 
 if TYPE_CHECKING:
     from .gf import GF
@@ -79,9 +81,6 @@ class Poly:
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     # -- ring operations --
 
@@ -428,9 +427,9 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
 # the spread packs at most this many slots, (2r - 1) q (deg f - 1); above it,
 # square-and-multiply through reduce.  That branch exists for large q, where
 # the spread cannot be built: over GF(2^32+15) the spread of T has degree q,
-# above the 2^24 cap on q-th powers.  The 400 is a crossover timed by hand,
-# Rabin's test on random monic f of degree n, spread time over
-# square-and-multiply time (Python 3.11, 2-vCPU x86-64): 0.64 at
+# above the 2^24 cap on q-th powers.  The 400 is a crossover timed by hand on
+# the steps T^(q^k) mod f, k = 1..n, for random monic f of degree n, spread
+# time over square-and-multiply time (Python 3.11, 2-vCPU x86-64): 0.64 at
 # (q, n) = (3, 128), 0.83 at (257, 2), 1.29 at (257, 3), 0.89 at (9, 12),
 # 1.23 at (9, 16), 0.86 at (16, 4), 1.50 at (16, 6), 5.9 at (256, 2).
 # Every benchmark workload sits below it, so no benchmark checks where it is.
@@ -501,7 +500,10 @@ class Modulus:
         return square_multiply(h, gf.q, lambda x, y: self.reduce(x * y))
 
 
-def prime_divisors(n: int) -> list:
+# A bounded memo: the CLI factors a prime --q, and GF then checks the same
+# p, which costs a trial division up to sqrt(p), 0.13 s near 2^40.
+@functools.lru_cache(maxsize=512)
+def prime_divisors(n: int) -> tuple:
     """The primes dividing n >= 1, ascending, by trial division up to the
     square root of what is left."""
     primes, d = [], 2
@@ -513,7 +515,7 @@ def prime_divisors(n: int) -> list:
         d += 1
     if n > 1:
         primes.append(n)
-    return primes
+    return tuple(primes)
 
 
 def order_dividing(n: int, is_one) -> int:
@@ -527,27 +529,50 @@ def order_dividing(n: int, is_one) -> int:
     return n
 
 
+def distinct_degrees(f: Poly):
+    """The distinct-degree factorization of f over F_q, deg f >= 1: yields
+    (e, number of irreducible factors of degree e), e ascending, as soon as
+    degree e is split off.  The counts hold for squarefree f; for any
+    reducible f the first e is its least factor degree, at most deg f / 2."""
+    gf = f.gf
+    x = Poly.T(gf)
+    # one gcd per block of about sqrt(deg f) degrees (von zur Gathen-Shoup,
+    # Comput. Complexity 2, 1992): gcd(rest, prod_e (x^(q^e) - x)) holds the
+    # factors of every degree e of the block, and only a nontrivial one is
+    # split degree by degree
+    block = math.isqrt(f.degree - 1) + 1
+    h, d, rest, mod = x, 0, f, Modulus(f)
+    while rest.degree >= 2 * (d + 1):
+        # hs[i] = x^(q^e) mod rest for e = d + 1 + i
+        hs = []
+        while len(hs) < block and rest.degree >= 2 * (d + 1):
+            d += 1
+            h = mod.frobenius(h)
+            prod = mod.reduce(prod * (h - x)) if hs else h - x
+            hs.append(h)
+        g = poly_gcd(rest, prod)
+        if g.degree == 0:
+            continue
+        for e, he in enumerate(hs, start=d + 1 - len(hs)):
+            ge = poly_gcd(g, he - x)
+            if ge.degree > 0:
+                yield e, ge.degree // e
+                g = g // ge
+                rest, r = divmod(rest, ge)
+                if not r.is_zero():
+                    raise CarlitzError("ddf: a gcd factor does not divide the polynomial")
+        h, mod = h % rest, Modulus(rest)
+    if rest.degree > 0:
+        yield rest.degree, 1
+
+
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: T^(q^n) = T mod f, and gcd(f, T^(q^(n/l)) - T) = 1 for
-    every prime l dividing n = deg f (Rosen, Number Theory in Function
-    Fields, ch. 3)."""
+    """Whether f is irreducible over F_q: the first pair of
+    distinct_degrees(f) is (deg f, 1)."""
     n = f.degree
     if n < 1:
         raise DomainError("irreducibility is defined for degree >= 1")
-    if n == 1:
-        return True
-    mod, T = Modulus(f), Poly.T(f.gf)
-    # powers[k] = T^(q^k) mod f
-    powers = [T]
-    for _ in range(n):
-        powers.append(mod.frobenius(powers[-1]))
-    if powers[n] != T:
-        return False
-    for l in prime_divisors(n):
-        g = powers[n // l] - T
-        if g.is_zero() or poly_gcd(f, g).degree > 0:
-            return False
-    return True
+    return n == 1 or next(distinct_degrees(f)) == (n, 1)
 
 
 def all_polys(gf: GF, n: int, monic: bool = False):

@@ -28,7 +28,7 @@ __all__ = [
 
 
 # That P is monic irreducible: a function of P alone, so the symbols for
-# every A and d share one Rabin test.  A failed test raises and is not
+# every A and d share one irreducibility test.  A failed test raises and is not
 # cached.  cache_info() reports hits, misses and size.
 @functools.lru_cache(maxsize=512)
 def _check_prime(P: Poly) -> None:

@@ -265,6 +265,19 @@ def test_ddf_refuses_mixed_coefficient_fields(P):
         ddf(f, parse_poly(P, field(3)))
 
 
+def test_ddf_errors_at_a_linear_prime():
+    # each coefficient is read at T = 4: f(4) must be nonconstant and squarefree
+    gf = field(5)
+    T, one = Poly.T(gf), Poly.one(gf)
+    P = T + one
+    with pytest.raises(DomainError, match="^ddf requires a nonconstant polynomial$"):
+        ddf([T, P], P)
+    # (x + 1)^2, and x^5 + 1 with derivative 0
+    for f in ([one, one.scale(2) + P, one], [one, P, P, P, P, one]):
+        with pytest.raises(DomainError, match="^ddf input must be squarefree over the residue field$"):
+            ddf(f, P)
+
+
 # ---------------------------------------------------------------- padic
 
 

@@ -15,7 +15,7 @@ from carlitz import torsion as torsion_module
 from carlitz.cli import SUBCOMMANDS, build_parser, main, parse_fraction
 from carlitz.errors import DomainError
 from carlitz.gf import GF
-from carlitz.poly import Poly, RatFn, monic_irreducibles
+from carlitz.poly import Poly, RatFn, monic_irreducibles, prime_divisors
 from carlitz.reciprocity import check_reciprocity, residue_symbol
 
 
@@ -452,6 +452,14 @@ Q_ERRORS = {
 def test_q_errors(capsys, q):
     code, message = Q_ERRORS[q]
     assert run(capsys, "act", "--q", str(q), "--M", "T", "--u", "T") == (code, "", message + "\n")
+
+
+def test_a_prime_q_is_trial_divided_once(capsys):
+    # --q and then GF's primality check both ask for the primes of q, and
+    # each trial division near 2^40 takes a tenth of a second
+    prime_divisors.cache_clear()
+    assert run_ok(capsys, "act", "--q", "1099511627689", "--M", "2", "--u", "T").strip() == "2*T"
+    assert prime_divisors.cache_info().misses == 1
 
 
 def test_split_kummer_order_at_a_large_prime(capsys):

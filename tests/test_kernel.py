@@ -37,6 +37,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DDF_PLANS, lift_to_linear_prime, planned_product
+from carlitz import operator as operator_module
 from carlitz.analytic import (
     Lattice,
     SeriesBudget,
@@ -1379,6 +1380,21 @@ def test_xpoly_divmod_matches_schoolbook(pair, lead):
     assert outcome(divmod, a, b) == outcome(school_xdivmod, a, b)
 
 
+def test_xpoly_divmod_mod_takes_no_inverse_without_a_quotient(monkeypatch):
+    # a dividend below the divisor's x-degree is its own remainder, reduced
+    # mod P, and the divisor's leading coefficient is not inverted
+    gf = FIELDS[3]
+    P = Poly(gf, [1, 0, 1])
+    calls = []
+    monkeypatch.setattr(operator_module, "inv_mod", lambda a, m: calls.append(a) or inv_mod(a, m))
+    a = _xp(3, [1, 2, 1, 1], [0, 1])
+    b = _xp(3, [1], [2], [1, 1])
+    assert a.divmod(b, P) == (XPoly(gf, []), XPoly(gf, [c % P for c in a.coeffs]))
+    assert calls == []
+    assert b.divmod(b, P) == (XPoly(gf, [Poly.one(gf)]), XPoly(gf, []))
+    assert len(calls) == 1
+
+
 @st.composite
 def residue_divisions(draw):
     """(a, b, P): b reduced mod P, a with coefficients up to T-degree 2 deg P."""
@@ -2023,6 +2039,43 @@ def test_is_irreducible_matches_rabin_pow_mod_exhaustive(q):
             break
         for f in all_monic(gf, n):
             assert is_irreducible(f) == rabin_pow_mod(f), f
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_is_irreducible_matches_rabin_pow_mod_on_powers(q):
+    # g^2, g h^2 and g(T^p) are reducible and not squarefree, with a factor
+    # of degree <= deg f / 2; each, and the irreducible g, also times a unit
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    for _ in range(30):
+        while True:
+            g = Poly(gf, [rng.randrange(q) for _ in range(rng.randrange(1, 4))] + [1])
+            if rabin_pow_mod(g):
+                break
+        h = Poly(gf, [rng.randrange(q) for _ in range(rng.randrange(1, 3))] + [1])
+        spread = [0] * (gf.p * g.degree + 1)
+        spread[:: gf.p] = g.coeffs
+        unit = rng.randrange(1, q)
+        for base, irreducible in [(g, True), (g * g, False), (g * h * h, False), (Poly(gf, spread), False)]:
+            for f in (base, base.scale(unit)):
+                assert is_irreducible(f) == rabin_pow_mod(f) == irreducible, f
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (3, 2), (3, 3), (4, 6), (9, 5), (10007, 4)])
+def test_is_irreducible_takes_half_the_degree_in_q_th_powers(q, n, monkeypatch):
+    # a reducible f has a factor of degree <= n / 2, so n // 2 steps
+    # x -> x^q mod f tell an irreducible f
+    gf = FIELDS.get(q) or LARGE_FIELDS[q]
+    rng = random.Random(n)
+    while True:
+        f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [1])
+        if rabin_pow_mod(f):
+            break
+    calls = []
+    frobenius = Modulus.frobenius
+    monkeypatch.setattr(Modulus, "frobenius", lambda mod, h: calls.append(h) or frobenius(mod, h))
+    assert is_irreducible(f)
+    assert len(calls) == n // 2
 
 
 def all_monic(gf, n):

@@ -62,7 +62,7 @@ _memo = reciprocity_module._check_prime
 
 
 def test_only_the_symbol_fills_the_prime_memo():
-    # the other users of a prime's irreducibility run their own Rabin test
+    # the other users of a prime's irreducibility run their own test
     gf = field(9)
     P = parse_poly("T^2+T+(w)", gf)
     assert is_irreducible(P)
