@@ -94,7 +94,8 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
         # recursion) satisfying e(Tz) = e(z)^q + T*e(z), which the test suite
         # enforces
         acc = acc + zq.truncate(prec) / VqElem.from_poly(next(Ds))
-        zq = zq.frobenius()
+        # (a + b)^q = a^q + b^q: the digits kept, below prec, need z^(q^n)'s below ceil(prec/q)
+        zq = zq.truncate(-(-prec // q)).frobenius()
     else:
         raise CarlitzError(
             f"term budget {budget.term_count} exhausted before valuations "

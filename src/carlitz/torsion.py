@@ -5,9 +5,9 @@ Torsion here means the kernel of rho_M.  In the P-adic completion the relevant
 kernel is that of rho_{P-1}, which splits completely: one simple root over
 every residue class mod P, lifted by Newton's step on carlitz_act.  In V_q
 (the ramified extension of the completion at infinity, uniformizer s) the
-kernel of rho_M consists of q^{deg M} Laurent series.  rho_M is F_q-linear,
-so their truncations form the kernel of an F_q-linear map on the digit
-vectors, found by row reduction.  The T^n-torsion needs none of it: it is
+kernel of rho_M consists of the q^{deg M} Laurent series e(pi~ a/M), with
+e the Carlitz exponential and pi~ its period: torsion_vq reads their basis
+off e(pi~/M) and its rho_T images.  The T^n-torsion needs none of it: it is
 the F_q-span of s^-1 and its n - 1 iterated T-divisions (tower_basis).
 """
 
@@ -17,7 +17,8 @@ import functools
 import json
 
 from .errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
-from .operator import carlitz_act, carlitz_operator
+from .analytic import SeriesBudget, carlitz_exp
+from .operator import carlitz_act
 from .padic import PadicCtx, PadicElem
 from .poly import MAX_FROBENIUS_DEGREE, Poly
 from .series import INF, VqElem
@@ -98,10 +99,10 @@ class TorsionSetVq:
 # torsion sets of more points (the size of the largest GF table) are refused
 # before rho_M is built, as are T^n bases of more digits before any T-division
 MAX_TORSION_POINTS = 2**16
-# torsion_vq's kernel matrix has prec + 1 rows of (image exponents + prec + 1)
-# entries; a larger one is refused before it is built (prec 1000 at M = T^2
-# over F_3 is about 2^21 entries)
-MAX_KERNEL_ENTRIES = 2**22
+# torsion_vq's precision, and the digits q^d (prec + 1) of all its points:
+# 2^16 points of 2048 digits fit, and listing more takes gigabytes
+MAX_TORSION_PREC = 2**14
+MAX_TORSION_DIGITS = 2**27
 
 
 def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
@@ -170,17 +171,18 @@ def _echelon(gf, rows, width: int) -> list:
 def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     """All roots of rho_M in V_q, to the given s-adic precision.
 
-    With rho_M(x) = sum c_i x^(q^i) and E_i = VqElem.from_poly(c_i), a
-    truncation x = sum_{k=-1}^{prec-1} a_k s^k is a root exactly when
-    rho_M(x) has no digit below F = min_i (v(E_i) + q^i * prec), the least
-    exponent the image of any tail beyond the truncation reaches.  As
-    a^(q^i) = a for a in F_q, rho_M is F_q-linear on the digit vector, so the
-    roots are the kernel of the map taking s^k to the digits of
-    rho_M(s^k) = sum_i E_i s^(k q^i) below F.  Reducing the rows (image of
-    s^k | unit vector k) to echelon form leaves the kernel as the rows with
-    no image part, in reduced echelon form with the earliest leading digits
-    first; that basis lists the points in lexicographic digit order.  A
-    matrix of more than 2^22 entries is refused before it is built.
+    They are e(pi~ a/M), deg a < d = deg M, for the Carlitz exponential e and
+    its period pi~ = s^-q prod_{i>=1} (1 - u^(q^i-1))^-1, u = 1/T (Hayes 1974;
+    Anderson-Brownawell-Papanikolas 2004): over F_q, the span of lam = e(z),
+    z = pi~/M, and rho_T^i(lam) = e(pi~ T^i/M), i < d.  z is known below
+    work = prec + (q-1)(d-1), as z' + eps with v(eps) >= work, and
+    v(z) = (q-1)d - q > -q, where e is an isometry: e(z' + eps) = e(z') +
+    e(eps), and v(e(eps)) = v(eps) < q^n (v(eps) + (q-1)n) = v(eps^(q^n)/D_n),
+    n >= 1.  So lam = e(z') is right below work; each rho_T step,
+    x^q - s^(1-q) x, costs q - 1 digits.  The reduced echelon form of the d
+    rows of digits -1 .. prec-1, earliest lead first, lists the points in
+    lexicographic digit order.  A precision above 2^14, or q^d points of more
+    than 2^27 digits in all, is refused before any series work.
     """
     if M.is_zero():
         raise DomainError("torsion of the zero polynomial is everything")
@@ -197,32 +199,23 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
         )
     if d == 0:
         return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
-    width = prec + 1
-    if width * width > MAX_KERNEL_ENTRIES:
-        # the matrix has at least width^2 entries: refuse before the images
-        raise DomainError(f"a kernel matrix of over {width} x {width} entries is above the supported maximum 2^22")
-    coeffs = carlitz_operator(M).coeffs
-    # (q^i, E_i's digits lowest first), so the first exponent is v(E_i)
-    E = [(q**i, list(VqElem.from_poly(c).terms())) for i, c in enumerate(coeffs)]
-    floor = min(digits[0][0] + Q * prec for Q, digits in E)
-    # digits of rho_M(s^k) below the floor, k = -1 .. prec-1 (no root has
-    # valuation below -1)
-    images = []
-    for k in range(-1, prec):
-        image = {}
-        for Q, digits in E:
-            for exp, c in digits:
-                exp += k * Q
-                if exp >= floor:
-                    break
-                image[exp] = gf.add(image.get(exp, 0), c)
-        images.append(image)
-    exps = sorted(set().union(*images))
-    n = len(exps)
-    if width * (n + width) > MAX_KERNEL_ENTRIES:
-        raise DomainError(f"a kernel matrix of {width} x {n + width} entries is above the supported maximum 2^22")
-    rows = [[im.get(e, 0) for e in exps] + [int(j == k) for j in range(width)] for k, im in enumerate(images)]
-    basis = [row[n:] for row in _echelon(gf, rows, n + width) if not any(row[:n])]
+    if prec > MAX_TORSION_PREC:
+        raise DomainError(f"precision {prec} is above the supported maximum 2^14")
+    if q**d * (prec + 1) > MAX_TORSION_DIGITS:
+        raise DomainError(f"{q}^{d} points of {prec + 1} digits are above the supported maximum of 2^27 digits")
+    work = max(prec + (q - 1) * (d - 1), 1)
+    # u^(q^i-1) = s^((q-1)(q^i-1)), as q^i - 1 is even for odd q; a factor is 1
+    # to z's relative precision, work - v(z), once its exponent reaches it
+    den, i = VqElem.from_poly(M), 1
+    while (q - 1) * (q**i - 1) < work + q - (q - 1) * d:
+        den, i = den - den.shifted((q - 1) * (q**i - 1)), i + 1
+    z = den.inverse(prec=work + q).shifted(-q)
+    # v(z) >= -1: the terms' valuations q^n (v(z) + (q-1)n) pass work by the last
+    lams = [carlitz_exp(z, SeriesBudget(term_count=work.bit_length() + 2, precision=work))]
+    for _ in range(d - 1):
+        lams.append(lams[-1].rho_T())
+    rows = [[x.digit(k) for k in range(-1, prec)] for x in lams]
+    basis = _echelon(gf, rows, prec + 1)
     if len(basis) != d:
         raise PrecisionError(
             f"found {q ** len(basis)} root truncations, expected {q ** d}; "
@@ -231,7 +224,7 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
         )
     # sum_j c_j b_j over (c_1, ..., c_d) in lexicographic order; the first
     # digit where two points differ is c_j at b_j's leading position
-    points = [[0] * width]
+    points = [[0] * (prec + 1)]
     for b in reversed(basis):
         multiples = [gf.scale_vec(c, b) for c in range(1, q)]
         points += [gf.add_vec(m, p) for m in multiples for p in points]

@@ -478,23 +478,32 @@ def test_torsion_vq_size_cap(capsys):
 
 
 def test_torsion_vq_matrix_cap(capsys, monkeypatch):
-    # the kernel matrix at prec 100000 has over 10^10 entries: refused
-    # before the images of rho_M or any row reduction
+    # prec 100000 is above the 2^14 cap: refused before the exponential or
+    # any row reduction
     def refuse(*args):
-        raise AssertionError("the kernel matrix was built")
+        raise AssertionError("the series work began")
 
-    monkeypatch.setattr(torsion_module, "carlitz_operator", refuse)
+    monkeypatch.setattr(torsion_module, "carlitz_exp", refuse)
     monkeypatch.setattr(torsion_module, "_echelon", refuse)
     code, _, err = run(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "100000")
-    assert code == 1 and "above the supported maximum 2^22" in err
-    # prec 1500 passes the lower bound but not the count of image exponents
+    assert code == 1 and "precision 100000 is above the supported maximum 2^14" in err
     monkeypatch.undo()
-    monkeypatch.setattr(torsion_module, "_echelon", refuse)
-    code, _, err = run(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "1500")
-    assert code == 1 and "a kernel matrix of 1501 x 3004 entries" in err
-    monkeypatch.undo()
+    # below the cap, prec 1500 answers and so does prec 1000
+    out = run_ok(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "1500")
+    assert out.count("O(s^1500)") == 9
     out = run_ok(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "1000")
     assert out.count("O(s^1000)") == 9
+
+
+def test_torsion_vq_digit_cap(capsys, monkeypatch):
+    # 5^6 points of 9001 digits are above 2^27 digits in all: refused
+    # before the exponential
+    def refuse(*args):
+        raise AssertionError("the series work began")
+
+    monkeypatch.setattr(torsion_module, "carlitz_exp", refuse)
+    code, _, err = run(capsys, "torsion-vq", "--q", "5", "--M", "T^6", "--prec", "9000")
+    assert code == 1 and "5^6 points of 9001 digits are above the supported maximum of 2^27 digits" in err
 
 
 def test_dirichlet_reaches_past_listed_torsion(capsys):

@@ -5,8 +5,9 @@ per-digit loops, the precision contract of series, T-division and Kummer
 roots, the T-division step as a shift against the product by 1/T, the
 completed action against its term-by-term reading of the digits, T-division
 as a Frobenius sum against the fixed-point loop and the Kummer root as a
-Frobenius product against Newton's iteration, the V_q torsion kernel
-against the per-candidate digit search, the orbit Eisenstein
+Frobenius product against Newton's iteration, the exponential's cut
+powers against the full ones, the V_q torsion by the exponential against
+the per-candidate digit search and the kernel matrix, the orbit Eisenstein
 sum and the rank-one shells as power sums against the sum over every
 nonzero lattice element, the power sums against the sum over the monic
 polynomials, the shell enumeration against its rule, the Dirichlet
@@ -50,7 +51,7 @@ from carlitz.analytic import (
 )
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
-from carlitz.operator import AdditivePoly, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
+from carlitz.operator import AdditivePoly, D_sequence, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
     Modulus,
@@ -74,6 +75,7 @@ from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import (
     TorsionSetVq,
+    _echelon,
     completed_action,
     dirichlet_approx,
     divide_T,
@@ -1067,6 +1069,50 @@ def test_carlitz_exp_at_precision_300():
     assert rhs.prec >= e.prec - 2 and e.agrees(rhs)
 
 
+def spread_carlitz_exp(z: VqElem, budget: SeriesBudget) -> VqElem:
+    """carlitz_exp with each z^(q^n) taken in full before it is cut."""
+    gf = z.gf
+    q = gf.q
+    prec = min(budget.precision, z.prec) if z.prec is not None else budget.precision
+    if z.is_zero():
+        return VqElem.zero(gf, z.prec)
+    v = z.valuation()
+    acc, zq, Ds = VqElem.zero(gf), z, D_sequence(gf)
+    for n in range(budget.term_count):
+        if q**n * (v + (q - 1) * n) >= prec:
+            return acc.truncate(prec)
+        acc = acc + zq.truncate(prec) / VqElem.from_poly(next(Ds))
+        zq = zq.frobenius()
+    raise CarlitzError(f"term budget {budget.term_count} exhausted")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 9]),
+    st.integers(-3, 4),
+    st.lists(st.integers(0, 8), min_size=1, max_size=30),
+    st.none() | st.integers(-12, 60),
+    st.integers(1, 80),
+)
+def test_carlitz_exp_cuts_each_power_before_the_frobenius(q, v, digits, prec, target):
+    # only the digits of z^(q^n) below ceil(prec/q) reach the next term's
+    # digits below prec, whatever the sign of prec
+    gf = FIELDS[q]
+    z = VqElem(gf, v, [1] + [c % q for c in digits], prec)
+    budget = SeriesBudget(term_count=12, precision=target)
+    assert carlitz_exp(z, budget) == spread_carlitz_exp(z, budget)
+
+
+def test_carlitz_exp_of_a_long_gap_answers():
+    # z^3 in full would reach s^27000, and z^9 past the 2^24 cap; only the
+    # digits below 20000 are kept, where e(s^9000) is s^9000 alone
+    gf = FIELDS[3]
+    budget = SeriesBudget(term_count=10, precision=20000)
+    gap = VqElem.monomial(gf, 1, 9000)
+    e = carlitz_exp(VqElem.monomial(gf, 1, 1) + gap, budget)
+    assert e == carlitz_exp(VqElem.monomial(gf, 1, 1), budget) + gap.truncate(20000)
+
+
 # ---------------------------------------------------------------- torsion search
 
 
@@ -1125,6 +1171,59 @@ def search_torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
             needed=max(prec + 1, min_separating_prec(M)),
         )
     return TorsionSetVq(M, prec, [VqElem.from_terms(gf, digs, prec) for digs, _ in cands])
+
+
+def kernel_torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
+    """torsion_vq as the kernel of rho_M on digit vectors.
+
+    With rho_M(x) = sum c_i x^(q^i) and E_i = VqElem.from_poly(c_i), a
+    truncation x = sum_{k=-1}^{prec-1} a_k s^k is a root exactly when
+    rho_M(x) has no digit below F = min_i (v(E_i) + q^i * prec).  rho_M is
+    F_q-linear on the digit vector, so the roots are the kernel of the map
+    taking s^k to the digits of sum_i E_i s^(k q^i) below F, found by
+    reducing the rows (image of s^k | unit vector k)."""
+    gf = M.gf
+    q, d = gf.q, M.degree
+    if d == 0:
+        return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
+    width = prec + 1
+    E = [(q**i, list(VqElem.from_poly(c).terms())) for i, c in enumerate(carlitz_operator(M).coeffs)]
+    floor = min(digits[0][0] + Q * prec for Q, digits in E)
+    images = []
+    for k in range(-1, prec):
+        image = {}
+        for Q, digits in E:
+            for exp, c in digits:
+                exp += k * Q
+                if exp >= floor:
+                    break
+                image[exp] = gf.add(image.get(exp, 0), c)
+        images.append(image)
+    exps = sorted(set().union(*images))
+    n = len(exps)
+    rows = [[im.get(e, 0) for e in exps] + [int(j == k) for j in range(width)] for k, im in enumerate(images)]
+    basis = [row[n:] for row in _echelon(gf, rows, n + width) if not any(row[:n])]
+    assert len(basis) == d
+    points = [[0] * width]
+    for b in reversed(basis):
+        points += [gf.add_vec(gf.scale_vec(c, b), p) for c in range(1, q) for p in points]
+    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
+def test_torsion_vq_matches_the_kernel_matrix(q):
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    for d in (0, 1, 2, 3):
+        M = _rand(gf, d + 1, rng.random())
+        sep = min_separating_prec(M)
+        # 27^3 points: the two listings dominate, so every twentieth precision
+        for prec in range(sep, sep + 41, 20 if q**d > 729 else 1):
+            got = torsion_vq(M, prec)
+            assert got.to_json() == kernel_torsion_vq(M, prec).to_json()
+            # the basis is points[q^j], j < d; rho_M kills each to its precision
+            for j in range(d):
+                assert carlitz_act(M, got.points[q**j]).is_zero()
 
 
 # the extension fields q = 8 and 27 take two precisions each: the search
