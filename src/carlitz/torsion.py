@@ -231,18 +231,12 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
 
 
-def divide_T(u: VqElem, prec: int = None) -> list:
-    """The q solutions v of v^q + T*v = u, canonical branch first.
-
-    The canonical branch, the solution of maximal valuation, is the fixed
-    point of v <- (u - v^q)/T: v = sum_k w^(q^k) s^((q-1) e_k) with
-    w = u/T and e_k = (q^k - 1)/(q - 1).  As v(u) > -q, v(w) >= 0 and the
-    term valuations rise, so the sum ends at the first term with no digit
-    below the precision.  The others differ from it by the nonzero elements
-    of the kernel of rho_T (the multiples of s^{-1}).
-    """
-    gf = u.gf
-    q = gf.q
+def _quotient_by_T(u: VqElem, prec: int = None) -> VqElem:
+    """w = u/T = -u*s^(q-1) at the working precision:
+    prec, or a window of 10(q-1) digits past v(u) for an exact nonzero u.
+    Refuses v(u) <= -q, where the T-division does not converge, and a
+    canonical branch of more than 2^24 digits, P - v(w)."""
+    q = u.gf.q
     vu = u._veff()
     if vu <= -q:
         raise PrecisionError(
@@ -257,22 +251,62 @@ def divide_T(u: VqElem, prec: int = None) -> list:
         u = u.truncate(prec)
     # 1/T = -s^(q-1) is a shift and a sign
     w = (-u).shifted(q - 1)
-    v, image, e = VqElem.zero(gf, w.prec), w, 0
-    while image.coeffs:
-        v = v + image.shifted((q - 1) * e)
-        # the next term keeps the digits of image^q below w.prec - (q-1) e_(k+1)
-        e = q * e + 1
-        image = image.truncate(-((e * (q - 1) - w.prec) // q)).frobenius()
-    return [v] + [v + VqElem.monomial(gf, z, -1) for z in range(1, q)]
+    if w.prec is not None and w.prec - w._veff() > MAX_FROBENIUS_DEGREE:
+        raise DomainError(
+            f"a canonical branch of {w.prec - w._veff()} digits is above the supported maximum 2^24"
+        )
+    return w
+
+
+def _frobenius_sum(w: VqElem) -> VqElem:
+    """sum_k w^(q^k) s^(q^k - 1) to w's precision P, by digit placement: the
+    k-th term puts w's digit at exponent j at exponent q^k (j+1) - 1.  Two
+    placements can meet, so they add.  Every term certifies its digits
+    below P, so the sum is cut at P."""
+    if not w.coeffs:
+        return w
+    gf, q, P, lo = w.gf, w.gf.q, w.prec, w.v
+    out = list(w.coeffs)
+    out += [0] * (P - lo - len(out))
+    for j, c in w.terms():
+        e = q * (j + 1)
+        while e <= P:
+            out[e - 1 - lo] = gf.add(out[e - 1 - lo], c)
+            e *= q
+    return VqElem(gf, lo, out, P)
+
+
+def divide_T(u: VqElem, prec: int = None) -> list:
+    """The q solutions v of v^q + T*v = u, canonical branch first.
+
+    The canonical branch, the solution of maximal valuation, is the fixed
+    point of v <- (u - v^q)/T: v = sum_k w^(q^k) s^(q^k - 1) with
+    w = u/T = -u*s^(q-1).  As v(u) > -q, v(w) >= 0, so each term only moves
+    w's digits: the one at exponent j goes to q^k (j+1) - 1, for every k
+    that lands it below w's precision P, and the branch is one digit list
+    from v(w) up to P.  The others add c*s^-1, c in F_q^*, the nonzero
+    elements of the kernel of rho_T.  A canonical branch of more than 2^24
+    digits, or q branches of more than 2^27 digits in all, q (P + 1), is
+    refused before any digit list is built.
+    """
+    gf = u.gf
+    q = gf.q
+    w = _quotient_by_T(u, prec)
+    if w.prec is not None and q * (w.prec + 1) > MAX_TORSION_DIGITS:
+        raise DomainError(
+            f"{q} branches of {w.prec + 1} digits are above the supported maximum of 2^27 digits"
+        )
+    v = _frobenius_sum(w)
+    # v(v) >= 0, so each other branch is c at s^-1, zeros up to v(v), then v
+    return [v] + [VqElem(gf, -1, [c] + [0] * v.v + list(v.coeffs), v.prec) for c in range(1, q)]
 
 
 def division_chain(u: VqElem, depth: int) -> list:
     """Canonical iterated T-division points v_{-1}, ..., v_{-depth}."""
     chain = []
-    cur = u
     for _ in range(depth):
-        cur = divide_T(cur)[0]
-        chain.append(cur)
+        u = _frobenius_sum(_quotient_by_T(u))
+        chain.append(u)
     return chain
 
 

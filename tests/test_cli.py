@@ -4,6 +4,7 @@ parser built for one subcommand answers as the full one, and the
 reciprocity sweep prints the rows of per-d symbol calls."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -62,6 +63,28 @@ def test_torsion_vq(capsys):
 def test_divide_t(capsys):
     out = run_ok(capsys, "divide-t", "--q", "3", "--u", "s^-1 + O(s^8)")
     assert out.count("\n") == 3  # q branches
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--q", "3", "--u", "s^-1", "--prec", "1000000000"),
+        ("--q", "65537", "--u", "s^-1 + s", "--prec", "10"),
+    ],
+    ids=["canonical-branch-digits", "branch-digits-in-all"],
+)
+def test_divide_t_size_caps(capsys, argv):
+    # a canonical branch of about 10^9 digits, and 65537 branches of 65547
+    # digits each, are refused before any digit list is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "divide-t", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error[domain]") and "above the supported maximum" in err
+    assert peak < 50 * 2**20
 
 
 def test_completed_act(capsys):

@@ -4,12 +4,12 @@ Series add, subtract, negate and scale by coefficient vectors against the
 per-digit loops, the precision contract of series, T-division and Kummer
 roots, the T-division step as a shift against the product by 1/T, the
 completed action against its term-by-term reading of the digits, T-division
-as a Frobenius sum against the fixed-point loop and the Kummer root as a
-Frobenius product against Newton's iteration, the exponential's cut
-powers against the full ones, the V_q torsion by the exponential against
-the per-candidate digit search and the kernel matrix, the orbit Eisenstein
-sum and the rank-one shells as power sums against the sum over every
-nonzero lattice element, the power sums against the sum over the monic
+by digit placement against the Frobenius sum and the fixed-point loop, the
+Kummer root as a Frobenius product against Newton's iteration, the
+exponential's cut powers against the full ones, the V_q torsion by the
+exponential against the per-candidate digit search and the kernel matrix,
+the orbit Eisenstein sum and the rank-one shells as power sums against the
+sum over every nonzero lattice element, the power sums against the sum over the monic
 polynomials, the shell enumeration against its rule, the Dirichlet
 descent of the echelon basis against the scan of every torsion point,
 the period product reduced once against one reduction per factor, top-down powers against bottom-up square-and-multiply,
@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from conftest import DDF_PLANS, lift_to_linear_prime, planned_product
 from carlitz import operator as operator_module
+from carlitz import torsion as torsion_module
 from carlitz.analytic import (
     Lattice,
     SeriesBudget,
@@ -891,7 +892,7 @@ def test_kummer_solve_precision_contract(M, data):
 
 def divide_T_fixed_point(u: VqElem, prec=None) -> list:
     """divide_T by iterating v <- (v^q - u) s^(q-1) from 0 until v is stable,
-    within a cap read off the precision: the oracle for the Frobenius sum."""
+    within a cap read off the precision: an oracle for the digit placement."""
     gf = u.gf
     q = gf.q
     vu = u._veff()
@@ -911,6 +912,32 @@ def divide_T_fixed_point(u: VqElem, prec=None) -> list:
         if v_new == v:
             break
         v = v_new
+    return [v] + [v + VqElem.monomial(gf, z, -1) for z in range(1, q)]
+
+
+def divide_T_frobenius_sum(u: VqElem, prec=None) -> list:
+    """divide_T as the series sum of w^(q^k) s^(q^k - 1), w = u/T, each
+    Frobenius image cut to the digits its successor needs before it is
+    spread: the oracle for the digit placement."""
+    gf = u.gf
+    q = gf.q
+    vu = u._veff()
+    if vu <= -q:
+        raise PrecisionError(
+            f"argument valuation {vu} <= -{q}; the contraction does not converge"
+        )
+    if u.prec is None and not u.is_zero():
+        work = prec if prec is not None else u.v + 10 * (q - 1)
+        u = u.truncate(work)
+    elif prec is not None:
+        u = u.truncate(prec)
+    w = (-u).shifted(q - 1)
+    v, image, e = VqElem.zero(gf, w.prec), w, 0
+    while image.coeffs:
+        v = v + image.shifted((q - 1) * e)
+        # the next term keeps the digits of image^q below w.prec - (q-1) e_(k+1)
+        e = q * e + 1
+        image = image.truncate(-((e * (q - 1) - w.prec) // q)).frobenius()
     return [v] + [v + VqElem.monomial(gf, z, -1) for z in range(1, q)]
 
 
@@ -968,9 +995,78 @@ def frobenius_sum_args(draw, working=lambda q, v: st.none() | st.integers(-q, v 
 @example((_vq(4, -3, [1, 2, 3], None), None))  # exact, v(u) = -q + 1
 @example((_vq(9, 0, [1] * 20, 20), -9))  # working precision -q: nothing certified
 @example((_vq(2, -1, [1, 1], 40), None))  # v(w) = 0: every Frobenius image kept
+# characteristic 2: w's digits at 0 and q - 1 meet at q - 1, q^2 - 1, ... and cancel
+@example((_vq(4, -3, [2, 0, 0, 2], 20), None))
+@example((_vq(8, -7, [1, 0, 0, 0, 0, 0, 0, 1], 70), None))
+@example((_vq(3, -2, [1], 7), None))  # w = s^0 at P = 9: q^2 (0+1) - 1 is the last slot
 def test_divide_T_matches_fixed_point(args):
-    # the Frobenius sum has the fixed point's digits and precision
-    assert outcome(divide_T, *args) == outcome(divide_T_fixed_point, *args)
+    # the digit placement has the Frobenius sum's and the fixed point's
+    # digits and precision
+    new = outcome(divide_T, *args)
+    assert new == outcome(divide_T_frobenius_sum, *args)
+    assert new == outcome(divide_T_fixed_point, *args)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_divide_T_spreads_no_series(q, monkeypatch):
+    # each branch is built from one digit list: no Frobenius image and no
+    # series sum, in one T-division or a chain of them
+    calls = []
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    us = []
+    for _ in range(20):
+        v = rng.randint(-q + 1, 6)
+        digits = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(rng.randint(0, 12))]
+        us.append(VqElem(gf, v, digits, rng.choice([None, v + len(digits) + rng.randint(0, 20)])))
+
+    def counted(name):
+        method = getattr(Series, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+
+        return wrapper
+
+    for name in ("frobenius", "_combine"):
+        monkeypatch.setattr(Series, name, counted(name))
+    for u in us:
+        assert len(divide_T(u)) == q
+        assert len(division_chain(u, 4)) == 4
+    assert calls == []
+
+
+def test_divide_T_at_large_q_is_the_quotient_by_T():
+    # at q = 4099, q (j + 1) - 1 >= q^2 - q - 1 lies past P for every digit
+    # of w, so the canonical branch is w = -u*s^(q-1) itself
+    gf = GF(4099)
+    u = VqElem(gf, -1, [1, 0, 3], 10)
+    (canon,) = division_chain(u, 1)
+    assert canon == (-u).shifted(gf.q - 1) and canon.prec == 10 + gf.q - 1
+
+
+@pytest.mark.parametrize(
+    "u, prec, refused",
+    [
+        (_vq(3, -1, [1], None), 2**24 - 1, False),  # P - v(w) = 2^24, at the cap
+        (_vq(3, -1, [1], None), 2**24, True),
+        (_vq(9, 0, [1], None), 2**27 // 9 - 9, False),  # 9 (P + 1) = 2^27 - 8
+        (_vq(9, 0, [1], None), 2**27 // 9 - 8, True),
+    ],
+)
+def test_divide_T_caps(u, prec, refused, monkeypatch):
+    # the caps are read off P and v(w), before any digit list is built
+    def no_sum(w):
+        raise AssertionError("digit list built")
+
+    monkeypatch.setattr(torsion_module, "_frobenius_sum", no_sum)
+    if refused:
+        with pytest.raises(DomainError, match="above the supported maximum"):
+            divide_T(u, prec)
+    else:
+        with pytest.raises(AssertionError, match="digit list built"):
+            divide_T(u, prec)
 
 
 @settings(max_examples=100, deadline=None)
