@@ -651,7 +651,12 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         args.fn(args)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # a closed pipe: stdout to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ValueError) as e:
         _emit_error(args, "usage", e)
         return 2

@@ -5,13 +5,12 @@ multiplicatively to rho_M for every M in F_q[T].  carlitz_act evaluates
 rho_M(u) by Horner's rule in rho_T in every ring.  rho_M(x) = sum c_i x^(q^i),
 c_0 = M, d = deg M, is an additive polynomial, held by AdditivePoly as its
 d + 1 coefficients; in characteristic p, rho_T keeps a polynomial additive,
-so rho_M(x) is carlitz_act(M, x) in that ring.  carlitz_operator memoises it
-for the slopes, torsion at infinity, the division polynomials and the CLI.
+so rho_M(x) is carlitz_act(M, x) in that ring.  carlitz_operator builds it
+for the slopes, the division polynomials and the CLI.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .errors import CarlitzError, DomainError
@@ -229,19 +228,10 @@ class AdditivePoly:
         return f"AdditivePoly({self})"
 
 
-# entries kept by the operator memo; cache_info() reports hits, misses, size
-_CACHE_SIZE = 512
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _operator_cached(M: Poly) -> AdditivePoly:
-    return carlitz_act(M, AdditivePoly(M.gf, [Poly.one(M.gf)]))
-
-
 def carlitz_operator(M: Poly) -> AdditivePoly:
     """rho_M(x) = sum c_i x^(q^i), c_i = .coeffs[i] of T-degree
-    (deg M - i)*q^i; memoised."""
-    return _operator_cached(M)
+    (deg M - i)*q^i."""
+    return carlitz_act(M, AdditivePoly(M.gf, [Poly.one(M.gf)]))
 
 
 def carlitz_act(M: Poly, u):

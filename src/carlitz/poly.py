@@ -432,7 +432,10 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
 # time over square-and-multiply time (Python 3.11, 2-vCPU x86-64): 0.64 at
 # (q, n) = (3, 128), 0.83 at (257, 2), 1.29 at (257, 3), 0.89 at (9, 12),
 # 1.23 at (9, 16), 0.86 at (16, 4), 1.50 at (16, 6), 5.9 at (256, 2).
-# Every benchmark workload sits below it, so no benchmark checks where it is.
+# The `symbols` benchmark workload runs both sides: at seed 1 its batch takes
+# 80 steps by square-and-multiply (q = 9, deg f = 80: ddf of a degree-2 A's
+# cyclotomic polynomial at a degree-1 prime) and 109 by the spread.  `quotient`
+# takes only the spread, and `infinity` and `geometry` neither.
 SPREAD_MAX_SLOTS = 400
 
 

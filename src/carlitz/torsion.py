@@ -8,12 +8,13 @@ every residue class mod P, lifted by Newton's step on carlitz_act.  In V_q
 kernel of rho_M consists of the q^{deg M} Laurent series e(pi~ a/M), with
 e the Carlitz exponential and pi~ its period: torsion_vq reads their basis
 off e(pi~/M) and its rho_T images.  The T^n-torsion needs none of it: it is
-the F_q-span of s^-1 and its n - 1 iterated T-divisions (tower_basis).
+the F_q-span of s^-1 and its n - 1 canonical T-divisions, whose leading
+exponents k(q-1) - 1 are distinct, so dirichlet_approx solves on them by
+forward substitution.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 
 from .errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
@@ -310,16 +311,6 @@ def division_chain(u: VqElem, depth: int) -> list:
     return chain
 
 
-@functools.lru_cache(maxsize=512)
-def tower_basis(Tn: Poly, prec: int) -> tuple:
-    """The reduced echelon basis of the T^n-torsion digit vectors, exponents
-    -1 .. prec-1: the F_q-span of s^-1, the kernel of rho_T, and its n - 1
-    canonical T-divisions, each of which rho_T maps to the one before."""
-    root = VqElem.monomial(Tn.gf, 1, -1, prec)
-    rows = [[x.digit(k) for k in range(-1, prec)] for x in [root] + division_chain(root, Tn.degree - 1)]
-    return tuple(map(tuple, _echelon(Tn.gf, rows, prec + 1)))
-
-
 def completed_action(M, u: VqElem) -> VqElem:
     """Action of a Laurent series M = sum a_k T^k on u.
 
@@ -372,13 +363,13 @@ def dirichlet_approx(lam: VqElem, n: int):
     order, the first that agrees with lam on the most digits.  A basis of
     more than 2^16 digits, n (prec + 1), is refused before any T-division.
 
-    It is read off tower_basis, the reduced echelon basis b_j: the point
-    sum c_j b_j has digit c_j at b_j's leading position, and b_j, b_(j+1),
-    ... vanish before it.  So, going through the b_j in order, the sum
-    takes c_j = lam's digit there, until a position at or past lam's
-    precision; the later c_j are 0, the first of the points that tie.  A
-    sum that parts from lam before some b_j's position parts from it
-    before the last, (n-1)(q-1) - 1, and fails the bound whatever the c_j.
+    The T^n-torsion is the F_q-span of r_0 = s^-1 and its n - 1 canonical
+    T-divisions r_k, which lead at k(q-1) - 1.  A point is fixed by its
+    digits there, and adding c r_k leaves the earlier ones alone, so
+    forward substitution over all n rows sets each to lam's digit, or to 0
+    at and past lam's precision: the first of the points that tie.  A sum
+    that parts from lam before some lead parts from it before the last,
+    (n-1)(q-1) - 1, and fails the bound whatever the c_k.
     """
     gf = lam.gf
     q = gf.q
@@ -389,9 +380,7 @@ def dirichlet_approx(lam: VqElem, n: int):
     if v != float("inf"):
         i, r = divmod(v + 1, q - 1)
         if r != 0 or i < 0:
-            raise DomainError(
-                f"valuation {v} is not of the form i(q-1) - 1 with i >= 0"
-            )
+            raise DomainError(f"valuation {v} is not of the form i(q-1) - 1 with i >= 0")
         if n < i + 1:
             raise DomainError(f"order {n} too small for valuation {v}; need n >= {i + 1}")
     if n < 1:
@@ -400,24 +389,22 @@ def dirichlet_approx(lam: VqElem, n: int):
     prec = max(lam.prec if lam.prec is not None else sep + q, sep)
     if n * (prec + 1) > MAX_TORSION_POINTS:
         raise DomainError(f"the T^{n}-torsion basis of {n} x {prec + 1} digits is above the supported maximum 2^16")
-    Mn = Poly.T(gf) ** n
     # lam's digits from exponent -1 up to the precision of p - lam, which
     # is lam's own (prec when lam is exact)
     target = [lam.digit(k) for k in range(-1, prec if lam.prec is None else lam.prec)]
+    root = VqElem.monomial(gf, 1, -1, prec)
     best = [0] * (prec + 1)
-    for b in tower_basis(Mn, prec):
-        lead = next(i for i, c in enumerate(b) if c)
-        if lead >= len(target):
-            break
-        best = gf.add_vec(best, gf.scale_vec(target[lead], b))
+    for k, x in enumerate([root] + division_chain(root, n - 1)):
+        row, lead = [x.digit(j) for j in range(-1, prec)], k * (q - 1)
+        want = target[lead] if lead < len(target) else 0
+        c = gf.mul(gf.add(want, gf.neg(best[lead])), gf.inv(row[lead]))
+        if c:
+            best = gf.add_vec(best, gf.scale_vec(c, row))
     best = VqElem(gf, -1, best, prec)
     try:
         best_val = (best - lam).valuation()
     except BelowPrecision:
         best_val = float("inf")
-    bound = (n - 1) * (q - 1) - 1
-    if best_val <= bound:
-        raise CarlitzError(
-            f"no order-{n} torsion point within valuation {bound}; best was {best_val}"
-        )
-    return Mn, best
+    if best_val < sep:
+        raise CarlitzError(f"no order-{n} torsion point within valuation {sep - 1}; best was {best_val}")
+    return Poly.T(gf) ** n, best

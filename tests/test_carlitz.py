@@ -1,15 +1,19 @@
 """The Carlitz operator, its torsion in both completions, T-division, and
 Dirichlet-style approximation by torsion points."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import carlitz
 from conftest import field, rand_poly
 from test_kernel import CoefficientOperator, dense_operator
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
+from carlitz.gf import GF
 from carlitz.operator import (
     D_sequence,
     XPoly,
@@ -132,20 +136,45 @@ def test_cyclotomic_degree_mismatch_raises(monkeypatch):
         cyclotomic_poly(T + Poly.one(gf), 1)
 
 
-def test_operator_caches_are_bounded():
-    gf = field(2)
-    caches = (operator_module._operator_cached, torsion_module.tower_basis)
-    for cache in caches:
-        assert cache.cache_info().maxsize is not None
-        assert cache.cache_info().maxsize >= 512
-    for code in range(1, caches[0].cache_info().maxsize + 50):
-        M = Poly(gf, [(code >> i) & 1 for i in range(code.bit_length())])
-        carlitz_operator(M)
-    for prec in range(1, caches[1].cache_info().maxsize + 50):
-        torsion_module.tower_basis(Poly.T(gf), prec)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.currsize <= info.maxsize
+def _linear_primes(n):
+    gf = GF(601)
+    assert n < gf.q
+    return [(Poly.T(gf) + Poly.const(gf, c),) for c in range(n)]
+
+
+# arguments for n distinct entries of each memo
+CACHE_FILLERS = {
+    "carlitz.poly.prime_divisors": lambda n: [(k,) for k in range(1, n + 1)],
+    "carlitz.reciprocity._check_prime": _linear_primes,
+}
+
+
+def library_caches():
+    """Every functools cache defined in a carlitz module, at module level or
+    on a class, by its qualified name."""
+    caches = {}
+    for info in pkgutil.iter_modules(carlitz.__path__):
+        module = importlib.import_module(f"carlitz.{info.name}")
+        objects = list(vars(module).values())
+        objects += [v for c in objects if isinstance(c, type) for v in vars(c).values()]
+        for obj in objects:
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return caches
+
+
+def test_library_caches_are_bounded():
+    caches = library_caches()
+    assert sorted(caches) == sorted(CACHE_FILLERS)
+    for name, cache in caches.items():
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 512, name
+        try:
+            for args in CACHE_FILLERS[name](maxsize + 50):
+                cache(*args)
+            assert cache.cache_info().currsize == maxsize, name
+        finally:
+            cache.cache_clear()
 
 
 # ---------------------------------------------------------------- P-adic torsion
@@ -358,6 +387,8 @@ def test_dirichlet_approx_bound():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_tower_basis_is_the_echelon_form_of_the_listed_points(q):
+    # s^-1 and its n - 1 canonical T-divisions, which dirichlet_approx solves
+    # on, lead at k(q-1) - 1 and span the T^n-torsion
     gf = field(q)
     for n in range(1, 13):
         if q**n > 2**12:
@@ -365,8 +396,11 @@ def test_tower_basis_is_the_echelon_form_of_the_listed_points(q):
         Tn = Poly.T(gf) ** n
         sep = min_separating_prec(Tn)
         for prec in range(sep, sep + 2 * q + 1):
+            root = VqElem.monomial(gf, 1, -1, prec)
+            tower = [[x.digit(k) for k in range(-1, prec)] for x in [root] + division_chain(root, n - 1)]
+            assert [next(i for i, c in enumerate(r) if c) for r in tower] == [k * (q - 1) for k in range(n)]
             points = [[p.digit(k) for k in range(-1, prec)] for p in torsion_vq(Tn, prec)]
-            assert torsion_module.tower_basis(Tn, prec) == tuple(map(tuple, _echelon(gf, points, prec + 1)))
+            assert _echelon(gf, tower, prec + 1) == _echelon(gf, points, prec + 1)
 
 
 def test_dirichlet_needs_neither_torsion_vq_nor_rho(monkeypatch):
@@ -375,7 +409,7 @@ def test_dirichlet_needs_neither_torsion_vq_nor_rho(monkeypatch):
 
     monkeypatch.setattr(torsion_module, "torsion_vq", refuse)
     monkeypatch.setattr(operator_module, "carlitz_operator", refuse)
-    torsion_module.tower_basis.cache_clear()
+    monkeypatch.setattr(torsion_module, "_echelon", refuse)
     gf = field(3)
     order, best = dirichlet_approx(parse_series("s^-1 + s", gf, VqElem), 10)
     assert (str(order), str(best)) == ("T^10", "s^-1 + s + O(s^21)")
