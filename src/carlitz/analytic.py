@@ -13,7 +13,7 @@ import itertools
 
 from .errors import BelowPrecision, CarlitzError, DomainError
 from .operator import D_sequence
-from .poly import Poly, RatFn, all_polys, check_frobenius_degree
+from .poly import MAX_FROBENIUS_DEGREE, Poly, RatFn, all_polys, check_frobenius_degree
 from .series import InfLaurent, VqElem
 
 __all__ = [
@@ -70,13 +70,27 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
     the term budget whose valuation q^n (v + (q-1) n) reaches the cutoff.
     Each step changes it by (q-1) q^n (v + (q-1) n + q), which can only turn
     from negative to positive: the valuations fall, staying at or below v,
-    then rise for good, so that term certifies the whole tail."""
+    then rise for good, so that term certifies the whole tail.
+
+    A truncated zero O(s^p) stands for every z of valuation >= p, whose n-th
+    term reaches q^n (p + (q-1) n), so e(z) is the zero to the least of
+    these and the cutoff, refused when that is below -2^24; an exact zero
+    gives 0."""
     budget = budget or SeriesBudget()
     gf = z.gf
     q = gf.q
     prec = min(budget.precision, z.prec) if z.prec is not None else budget.precision
     if z.is_zero():
-        out = VqElem.zero(gf, z.prec)
+        p = z.prec
+        if p is not None:
+            # q^n (p + (q-1) n) falls while p + (q-1) n + q < 0; from n = 1
+            # on it is at most -2 q^n, so past n = 24 it is below the cap
+            n = max(0, -((p + q) // (q - 1)))
+            low = -2 * MAX_FROBENIUS_DEGREE if n > 24 else q**n * (p + (q - 1) * n)
+            if low < -MAX_FROBENIUS_DEGREE:
+                raise DomainError(f"e(O(s^{p})) reaches valuations below the supported -2^24")
+            p = min(prec, low)
+        out = VqElem.zero(gf, p)
         return (out, {}) if with_certificate else out
     v = z.valuation()
     acc = VqElem.zero(gf)

@@ -224,9 +224,10 @@ def star_action(A: Poly, nu: InfLaurent) -> InfLaurent:
     """A acting on a kappa-image: kappa(rho_A(u)) for any u with kappa(u) = nu.
 
     Well defined because kappa collapses F_q^*-multiples and rho_A is
-    F_q-linear.
+    F_q-linear.  A truncated zero O(u^p) is kappa of every u in O(s^p), so
+    it gives kappa(rho_A(O(s^p))).
     """
     if nu.is_zero():
-        return nu
+        return nu if nu.prec is None else kummer_map(carlitz_act(A, VqElem.zero(nu.gf, nu.prec)))
     u = kummer_solve(nu)
     return kummer_map(carlitz_act(A, u))

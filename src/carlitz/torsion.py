@@ -370,6 +370,10 @@ def dirichlet_approx(lam: VqElem, n: int):
     at and past lam's precision: the first of the points that tie.  A sum
     that parts from lam before some lead parts from it before the last,
     (n-1)(q-1) - 1, and fails the bound whatever the c_k.
+
+    It is a choice among tied points, not a certified expansion, so the
+    precision contract has no row for it: a coarser lam ties more points,
+    and the first of them need not agree with the answer for lam.
     """
     gf = lam.gf
     q = gf.q

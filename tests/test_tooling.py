@@ -1,11 +1,13 @@
 """The runtime imports nothing outside the standard library, every module
 imports on its own, the README's library and CLI quick starts run, every
-layer boundary the benchmark traces exists in the library, and the
-benchmark's workloads compute the pinned outputs."""
+layer boundary the benchmark traces exists in the library, every certified
+function has a precision-contract row, and the benchmark's workloads
+compute the pinned outputs."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -94,6 +96,36 @@ def test_readme_library_quick_start_runs(capsys):
     count = int(re.search(r"# all (\d+) roots", block).group(1))
     assert len(printed) == len(set(printed)) == count == 9
     assert re.search(r"# e\.g\. (.*)$", block, re.M).group(1) in printed
+
+
+# a parameter that makes a function certify digits: a precision, a term or
+# degree budget, or a truncated element of a completion
+CERTIFIED_PARAMS = {"prec", "budget", "N"}
+CERTIFIED_TYPES = {"VqElem", "InfLaurent", "PadicElem"}
+
+
+def test_every_certified_function_has_a_row():
+    # each public function of carlitz that takes one has a row in
+    # tests/test_precision.py or a one-line reason in its exemptions, and
+    # so does each that takes a budget for the budget property
+    import carlitz
+    from test_precision import BUDGET_EXEMPT, BUDGET_ROWS, EXEMPT, ROWS
+
+    certified, budgeted = set(), set()
+    for name, fn in vars(carlitz).items():
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        params = inspect.signature(fn).parameters
+        if any(p.name in CERTIFIED_PARAMS or p.annotation in CERTIFIED_TYPES for p in params.values()):
+            certified.add(name)
+        if "budget" in params:
+            budgeted.add(name)
+    assert len(certified) >= 13 and budgeted
+    for found, rows, exempt in [(certified, ROWS, EXEMPT), (budgeted, BUDGET_ROWS, BUDGET_EXEMPT)]:
+        covered = {row.split("/")[0] for row in rows}
+        assert sorted(found - covered - set(exempt)) == []
+        # an exemption names a function the walk finds and no row covers
+        assert set(exempt) <= found - covered and all(exempt.values())
 
 
 def test_every_benchmark_boundary_exists():
