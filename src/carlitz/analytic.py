@@ -125,13 +125,19 @@ def period_partial(gf, N: int, prec: int = None):
     Each factor is ([n+1] - [n])/[n+1], so numerator and denominator are
     multiplied out as polynomials and reduced once at the end.  Returns the
     exact rational function; with ``prec`` also its Laurent expansion at
-    infinity, as a pair (ratfn, series).
+    infinity, as a pair (ratfn, series).  A denominator of T-degree
+    sum_{n=2}^{N+1} q^n above 2^24 is refused before any bracket is built.
     """
     if N < 1:
         raise DomainError("need at least one factor")
+    q = gf.q
+    # the degree is at least q^(N+1) >= 2^(N+1), so an N past the cap's bit
+    # length is refused unpowered
+    if N + 1 >= MAX_FROBENIUS_DEGREE.bit_length() or sum(q**n for n in range(2, N + 2)) > MAX_FROBENIUS_DEGREE:
+        raise DomainError(f"the product of {N} factors has T-degree above the supported maximum 2^24")
     T = Poly.T(gf)
     # [n] = T^(q^n) - T for n = 1..N+1
-    brackets = [Poly.one(gf).shift(gf.q**n) - T for n in range(1, N + 2)]
+    brackets = [Poly.one(gf).shift(q**n) - T for n in range(1, N + 2)]
     num = den = Poly.one(gf)
     for b, b_next in zip(brackets, brackets[1:]):
         num, den = num * (b_next - b), den * b_next

@@ -2,8 +2,9 @@
 
 Every library operation is exposed as a subcommand with exact text/JSON
 output; batch ``sweep`` commands drive the exhaustive law checks.  Exit codes:
-0 success, 1 domain/computation error, 2 usage error.  The environment
-variable CARLITZ_MAX_DEG caps enumeration bounds.
+0 success, 1 domain/computation error, 2 usage error.  Each subcommand takes
+only the options it reads, and one that lists rows, points or vertices
+refuses a count above its cap before it lists any.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import sys
 from fractions import Fraction as Rational
 from itertools import accumulate
+from math import comb
 
 from . import analytic, geometry, reciprocity, torsion
 from .errors import CarlitzError, DomainError, PrecisionError
@@ -28,8 +30,6 @@ class UsageError(Exception):
     pass
 
 
-DEFAULT_MAX_DEG = 6
-
 # The most work `sweep --kind splitting` takes on, in units of (x-degree of
 # psi_A)^2 summed over the ordered pairs (P, A): --q 3 --max-deg 3 is 72956
 # (about 0.8 s), --q 9 --max-deg 2 is about 10^7 (about a minute, from four
@@ -42,20 +42,18 @@ MAX_SPLITTING_WORK = 10**5
 # --max-deg 1 would be about 3.6 * 10^10.
 MAX_RECIPROCITY_ROWS = 2 * 10**5
 
+# The most points `sweep --kind torsion` lists, q^(deg P) per prime P: --q 3
+# --max-deg 6 is 97938 (about 2.2 s), --q 2 --max-deg 10 is 140872 (5.3 s).
+MAX_TORSION_SWEEP_POINTS = 2 * 10**5
+
+# The most vertices `tree export` or `tree neighbors` prints: --q 9 --radius
+# 5 is 73811 (about 7.9 s), --q 101 --radius 3 is 1050907 (about a minute).
+MAX_TREE_VERTICES = 10**5
+
 
 def integer(text: str) -> int:
     """An integer option: ASCII digits with an optional leading minus."""
     return parse_int(text.strip(), signed=True)
-
-
-def max_deg_cap() -> int:
-    raw = os.environ.get("CARLITZ_MAX_DEG")
-    if raw is None:
-        return DEFAULT_MAX_DEG
-    try:
-        return integer(raw)
-    except ValueError:
-        raise UsageError(f"CARLITZ_MAX_DEG={raw!r} is not an integer")
 
 
 def rational(text: str) -> Rational:
@@ -68,24 +66,23 @@ def rational(text: str) -> Rational:
     return Rational(a, b)
 
 
-def check_cap(deg: int, what: str):
-    """An enumeration bound from 0 up to the cap."""
-    if deg < 0:
-        raise UsageError(f"{what} degree {deg} is negative")
-    cap = max_deg_cap()
-    if deg > cap:
-        raise UsageError(
-            f"{what} degree {deg} exceeds the enumeration cap {cap} "
-            "(raise CARLITZ_MAX_DEG to override)"
-        )
+def nonnegative(n: int, what: str) -> int:
+    """A count of rows, degrees or steps, refused when negative."""
+    if n < 0:
+        raise UsageError(f"{what} {n} is negative")
+    return n
+
+
+def check_size(what: str, size: int, cap: int, hint: str, exact: bool = True):
+    """Refuse work whose size, counted before any enumeration, is above cap;
+    an inexact size is a lower bound, counted only until it passes cap."""
+    if size > cap:
+        raise UsageError(f"{what} {'' if exact else 'at least '}{size} is above the cap {cap} ({hint})")
 
 
 def build_gf(args) -> GF:
-    q = args.q
-    p, r = _prime_power(q)
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = [integer(c) for c in args.modulus.split(",")]
+    p, r = _prime_power(args.q)
+    modulus = [integer(c) for c in args.modulus.split(",")] if args.modulus else None
     return GF(p, r, modulus)
 
 
@@ -162,7 +159,6 @@ def cmd_cyclotomic(args):
 def cmd_torsion_padic(args):
     gf = build_gf(args)
     P = parse_poly(args.P, gf)
-    check_cap(P.degree, "prime")
     ts = torsion.torsion_padic(P, args.N)
     pts = sorted(str(x) for x in ts)
     emit(args, json.loads(ts.to_json()), pts)
@@ -171,7 +167,6 @@ def cmd_torsion_padic(args):
 def cmd_torsion_vq(args):
     gf = build_gf(args)
     M = parse_poly(args.M, gf)
-    check_cap(M.degree, "order")
     prec = args.prec if args.prec is not None else torsion.min_separating_prec(M) + gf.q
     ts = torsion.torsion_vq(M, prec)
     pts = sorted(str(x) for x in ts)
@@ -261,16 +256,18 @@ def cmd_newton(args):
     )
 
 
-def cmd_kummer(args):
+def cmd_kummer_map(args):
     gf = build_gf(args)
-    if args.kummer_cmd == "map":
-        u = parse_series(args.u, gf, VqElem)
-        out = reciprocity.kummer_map(u)
-        emit(args, {"image": str(out)}, [str(out)])
-    else:
-        M = parse_series(args.M, gf, InfLaurent)
-        out = reciprocity.kummer_solve(M)
-        emit(args, {"root": str(out)}, [str(out)])
+    u = parse_series(args.u, gf, VqElem)
+    out = reciprocity.kummer_map(u)
+    emit(args, {"image": str(out)}, [str(out)])
+
+
+def cmd_kummer_solve(args):
+    gf = build_gf(args)
+    M = parse_series(args.M, gf, InfLaurent)
+    out = reciprocity.kummer_solve(M)
+    emit(args, {"root": str(out)}, [str(out)])
 
 
 def cmd_star(args):
@@ -301,40 +298,43 @@ def cmd_family(args):
 def _descartes_rows(gf, seed: int, count: int):
     """(members, form, zero) for each of count random tangent families drawn
     from one seeded generator: the rows of both Descartes sweeps."""
-    if count < 0:
-        raise UsageError(f"count {count} is negative")
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(nonnegative(count, "count")):
         fam = geometry.random_tangent_family(gf, rng)
         val = geometry.descartes_form(fam)
         yield ";".join(str(m) for m in fam), _form_text(val), val.is_zero()
 
 
-def cmd_descartes(args):
+def cmd_descartes_family(args):
     gf = build_gf(args)
-    if args.descartes_cmd == "family":
-        f1 = parse_fraction(args.f1, gf)
-        f2 = parse_fraction(args.f2, gf)
-        fam = geometry.tangent_family(f1, f2)
-        val = geometry.descartes_form(fam)
-        form = _form_text(val)
-        emit(
-            args,
-            {"members": [str(m) for m in fam], "form": form, "zero": val.is_zero()},
-            [str(m) for m in fam] + [f"form = {form}", f"zero = {val.is_zero()}"],
-        )
-    elif args.descartes_cmd == "eval":
-        xs = [parse_fraction(s, gf) for s in args.curvatures.split(";")]
-        val = geometry.descartes_form(xs)
-        form = _form_text(val)
-        emit(args, {"form": form, "zero": val.is_zero()}, [form])
-    else:  # sweep
-        rows = sorted(_descartes_rows(gf, args.seed, args.count))
-        for members, form, zero in rows:
-            print(f"{members}\t{form}\t{'zero' if zero else 'NONZERO'}")
-        bad = sum(1 for row in rows if not row[2])
-        if bad:
-            raise CarlitzError(f"{bad} of {args.count} families violate the form")
+    f1 = parse_fraction(args.f1, gf)
+    f2 = parse_fraction(args.f2, gf)
+    fam = geometry.tangent_family(f1, f2)
+    val = geometry.descartes_form(fam)
+    form = _form_text(val)
+    emit(
+        args,
+        {"members": [str(m) for m in fam], "form": form, "zero": val.is_zero()},
+        [str(m) for m in fam] + [f"form = {form}", f"zero = {val.is_zero()}"],
+    )
+
+
+def cmd_descartes_eval(args):
+    gf = build_gf(args)
+    xs = [parse_fraction(s, gf) for s in args.curvatures.split(";")]
+    val = geometry.descartes_form(xs)
+    form = _form_text(val)
+    emit(args, {"form": form, "zero": val.is_zero()}, [form])
+
+
+def cmd_descartes_sweep(args):
+    gf = build_gf(args)
+    rows = sorted(_descartes_rows(gf, args.seed, args.count))
+    for members, form, zero in rows:
+        print(f"{members}\t{form}\t{'zero' if zero else 'NONZERO'}")
+    bad = sum(1 for row in rows if not row[2])
+    if bad:
+        raise CarlitzError(f"{bad} of {args.count} families violate the form")
 
 
 def cmd_soddy(args):
@@ -354,39 +354,44 @@ def _parse_vertex(s: str, gf) -> geometry.TreeVertex:
     return geometry.TreeVertex(gf, level, digits)
 
 
-def cmd_tree(args):
+def cmd_tree_neighbors(args):
     gf = build_gf(args)
-    if args.tree_cmd == "neighbors":
-        v = _parse_vertex(args.vertex, gf)
-        lines = [n.label() for n in geometry.tree_neighbors(v)]
-        emit(args, {"neighbors": lines}, lines)
-    elif args.tree_cmd == "distance":
-        v1 = _parse_vertex(args.v1, gf)
-        v2 = _parse_vertex(args.v2, gf)
-        d = geometry.tree_distance(v1, v2)
-        emit(args, {"distance": d}, [str(d)])
-    else:  # export
-        radius = args.radius
-        check_cap(radius, "radius")
-        base = geometry.TreeVertex.base(gf)
-        seen = {base: 0}
-        frontier = [base]
-        edges = set()
-        while frontier:
-            v = frontier.pop()
-            if seen[v] >= radius:
-                continue
-            for w in geometry.tree_neighbors(v):
-                edges.add(tuple(sorted((v.label(), w.label()))))
-                if w not in seen:
-                    seen[w] = seen[v] + 1
-                    frontier.append(w)
-        print("graph tree {")
-        for v in sorted(seen, key=lambda x: (seen[x], x.label())):
-            print(f'  "{v.label()}";')
-        for a, b in sorted(edges):
-            print(f'  "{a}" -- "{b}";')
-        print("}")
+    check_size("tree neighbors vertex count", gf.q + 1, MAX_TREE_VERTICES, "lower --q")
+    v = _parse_vertex(args.vertex, gf)
+    lines = [n.label() for n in geometry.tree_neighbors(v)]
+    emit(args, {"neighbors": lines}, lines)
+
+
+def cmd_tree_distance(args):
+    gf = build_gf(args)
+    v1 = _parse_vertex(args.v1, gf)
+    v2 = _parse_vertex(args.v2, gf)
+    d = geometry.tree_distance(v1, v2)
+    emit(args, {"distance": d}, [str(d)])
+
+
+def cmd_tree_export(args):
+    gf = build_gf(args)
+    radius, q = nonnegative(args.radius, "radius degree"), gf.q
+    # the ball has 1 + (q+1)(q^r - 1)/(q-1) >= 2^r vertices, so a radius past
+    # the cap's bit length is counted only up to it
+    r = min(radius, MAX_TREE_VERTICES.bit_length())
+    size = 1 + (q + 1) * (q**r - 1) // (q - 1)
+    check_size("tree export vertex count", size, MAX_TREE_VERTICES, "lower --radius or --q", exact=r == radius)
+    # layer k: the neighbours of layer k - 1 outside the ball, one edge to each
+    layer = [geometry.TreeVertex.base(gf)]
+    seen, edges = {layer[0]: 0}, []
+    for k in range(1, radius + 1):
+        pairs = [(v, w) for v in layer for w in geometry.tree_neighbors(v) if w not in seen]
+        layer = [w for _, w in pairs]
+        seen.update(dict.fromkeys(layer, k))
+        edges += [tuple(sorted((v.label(), w.label()))) for v, w in pairs]
+    print("graph tree {")
+    for v in sorted(seen, key=lambda x: (seen[x], x.label())):
+        print(f'  "{v.label()}";')
+    for a, b in sorted(edges):
+        print(f'  "{a}" -- "{b}";')
+    print("}")
 
 
 def cmd_ray(args):
@@ -417,9 +422,7 @@ def cmd_normal_basis(args):
 def cmd_exp(args):
     gf = build_gf(args)
     z = parse_series(args.z, gf, VqElem)
-    budget = analytic.SeriesBudget(
-        term_count=args.terms, precision=args.prec if args.prec is not None else 24
-    )
+    budget = analytic.SeriesBudget(term_count=args.terms, precision=args.prec)
     val, cert = analytic.carlitz_exp(z, budget, with_certificate=True)
     cert_s = {str(k): str(v) for k, v in cert.items()}
     emit(
@@ -431,8 +434,7 @@ def cmd_exp(args):
 
 def cmd_period(args):
     gf = build_gf(args)
-    prec = args.prec if args.prec is not None else 16
-    ratfn, series = analytic.period_partial(gf, args.N, prec=prec)
+    ratfn, series = analytic.period_partial(gf, args.N, prec=args.prec)
     exact = _form_text(ratfn)
     emit(
         args,
@@ -445,9 +447,7 @@ def cmd_eisenstein(args):
     gf = build_gf(args)
     basis = [parse_series(s, gf, VqElem) for s in args.basis.split(";")]
     L = analytic.Lattice(basis)
-    budget = analytic.SeriesBudget(
-        degree_bound=args.degree_bound, precision=args.prec if args.prec is not None else 24
-    )
+    budget = analytic.SeriesBudget(degree_bound=args.degree_bound, precision=args.prec)
     val, cert = analytic.eisenstein(L, args.k, budget, with_certificate=True)
     cert_s = {str(k): str(v) for k, v in cert.items()}
     emit(
@@ -457,19 +457,20 @@ def cmd_eisenstein(args):
     )
 
 
-def _irreducible_counts(q: int, max_deg: int) -> dict:
-    """The number of monic irreducibles of each degree 1..max_deg, from
-    q^d = sum over e | d of e N(e)."""
+def _check_sweep_size(q: int, max_deg: int, what: str, cap: int, size):
+    """check_size on size(count) at each d <= max_deg, count[d] = N(d) the monic
+    irreducibles of degree d (q^d = sum over e | d of e N(e)): size grows
+    with d, so a huge max_deg is refused at the first d past cap."""
     count = {}
     for d in range(1, max_deg + 1):
         count[d] = (q**d - sum(e * n for e, n in count.items() if d % e == 0)) // d
-    return count
+        check_size(what, size(count), cap, "lower --max-deg or --q", exact=d == max_deg)
 
 
 def cmd_sweep(args):
     gf = build_gf(args)
     kind = args.kind
-    check_cap(args.max_deg, "sweep")
+    nonnegative(args.max_deg, "sweep degree")
     bad = 0
     rows = []
     if kind == "reciprocity":
@@ -478,13 +479,8 @@ def cmd_sweep(args):
         for l in prime_divisors(gf.q - 1):
             powers = [l**k for k in range(1, gf.q.bit_length()) if (gf.q - 1) % l**k == 0]
             divisors += [d * e for d in divisors for e in powers]
-        n = sum(_irreducible_counts(gf.q, args.max_deg).values())
-        count = n * (n - 1) // 2 * len(divisors)
-        if count > MAX_RECIPROCITY_ROWS:
-            raise UsageError(
-                f"sweep 'reciprocity' row count {count} is above the cap {MAX_RECIPROCITY_ROWS} "
-                "(lower --max-deg or --q)"
-            )
+        _check_sweep_size(gf.q, args.max_deg, "sweep 'reciprocity' row count", MAX_RECIPROCITY_ROWS,
+                          lambda count: comb(sum(count.values()), 2) * len(divisors))
         irr = list(monic_irreducibles(gf, args.max_deg))
         for i, P in enumerate(irr):
             for Q in irr[i + 1 :]:
@@ -506,6 +502,8 @@ def cmd_sweep(args):
             if not zero:
                 bad += 1
     elif kind == "torsion":
+        _check_sweep_size(gf.q, args.max_deg, "sweep 'torsion' point count", MAX_TORSION_SWEEP_POINTS,
+                          lambda count: sum(n * gf.q**d for d, n in count.items()))
         for P in monic_irreducibles(gf, args.max_deg):
             ts = torsion.torsion_padic(P, args.N)
             expected = gf.q ** P.degree
@@ -516,13 +514,8 @@ def cmd_sweep(args):
     elif kind == "splitting":
         from .residues import ddf
 
-        count = _irreducible_counts(gf.q, args.max_deg)
-        work = (sum(count.values()) - 1) * sum(n * (gf.q**d - 1) ** 2 for d, n in count.items())
-        if work > MAX_SPLITTING_WORK:
-            raise UsageError(
-                f"sweep 'splitting' work estimate {work} is above the cap {MAX_SPLITTING_WORK} "
-                "(lower --max-deg or --q)"
-            )
+        _check_sweep_size(gf.q, args.max_deg, "sweep 'splitting' work estimate", MAX_SPLITTING_WORK,
+                          lambda count: (sum(count.values()) - 1) * sum(n * (gf.q**d - 1) ** 2 for d, n in count.items()))
         irr = list(monic_irreducibles(gf, args.max_deg))
         for P in irr:
             for A in irr:
@@ -535,8 +528,6 @@ def cmd_sweep(args):
                 rows.append((str(P), str(A), str(f), str(degs), str(ok)))
                 if not ok:
                     bad += 1
-    else:
-        raise UsageError(f"unknown sweep kind {kind!r}")
     for row in sorted(rows):
         print("\t".join(row))
     if bad:
@@ -546,47 +537,63 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------- parser
 
 
+def field(sp):
+    """The options of a subcommand that builds a field."""
+    sp.add_argument("--q", type=integer, default=3, help="field size, a prime power")
+    sp.add_argument("--modulus", help="comma-separated F_p coefficients of the field modulus (r > 1)")
+    sp.add_argument("--output", choices=("text", "json"), default="text")
+
+
+def prec(sp, default=None):
+    sp.add_argument("--prec", type=integer, default=default, help="working precision")
+
+
+def seed(sp):
+    sp.add_argument("--seed", type=integer, default=0, help="PRNG seed for randomized sweeps")
+
+
 # Every subcommand: (name, handler, setup, nested), nested being None or the
-# dest and the entries of its own subcommands.
+# dest and the entries of its own subcommands; setup declares every option
+# the handler reads, and a parent of nested subcommands has none.
 SUBCOMMANDS = [
-    ("act", cmd_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
-    ("operator", cmd_operator, lambda sp: sp.add_argument("--M", required=True), None),
-    ("cyclotomic", cmd_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--n", type=integer, default=1)), None),
-    ("torsion-padic", cmd_torsion_padic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--N", type=integer, default=6)), None),
-    ("torsion-vq", cmd_torsion_vq, lambda sp: sp.add_argument("--M", required=True), None),
-    ("divide-t", cmd_divide_t, lambda sp: sp.add_argument("--u", required=True), None),
-    ("completed-act", cmd_completed_act, lambda sp: (sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
-    ("dirichlet", cmd_dirichlet, lambda sp: (sp.add_argument("--target", required=True), sp.add_argument("--n", type=integer, required=True)), None),
-    ("symbol", cmd_symbol, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
-    ("reciprocity", cmd_reciprocity, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=integer, required=True)), None),
-    ("split-kummer", cmd_split_kummer, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
-    ("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (sp.add_argument("--P", required=True), sp.add_argument("--A", required=True)), None),
-    ("xi", cmd_xi, lambda sp: sp.add_argument("--A", required=True), None),
-    ("newton", cmd_newton, lambda sp: sp.add_argument("--A", required=True), None),
-    ("kummer", cmd_kummer, None, ("kummer_cmd", [
-        ("map", cmd_kummer, lambda sp: sp.add_argument("--u", required=True), None),
-        ("solve", cmd_kummer, lambda sp: sp.add_argument("--M", required=True), None),
+    ("act", cmd_act, lambda sp: (field(sp), sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
+    ("operator", cmd_operator, lambda sp: (field(sp), sp.add_argument("--M", required=True)), None),
+    ("cyclotomic", cmd_cyclotomic, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--n", type=integer, default=1)), None),
+    ("torsion-padic", cmd_torsion_padic, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--N", type=integer, default=6)), None),
+    ("torsion-vq", cmd_torsion_vq, lambda sp: (field(sp), prec(sp), sp.add_argument("--M", required=True)), None),
+    ("divide-t", cmd_divide_t, lambda sp: (field(sp), prec(sp), sp.add_argument("--u", required=True)), None),
+    ("completed-act", cmd_completed_act, lambda sp: (field(sp), sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
+    ("dirichlet", cmd_dirichlet, lambda sp: (field(sp), sp.add_argument("--target", required=True), sp.add_argument("--n", type=integer, required=True)), None),
+    ("symbol", cmd_symbol, lambda sp: (field(sp), sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("reciprocity", cmd_reciprocity, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("split-kummer", cmd_split_kummer, lambda sp: (field(sp), sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--A", required=True)), None),
+    ("xi", cmd_xi, lambda sp: (field(sp), sp.add_argument("--A", required=True)), None),
+    ("newton", cmd_newton, lambda sp: (field(sp), sp.add_argument("--A", required=True)), None),
+    ("kummer", None, None, ("kummer_cmd", [
+        ("map", cmd_kummer_map, lambda sp: (field(sp), sp.add_argument("--u", required=True)), None),
+        ("solve", cmd_kummer_solve, lambda sp: (field(sp), sp.add_argument("--M", required=True)), None),
     ])),
-    ("star", cmd_star, lambda sp: (sp.add_argument("--A", required=True), sp.add_argument("--nu", required=True)), None),
-    ("tangent", cmd_tangent, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
-    ("family", cmd_family, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
-    ("descartes", cmd_descartes, None, ("descartes_cmd", [
-        ("family", cmd_descartes, lambda sp: (sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
-        ("eval", cmd_descartes, lambda sp: sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions"), None),
-        ("sweep", cmd_descartes, lambda sp: sp.add_argument("--count", type=integer, default=20), None),
+    ("star", cmd_star, lambda sp: (field(sp), sp.add_argument("--A", required=True), sp.add_argument("--nu", required=True)), None),
+    ("tangent", cmd_tangent, lambda sp: (field(sp), sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+    ("family", cmd_family, lambda sp: (field(sp), sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+    ("descartes", None, None, ("descartes_cmd", [
+        ("family", cmd_descartes_family, lambda sp: (field(sp), sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+        ("eval", cmd_descartes_eval, lambda sp: (field(sp), sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions")), None),
+        ("sweep", cmd_descartes_sweep, lambda sp: (field(sp), seed(sp), sp.add_argument("--count", type=integer, default=20)), None),
     ])),
-    ("soddy", cmd_soddy, lambda sp: (sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", required=True)), None),
-    ("tree", cmd_tree, None, ("tree_cmd", [
-        ("neighbors", cmd_tree, lambda sp: sp.add_argument("--vertex", required=True, help="level;series"), None),
-        ("distance", cmd_tree, lambda sp: (sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), None),
-        ("export", cmd_tree, lambda sp: sp.add_argument("--radius", type=integer, default=2), None),
+    ("soddy", cmd_soddy, lambda sp: (sp.add_argument("--output", choices=("text", "json"), default="text"), sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", required=True)), None),
+    ("tree", None, None, ("tree_cmd", [
+        ("neighbors", cmd_tree_neighbors, lambda sp: (field(sp), sp.add_argument("--vertex", required=True, help="level;series")), None),
+        ("distance", cmd_tree_distance, lambda sp: (field(sp), sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), None),
+        ("export", cmd_tree_export, lambda sp: (field(sp), sp.add_argument("--radius", type=integer, default=2)), None),
     ])),
-    ("ray", cmd_ray, lambda sp: (sp.add_argument("--f", required=True), sp.add_argument("--steps", type=integer, default=5)), None),
-    ("normal-basis", cmd_normal_basis, None, None),
-    ("exp", cmd_exp, lambda sp: (sp.add_argument("--z", required=True), sp.add_argument("--terms", type=integer, default=10)), None),
-    ("period", cmd_period, lambda sp: sp.add_argument("--N", type=integer, required=True), None),
-    ("eisenstein", cmd_eisenstein, lambda sp: (sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)), None),
-    ("sweep", cmd_sweep, lambda sp: (sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=integer, default=2), sp.add_argument("--count", type=integer, default=20), sp.add_argument("--N", type=integer, default=4)), None),
+    ("ray", cmd_ray, lambda sp: (field(sp), sp.add_argument("--f", required=True), sp.add_argument("--steps", type=integer, default=5)), None),
+    ("normal-basis", cmd_normal_basis, field, None),
+    ("exp", cmd_exp, lambda sp: (field(sp), prec(sp, 24), sp.add_argument("--z", required=True), sp.add_argument("--terms", type=integer, default=10)), None),
+    ("period", cmd_period, lambda sp: (field(sp), prec(sp, 16), sp.add_argument("--N", type=integer, required=True)), None),
+    ("eisenstein", cmd_eisenstein, lambda sp: (field(sp), prec(sp, 24), sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)), None),
+    ("sweep", cmd_sweep, lambda sp: (field(sp), seed(sp), sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=integer, default=2), sp.add_argument("--count", type=integer, default=20), sp.add_argument("--N", type=integer, default=4)), None),
 ]
 
 
@@ -599,24 +606,17 @@ def build_parser(argv=()):
         description="Exact arithmetic for the Carlitz module over F_q(T).",
     )
 
-    def common(sp):
-        sp.add_argument("--q", type=integer, default=3, help="field size, a prime power")
-        sp.add_argument("--modulus", help="comma-separated F_p coefficients of the field modulus (r > 1)")
-        sp.add_argument("--prec", type=integer, default=None, help="working precision")
-        sp.add_argument("--seed", type=integer, default=0, help="PRNG seed for randomized sweeps")
-        sp.add_argument("--output", choices=("text", "json"), default="text")
-
     def add(parent, name, fn, setup, nested):
         sp = parent.add_parser(name)
-        common(sp)
         if setup:
             setup(sp)
-        sp.set_defaults(fn=fn)
         if nested:
             dest, entries = nested
             sub = sp.add_subparsers(dest=dest, required=True)
             for entry in entries:
                 add(sub, *entry)
+        else:
+            sp.set_defaults(fn=fn)
 
     names = [entry[0] for entry in SUBCOMMANDS]
     only = argv[0] if argv and argv[0] in names else None
@@ -630,7 +630,7 @@ def build_parser(argv=()):
 
 
 def _emit_error(args, code: str, exc: Exception) -> None:
-    if getattr(args, "output", "text") == "json":
+    if args.output == "json":
         ctx = {}
         if isinstance(exc, PrecisionError) and exc.needed is not None:
             ctx["needed_precision"] = exc.needed

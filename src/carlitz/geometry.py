@@ -210,6 +210,11 @@ def tree_distance(v1: TreeVertex, v2: TreeVertex) -> int:
     return (v1.level - l) + (v2.level - l)
 
 
+# the most class digits a ray's vertices hold in all: a dense f reaches it
+# near 2900 steps; `ray --steps 4000` on one took about 12.5 s and 700 MB
+MAX_RAY_DIGITS = 2**22
+
+
 def geodesic_ray(f: RatFn, steps: int):
     """The first steps+1 vertices of the ray from the base vertex toward the
     boundary point f.
@@ -217,7 +222,9 @@ def geodesic_ray(f: RatFn, steps: int):
     The ray descends through (n, 0) for n = 0, -1, ..., down = min(0, v(f)),
     then climbs through (n, f mod pi^n) for n = down + 1, down + 2, ..., the
     classes read off the Laurent digits of f; toward infinity it descends
-    forever, so there down = -steps.
+    forever, so there down = -steps.  Each climbing vertex holds every digit
+    below its level, so a dense f gives about steps^2/2 digits in all: above
+    2^22 (MAX_RAY_DIGITS) the ray is refused before any vertex is built.
     """
     if steps < 0:
         raise DomainError(f"a ray has steps >= 0, got {steps}")
@@ -227,8 +234,13 @@ def geodesic_ray(f: RatFn, steps: int):
     else:
         digits = dict(InfLaurent.from_ratfn(f, prec=steps + 1).terms())
         down = max(min([0, *digits]), -steps)
+    top = 2 * down + steps
+    # the digit at e sits in the climbing vertices of levels max(e, down) + 1 .. top
+    total = sum(max(0, top - max(e, down)) for e in digits)
+    if total > MAX_RAY_DIGITS:
+        raise DomainError(f"a ray of {total} class digits is above the supported maximum 2^22")
     return [TreeVertex(gf, n, {}) for n in range(0, down - 1, -1)] + [
-        TreeVertex(gf, n, digits) for n in range(down + 1, 2 * down + steps + 1)
+        TreeVertex(gf, n, digits) for n in range(down + 1, top + 1)
     ]
 
 

@@ -166,6 +166,19 @@ def test_period_partial_types():
     assert s.prec == 40
 
 
+def test_period_partial_size_cap(monkeypatch):
+    # the denominator's T-degree sum_{n=2}^{N+1} q^n: 21523356 at q = 3,
+    # N = 14 (which ran past 30 s) and 2^25 - 4 at q = 2, N = 23, above
+    # 2^24; N = 30 ran out of memory and N = 10^9 is refused unpowered
+    def unreachable(*args):
+        raise AssertionError("a bracket was built")
+
+    monkeypatch.setattr(Poly, "shift", unreachable)
+    for q, N in [(3, 14), (2, 23), (3, 30), (2, 10**9)]:
+        with pytest.raises(DomainError, match=f"the product of {N} factors has T-degree above the supported maximum 2\\^24"):
+            period_partial(field(q), N)
+
+
 def test_period_cauchy_valuations():
     gf = field(3)
     expansions = [period_partial(gf, N, prec=200)[1] for N in range(1, 5)]

@@ -128,7 +128,7 @@ def test_xi_and_newton(capsys):
 def test_kummer_map_and_solve(capsys):
     out = run_ok(capsys, "kummer", "map", "--q", "3", "--u", "s^-2 + O(s^20)")
     assert out.startswith("T^2")
-    run_ok(capsys, "kummer", "solve", "--q", "3", "--M", "T^2", "--prec", "12")
+    run_ok(capsys, "kummer", "solve", "--q", "3", "--M", "T^2")
 
 
 def test_star(capsys):
@@ -513,8 +513,7 @@ def test_split_kummer_order_at_a_large_prime(capsys):
 
 
 def test_torsion_vq_size_cap(capsys):
-    # T^6 passes the degree cap, but 256^6 = 2^48 points are refused before
-    # rho_M is built
+    # 256^6 = 2^48 points are refused before rho_M is built
     code, _, err = run(capsys, "torsion-vq", "--q", "256", "--M", "T^6")
     assert code == 1 and err.startswith("error[domain]")
     assert "above the supported maximum 2^16" in err
@@ -622,10 +621,74 @@ def test_precision_error_reports_needed(capsys):
     assert obj["context"].get("needed_precision", 0) >= 4
 
 
-def test_degree_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CARLITZ_MAX_DEG", "2")
-    code, _, err = run(capsys, "torsion-padic", "--q", "3", "--P", "T^3+2*T+1", "--N", "3")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tree", "export", "--q", "101", "--radius", "3"), "tree export vertex count 1050907"),
+        (("tree", "export", "--q", "2", "--radius", "1000000000"), "tree export vertex count at least 393214"),
+        (("tree", "neighbors", "--q", "1099511627689", "--vertex", "0;0"), "tree neighbors vertex count 1099511627690"),
+        (("sweep", "--kind", "torsion", "--q", "2147483647", "--max-deg", "1"), "sweep 'torsion' point count 4611686014132420609"),
+        (("sweep", "--kind", "reciprocity", "--q", "2", "--max-deg", "1000000"), "sweep 'reciprocity' row count at least 278631"),
+        (("sweep", "--kind", "splitting", "--q", "2", "--max-deg", "1000000"), "sweep 'splitting' work estimate at least"),
+    ],
+    ids=["tree-ball", "tree-huge-radius", "tree-neighbors", "sweep-torsion", "sweep-reciprocity-huge", "sweep-splitting-huge"],
+)
+def test_size_caps_are_counted_before_any_enumeration(capsys, monkeypatch, argv, message):
+    # each ran for a minute or more, or looped up to its degree; the count
+    # comes from --q and the bound alone, so nothing is listed
+    import carlitz.cli
+
+    def unreachable(*args):
+        raise AssertionError("the command began to enumerate")
+
+    monkeypatch.setattr(carlitz.cli, "monic_irreducibles", unreachable)
+    monkeypatch.setattr(carlitz.cli.geometry, "tree_neighbors", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[usage]: {message}") and "is above the cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("torsion-padic", "--q", "2", "--P", "T^7+T+1", "--N", "3"), 128),
+        (("tree", "export", "--q", "2", "--radius", "8"), 1533),
+        (("sweep", "--kind", "reciprocity", "--q", "2", "--max-deg", "8"), 2485),
+        (("sweep", "--kind", "torsion", "--q", "2", "--max-deg", "7", "--N", "2"), 41),
+    ],
+    ids=["torsion-padic-deg-7", "tree-radius-8", "sweep-reciprocity-deg-8", "sweep-torsion-deg-7"],
+)
+def test_degree_alone_is_no_cap(capsys, argv, lines):
+    # each was refused by a degree cap of 6, though its work is small
+    assert len(run_ok(capsys, *argv).splitlines()) == lines
+
+
+def test_tree_export_ball_matches_the_vertex_count(capsys):
+    # 1 + (q+1)(q^r - 1)/(q - 1) vertices, one edge to each but the base
+    for q, r in [(2, 0), (2, 5), (3, 3), (4, 2)]:
+        out = run_ok(capsys, "tree", "export", "--q", str(q), "--radius", str(r)).splitlines()
+        vertices = 1 + (q + 1) * (q**r - 1) // (q - 1)
+        assert sum(" -- " not in line for line in out[1:-1]) == vertices
+        assert sum(" -- " in line for line in out) == vertices - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tree", "--q", "5", "neighbors", "--vertex", "0;0"),
+        ("descartes", "--q", "5", "sweep"),
+        ("kummer", "--q", "5", "map", "--u", "s"),
+        ("act", "--q", "3", "--M", "T", "--u", "T", "--prec", "5"),
+        ("soddy", "--q", "4", "--ks", "1,1,1,1"),
+        ("torsion-padic", "--P", "T", "--seed", "1"),
+    ],
+    ids=["tree-parent-q", "descartes-parent-q", "kummer-parent-q", "act-prec", "soddy-q", "torsion-padic-seed"],
+)
+def test_an_option_the_command_does_not_read_is_usage_error(capsys, argv):
+    # each was accepted and dropped: tree --q 5 printed the 4 neighbours of q = 3
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
 
 def test_malformed_series_is_domain_error(capsys):
     # "s^-1" is no term in T: a syntax error of the grammar, as "--M T^x" is

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import field
+from carlitz import geometry as geometry_module
 from carlitz.errors import DomainError
 from carlitz.geometry import (
     MAX_GALOIS_ORDER,
@@ -380,6 +381,33 @@ def test_geodesic_ray_refuses_negative_steps():
     for f in (Fraction.infinity(gf), Fraction.zero(gf)):
         with pytest.raises(DomainError):
             geodesic_ray(f, -1)
+
+
+def test_geodesic_ray_digit_cap(monkeypatch):
+    # the cap counts the class digits the vertices hold, exactly: a ray of
+    # that many is built, and one more than the cap is refused
+    gf = field(3)
+    for f, steps in [(frac("1", "T+1", gf), 12), (frac("T^3+1", "T^2+2", gf), 9), (frac("T^2", "1", gf), 5)]:
+        total = sum(len(v.cls) for v in geodesic_ray(f, steps))
+        monkeypatch.setattr(geometry_module, "MAX_RAY_DIGITS", total)
+        assert len(geodesic_ray(f, steps)) == steps + 1
+        monkeypatch.setattr(geometry_module, "MAX_RAY_DIGITS", total - 1)
+        with pytest.raises(DomainError, match=f"a ray of {total} class digits"):
+            geodesic_ray(f, steps)
+    monkeypatch.undo()
+
+    # 1/(T+1) has a digit at every exponent, 2999 * 3000 / 2 in the vertices
+    # of 3000 steps (`ray` took about 5 s and 400 MB): refused before any vertex
+    def unreachable(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(geometry_module, "TreeVertex", unreachable)
+    with pytest.raises(DomainError, match="a ray of 4498500 class digits is above the supported maximum 2\\^22"):
+        geodesic_ray(frac("1", "T+1", gf), 3000)
+    monkeypatch.undo()
+    # 1/T has one digit, so each vertex holds at most one at any length
+    ray = geodesic_ray(frac("1", "T", gf), 20000)
+    assert len(ray) == 20001 and ray[-1].cls == ((1, 1),)
 
 
 def geodesic_ray_stepwise(f: RatFn, steps: int):

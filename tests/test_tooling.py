@@ -1,9 +1,11 @@
 """The runtime imports nothing outside the standard library, every module
 imports on its own, the README's library and CLI quick starts run, every
-layer boundary the benchmark traces exists in the library, every certified
-function has a precision-contract row, and the benchmark's workloads
-compute the pinned outputs."""
+CLI subcommand declares only the options it reads, every layer boundary the
+benchmark traces exists in the library, every certified function has a
+precision-contract row, and the benchmark's workloads compute the pinned
+outputs."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -18,7 +20,8 @@ import sys
 
 import pytest
 
-from carlitz.cli import main
+import carlitz.cli
+from carlitz.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "carlitz"
@@ -82,6 +85,52 @@ def test_readme_cli_quick_start_runs(capsys):
     for argv in commands:
         code = main(argv[1:])
         assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"
+
+
+def _args_read(name, functions, seen):
+    """The attributes of args that the cli function name reads, itself or
+    through the cli functions it passes args to (build_gf reads q and
+    modulus, emit and _emit_error read output)."""
+    if name in seen or name not in functions:
+        return set()
+    seen.add(name)
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+                read |= _args_read(node.func.id, functions, seen)
+    return read
+
+
+def _command_parsers(parser, path=()):
+    """(path, parser, its subcommands' action or None) for every parser below
+    the top one."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if path:
+        yield path, parser, sub
+    for name, child in (sub.choices.items() if sub else ()):
+        yield from _command_parsers(child, path + (name,))
+
+
+def test_every_cli_option_is_read():
+    # a leaf declares only options its handler (or main, which reports its
+    # errors) reads, and a parent of nested subcommands declares none: an
+    # option it accepted was dropped before its leaf ran
+    tree = ast.parse(inspect.getsource(carlitz.cli))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    unread = []
+    for path, parser, sub in _command_parsers(build_parser()):
+        declared = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        if sub:
+            unread += [f"{' '.join(path)}: {dest}" for dest in sorted(declared)]
+            continue
+        handler = parser.get_default("fn").__name__
+        read = _args_read(handler, functions, set()) | _args_read("main", functions, set())
+        unread += [f"{' '.join(path)}: {dest}" for dest in sorted(declared - read)]
+    assert len(list(_command_parsers(build_parser()))) == 35
+    assert unread == []
 
 
 def test_readme_library_quick_start_runs(capsys):
