@@ -122,11 +122,11 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
 def period_partial(gf, N: int, prec: int = None):
     """The partial period product: prod over n = 1..N of (1 - [n]/[n+1]).
 
-    Each factor is ([n+1] - [n])/[n+1], so numerator and denominator are
-    multiplied out as polynomials and reduced once at the end.  Returns the
-    exact rational function; with ``prec`` also its Laurent expansion at
-    infinity, as a pair (ratfn, series).  A denominator of T-degree
-    sum_{n=2}^{N+1} q^n above 2^24 is refused before any bracket is built.
+    Since [n+1] - [n] = [1]^(q^n) and each [n] is squarefree with [1] once,
+    the reduced fraction is [1]^(q + ... + q^N - N) over prod_{n=2}^{N+1}
+    [n]/[1], monic with no linear factor.  Returns it; with ``prec`` also its
+    Laurent expansion at infinity, as a pair (ratfn, series).  A denominator
+    of T-degree sum_{n=2}^{N+1} q^n above 2^24 is refused first.
     """
     if N < 1:
         raise DomainError("need at least one factor")
@@ -136,12 +136,12 @@ def period_partial(gf, N: int, prec: int = None):
     if N + 1 >= MAX_FROBENIUS_DEGREE.bit_length() or sum(q**n for n in range(2, N + 2)) > MAX_FROBENIUS_DEGREE:
         raise DomainError(f"the product of {N} factors has T-degree above the supported maximum 2^24")
     T = Poly.T(gf)
-    # [n] = T^(q^n) - T for n = 1..N+1
-    brackets = [Poly.one(gf).shift(q**n) - T for n in range(1, N + 2)]
-    num = den = Poly.one(gf)
-    for b, b_next in zip(brackets, brackets[1:]):
-        num, den = num * (b_next - b), den * b_next
-    acc = RatFn(num, den)
+    num = (T.frobenius() - T) ** (sum(q**n for n in range(1, N + 1)) - N)
+    den = Poly.one(gf)
+    # [n]/[1] = (T^(q^n - 1) - 1)/(T^(q-1) - 1), a geometric sum in T^(q-1)
+    for n in range(2, N + 2):
+        den = den * Poly(gf, (1,) + ((0,) * (q - 2) + (1,)) * ((q**n - q) // (q - 1)))
+    acc = RatFn.reduced(num, den)
     if prec is None:
         return acc
     return acc, InfLaurent.from_ratfn(acc, prec=prec)

@@ -213,6 +213,10 @@ def tree_distance(v1: TreeVertex, v2: TreeVertex) -> int:
 # the most class digits a ray's vertices hold in all: a dense f reaches it
 # near 2900 steps; `ray --steps 4000` on one took about 12.5 s and 700 MB
 MAX_RAY_DIGITS = 2**22
+# the most vertices a ray lists, whatever digits they hold: a ray toward 0 or
+# inf holds none, and `ray --q 3 --f 0 --steps 3000000` took 24.7 s; the
+# largest ray under the cap takes about 2.7 s
+MAX_RAY_VERTICES = 2**19
 
 
 def geodesic_ray(f: RatFn, steps: int):
@@ -224,10 +228,14 @@ def geodesic_ray(f: RatFn, steps: int):
     classes read off the Laurent digits of f; toward infinity it descends
     forever, so there down = -steps.  Each climbing vertex holds every digit
     below its level, so a dense f gives about steps^2/2 digits in all: above
-    2^22 (MAX_RAY_DIGITS) the ray is refused before any vertex is built.
+    2^22 (MAX_RAY_DIGITS) the ray is refused before any vertex is built, and
+    so is one of more than 2^19 vertices (MAX_RAY_VERTICES) before f is
+    expanded.
     """
     if steps < 0:
         raise DomainError(f"a ray has steps >= 0, got {steps}")
+    if steps + 1 > MAX_RAY_VERTICES:
+        raise DomainError(f"a ray of {steps + 1} vertices is above the supported maximum 2^19")
     gf = f.gf
     if f.is_infinity():
         digits, down = {}, -steps

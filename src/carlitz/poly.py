@@ -670,6 +670,18 @@ class RatFn:
         self.den = den.scale(c)
 
     @classmethod
+    def reduced(cls, num: Poly, den: Poly):
+        """num/den for a pair the caller knows to be coprime: no gcd is
+        taken, but den is still made monic, and 1/0 and 0/d come out as from
+        RatFn(num, den)."""
+        if num.is_zero() or den.is_zero():
+            return cls(num, den)  # these take no gcd
+        out = cls.__new__(cls)
+        c = num.gf.inv(den.lc)
+        out.num, out.den = num.scale(c), den.scale(c)
+        return out
+
+    @classmethod
     def from_poly(cls, p: Poly):
         return cls(p, Poly.one(p.gf))
 

@@ -199,11 +199,15 @@ def test_ratfn_point_at_infinity(q):
     one, zero = Poly.one(gf), Poly.zero(gf)
     inf = RatFn.infinity(gf)
     assert inf.is_infinity() and (inf.num, inf.den) == (one, zero)
+    # RatFn.reduced, which trusts a pair to be coprime, takes no gcd on
+    # these either and gives the same points
     for c in range(1, q):
         for num in (Poly.const(gf, c), T.scale(c) + one, T * T.scale(c)):
-            assert RatFn(num, zero) == inf
-    with pytest.raises(DomainError):
-        RatFn(zero, zero)
+            assert RatFn(num, zero) == RatFn.reduced(num, zero) == inf
+        assert RatFn.reduced(zero, T.scale(c)) == RatFn.zero(gf)
+    for make in (RatFn, RatFn.reduced):
+        with pytest.raises(DomainError):
+            make(zero, zero)
     x = RatFn(T + one, T * T)
     assert x + inf == inf and inf + x == inf and inf + T == inf
     assert x / inf == RatFn.zero(gf) and not RatFn.zero(gf).is_infinity()

@@ -410,6 +410,30 @@ def test_geodesic_ray_digit_cap(monkeypatch):
     assert len(ray) == 20001 and ray[-1].cls == ((1, 1),)
 
 
+def test_geodesic_ray_vertex_cap(monkeypatch):
+    # the cap counts the steps + 1 vertices exactly, whatever digits they
+    # hold: a ray of that many is built, and one more is refused
+    gf = field(3)
+    rays = (Fraction.zero(gf), Fraction.infinity(gf), frac("1", "T+1", gf))
+    monkeypatch.setattr(geometry_module, "MAX_RAY_VERTICES", 10)
+    for f in rays:
+        assert len(geodesic_ray(f, 9)) == 10
+        with pytest.raises(DomainError, match="a ray of 11 vertices"):
+            geodesic_ray(f, 10)
+    monkeypatch.undo()
+
+    # toward 0 or inf no vertex holds a digit, and `ray --steps 3000000`
+    # ran 24.7 s: refused before f is expanded or any vertex is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the ray was started")
+
+    monkeypatch.setattr(geometry_module, "TreeVertex", unreachable)
+    monkeypatch.setattr(InfLaurent, "from_ratfn", unreachable)
+    for f in rays:
+        with pytest.raises(DomainError, match="a ray of 3000001 vertices is above the supported maximum 2\\^19"):
+            geodesic_ray(f, 3000000)
+
+
 def geodesic_ray_stepwise(f: RatFn, steps: int):
     """The ray by walking it one vertex at a time, down through parents and
     up through the truncations of f's digits: the oracle for geodesic_ray's

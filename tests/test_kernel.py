@@ -2513,10 +2513,39 @@ def test_dirichlet_descent_matches_scan(args):
     assert dirichlet_outcome(dirichlet_approx, lam, n) == dirichlet_outcome(scan_dirichlet, lam, n)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def period_partial_multiplied(gf, N):
+    """prod_{n=1}^N (1 - [n]/[n+1]) with its numerator and denominator
+    multiplied out and reduced by one gcd: the oracle for period_partial's
+    closed form."""
+    T = Poly.T(gf)
+    # [n] = T^(q^n) - T for n = 1..N+1
+    brackets = [Poly.one(gf).shift(gf.q**n) - T for n in range(1, N + 2)]
+    num = den = Poly.one(gf)
+    for b, b_next in zip(brackets, brackets[1:]):
+        num, den = num * (b_next - b), den * b_next
+    return RatFn(num, den)
+
+
+@pytest.mark.parametrize(
+    "q, N",
+    [(q, N) for q in (2, 3, 4) for N in range(1, 6)]
+    + [(q, N) for q in (5, 7, 8, 9) for N in range(1, 4)]
+    + [(3, 6), (3, 7)],
+)
+def test_period_partial_closed_form_matches_multiplied_out(q, N):
+    gf = FIELDS[q]
+    got, want = period_partial(gf, N), period_partial_multiplied(gf, N)
+    assert (got.num, got.den) == (want.num, want.den) and str(got) == str(want)
+    # the gcd finds nothing to cancel in the closed form's pair, and the
+    # trusted constructor still makes a scaled denominator monic
+    c = gf.q - 1
+    for num, den in [(got.num, got.den), (got.num.scale(c), got.den.scale(c))]:
+        assert RatFn.reduced(num, den) == RatFn(num, den) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_period_partial_matches_chained_factors(q):
-    # one reduction of the multiplied-out product against one gcd-normalised
-    # RatFn product per factor
+    # the closed form against one gcd-normalised RatFn product per factor
     gf = FIELDS[q]
     one = RatFn.from_poly(Poly.one(gf))
     brackets = [Poly.one(gf).shift(q**n) - Poly.T(gf) for n in range(1, 5)]
@@ -2525,6 +2554,22 @@ def test_period_partial_matches_chained_factors(q):
         acc = acc * (one - RatFn(brackets[N - 1], brackets[N]))
         got = period_partial(gf, N)
         assert got == acc and str(got) == str(acc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_period_partial_is_the_truncated_period_product(q):
+    # prod_{i=1}^{N+1} T^(q^i)/[i] = P_N T^(q + ... + q^(N+1)) / [1]^((q^(N+1) - 1)/(q - 1)),
+    # each side reduced by RatFn's gcd
+    gf = FIELDS[q]
+    one, T = Poly.one(gf), Poly.T(gf)
+    bracket = [None] + [one.shift(q**i) - T for i in range(1, 5)]
+    for N in range(1, 4):
+        lhs = RatFn.from_poly(one)
+        for i in range(1, N + 2):
+            lhs = lhs * RatFn(one.shift(q**i), bracket[i])
+        top = sum(q**i for i in range(1, N + 2))
+        rhs = period_partial(gf, N) * RatFn(one.shift(top), bracket[1] ** ((q ** (N + 1) - 1) // (q - 1)))
+        assert lhs == rhs
 
 
 # ---------------------------------------------------------------- F_{p^r} tables
