@@ -119,6 +119,12 @@ def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool =
     return (acc, cert) if with_certificate else acc
 
 
+# period_partial's products run in time about quadratic in the denominator's
+# T-degree, so the cap bounds the time: the slowest call it admits at q <= 9,
+# q = 2 and N = 16, takes about 2 s, where q = 4 and N = 8 took 15 s
+MAX_PERIOD_DEGREE = 2**18
+
+
 def period_partial(gf, N: int, prec: int = None):
     """The partial period product: prod over n = 1..N of (1 - [n]/[n+1]).
 
@@ -126,15 +132,15 @@ def period_partial(gf, N: int, prec: int = None):
     the reduced fraction is [1]^(q + ... + q^N - N) over prod_{n=2}^{N+1}
     [n]/[1], monic with no linear factor.  Returns it; with ``prec`` also its
     Laurent expansion at infinity, as a pair (ratfn, series).  A denominator
-    of T-degree sum_{n=2}^{N+1} q^n above 2^24 is refused first.
+    of T-degree sum_{n=2}^{N+1} q^n above 2^18 is refused first.
     """
     if N < 1:
         raise DomainError("need at least one factor")
     q = gf.q
     # the degree is at least q^(N+1) >= 2^(N+1), so an N past the cap's bit
     # length is refused unpowered
-    if N + 1 >= MAX_FROBENIUS_DEGREE.bit_length() or sum(q**n for n in range(2, N + 2)) > MAX_FROBENIUS_DEGREE:
-        raise DomainError(f"the product of {N} factors has T-degree above the supported maximum 2^24")
+    if N + 1 >= MAX_PERIOD_DEGREE.bit_length() or sum(q**n for n in range(2, N + 2)) > MAX_PERIOD_DEGREE:
+        raise DomainError(f"the product of {N} factors has T-degree above the supported maximum 2^18")
     T = Poly.T(gf)
     num = (T.frobenius() - T) ** (sum(q**n for n in range(1, N + 1)) - N)
     den = Poly.one(gf)

@@ -155,13 +155,8 @@ class GF:
             for b in range(a, q):
                 table[a][b] = table[b][a] = self._from_coords(((polys[a] * polys[b]) % m).coeffs)
         self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        # each row but 0's is a permutation of F_q, so it holds 1 exactly once
+        self._inv_table = [0] + [row.index(1) for row in table[1:]]
         return self._add_table, self._neg_table, self._mul_table
 
     def slot_tables(self):

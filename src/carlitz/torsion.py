@@ -149,26 +149,6 @@ def min_separating_prec(M: Poly) -> int:
     return (M.degree - 1) * (M.gf.q - 1) if M.degree >= 1 else 1
 
 
-def _echelon(gf, rows, width: int) -> list:
-    """The nonzero rows of the reduced row echelon form over F_q of vectors
-    of length ``width``: in order of their leading positions, each led by a
-    1, with every other row zero at it."""
-    rows = [list(r) for r in rows]
-    reduced = []
-    for col in range(width):
-        i = next((i for i, r in enumerate(rows) if r[col]), None)
-        if i is None:
-            continue
-        row = rows.pop(i)
-        row = gf.scale_vec(gf.inv(row[col]), row)
-        for other in rows + reduced:
-            c = other[col]
-            if c:
-                other[col:] = gf.sub_vec(other[col:], gf.scale_vec(c, row[col:]))
-        reduced.append(row)
-    return reduced
-
-
 def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     """All roots of rho_M in V_q, to the given s-adic precision.
 
@@ -180,10 +160,12 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     v(z) = (q-1)d - q > -q, where e is an isometry: e(z' + eps) = e(z') +
     e(eps), and v(e(eps)) = v(eps) < q^n (v(eps) + (q-1)n) = v(eps^(q^n)/D_n),
     n >= 1.  So lam = e(z') is right below work; each rho_T step,
-    x^q - s^(1-q) x, costs q - 1 digits.  The reduced echelon form of the d
-    rows of digits -1 .. prec-1, earliest lead first, lists the points in
-    lexicographic digit order.  A precision above 2^14, or q^d points of more
-    than 2^27 digits in all, is refused before any series work.
+    x^q - s^(1-q) x, costs q - 1 digits and lowers a valuation w >= 0 by
+    exactly q - 1, as qw > w - (q-1).  So the d rows of digits -1 .. prec-1
+    lead at (q-1)(d-1-i) - 1, and back-substitution on these leads gives
+    their reduced echelon form, which lists the points in lexicographic
+    digit order.  A precision above 2^14, or q^d points of more than 2^27
+    digits in all, is refused before any series work.
     """
     if M.is_zero():
         raise DomainError("torsion of the zero polynomial is everything")
@@ -198,6 +180,8 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
             f"precision {prec} cannot separate the roots; need at least {sep}",
             needed=sep,
         )
+    if prec <= -1 and d == 1:  # the one row does not reach its lead s^-1
+        raise PrecisionError(f"found 1 root truncations, expected {q}; increase precision beyond {prec}", needed=sep)
     if d == 0:
         return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
     if prec > MAX_TORSION_PREC:
@@ -215,14 +199,19 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     lams = [carlitz_exp(z, SeriesBudget(term_count=work.bit_length() + 2, precision=work))]
     for _ in range(d - 1):
         lams.append(lams[-1].rho_T())
-    rows = [[x.digit(k) for k in range(-1, prec)] for x in lams]
-    basis = _echelon(gf, rows, prec + 1)
-    if len(basis) != d:
-        raise PrecisionError(
-            f"found {q ** len(basis)} root truncations, expected {q ** d}; "
-            f"increase precision beyond {prec}",
-            needed=max(prec + 1, sep),
-        )
+    # earliest lead first, each row is set to 1 at its lead, and that column
+    # is cleared from the rows already placed
+    basis = []
+    for i, x in enumerate(reversed(lams)):
+        lead = i * (q - 1)
+        row = [x.digit(k) for k in range(-1, prec)]
+        if any(row[:lead]) or not row[lead]:
+            raise CarlitzError(f"rho_T^{d - 1 - i}(e(pi~/M)) does not lead at s^{lead - 1}")
+        row = gf.scale_vec(gf.inv(row[lead]), row)
+        for b in basis:
+            if b[lead]:
+                b[lead:] = gf.sub_vec(b[lead:], gf.scale_vec(b[lead], row[lead:]))
+        basis.append(row)
     # sum_j c_j b_j over (c_1, ..., c_d) in lexicographic order; the first
     # digit where two points differ is c_j at b_j's leading position
     points = [[0] * (prec + 1)]

@@ -27,6 +27,56 @@ def field(q: int) -> GF:
     return _FIELDS[q]
 
 
+def echelon(gf, rows, width: int) -> list:
+    """The nonzero rows of the reduced row echelon form over F_q of vectors
+    of length ``width``: in order of their leading positions, each led by a
+    1, with every other row zero at it."""
+    rows = [list(r) for r in rows]
+    reduced = []
+    for col in range(width):
+        i = next((i for i, r in enumerate(rows) if r[col]), None)
+        if i is None:
+            continue
+        row = rows.pop(i)
+        row = gf.scale_vec(gf.inv(row[col]), row)
+        for other in rows + reduced:
+            c = other[col]
+            if c:
+                other[col:] = gf.sub_vec(other[col:], gf.scale_vec(c, row[col:]))
+        reduced.append(row)
+    return reduced
+
+
+def span(gf, basis, width: int) -> list:
+    """Every F_q-combination sum c_j b_j of an echelon basis, as digit lists:
+    (c_1, ..., c_d) in lexicographic order, the listing order of torsion_vq."""
+    points = [[0] * width]
+    for b in reversed(basis):
+        points += [gf.add_vec(gf.scale_vec(c, b), p) for c in range(1, gf.q) for p in points]
+    return points
+
+
+def det(gf, M):
+    """The determinant over F_q of a square matrix, by Gaussian elimination."""
+    n = len(M)
+    M = [row[:] for row in M]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = gf.neg(det)
+        det = gf.mul(det, M[col][col])
+        inv = gf.inv(M[col][col])
+        for r in range(col + 1, n):
+            if M[r][col]:
+                factor = gf.mul(M[r][col], inv)
+                M[r] = gf.sub_vec(M[r], gf.scale_vec(factor, M[col]))
+    return det
+
+
 def rand_poly(gf, rng, max_deg, nonzero=False, monic=False) -> Poly:
     """A uniformly random polynomial of degree <= max_deg."""
     while True:

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import field, rand_poly, all_polys
+from conftest import all_polys, det, field, rand_poly
 from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import BelowPrecision
 from carlitz.geometry import (
@@ -22,7 +22,6 @@ from carlitz.geometry import (
     random_tangent_family,
     tree_distance,
     tree_neighbors,
-    _det,
 )
 from carlitz.operator import carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx
@@ -512,7 +511,7 @@ def test_criterion_14_normal_basis():
     for q in (3, 4, 5, 7):
         gf = field(q)
         data = normal_basis(gf)
-        if data.det_valuation != 0 or _det(gf, data.change_matrix) == 0:
+        if data.det_valuation != 0 or det(gf, data.change_matrix) == 0:
             ok = False
         mats = galois_embed(gf)
         n = q - 1

@@ -169,15 +169,18 @@ def test_period_partial_types():
 def test_period_partial_size_cap(monkeypatch):
     # the denominator's T-degree sum_{n=2}^{N+1} q^n: 21523356 at q = 3,
     # N = 14 (which ran past 30 s) and 2^25 - 4 at q = 2, N = 23, above
-    # 2^24; N = 30 ran out of memory and N = 10^9 is refused unpowered
-    # nothing of either side is built: no bracket, product, power or q-th power
+    # 2^18; N = 30 ran out of memory and N = 10^9 is refused unpowered.  The
+    # first N past 2^18 at q = 2, 3 and 4 (T-degree 524284, 265716 and
+    # 349520) are refused too: q = 2, N = 17 and q = 4, N = 8 ran 9.0 and
+    # 15.1 s.  Nothing of either side is built: no bracket, product, power
+    # or q-th power
     def unreachable(*args):
         raise AssertionError("a polynomial was built")
 
     for name in ("shift", "__mul__", "__rmul__", "__pow__", "frobenius"):
         monkeypatch.setattr(Poly, name, unreachable)
-    for q, N in [(3, 14), (2, 23), (3, 30), (2, 10**9)]:
-        with pytest.raises(DomainError, match=f"the product of {N} factors has T-degree above the supported maximum 2\\^24"):
+    for q, N in [(3, 14), (2, 23), (3, 30), (2, 10**9), (2, 17), (3, 10), (4, 8)]:
+        with pytest.raises(DomainError, match=f"the product of {N} factors has T-degree above the supported maximum 2\\^18"):
             period_partial(field(q), N)
 
 

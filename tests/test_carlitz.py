@@ -8,10 +8,11 @@ import random
 import pytest
 
 import carlitz
-from conftest import field, rand_poly
+from conftest import echelon, field, rand_poly, span
 from test_kernel import CoefficientOperator, dense_operator
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
+from carlitz.analytic import carlitz_exp
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
 from carlitz.operator import (
@@ -26,7 +27,6 @@ from carlitz.padic import PadicCtx, hensel_lift
 from carlitz.poly import Poly, all_polys, monic_irreducibles, parse_poly
 from carlitz.series import InfLaurent, VqElem, parse_series
 from carlitz.torsion import (
-    _echelon,
     completed_action,
     dirichlet_approx,
     divide_T,
@@ -400,7 +400,53 @@ def test_tower_basis_is_the_echelon_form_of_the_listed_points(q):
             tower = [[x.digit(k) for k in range(-1, prec)] for x in [root] + division_chain(root, n - 1)]
             assert [next(i for i, c in enumerate(r) if c) for r in tower] == [k * (q - 1) for k in range(n)]
             points = [[p.digit(k) for k in range(-1, prec)] for p in torsion_vq(Tn, prec)]
-            assert _echelon(gf, tower, prec + 1) == _echelon(gf, points, prec + 1)
+            assert echelon(gf, tower, prec + 1) == echelon(gf, points, prec + 1)
+
+
+# every order d <= 4 with q^d <= 2^12 points, at six M of degree d each
+LEAD_ORDERS = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in range(1, 5) if q**d <= 2**12]
+
+
+@pytest.mark.parametrize("q, d", LEAD_ORDERS)
+def test_torsion_vq_rows_lead_where_back_substitution_needs(q, d, monkeypatch):
+    # rho_T^i(e(pi~/M)), i < d, leads at (q-1)(d-1-i) - 1, and the points
+    # are the span of the rows' reduced echelon form, in the listing order
+    gf = field(q)
+    lams = []
+
+    def spy(*args):
+        lams.append(carlitz_exp(*args))
+        return lams[-1]
+
+    monkeypatch.setattr(torsion_module, "carlitz_exp", spy)
+    rng = random.Random(10 * q + d)
+    orders = [Poly.one(gf).shift(d)] + [Poly(gf, [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]) for _ in range(5)]
+    for M in orders:
+        sep = min_separating_prec(M)
+        for prec in range(sep, sep + 2 * q + 2):
+            points = torsion_vq(M, prec)
+            x, rows = lams.pop(), []
+            for i in range(d):
+                row = [x.digit(k) for k in range(-1, prec)]
+                lead = (q - 1) * (d - 1 - i)
+                assert not any(row[:lead]) and row[lead], (str(M), prec, i)
+                rows.append(row)
+                x = x.rho_T()
+            # each point's digits at exponents -1 .. prec-1
+            listed = [[0] * (p.v + 1) + list(p.coeffs) + [0] * (prec - p.v - len(p.coeffs)) for p in points]
+            assert listed == span(gf, echelon(gf, rows, prec + 1), prec + 1)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    # a zero at lambda's lead, and a digit below it (s^-1 is rho_T's kernel,
+    # so only lambda's own row moves)
+    [lambda x: x.shifted(1), lambda x: x + VqElem.monomial(x.gf, 1, -1)],
+)
+def test_torsion_vq_refuses_rows_led_elsewhere(defect, monkeypatch):
+    monkeypatch.setattr(torsion_module, "carlitz_exp", lambda *args: defect(carlitz_exp(*args)))
+    with pytest.raises(CarlitzError, match="does not lead at"):
+        torsion_vq(Poly.T(field(3)) ** 2, 4)
 
 
 def test_dirichlet_needs_neither_torsion_vq_nor_rho(monkeypatch):
@@ -409,7 +455,6 @@ def test_dirichlet_needs_neither_torsion_vq_nor_rho(monkeypatch):
 
     monkeypatch.setattr(torsion_module, "torsion_vq", refuse)
     monkeypatch.setattr(operator_module, "carlitz_operator", refuse)
-    monkeypatch.setattr(torsion_module, "_echelon", refuse)
     gf = field(3)
     order, best = dirichlet_approx(parse_series("s^-1 + s", gf, VqElem), 10)
     assert (str(order), str(best)) == ("T^10", "s^-1 + s + O(s^21)")

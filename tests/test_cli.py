@@ -520,13 +520,11 @@ def test_torsion_vq_size_cap(capsys):
 
 
 def test_torsion_vq_matrix_cap(capsys, monkeypatch):
-    # prec 100000 is above the 2^14 cap: refused before the exponential or
-    # any row reduction
+    # prec 100000 is above the 2^14 cap: refused before the exponential
     def refuse(*args):
         raise AssertionError("the series work began")
 
     monkeypatch.setattr(torsion_module, "carlitz_exp", refuse)
-    monkeypatch.setattr(torsion_module, "_echelon", refuse)
     code, _, err = run(capsys, "torsion-vq", "--q", "3", "--M", "T^2", "--prec", "100000")
     assert code == 1 and "precision 100000 is above the supported maximum 2^14" in err
     monkeypatch.undo()
@@ -619,6 +617,22 @@ def test_precision_error_reports_needed(capsys):
     assert code == 1
     obj = json.loads(err)
     assert obj["context"].get("needed_precision", 0) >= 4
+
+
+def test_torsion_vq_linear_below_its_lead(capsys):
+    # the one basis row of a linear M leads at s^-1, which precision -1 does
+    # not reach
+    message = "found 1 root truncations, expected 3; increase precision beyond -1"
+    argv = ("torsion-vq", "--q", "3", "--M", "T+1", "--prec", "-1")
+    assert run(capsys, *argv) == (1, "", f"error[precision]: {message}\n")
+    obj = {"code": "precision", "message": message, "context": {"needed_precision": 0}}
+    assert run(capsys, *argv, "--output", "json") == (1, "", json.dumps(obj) + "\n")
+
+
+def test_normal_basis_q2_json(capsys):
+    # q = 2 takes the general Vandermonde path on the one node zeta^0 = 1
+    out = run_ok(capsys, "normal-basis", "--q", "2", "--output", "json")
+    assert out == '{"conjugates": ["1"], "det_valuation": 0, "matrix": [["1"]], "theta": "1"}\n'
 
 
 @pytest.mark.parametrize(

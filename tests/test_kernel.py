@@ -37,7 +37,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DDF_PLANS, lift_to_linear_prime, planned_product
+from conftest import DDF_PLANS, echelon, lift_to_linear_prime, planned_product, span
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
 from carlitz.analytic import (
@@ -76,7 +76,6 @@ from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import (
     TorsionSetVq,
-    _echelon,
     completed_action,
     dirichlet_approx,
     divide_T,
@@ -1175,12 +1174,9 @@ def kernel_torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     exps = sorted(set().union(*images))
     n = len(exps)
     rows = [[im.get(e, 0) for e in exps] + [int(j == k) for j in range(width)] for k, im in enumerate(images)]
-    basis = [row[n:] for row in _echelon(gf, rows, n + width) if not any(row[:n])]
+    basis = [row[n:] for row in echelon(gf, rows, n + width) if not any(row[:n])]
     assert len(basis) == d
-    points = [[0] * width]
-    for b in reversed(basis):
-        points += [gf.add_vec(gf.scale_vec(c, b), p) for c in range(1, q) for p in points]
-    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in points])
+    return TorsionSetVq(M, prec, [VqElem(gf, -1, p, prec) for p in span(gf, basis, width)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
