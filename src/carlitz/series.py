@@ -37,10 +37,8 @@ def _min_prec(*ps):
 class Series:
     __slots__ = ("gf", "v", "coeffs", "prec")
 
-    #: subclasses set the uniformizer's name, used in messages, and the text
-    #: form's variable with the sign that turns an exponent of the uniformizer
-    #: into an exponent of that variable
-    VAR = "?"
+    #: subclasses set the text form's variable with the sign that turns an
+    #: exponent of the uniformizer into an exponent of that variable
     TEXT = ("?", 1)
 
     def __init__(self, gf: GF, v: int, coeffs, prec=None):
@@ -95,7 +93,7 @@ class Series:
 
     def digit(self, k: int) -> int:
         if self.prec is not None and k >= self.prec:
-            raise BelowPrecision(f"digit at exponent {k} is beyond O({self.VAR}^{self.prec})")
+            raise BelowPrecision(f"digit at {self._power(k)} is beyond O({self._power(self.prec)})")
         i = k - self.v
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -111,7 +109,7 @@ class Series:
         if self.prec is None:
             return INF
         raise BelowPrecision(
-            f"element is indistinguishable from zero below O({self.VAR}^{self.prec})"
+            f"element is indistinguishable from zero below O({self._power(self.prec)})"
         )
 
     def _veff(self):
@@ -266,12 +264,17 @@ class Series:
 
     # -- text form --
 
+    def _power(self, k: int) -> str:
+        """The uniformizer's k-th power in the text form, as in a tail marker."""
+        var, sign = self.TEXT
+        return f"{var}^{sign * k}"
+
     def __str__(self):
         var, sign = self.TEXT
         fmt = self.gf.fmt_elem
         parts = [format_term(fmt(c), var, sign * k) for k, c in self.terms()]
         if self.prec is not None:
-            parts.append(f"O({var}^{sign * self.prec})")
+            parts.append(f"O({self._power(self.prec)})")
         return " + ".join(parts) or "0"
 
     def __repr__(self):
@@ -310,8 +313,7 @@ def parse_series(text: str, gf: GF, cls):
 class InfLaurent(Series):
     """Laurent series at the infinite place of F_q(T), in the uniformizer 1/T."""
 
-    VAR = "u"  # u = 1/T
-    TEXT = ("T", -1)  # the text form writes u^k as T^-k
+    TEXT = ("T", -1)  # the text form writes (1/T)^k as T^-k
 
     @classmethod
     def from_poly(cls, f: Poly):
@@ -342,7 +344,6 @@ class InfLaurent(Series):
 class VqElem(Series):
     """Laurent series in the uniformizer s of V_q, with T = -s^{-(q-1)}."""
 
-    VAR = "s"
     TEXT = ("s", 1)
 
     @classmethod

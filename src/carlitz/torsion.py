@@ -36,13 +36,13 @@ __all__ = [
 ]
 
 
-class TorsionSetPadic:
-    """All q^{deg P} roots of rho_{P-1} in F_q[T]/P^N."""
+class _TorsionSet:
+    """The points of a torsion set in the order they were built; the JSON
+    lists them sorted by their text, after the subclass's header fields."""
 
-    __slots__ = ("ctx", "order", "points")
+    __slots__ = ("order", "points")
 
-    def __init__(self, ctx: PadicCtx, order: Poly, points):
-        self.ctx = ctx
+    def __init__(self, order: Poly, points):
         self.order = order
         self.points = list(points)
 
@@ -51,50 +51,50 @@ class TorsionSetPadic:
 
     def __len__(self):
         return len(self.points)
+
+    def to_json(self) -> str:
+        return json.dumps({**self._header(), "points": sorted(str(x) for x in self.points)})
+
+
+class TorsionSetPadic(_TorsionSet):
+    """All q^{deg P} roots of rho_{P-1} in F_q[T]/P^N."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: PadicCtx, order: Poly, points):
+        self.ctx = ctx
+        super().__init__(order, points)
 
     def __contains__(self, x: PadicElem):
         return x in self.points
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.ctx.gf.q,
-                "P": str(self.ctx.P),
-                "order": str(self.order),
-                "precision": self.ctx.N,
-                "points": sorted(str(x) for x in self.points),
-            }
-        )
+    def _header(self) -> dict:
+        return {
+            "q": self.ctx.gf.q,
+            "P": str(self.ctx.P),
+            "order": str(self.order),
+            "precision": self.ctx.N,
+        }
 
 
-class TorsionSetVq:
+class TorsionSetVq(_TorsionSet):
     """All q^{deg M} roots of rho_M in V_q, as truncated s-series."""
 
-    __slots__ = ("order", "prec", "points")
+    __slots__ = ("prec",)
 
     def __init__(self, order: Poly, prec: int, points):
-        self.order = order
         self.prec = prec
-        self.points = list(points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
+        super().__init__(order, points)
 
     def __contains__(self, x: VqElem):
         return any(x.agrees(p) for p in self.points)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.order.gf.q,
-                "M": str(self.order),
-                "precision": self.prec,
-                "points": sorted(str(x) for x in self.points),
-            }
-        )
+    def _header(self) -> dict:
+        return {
+            "q": self.order.gf.q,
+            "M": str(self.order),
+            "precision": self.prec,
+        }
 
 
 # torsion sets of more points (the size of the largest GF table) are refused
@@ -175,13 +175,11 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     if q**d > MAX_TORSION_POINTS:
         raise DomainError(f"{q}^{d} torsion points are above the supported maximum 2^16")
     sep = min_separating_prec(M)
-    if prec <= sep - 1 and d >= 2:
+    if d >= 1 and prec < sep:
         raise PrecisionError(
             f"precision {prec} cannot separate the roots; need at least {sep}",
             needed=sep,
         )
-    if prec <= -1 and d == 1:  # the one row does not reach its lead s^-1
-        raise PrecisionError(f"found 1 root truncations, expected {q}; increase precision beyond {prec}", needed=sep)
     if d == 0:
         return TorsionSetVq(M, prec, [VqElem.zero(gf, prec)])
     if prec > MAX_TORSION_PREC:

@@ -621,12 +621,28 @@ def test_precision_error_reports_needed(capsys):
 
 def test_torsion_vq_linear_below_its_lead(capsys):
     # the one basis row of a linear M leads at s^-1, which precision -1 does
-    # not reach
-    message = "found 1 root truncations, expected 3; increase precision beyond -1"
+    # not reach: min_separating_prec is 0
+    message = "precision -1 cannot separate the roots; need at least 0"
     argv = ("torsion-vq", "--q", "3", "--M", "T+1", "--prec", "-1")
     assert run(capsys, *argv) == (1, "", f"error[precision]: {message}\n")
     obj = {"code": "precision", "message": message, "context": {"needed_precision": 0}}
     assert run(capsys, *argv, "--output", "json") == (1, "", json.dumps(obj) + "\n")
+
+
+def test_torsion_sweep_counts_distinct_points(capsys, monkeypatch):
+    # a listing of q^(deg P) entries that repeats one point fails its row
+    torsion_padic = torsion_module.torsion_padic
+
+    def repeated(P, N):
+        ts = torsion_padic(P, N)
+        return torsion_module.TorsionSetPadic(ts.ctx, ts.order, [ts.points[1]] * len(ts))
+
+    argv = ("sweep", "--kind", "torsion", "--q", "3", "--max-deg", "1", "--N", "3")
+    assert run(capsys, *argv)[:2] == (0, "T\t3\t3\tTrue\nT+1\t3\t3\tTrue\nT+2\t3\t3\tTrue\n")
+    monkeypatch.setattr(torsion_module, "torsion_padic", repeated)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "T\t1\t3\tFalse\nT+1\t1\t3\tFalse\nT+2\t1\t3\tFalse\n")
+    assert "3 rows violate the law in sweep 'torsion'" in err
 
 
 def test_normal_basis_q2_json(capsys):

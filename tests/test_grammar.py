@@ -7,7 +7,7 @@ from conftest import field
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carlitz.errors import DomainError
+from carlitz.errors import BelowPrecision, DomainError
 from carlitz.operator import XPoly, cyclotomic_poly
 from carlitz.gf import GF
 from carlitz.poly import Poly, parse_int, parse_poly, parse_term, split_terms
@@ -51,6 +51,24 @@ def test_series_text_roundtrip(x):
     y = parse_series(text, x.gf, type(x))
     assert y == x
     assert str(y) == text
+
+
+@pytest.mark.parametrize(
+    "cls, text, k, position, tail",
+    [(InfLaurent, "T + O(T^-3)", 5, "T^-5", "O(T^-3)"), (VqElem, "s^-1 + O(s^3)", 5, "s^5", "O(s^3)")],
+    ids=["infinity", "vq"],
+)
+def test_precision_messages_use_the_text_grammar(cls, text, k, position, tail):
+    # a digit past the precision and a truncated zero's valuation name the
+    # position and the tail marker as the printer writes them
+    x = parse_series(text, field(3), cls)
+    with pytest.raises(BelowPrecision) as err:
+        x.digit(k)
+    assert str(err.value) == f"digit at {position} is beyond {tail}"
+    zero = parse_series(tail, field(3), cls)
+    with pytest.raises(BelowPrecision) as err:
+        zero.valuation()
+    assert str(err.value) == f"element is indistinguishable from zero below {tail}"
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ The precision contract of each certified function is
 tests/test_precision.py."""
 
 import functools
+import json
 import random
 from collections import Counter
 from itertools import product, zip_longest
@@ -75,6 +76,7 @@ from carlitz.reciprocity import _norm, kummer_solve, residue_symbol
 from carlitz.residues import ddf
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec, parse_series
 from carlitz.torsion import (
+    TorsionSetPadic,
     TorsionSetVq,
     completed_action,
     dirichlet_approx,
@@ -1214,14 +1216,14 @@ def test_torsion_vq_matches_per_candidate_search(q, d):
             assert got.to_json() == want.to_json()
             assert [str(x) for x in got] == [str(x) for x in want]
         if d == 1:
-            # min_separating_prec is 0 for d = 1 and no precondition guards
-            # it: below that the truncation cannot hold q roots
+            # min_separating_prec is 0 for d = 1: below that the truncation
+            # cannot hold q roots, and the one rule for every d refuses it
             for prec in (-2, -1):
                 with pytest.raises(PrecisionError) as got:
                     torsion_vq(M, prec)
                 with pytest.raises(PrecisionError) as want:
                     search_torsion_vq(M, prec)
-                assert str(got.value) == str(want.value)
+                assert str(got.value) == f"precision {prec} cannot separate the roots; need at least 0"
                 # the least precision that holds the q roots is 0 = sep
                 needed = got.value.needed
                 assert needed == want.value.needed == sep == 0
@@ -1239,6 +1241,74 @@ def test_torsion_vq_refuses_huge_sets():
     with pytest.raises(DomainError):
         torsion_vq(Poly.one(gf).shift(17), 20)
     assert len(torsion_vq(Poly.one(gf).shift(3), 4)) == 8
+
+
+# (q, P, N, M, prec) -> the two sets' to_json(), key order included, and
+# the position of each point, in iteration order, among the sorted "points"
+TORSION_SET_CONTRACT = {
+    (2, "T^2+T+1", 2, "T^2", 2): (
+        '{"q": 2, "P": "T^2+T+1", "order": "T^2+T", "precision": 2, "points": ["0", "1", "T", "T+1"]}',
+        [0, 1, 2, 3],
+        '{"q": 2, "M": "T^2", "precision": 2, "points": ["1 + s + O(s^2)", "O(s^2)", "s^-1 + 1 + s + O(s^2)", '
+        '"s^-1 + O(s^2)"]}',
+        [1, 0, 3, 2],
+    ),
+    (3, "T^2+1", 2, "T^2+1", 3): (
+        '{"q": 3, "P": "T^2+1", "order": "T^2", "precision": 2, "points": ["0", "2*T^2+2*T+2", "2*T^3+2", '
+        '"2*T^3+2*T^2+2*T+1", "2*T^3+T^2+T", "T^2+T+1", "T^3+1", "T^3+2*T^2+2*T", "T^3+T^2+T+2"]}',
+        [0, 8, 3, 5, 7, 2, 1, 6, 4],
+        '{"q": 3, "M": "T^2+1", "precision": 3, "points": ["2*s + O(s^3)", "2*s^-1 + 2*s + O(s^3)", '
+        '"2*s^-1 + O(s^3)", "2*s^-1 + s + O(s^3)", "O(s^3)", "s + O(s^3)", "s^-1 + 2*s + O(s^3)", '
+        '"s^-1 + O(s^3)", "s^-1 + s + O(s^3)"]}',
+        [4, 5, 0, 7, 8, 6, 2, 3, 1],
+    ),
+    (4, "T+w", 2, "T+w", 1): (
+        '{"q": 4, "P": "T+w", "order": "T+(w+1)", "precision": 2, "points": ["(w+1)*T+w", "0", "T+(w+1)", '
+        '"w*T+1"]}',
+        [1, 2, 3, 0],
+        '{"q": 4, "M": "T+w", "precision": 1, "points": ["(w+1)*s^-1 + O(s^1)", "O(s^1)", "s^-1 + O(s^1)", '
+        '"w*s^-1 + O(s^1)"]}',
+        [1, 2, 3, 0],
+    ),
+    (9, "T+w", 2, "T", 1): (
+        '{"q": 9, "P": "T+w", "order": "T+(w+2)", "precision": 2, "points": ["(2*w+1)*T+2", "(2*w+2)*T+w", '
+        '"(w+1)*T+2*w", "(w+2)*T+1", "0", "2*T+(2*w+2)", "2*w*T+(2*w+1)", "T+(w+1)", "w*T+(w+2)"]}',
+        [4, 7, 5, 8, 2, 3, 6, 0, 1],
+        '{"q": 9, "M": "T", "precision": 1, "points": ["(2*w+1)*s^-1 + O(s^1)", "(2*w+2)*s^-1 + O(s^1)", '
+        '"(w+1)*s^-1 + O(s^1)", "(w+2)*s^-1 + O(s^1)", "2*s^-1 + O(s^1)", "2*w*s^-1 + O(s^1)", "O(s^1)", '
+        '"s^-1 + O(s^1)", "w*s^-1 + O(s^1)"]}',
+        [6, 7, 4, 8, 2, 3, 5, 0, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TORSION_SET_CONTRACT))
+def test_torsion_sets_keep_their_contract(key):
+    # what a caller of either set relies on, byte for byte: the JSON, the
+    # iteration order and length, membership, and a rebuild from a point list
+    q, P, N, M, prec = key
+    gf = FIELDS[q]
+    P = parse_poly(P, gf)
+    padic, vq = torsion_padic(P, N), torsion_vq(parse_poly(M, gf), prec)
+    padic_json, padic_order, vq_json, vq_order = TORSION_SET_CONTRACT[key]
+    # a point plus P^(N-1) lies over the same residue class, whose one root it
+    # is not; a point plus s^(prec-1) is no truncation of a root, as prec > sep
+    bumps = [padic.ctx.elem(P ** (N - 1)), VqElem.monomial(gf, 1, prec - 1, prec)]
+    for ts, want, order, bump in ((padic, padic_json, padic_order, bumps[0]), (vq, vq_json, vq_order, bumps[1])):
+        assert ts.to_json() == want
+        points = json.loads(want)["points"]
+        assert [points.index(str(x)) for x in ts] == order
+        assert len(ts) == len(order) == q ** ts.order.degree
+        assert all(x in ts for x in ts)
+        assert ts.points[1] + bump not in ts
+    rebuilt = TorsionSetPadic(padic.ctx, padic.order, list(padic.points))
+    assert isinstance(rebuilt, TorsionSetPadic) and not isinstance(rebuilt, TorsionSetVq)
+    assert (rebuilt.ctx, rebuilt.order, rebuilt.points) == (padic.ctx, padic.order, padic.points)
+    assert rebuilt.to_json() == padic_json
+    rebuilt = TorsionSetVq(vq.order, vq.prec, list(vq.points))
+    assert isinstance(rebuilt, TorsionSetVq) and not isinstance(rebuilt, TorsionSetPadic)
+    assert (rebuilt.order, rebuilt.prec, [str(x) for x in rebuilt]) == (vq.order, prec, [str(x) for x in vq])
+    assert rebuilt.to_json() == vq_json
 
 
 # ---------------------------------------------------------------- x-polynomials
