@@ -204,12 +204,14 @@ class AdditivePoly:
     def scale(self, a: int):
         return AdditivePoly(self.gf, [c.scale(a) for c in self.coeffs])
 
-    def rho_T(self):
-        """f^q + T*f.  In characteristic p, (c_j x^(q^j))^q = c_j^q x^(q^(j+1)),
-        so the coefficients become c'_j = c_(j-1)^q + T*c_j."""
+    def rho_T(self, a: int = 0, w=None):
+        """f^q + T*f, plus a*w for a in F_q.  In characteristic p,
+        (c_j x^(q^j))^q = c_j^q x^(q^(j+1)), so the coefficients become
+        c'_j = c_(j-1)^q + T*c_j."""
         c = self.coeffs
         up = [f.frobenius() for f in c]
-        return AdditivePoly(self.gf, [c[0].shift(1)] + [a + f.shift(1) for a, f in zip(up, c[1:])] + up[-1:])
+        v = AdditivePoly(self.gf, [c[0].shift(1)] + [b + f.shift(1) for b, f in zip(up, c[1:])] + up[-1:])
+        return v + w.scale(a) if a else v
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -239,14 +241,13 @@ def carlitz_act(M: Poly, u):
 
     rho_M = sum a_k rho_T^k, so Horner's rule in rho_T gives
     v <- rho_T(v) + a_k u = v^q + T v + a_k u from k = deg M down to 0.
-    Each ring's ``rho_T`` takes one step without a ring product; in
-    AdditivePoly, from u = x, the loop builds rho_M(x) itself.
+    Each ring's ``rho_T(a, u)`` takes one whole step without a ring product
+    (in F_q[T]/P^N, one Barrett pass); in AdditivePoly, from u = x, the loop
+    builds rho_M(x) itself.
     """
     v = u.from_poly(Poly.zero(M.gf))
     for a in reversed(M.coeffs):
-        v = v.rho_T()
-        if a:
-            v = v + u.scale(a)
+        v = v.rho_T(a, u)
     return v
 
 

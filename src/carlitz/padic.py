@@ -114,9 +114,12 @@ class PadicElem:
         """The q-th power: the Frobenius image of the rep, reduced once."""
         return self.ctx.elem(self.rep.frobenius())
 
-    def rho_T(self) -> "PadicElem":
-        """The Carlitz step u^q + T*u, reduced once."""
-        return self.ctx.elem(self.rep.rho_T())
+    def rho_T(self, a: int = 0, w: "PadicElem" = None) -> "PadicElem":
+        """The Carlitz step u^q + T*u, plus a*w for a in F_q, in one Barrett
+        pass (Modulus.rho_T)."""
+        if a:
+            self._check(w)
+        return PadicElem(self.ctx, self.ctx._reducer.rho_T(self.rep, a, w.rep if a else None))
 
     def __pow__(self, e: int):
         if e < 0:

@@ -34,6 +34,15 @@ def check_frobenius_degree(degree: int) -> None:
         )
 
 
+def spread(coeffs, q: int) -> list:
+    """The digits of c(T^q) from the digits c: c_i moves to i*q, zeros
+    between.  A degree above the cap is refused before the list is built."""
+    check_frobenius_degree(q * (len(coeffs) - 1))
+    out = [0] * (q * len(coeffs) - q + 1) if coeffs else []
+    out[::q] = coeffs
+    return out
+
+
 class Poly:
     __slots__ = ("gf", "coeffs")
 
@@ -171,15 +180,13 @@ class Poly:
 
     def frobenius(self):
         """The q-th power: coefficients fixed, T-exponents multiplied by q."""
-        q = self.gf.q
-        check_frobenius_degree(q * self.degree)
-        out = [0] * (q * self.degree + 1) if self.coeffs else []
-        out[::q] = self.coeffs
-        return Poly(self.gf, out)
+        return Poly(self.gf, spread(self.coeffs, self.gf.q))
 
-    def rho_T(self):
-        """The Carlitz step u^q + T*u."""
-        return self.frobenius() + self.shift(1)
+    def rho_T(self, a: int = 0, w=None):
+        """The Carlitz step u^q + T*u, plus a*w for a in F_q (Horner's term
+        in carlitz_act)."""
+        v = self.frobenius() + self.shift(1)
+        return v + w.scale(a) if a else v
 
     def shift(self, k: int):
         """Multiply by T^k."""
@@ -445,11 +452,13 @@ class Modulus:
 
     For a of degree n - 1 + m, n = deg f, the quotient a // f has m digits.
     Reversed, they are the first m digits of rev(a) / rev(f), so they are
-    rev(a)'s first m digits times 1/rev(f) mod x^m.  The remainder is then
-    a - quotient * f mod x^n, which only needs f's low n digits.  The
-    reciprocal is the quotient x^(n-1+m) // f read backwards, one packed
-    division, built on the first reduction that needs it and rebuilt longer
-    when a longer quotient is asked for; shorter ones read its first digits.
+    rev(a)'s first m digits times 1/rev(f) mod x^m.  Read forwards, they
+    are digits m-1 .. 2m-2 of a's top m digits times R, the first m digits
+    of 1/rev(f) backwards, so the top digits are one shift of packed a.  The
+    remainder is then a - quotient * f mod x^n, which only needs f's low n
+    digits.  R is the top m digits of the quotient x^(n-1+M) // f, M >= m:
+    one packed division, built on the first reduction that needs it and
+    rebuilt longer when a longer quotient is asked for.
     """
 
     __slots__ = ("f", "_recip", "_packed")
@@ -459,13 +468,13 @@ class Modulus:
             raise DomainError("polynomial division by zero")
         self.f = f
         self._recip = ()
-        # slot bytes k -> (packed -f_low, packed reciprocal)
+        # slot bytes k -> (packed -f_low, packed x^(n-1+M) // f)
         self._packed = {}
 
     def _operands(self, m: int, k: int):
         if m > len(self._recip):
             n = self.f.degree
-            self._recip = (Poly.one(self.f.gf).shift(n - 1 + m) // self.f).coeffs[::-1]
+            self._recip = (Poly.one(self.f.gf).shift(n - 1 + m) // self.f).coeffs
             self._packed = {}
         if k not in self._packed:
             gf = self.f.gf
@@ -473,27 +482,53 @@ class Modulus:
             self._packed[k] = (_pack(gf, neg_low, k), _pack(gf, self._recip, k))
         return self._packed[k]
 
+    def _barrett(self, pack, m: int, low: int) -> Poly:
+        """The remainder mod f of the polynomial that ``pack(k)`` packs in
+        k-byte slots, with m >= 0 reduced digits above T^(n-1) and low n
+        slots of at most ``low``: the one Barrett pass of reduce and rho_T."""
+        gf, n = self.f.gf, self.f.degree
+        # the most one slot of a product of two reduced digits can hold
+        e = gf.r * (gf.p - 1) ** 2
+        k = _slot_bytes(max(m * e, low + min(m, n) * e))
+        bits = (2 * gf.r - 1) * 8 * k
+        x = pack(k)
+        if m:
+            neg_low, recip = self._operands(m, k)
+            top = (x >> n * bits) * (recip >> (len(self._recip) - m) * bits)
+            quo = _unpack(gf, (top >> (m - 1) * bits) & ((1 << m * bits) - 1), m, k)
+            x += _pack(gf, quo, k) * neg_low
+        return Poly(gf, _unpack(gf, x & ((1 << n * bits) - 1), n, k))
+
     def reduce(self, a: Poly) -> Poly:
         """a mod f."""
         a = self.f._coerce(a)
         gf, n = a.gf, self.f.degree
-        m = len(a.coeffs) - n
-        if m <= 0:
+        if len(a.coeffs) <= n:
             return a
         if n == 0:
             return Poly.zero(gf)
+        return self._barrett(lambda k: _pack(gf, a.coeffs, k), len(a.coeffs) - n, gf.p - 1)
+
+    def rho_T(self, h: Poly, a: int = 0, w: Poly = None) -> Poly:
+        """(h^q + T*h + a*w) mod f for h and w reduced mod f, deg f >= 1, and
+        a in F_q, in one Barrett pass: the spread h(T^q), T*h and a*w are
+        summed packed, with T*h's digit at T^n added to the spread's."""
+        gf, n = self.f.gf, self.f.degree
         p, r = gf.p, gf.r
-        group = (2 * r - 1) * 8
-        # the reversed quotient: the low m groups of top * reciprocal
-        k = _slot_bytes(m * r * (p - 1) ** 2)
-        recip = self._operands(m, k)[1]
-        top = _pack(gf, a.coeffs[: n - 1 : -1], k)
-        mask = (1 << (m * group * k)) - 1
-        quo = _unpack(gf, (top * (recip & mask)) & mask, m, k)
-        # a's low n digits plus quotient * (-f_low), in the low n groups
-        k = _slot_bytes(p - 1 + min(m, n) * r * (p - 1) ** 2)
-        rem = _pack(gf, a.coeffs[:n], k) + _pack(gf, quo[::-1], k) * self._operands(m, k)[0]
-        return Poly(gf, _unpack(gf, rem & ((1 << (n * group * k)) - 1), n, k))
+        s, t = spread(h.coeffs, gf.q), h.coeffs
+        if len(t) == n:
+            # T*h's digit at T^n joins the spread's, so the top stays reduced
+            s += [0] * (n + 1 - len(s))
+            s[n] = gf.add(s[n], t[-1])
+            t = t[:-1]
+
+        def pack(k):
+            x = _pack(gf, s, k) + (_pack(gf, t, k) << (2 * r - 1) * 8 * k)
+            if a:
+                x += (a if r == 1 else gf.packed_groups(k)[a]) * _pack(gf, w.coeffs, k)
+            return x
+
+        return self._barrett(pack, max(len(s) - n, 0), 2 * (p - 1) + r * (p - 1) ** 2)
 
     def frobenius(self, h: Poly) -> Poly:
         """h^q mod f for h reduced mod f."""

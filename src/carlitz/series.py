@@ -21,7 +21,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, check_frobenius_degree, format_term, parse_int, parse_term, split_terms, square_multiply
+from .poly import Poly, format_term, parse_int, parse_term, split_terms, spread, square_multiply
 
 INF = math.inf
 
@@ -178,11 +178,8 @@ class Series:
     def frobenius(self):
         """The q-th power: exponents scale by q, F_q digits are fixed."""
         q = self.gf.q
-        check_frobenius_degree(q * (len(self.coeffs) - 1))
-        out = [0] * (q * len(self.coeffs) - q + 1) if self.coeffs else []
-        out[::q] = self.coeffs
         prec = None if self.prec is None else q * self.prec
-        return self._new(q * self.v, out, prec)
+        return self._new(q * self.v, spread(self.coeffs, q), prec)
 
     def inverse(self, prec=None):
         """Multiplicative inverse, by one division of reversed polynomials.
@@ -336,9 +333,11 @@ class InfLaurent(Series):
             return num * den.inverse()
         return num * den.inverse(prec=max(prec - num.v, 1 - den.v))
 
-    def rho_T(self):
-        """The Carlitz step u^q + T*u; T = u^-1 is a shift."""
-        return self.frobenius() + self.shifted(-1)
+    def rho_T(self, a: int = 0, w=None):
+        """The Carlitz step u^q + T*u, plus a*w for a in F_q; T = u^-1 is a
+        shift."""
+        v = self.frobenius() + self.shifted(-1)
+        return v + w.scale(a) if a else v
 
 
 class VqElem(Series):
@@ -362,9 +361,11 @@ class VqElem(Series):
     def from_poly(cls, f: Poly) -> "VqElem":
         return cls.from_inf(InfLaurent.from_poly(f))
 
-    def rho_T(self):
-        """The Carlitz step u^q + T*u; T = -s^(1-q) is a shift and a sign."""
-        return self.frobenius() - self.shifted(1 - self.gf.q)
+    def rho_T(self, a: int = 0, w=None):
+        """The Carlitz step u^q + T*u, plus a*w for a in F_q; T = -s^(1-q) is
+        a shift and a sign."""
+        v = self.frobenius() - self.shifted(1 - self.gf.q)
+        return v + w.scale(a) if a else v
 
     def to_inf(self) -> InfLaurent:
         """Inverse of the embedding; requires support on exponents = 0 mod (q-1)."""

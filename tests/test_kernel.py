@@ -31,6 +31,7 @@ tests/test_precision.py."""
 import functools
 import json
 import random
+import re
 from collections import Counter
 from itertools import product, zip_longest
 
@@ -1968,37 +1969,133 @@ def test_carlitz_act_matches_operator(args):
 
 @st.composite
 def step_args(draw):
-    """An element of one of the four rings over q in X_FIELDS: a Poly or a
-    P-adic element, zero included, or an exact or truncated series."""
+    """(x, a, w): x and w in one of the four rings over q in X_FIELDS, a
+    Poly or a P-adic element (one context), zero included, or an exact or
+    truncated series of one class; a in F_q, zero included."""
     gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
     digits = st.lists(st.integers(0, gf.q - 1), max_size=12)
+    a = draw(st.integers(0, gf.q - 1))
     ring = draw(st.sampled_from(["poly", "padic", "inf", "vq"]))
     if ring == "poly":
-        return Poly(gf, draw(digits))
+        return Poly(gf, draw(digits)), a, Poly(gf, draw(digits))
     if ring == "padic":
         ctx = PadicCtx(draw(moduli(gf)), draw(st.integers(1, 4)))
-        return ctx.elem(Poly(gf, draw(digits)))
-    return draw(series(gf, InfLaurent if ring == "inf" else VqElem, max_len=12))
+        return ctx.elem(Poly(gf, draw(digits))), a, ctx.elem(Poly(gf, draw(digits)))
+    cls = InfLaurent if ring == "inf" else VqElem
+    return draw(series(gf, cls, max_len=12)), a, draw(series(gf, cls, max_len=12))
+
+
+def _padic_step(q, P, N, seed):
+    """(x, a, w) in F_q[T]/P^N with x and w of full degree deg P^N - 1, so
+    the step has a digit at T^(deg P^N) from T*x as well as the spread's."""
+    gf = FIELDS[q]
+    ctx = PadicCtx(Poly(gf, P), N)
+    n = ctx.modulus.degree
+    return ctx.elem(_rand(gf, n, seed)), q - 1, ctx.elem(_rand(gf, n, seed + 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(step_args())
-@example(InfLaurent(FIELDS[3], 0, [], None))  # exact zero
-@example(VqElem(FIELDS[4], 0, [], None))
-@example(InfLaurent(FIELDS[5], 2, [], 2))  # truncated zero
-@example(VqElem(FIELDS[9], -1, [], 3))
-@example(VqElem(FIELDS[2], -2, [1, 0, 1], 4))  # q = 2: T = s^-1
-@example(VqElem(FIELDS[3], -3, [2, 1], None))  # exact
-@example(Poly(FIELDS[2], []))
-@example(PadicCtx(Poly(FIELDS[9], [3, 1, 0, 1]), 4).zero())
-@example(PadicCtx(Poly(FIELDS[3], [1, 1]), 1).elem(Poly(FIELDS[3], [2])))  # deg P^N = 1
-def test_rho_T_matches_frobenius_plus_T_times(x):
+@example((InfLaurent(FIELDS[3], 0, [], None), 2, InfLaurent(FIELDS[3], -1, [1, 2], 3)))  # exact zero
+@example((VqElem(FIELDS[4], 0, [], None), 3, VqElem(FIELDS[4], 0, [], None)))
+@example((InfLaurent(FIELDS[5], 2, [], 2), 1, InfLaurent(FIELDS[5], 0, [4], None)))  # truncated zero
+@example((VqElem(FIELDS[9], -1, [], 3), 0, VqElem(FIELDS[9], -12, [1], -10)))  # a = 0 keeps x's precision
+@example((VqElem(FIELDS[2], -2, [1, 0, 1], 4), 1, VqElem(FIELDS[2], -1, [1], 0)))  # q = 2: T = s^-1
+@example((VqElem(FIELDS[3], -3, [2, 1], None), 1, VqElem(FIELDS[3], 0, [1, 1], None)))  # exact
+@example((Poly(FIELDS[2], []), 1, Poly(FIELDS[2], [1, 1])))
+@example((PadicCtx(Poly(FIELDS[9], [3, 1, 0, 1]), 4).zero(), 5, PadicCtx(Poly(FIELDS[9], [3, 1, 0, 1]), 4).one()))
+@example((PadicCtx(Poly(FIELDS[3], [1, 1]), 1).elem(Poly(FIELDS[3], [2])), 2, PadicCtx(Poly(FIELDS[3], [1, 1]), 1).one()))  # deg P^N = 1
+# 2-byte Barrett slots: q = 5 at deg P^N = 32, q = 3 at deg P^N = 96
+@example(_padic_step(5, [1, 1], 32, 1))
+@example(_padic_step(3, [1, 0, 1], 48, 2))
+@example(_padic_step(4, [2, 1, 1], 5, 3))  # extension fields
+@example(_padic_step(9, [5, 0, 1], 7, 4))
+# a q-th power of degree above 2^24 is refused, as by Poly.frobenius
+@example((PadicCtx(Poly(GF(2**32 + 15), [0, 1]), 3).elem(Poly(GF(2**32 + 15), [0, 1])), 1,
+          PadicCtx(Poly(GF(2**32 + 15), [0, 1]), 3).one()))
+def test_rho_T_matches_frobenius_plus_T_times(args):
+    x, a, w = args
     gf = x.ctx.gf if isinstance(x, PadicElem) else x.gf
-    step = x.rho_T()
-    oracle = x.frobenius() + x.from_poly(Poly.T(gf)) * x
-    assert type(step) is type(oracle)
-    assert str(step) == str(oracle)
-    assert getattr(step, "prec", None) == getattr(oracle, "prec", None)
+    try:
+        oracle = x.frobenius() + x.from_poly(Poly.T(gf)) * x
+    except DomainError as refusal:
+        for step in (lambda: x.rho_T(), lambda: x.rho_T(a, w)):
+            with pytest.raises(DomainError, match=re.escape(str(refusal))):
+                step()
+        return
+    steps = [(x.rho_T(), oracle), (x.rho_T(a, w), oracle + w.scale(a) if a else oracle)]
+    for step, want in steps:
+        assert type(step) is type(want)
+        assert str(step) == str(want)
+        assert getattr(step, "prec", None) == getattr(want, "prec", None)
+
+
+def test_steps_refuse_mixed_operands():
+    # M over F_9 acting on u over F_3, in each of the five rings
+    g9, g3 = FIELDS[9], FIELDS[3]
+    u = Poly(g3, [1, 2])
+    ctx = PadicCtx(Poly(g3, [1, 1]), 3)
+    for v in (u, ctx.elem(u), InfLaurent(g3, -1, [1, 2], 4), VqElem(g3, -1, [1, 2], 4), AdditivePoly(g3, [Poly.one(g3)])):
+        for M in (Poly(g9, [1]), Poly(g9, [4, 1])):
+            with pytest.raises(DomainError, match="mixed coefficient fields"):
+                carlitz_act(M, v)
+    # the P-adic step adds a*w without PadicElem.__add__, so it checks w's
+    # completion itself: another prime, another precision, another field
+    x = ctx.elem(u)
+    for other in (PadicCtx(Poly(g3, [2, 1]), 3), PadicCtx(Poly(g3, [1, 1]), 4), PadicCtx(Poly(g9, [1, 1]), 3)):
+        with pytest.raises(DomainError, match="operands live in different completions"):
+            x.rho_T(1, other.one())
+    with pytest.raises(DomainError, match="operands live in different completions"):
+        x.rho_T(2, u)
+
+
+# the module axioms run on q in AXIOM_FIELDS; on a polynomial or series u,
+# q^(deg M + deg N) stays at most AXIOM_MAX_SIZE, as in act_args
+AXIOM_FIELDS = [2, 3, 4, 5, 7, 8, 9]
+AXIOM_MAX_SIZE = 729
+
+
+@st.composite
+def axiom_args(draw):
+    """(M, N, c, u): M and N with q^(deg M + deg N) <= AXIOM_MAX_SIZE, zero
+    included, c in F_q, and u a Poly, a P-adic element (deg P <= 3,
+    N <= 32) or an exact or truncated series, zero included."""
+    q = draw(st.sampled_from(AXIOM_FIELDS))
+    gf = FIELDS[q]
+    elem = st.integers(0, q - 1)
+    ring = draw(st.sampled_from(["poly", "padic", "inf", "vq"]))
+    # in F_q[T]/P^N the cost is linear in deg M, so deg M + deg N runs to 12
+    top = 12 if ring == "padic" else max(d for d in range(10) if q**d <= AXIOM_MAX_SIZE)
+    dM = draw(st.integers(-1, top // 2))
+    dN = draw(st.integers(-1, top - max(dM, 0)))
+    M, N = (Poly(gf, draw(st.lists(elem, min_size=d + 1, max_size=d + 1))) for d in (dM, dN))
+    if ring == "poly":
+        u = Poly(gf, draw(st.lists(elem, max_size=4)))
+    elif ring == "padic":
+        ctx = PadicCtx(draw(moduli(gf)), draw(st.integers(1, 32)))
+        u = ctx.elem(Poly(gf, draw(st.lists(elem, max_size=ctx.modulus.degree))))
+    else:
+        u = draw(series(gf, InfLaurent if ring == "inf" else VqElem, max_len=6))
+    return M, N, draw(elem), u
+
+
+def _same(x, y):
+    """Equal in F_q[T] and F_q[T]/P^N; digitwise equal wherever both
+    certify a digit for series."""
+    return x.agrees(y) if isinstance(x, Series) else x == y
+
+
+@settings(max_examples=150, deadline=None)
+@given(axiom_args())
+# 2-byte Barrett slots in F_8[T]/P^32 (r = 3, deg P^N = 96) and F_7[T]/P^32
+@example((Poly(FIELDS[8], [1, 5, 1]), Poly(FIELDS[8], [3, 1]), 6, PadicCtx(Poly(FIELDS[8], [2, 1, 0, 1]), 32).elem(_rand(FIELDS[8], 96, 5))))
+@example((Poly(FIELDS[7], [2, 1]), Poly(FIELDS[7], [0, 3]), 4, PadicCtx(Poly(FIELDS[7], [3, 1]), 32).elem(_rand(FIELDS[7], 32, 6))))
+def test_module_axioms(args):
+    # rho_(M+N) = rho_M + rho_N, rho_(MN) = rho_M rho_N, rho_c = c in every ring
+    M, N, c, u = args
+    assert _same(carlitz_act(M + N, u), carlitz_act(M, u) + carlitz_act(N, u))
+    assert _same(carlitz_act(M * N, u), carlitz_act(M, carlitz_act(N, u)))
+    assert _same(carlitz_act(Poly.const(M.gf, c), u), u.scale(c))
 
 
 def tstep_operator(M: Poly) -> list:
@@ -2116,6 +2213,45 @@ def test_modulus_frobenius_matches_pow_mod(args):
     f, h = args
     assert Modulus(f).frobenius(h) == pow_mod(h, f.gf.q, f)
     assert is_irreducible(f) == rabin_pow_mod(f)
+
+
+@st.composite
+def step_mod_args(draw):
+    """(f, h, a, w): f of degree 1-30, monic or not, h and w reduced mod f,
+    a in F_q; each of h and w may have every coefficient q - 1, the largest
+    slot sums."""
+    gf = FIELDS[draw(st.sampled_from(FROB_FIELDS))]
+    q, n = gf.q, draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [draw(st.integers(1, q - 1))])
+    h, w = (Poly(gf, [q - 1] * n if draw(st.booleans()) else [rng.randrange(q) for _ in range(draw(st.integers(0, n)))]) for _ in range(2))
+    return f, h, draw(st.integers(0, q - 1)), w
+
+
+def _step_mod_args(q, n, seed):
+    """f of degree n, h and w with every coefficient q - 1, a = q - 1."""
+    gf = FIELDS.get(q) or LARGE_FIELDS.get(q) or GF(q)
+    rng = random.Random(seed)
+    full = Poly(gf, [q - 1] * n)
+    return Poly(gf, [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]), full, q - 1, full
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_mod_args())
+# the bound met: over F_2 with f = 1 + T + ... + T^254, this h gives a
+# quotient of 253 ones, so the slot at T^252 sums 253 quotient terms and
+# h_126 (the spread), h_251 (T*h) and w_252 to 256, one past 1-byte slots
+@example((Poly(FIELDS[2], [1] * 255), Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 126), 1, Poly(FIELDS[2], [1] * 254)))
+@example(_step_mod_args(25, 30, 3))  # r = 2
+@example(_step_mod_args(27, 12, 4))  # r = 3
+@example(_step_mod_args(2**40 - 87, 1, 5))  # 16-byte slots; a larger deg f spreads past 2^24
+@example(_step_mod_args(7, 1, 6))  # deg f = 1: T*h alone reaches T^1
+@example((Poly(FIELDS[9], [4, 0, 1]), Poly(FIELDS[9], []), 5, Poly(FIELDS[9], [1, 7])))  # h = 0
+def test_modulus_rho_T_matches_divmod(args):
+    f, h, a, w = args
+    want = (h.frobenius() + h.shift(1) + w.scale(a)) % f
+    assert Modulus(f).rho_T(h, a, w) == want
+    assert Modulus(f).rho_T(h) == (h.frobenius() + h.shift(1)) % f
 
 
 def test_is_irreducible_at_a_large_prime():
