@@ -188,6 +188,11 @@ class Poly:
         v = self.frobenius() + self.shift(1)
         return v + w.scale(a) if a else v
 
+    def derivative(self):
+        """The formal derivative: i*c_i at T^(i-1), with i read mod p."""
+        gf = self.gf
+        return Poly(gf, [gf.mul(i % gf.p, c) for i, c in enumerate(self.coeffs[1:], start=1)])
+
     def shift(self, k: int):
         """Multiply by T^k."""
         if self.is_zero():
@@ -628,52 +633,39 @@ def monic_irreducibles(gf: GF, max_deg: int):
     ]
 
 
-# trial division tries every monic polynomial of a degree; beyond this many
-# (the bound on listed torsion points) the factorization is refused
-MAX_TRIAL_DIVISORS = 2**16
-
-
-def _factor(m: Poly):
-    """Trial-division factorization into monic irreducibles (desk scale).
-
-    Returns a dict {irreducible: multiplicity}; the unit is discarded.  When
-    degree d is tried every factor of lower degree is gone, so a monic
-    divisor of degree d is irreducible.  A degree with more than
-    MAX_TRIAL_DIVISORS monic candidates is refused before it is tried.
-    """
-    if m.is_zero():
-        raise DomainError("cannot factor zero")
-    m = m.monic()
-    q = m.gf.q
-    factors = {}
-    d = 1
+def _squarefree_parts(m: Poly):
+    """Pairs (g, i) of monic squarefree, pairwise coprime g with the monic m
+    the product of the g^i (von zur Gathen-Gerhard, Modern Computer Algebra,
+    14.6).  With c = gcd(m, m'), w = m / c holds the factors of multiplicity
+    prime to p, and step i splits off those of multiplicity i.  Once w is 1,
+    c is a p-th power; its p-th root, the digits at exponents divisible by p
+    each raised to q/p, goes round again.  A squarefree m takes one gcd."""
+    gf = m.gf
+    p, k = gf.p, 1
     while m.degree > 0:
-        if d > m.degree // 2:
-            factors[m] = factors.get(m, 0) + 1
-            break
-        if q**d > MAX_TRIAL_DIVISORS:
-            raise DomainError(
-                f"factoring {m} needs the {q}^{d} monic divisors of degree {d}, "
-                "above the supported maximum 2^16"
-            )
-        for p in all_polys(m.gf, d, monic=True):
-            while (m % p).is_zero():
-                m = m // p
-                factors[p] = factors.get(p, 0) + 1
-        d += 1
-    return factors
+        c = poly_gcd(m, m.derivative())
+        w, i = m // c, 1
+        while w.degree > 0 and c.degree > 0:
+            y = poly_gcd(w, c)
+            if y.degree < w.degree:
+                yield w // y, i * k
+            w, c, i = y, c // y, i + 1
+        if w.degree > 0:
+            yield w, i * k
+        m = Poly(gf, [gf.pow(a, gf.q // p) for a in c.coeffs[::p]])
+        k *= p
 
 
 def euler_phi(m: Poly) -> int:
-    """Order of the unit group (F_q[T]/m)^*."""
+    """Order of the unit group (F_q[T]/m)^*: ((q^e - 1) q^(e(i-1)))^n over
+    the pairs (e, n) of distinct_degrees on each squarefree part g^i of m."""
     if m.is_zero():
         raise DomainError("euler_phi(0) is undefined")
     q = m.gf.q
-    total = 1
-    for p, mult in _factor(m).items():
-        d = p.degree
-        total *= q ** (d * (mult - 1)) * (q**d - 1)
-    return total
+    parts = _squarefree_parts(m.monic())
+    return math.prod(
+        ((q**e - 1) * q ** (e * (i - 1))) ** n for g, i in parts for e, n in distinct_degrees(g)
+    )
 
 
 class RatFn:

@@ -104,11 +104,11 @@ def residue_degree_cyclotomic(P: Poly, A: Poly) -> int:
     """Residue degree of P in the A-division-point extension: the
     multiplicative order of P in (F_q[T]/A)^*.  It divides the group order
     phi(A), so it is phi(A) divided by each prime l of phi(A) while the
-    power of P stays 1."""
+    power of P stays 1, which is 0 mod a constant A."""
     if poly_gcd(P, A).degree != 0:
         raise DomainError(f"{P} is not coprime to {A}")
     base = P % A
-    one = Poly.one(P.gf)
+    one = Poly.one(P.gf) % A
     order = euler_phi(A)
     if pow_mod(base, order, A) != one:
         raise CarlitzError(f"order of {P} mod {A} exceeds the group order {order}")

@@ -88,15 +88,14 @@ def ddf(f, P: Poly):
         f = Poly(gf, [P._coerce(c).evaluate(a) for c in f])
         if f.degree < 1:
             raise DomainError("ddf requires a nonconstant polynomial")
-        fp = Poly(gf, [gf.mul(i % gf.p, c) for i, c in enumerate(f.coeffs[1:], start=1)])
-        if fp.is_zero() or poly_gcd(f, fp).degree > 0:
+        # gcd(f, 0) = f, so a zero derivative is refused too
+        if poly_gcd(f, f.derivative()).degree > 0:
             raise DomainError("ddf input must be squarefree over the residue field")
         return list(distinct_degrees(f))
     f = XPoly(gf, [c % P for c in f])
     if f.deg() < 1:
         raise DomainError("ddf requires a nonconstant polynomial")
-    fp = f.derivative()
-    if fp.is_zero() or _gcd(f, fp, P).deg() > 0:
+    if _gcd(f, f.derivative(), P).deg() > 0:
         raise DomainError("ddf input must be squarefree over the residue field")
     out = []
     x = XPoly(gf, [Poly.zero(gf), Poly.one(gf)])

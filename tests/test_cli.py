@@ -21,7 +21,7 @@ from carlitz import torsion as torsion_module
 from carlitz.cli import SUBCOMMANDS, build_parser, main, parse_fraction
 from carlitz.errors import DomainError
 from carlitz.gf import GF
-from carlitz.poly import Poly, RatFn, monic_irreducibles, prime_divisors
+from carlitz.poly import Poly, RatFn, euler_phi, monic_irreducibles, parse_poly, pow_mod, prime_divisors
 from carlitz.reciprocity import check_reciprocity, residue_symbol
 
 
@@ -116,6 +116,17 @@ def test_split_commands(capsys):
     assert out.strip().endswith("2")
     out = run_ok(capsys, "split-cyclotomic", "--q", "3", "--P", "T", "--A", "T+1")
     assert out.strip().endswith("2")
+
+
+def test_split_cyclotomic_unit_modulus(capsys):
+    # a constant A leaves the trivial unit group: every P has order 1 there,
+    # while A = 0 shares a factor with every nonconstant P
+    for A in ("1", "2"):
+        assert run_ok(capsys, "split-cyclotomic", "--q", "3", "--P", "T", "--A", A) == "1\n"
+        out = run_ok(capsys, "split-cyclotomic", "--q", "3", "--P", "T", "--A", A, "--output", "json")
+        assert json.loads(out) == {"residue_degree": 1}
+    code, _, err = run(capsys, "split-cyclotomic", "--q", "3", "--P", "T", "--A", "0")
+    assert (code, err) == (1, "error[domain]: T is not coprime to 0\n")
 
 
 def test_xi_and_newton(capsys):
@@ -565,16 +576,21 @@ def test_torsion_padic_size_cap(capsys):
     assert "257^2 torsion points are above the supported maximum 2^16" in err
 
 
-def test_trial_division_size_cap(capsys):
-    # the order of (F_q[T]/A)^* factors A by trial division: 1000003 monic
-    # divisors of degree 1 are refused before one is tried, while 10007 of
-    # them, or a linear A that needs no trial, still run
+def test_unit_group_order_needs_no_trial_division(capsys):
+    # the order of (F_q[T]/A)^* comes from A's squarefree parts and their
+    # distinct-degree factorization, so no A is refused for the number of
+    # monic divisors it has: 1000003 of degree 1 and 9^6 of degree 6 were
+    # above the old trial-division cap of 2^16.  T^3 - 1 = (T - 1)(T^2 + T + 1)
     argv = ("split-cyclotomic", "--P", "T", "--A", "T^2+T+1")
-    code, _, err = run(capsys, *argv, "--q", "1000003")
-    assert code == 1 and err.startswith("error[domain]")
-    assert "1000003^1 monic divisors of degree 1, above the supported maximum 2^16" in err
+    assert run_ok(capsys, *argv, "--q", "1000003").strip() == "3"
     assert run_ok(capsys, *argv, "--q", "10007").strip() == "3"
     assert run_ok(capsys, "split-cyclotomic", "--q", "1000003", "--P", "T", "--A", "T+1").strip() == "2"
+    # over F_9, the order f of P mod A of degree 13 divides phi(A), and P^f = 1 mod A
+    gf = GF(3, 2)
+    P, A = parse_poly("T+1", gf), parse_poly("T^13+(2*w+2)*T+(2*w+2)", gf)
+    f = int(run_ok(capsys, "split-cyclotomic", "--q", "9", "--P", str(P), "--A", str(A)))
+    assert euler_phi(A) % f == 0
+    assert pow_mod(P, f, A) == Poly.one(gf)
 
 
 def test_frobenius_size_cap(capsys):

@@ -21,8 +21,9 @@ their coefficient-by-coefficient loops, ddf by q-th powers against
 square-and-multiply by the residue field's order, the q-th power mod f,
 irreducibility, the norm and the residue symbol against pow_mod, the polynomial
 enumeration against the base-q digit loop, euler_phi against a count of
-units, the F_{p^r} modulus and tables against coordinates and schoolbook
-F_p polynomials, Barrett reduction against the division loop, P-adic
+units and against a trial-division factorization, the ring axioms of each
+ring as properties, the F_{p^r} modulus and tables against coordinates and
+schoolbook F_p polynomials, Barrett reduction against the division loop, P-adic
 torsion by Newton on the Horner action against one Hensel lift of the
 coefficient-loop operator per residue class, and at N against N' <= N.
 The precision contract of each certified function is
@@ -30,6 +31,7 @@ tests/test_precision.py."""
 
 import functools
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -60,8 +62,8 @@ from carlitz.poly import (
     Modulus,
     Poly,
     RatFn,
-    _factor,
     _slot_bytes,
+    _squarefree_parts,
     all_polys,
     euler_phi,
     inv_mod,
@@ -197,6 +199,21 @@ def test_all_polys_in_digit_order(q):
         assert list(all_polys(gf, n, monic=True)) == [Poly(gf, c + [1]) for c in vectors]
 
 
+def check_squarefree_parts(m: Poly):
+    """m's squarefree parts rebuild m.monic(), and are squarefree and
+    pairwise coprime."""
+    gf = m.gf
+    parts = list(_squarefree_parts(m.monic()))
+    prod = Poly.one(gf)
+    for g, i in parts:
+        assert g.degree > 0 and g.is_monic() and i > 0, (m, g, i)
+        assert poly_gcd(g, g.derivative()).degree == 0, (m, g)
+        prod = prod * g**i
+    assert prod == m.monic(), m
+    for j, (g, _) in enumerate(parts):
+        assert all(poly_gcd(g, h).degree == 0 for h, _ in parts[j + 1 :]), m
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_euler_phi_counts_units(q):
     # |(F_q[T]/m)^*| by a gcd over every residue, deg m 1-4: all monic m
@@ -216,12 +233,68 @@ def test_euler_phi_counts_units(q):
         for m in ms:
             units = sum(1 for a in residues if not a.is_zero() and poly_gcd(a, m).degree == 0)
             assert euler_phi(m) == units, m
-            factors = _factor(m)
-            assert all(p.is_monic() and is_irreducible(p) for p in factors)
-            prod = one
-            for p, k in factors.items():
-                prod = prod * p**k
-            assert prod == m.monic()
+            check_squarefree_parts(m)
+
+
+def trial_factor(m: Poly) -> dict:
+    """{monic irreducible: multiplicity} of m by trial division by every
+    monic polynomial of each degree d <= deg m / 2, the factorization
+    euler_phi used before squarefree parts: when degree d is tried every
+    factor of lower degree is gone, so a monic divisor of degree d is
+    irreducible."""
+    m = m.monic()
+    factors, d = {}, 1
+    while m.degree > 0:
+        if d > m.degree // 2:
+            factors[m] = factors.get(m, 0) + 1
+            break
+        for p in all_polys(m.gf, d, monic=True):
+            while (m % p).is_zero():
+                m = m // p
+                factors[p] = factors.get(p, 0) + 1
+        d += 1
+    return factors
+
+
+def phi_from_factors(gf, factors: dict) -> int:
+    return math.prod(gf.q ** (p.degree * (k - 1)) * (gf.q**p.degree - 1) for p, k in factors.items())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_euler_phi_matches_trial_division(q):
+    # random non-monic products of deg <= 8, random m of degree 8,
+    # constants, and the p-th power factors T^p, P^(p+1), P^(2p) and
+    # P^(p^2) for P of degree 1, and of degree 2 while the power stays at
+    # degree <= 16, alone and times a random cofactor; the gcd count of
+    # units joins while q^deg m <= 729
+    gf = FIELDS[q]
+    p = gf.p
+    rng = random.Random(100 + q)
+    T = Poly.T(gf)
+    ms = [Poly.const(gf, c) for c in range(1, q)]
+    for _ in range(16):
+        m = Poly.const(gf, rng.randrange(1, q))
+        while True:
+            f = _rand(gf, rng.randint(2, 4), rng.random())
+            if (m * f).degree > 8:
+                break
+            m = m * f
+        ms.append(m)
+    ms += [_rand(gf, 9, rng.random()) for _ in range(4)]
+    P1 = T + Poly.one(gf)
+    P2 = next(f for f in all_monic(gf, 2) if is_irreducible(f))
+    for P in (T, P1, P2):
+        for e in (p, p + 1, 2 * p, p * p):
+            if P.degree == 1 or P.degree * e <= 16:
+                c = Poly.const(gf, rng.randrange(1, q))
+                ms += [(P**e).scale(c.lc), P**e * _rand(gf, 3, rng.random()) * c]
+    for m in ms:
+        want = phi_from_factors(gf, trial_factor(m))
+        assert euler_phi(m) == want, m
+        check_squarefree_parts(m)
+        if 1 <= m.degree and q**m.degree <= 729:
+            residues = [Poly(gf, c) for c in digit_vectors(q, m.degree)]
+            assert want == sum(1 for a in residues if not a.is_zero() and poly_gcd(a, m).degree == 0), m
 
 
 @settings(max_examples=150, deadline=None)
@@ -2096,6 +2169,37 @@ def test_module_axioms(args):
     assert _same(carlitz_act(M + N, u), carlitz_act(M, u) + carlitz_act(N, u))
     assert _same(carlitz_act(M * N, u), carlitz_act(M, carlitz_act(N, u)))
     assert _same(carlitz_act(Poly.const(M.gf, c), u), u.scale(c))
+
+
+@st.composite
+def ring_triples(draw, ring):
+    """Three elements of one ring over F_q, q in AXIOM_FIELDS: Poly of
+    degree < 6, F_q[T]/P^N with deg P <= 3 and N <= 32, or exact and
+    truncated series of up to 6 digits; zero included."""
+    gf = FIELDS[draw(st.sampled_from(AXIOM_FIELDS))]
+    elem = st.integers(0, gf.q - 1)
+    if ring == "poly":
+        return [Poly(gf, draw(st.lists(elem, max_size=6))) for _ in range(3)]
+    if ring == "padic":
+        ctx = PadicCtx(draw(moduli(gf)), draw(st.integers(1, 32)))
+        n = ctx.modulus.degree
+        return [ctx.elem(Poly(gf, draw(st.lists(elem, max_size=n)))) for _ in range(3)]
+    cls = InfLaurent if ring == "inf" else VqElem
+    return [draw(series(gf, cls, max_len=6)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("ring", ["poly", "padic", "inf", "vq"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ring_axioms(ring, data):
+    # + and * are associative and commutative, and * distributes over +;
+    # series agree on every digit both sides certify
+    x, y, z = data.draw(ring_triples(ring))
+    assert _same((x + y) + z, x + (y + z))
+    assert _same((x * y) * z, x * (y * z))
+    assert _same(x + y, y + x)
+    assert _same(x * y, y * x)
+    assert _same(x * (y + z), x * y + x * z)
 
 
 def tstep_operator(M: Poly) -> list:
