@@ -32,8 +32,8 @@ class UsageError(Exception):
 
 # The most work `sweep --kind splitting` takes on, in units of (x-degree of
 # psi_A)^2 summed over the ordered pairs (P, A): --q 3 --max-deg 3 is 72956
-# (about 0.8 s), --q 9 --max-deg 2 is about 10^7 (about a minute, from four
-# timed pairs per pair of degrees; Python 3.11, 2-vCPU x86-64).
+# (about 0.5 s), --q 9 --max-deg 2 is about 10^7 (about 70 s for its 1980
+# pairs run in one process; Python 3.11, 2-vCPU x86-64).
 MAX_SPLITTING_WORK = 10**5
 
 # The most rows `sweep --kind reciprocity` writes, one per pair of monic

@@ -128,6 +128,8 @@ class Poly:
         nq = len(a) - db
         if nq <= 0:
             return Poly.zero(gf), self
+        if db == 0:
+            return self.scale(gf.inv(b[0])), Poly.zero(gf)
         # The remainder is packed leading coefficient first, so the digit to
         # clear is always group 0: quotient digit f adds (-f) * (divisor
         # without its leading term) at groups 1..db, and group 0 is dropped.
@@ -445,9 +447,11 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
 # (q, n) = (3, 128), 0.83 at (257, 2), 1.29 at (257, 3), 0.89 at (9, 12),
 # 1.23 at (9, 16), 0.86 at (16, 4), 1.50 at (16, 6), 5.9 at (256, 2).
 # The `symbols` benchmark workload runs both sides: at seed 1 its batch takes
-# 80 steps by square-and-multiply (q = 9, deg f = 80: ddf of a degree-2 A's
-# cyclotomic polynomial at a degree-1 prime) and 109 by the spread.  `quotient`
-# takes only the spread, and `infinity` and `geometry` neither.
+# 196 steps by square-and-multiply (q = 9, in ddf: deg f = 80 for a degree-2
+# A's cyclotomic polynomial at a degree-1 prime, and the norms of degree 16
+# and 24 at primes of degree 2 and 3) and 273 by the spread, most of them the
+# conjugates that form those norms.  `quotient` takes only the spread, and
+# `infinity` and `geometry` neither.
 SPREAD_MAX_SLOTS = 400
 
 

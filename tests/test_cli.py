@@ -357,7 +357,7 @@ def test_reciprocity_sweep_rows_match_per_d_calls(capsys, q, max_deg):
 
 
 def test_splitting_sweep_work_cap(capsys, monkeypatch):
-    # 45 irreducibles over F_9 give 1980 pairs, about a minute of ddf: the
+    # 45 irreducibles over F_9 give 1980 pairs, about 70 s of ddf: the
     # sweep is refused from the irreducible counts, before any is listed
     import carlitz.cli
 

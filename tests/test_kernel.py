@@ -16,9 +16,10 @@ powers in F_q[T]/P^N against bottom-up square-and-multiply and the
 Newton inverse there against the extended gcd, each ring's rho_T step
 against u^q + T*u, the Horner Carlitz action against the operator
 coefficients of the T-step recursion and the operator coefficients by
-Horner against that recursion, the x-polynomial kernel and ddf against
-their coefficient-by-coefficient loops, ddf by q-th powers against
-square-and-multiply by the residue field's order, the q-th power mod f,
+Horner against that recursion, the x-polynomial kernel against its
+coefficient-by-coefficient loops, ddf by the norm to F_q against the
+degree-by-degree loop over the residue field and against square-and-multiply
+by the residue field's order, the q-th power mod f,
 irreducibility, the norm and the residue symbol against pow_mod, the polynomial
 enumeration against the base-q digit loop, euler_phi against a count of
 units and against a trial-division factorization, the ring axioms of each
@@ -310,6 +311,9 @@ def test_mul_matches_schoolbook(pair):
 @example((_rand(FIELDS[25], 300, 5), _rand(FIELDS[25], 120, 6)))
 @example((_rand(FIELDS[5], 300, 7), _rand(FIELDS[5], 299, 8)))
 @example((_rand(FIELDS[9], 40, 9), _rand(FIELDS[9], 41, 10)))  # divisor longer than dividend
+@example((_rand(FIELDS[7], 50, 11), Poly.const(FIELDS[7], 3)))  # constant divisors over F_p and F_{p^r}
+@example((_rand(FIELDS[9], 50, 12), Poly.const(FIELDS[9], 5)))
+@example((Poly.zero(FIELDS[4]), Poly.const(FIELDS[4], 3)))
 def test_divmod_matches_schoolbook(pair):
     check_divmod(*pair)
 
@@ -1659,6 +1663,10 @@ def _ddf_args(q, P, *rows):
 @example(_ddf_args(4, [2, 1], [1, 2, 3]))  # constant f
 @example(_ddf_args(9, [1, 1], [0, 1], [1, 1], [1, 1]))  # leading coefficient T + 1 vanishes mod P
 @example(_ddf_args(3, [0, 1], [0, 2], [], [1]))  # x^2 + 2T: squarefree over F_3(T), not mod P = T
+# f over F_q, whose norm f^n is not squarefree: x^2 + 1 and x^3 + 2x + 1 mod T^2 + 1
+@example(_ddf_args(3, [1, 0, 1], [1], [], [1]))
+@example(_ddf_args(3, [1, 0, 1], [1], [2], [], [1]))
+@example(_ddf_args(2, [1, 1, 0, 0, 1], [1], [1], [1]))  # x^2 + x + 1 mod T^4 + T + 1: gcd(e, n) = 2
 def test_ddf_matches_residue_loop(args):
     assert outcome(ddf, *args) == outcome(rf_ddf, *args)
 
@@ -1703,9 +1711,9 @@ def test_blocked_ddf_of_an_irreducible_matches_residue_loop(q):
 
 
 def ddf_by_powering(f, P):
-    """ddf at a prime P of degree >= 2 with h = x^(Q^d) mod the unsplit part
-    by square-and-multiply by Q = q^(deg P), as before the q-th power map;
-    f is a squarefree list of Poly coefficients."""
+    """ddf at a prime P of degree >= 2 over the residue field itself, with
+    h = x^(Q^d) mod the unsplit part by square-and-multiply by
+    Q = q^(deg P); f is a squarefree list of Poly coefficients."""
     gf = P.gf
 
     def gcd(a, b):
@@ -1731,8 +1739,7 @@ def ddf_by_powering(f, P):
 
 
 # x-degrees of the factors of planned products over F_q[T]/P; in each, a
-# factor splits off and the loop goes on (rest.deg() >= 2 (d + 1)), so the
-# q-th power rows are reduced mod a divisor mid-loop
+# factor splits off and the loop over F_q[T]/P goes on (rest.deg() >= 2 (d + 1))
 RESIDUE_PLANS = [[1, 2, 3], [1, 1, 2, 3, 3], [2, 2, 3, 3]]
 
 
