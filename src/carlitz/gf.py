@@ -65,6 +65,7 @@ class GF:
         self._inv_table = None
         self._slot_tables = None
         self._packed_groups = {}
+        self._byte_lanes = {}
 
     # -- element arithmetic (elements are ints in [0, q)) --
 
@@ -192,6 +193,15 @@ class GF:
             groups = [sum(c << (shift * j) for j, c in enumerate(self.coords(a))) for a in range(self.q)]
             self._packed_groups[k] = groups
         return groups
+
+    def byte_lanes(self, k: int):
+        """The bytes.translate tables that read k-byte slots mod p (see
+        ``poly._unpack``): table j maps byte b to b 256^j mod p, the residue
+        of byte j of a slot.  Built on first use for each k."""
+        lanes = self._byte_lanes.get(k)
+        if lanes is None:
+            lanes = self._byte_lanes[k] = [bytes(b * 256**j % self.p for b in range(256)) for j in range(k)]
+        return lanes
 
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:

@@ -246,13 +246,14 @@ class Poly:
 # adds, in group i+j, the product of the coordinate polynomials of a_i and
 # b_j: a polynomial in w of degree <= 2r-2, unreduced, which fills the group.
 # Callers take k from the largest sum a slot can reach, so slots never carry
-# into their neighbours.  Unpacking reads every slot mod p (one
-# bytes.translate for 1-byte slots); over F_p that is the coefficient, over
-# F_{p^r} the group's 2r-1 digits are the key of the field's reduction table
-# (GF.slot_tables).
+# into their neighbours.  Unpacking reads every slot mod p, by
+# bytes.translate while k (p - 1) < 256; over F_p that is the coefficient,
+# over F_{p^r} the group's 2r-1 digits are the key of the field's reduction
+# table (GF.slot_tables).
 
-# struct codes of 2-, 4- and 8-byte slots; _pack packs wider slots through
-# int.to_bytes, _unpack reads them as pairs of 8-byte words
+# struct codes of 2-, 4- and 8-byte slots, for p > 256 and where byte lanes
+# could carry; _pack packs wider slots through int.to_bytes, _unpack reads
+# them as pairs of 8-byte words
 _FORMATS = {2: "H", 4: "I", 8: "Q"}
 
 
@@ -273,6 +274,10 @@ def _pack(gf: GF, coeffs, k: int) -> int:
         slots = b"".join([digits[c] for c in coeffs])
     if k == 1:
         data = bytes(slots)
+    elif gf.p <= 256:
+        # every slot value fits its low byte: one strided copy widens them
+        data = bytearray(len(slots) * k)
+        data[::k] = bytes(slots)
     elif k in _FORMATS:
         data = struct.pack(f"<{len(slots)}{_FORMATS[k]}", *slots)
     else:
@@ -280,12 +285,18 @@ def _pack(gf: GF, coeffs, k: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _unpack(gf: GF, x: int, n: int, k: int) -> list:
-    """The first n coefficients packed in x, reduced."""
+def _unpack(gf: GF, x: int, n: int, k: int):
+    """The first n coefficients packed in x, reduced, as a sequence of ints."""
     p, g = gf.p, 2 * gf.r - 1
     data = x.to_bytes(n * g * k, "little")
     if k == 1:
         digits = data.translate(gf.byte_residues)
+    elif k * (p - 1) < 256:
+        # byte j of every slot read mod p by one translate, the k residues
+        # summed as ints (below 256, so no carry) and read mod p once more
+        lanes = gf.byte_lanes(k)
+        total = sum([int.from_bytes(data[j::k].translate(lanes[j]), "little") for j in range(k)])
+        digits = total.to_bytes(n * g, "little").translate(gf.byte_residues)
     else:
         if k in _FORMATS:
             slots = struct.unpack(f"<{n * g}{_FORMATS[k]}", data)
@@ -296,7 +307,7 @@ def _unpack(gf: GF, x: int, n: int, k: int) -> list:
             slots = [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
         digits = [s % p for s in slots]
     if g == 1:
-        return list(digits)
+        return digits
     reduce = gf.slot_tables()[1]
     # zip of g references to one iterator yields the digits group by group
     return [reduce[w] for w in zip(*[iter(digits)] * g)]
@@ -461,52 +472,54 @@ class Modulus:
 
     For a of degree n - 1 + m, n = deg f, the quotient a // f has m digits.
     Reversed, they are the first m digits of rev(a) / rev(f), so they are
-    rev(a)'s first m digits times 1/rev(f) mod x^m.  Read forwards, they
-    are digits m-1 .. 2m-2 of a's top m digits times R, the first m digits
-    of 1/rev(f) backwards, so the top digits are one shift of packed a.  The
-    remainder is then a - quotient * f mod x^n, which only needs f's low n
-    digits.  R is the top m digits of the quotient x^(n-1+M) // f, M >= m:
-    one packed division, built on the first reduction that needs it and
-    rebuilt longer when a longer quotient is asked for.
+    rev(a)'s first m digits times 1/rev(f) mod x^m.  Read forwards, with R
+    the first L >= m digits of 1/rev(f) backwards, they are digits
+    L-1 .. L+m-2 of a's top m digits times R, and the product has no digit
+    above them: the top digits are one shift of packed a, the quotient one
+    shift of the product.  The remainder is then a - quotient * f mod x^n,
+    which only needs f's low n digits.  R is the quotient x^(n-1+L) // f:
+    one packed division stored with the modulus, built again only for a
+    longer quotient and cut by one shift for a shorter one.  The first rho_T
+    fixes a plan of slot width, packed operands and R for the longest
+    quotient a step can have, so later steps size, fetch and shift nothing.
     """
 
-    __slots__ = ("f", "_recip", "_packed")
+    __slots__ = ("f", "_recip", "_packed", "_plan")
 
     def __init__(self, f: Poly):
         if f.is_zero():
             raise DomainError("polynomial division by zero")
         self.f = f
         self._recip = ()
-        # slot bytes k -> (packed -f_low, packed x^(n-1+M) // f)
+        # slot bytes k -> (packed -f_low, packed R)
         self._packed = {}
+        self._plan = None
 
     def _operands(self, m: int, k: int):
+        """The Barrett pass's plan for quotients of up to m digits in k-byte
+        slots: (k, bits per group, mask of n groups, packed -f_low, packed R
+        cut to its first m digits, the shift that reads the quotient)."""
+        gf, n = self.f.gf, self.f.degree
         if m > len(self._recip):
-            n = self.f.degree
-            self._recip = (Poly.one(self.f.gf).shift(n - 1 + m) // self.f).coeffs
+            self._recip = (Poly.one(gf).shift(n - 1 + m) // self.f).coeffs
             self._packed = {}
         if k not in self._packed:
-            gf = self.f.gf
-            neg_low = gf.neg_vec(self.f.coeffs[:-1])
-            self._packed[k] = (_pack(gf, neg_low, k), _pack(gf, self._recip, k))
-        return self._packed[k]
-
-    def _barrett(self, pack, m: int, low: int) -> Poly:
-        """The remainder mod f of the polynomial that ``pack(k)`` packs in
-        k-byte slots, with m >= 0 reduced digits above T^(n-1) and low n
-        slots of at most ``low``: the one Barrett pass of reduce and rho_T."""
-        gf, n = self.f.gf, self.f.degree
-        # the most one slot of a product of two reduced digits can hold
-        e = gf.r * (gf.p - 1) ** 2
-        k = _slot_bytes(max(m * e, low + min(m, n) * e))
+            self._packed[k] = (_pack(gf, gf.neg_vec(self.f.coeffs[:-1]), k), _pack(gf, self._recip, k))
+        neg_low, recip = self._packed[k]
         bits = (2 * gf.r - 1) * 8 * k
-        x = pack(k)
+        # a product with all L digits of R would cost about L/m times as much
+        return k, bits, (1 << n * bits) - 1, neg_low, recip >> (len(self._recip) - m) * bits, (m - 1) * bits
+
+    def _barrett(self, x: int, m: int, plan) -> Poly:
+        """The remainder mod f of the polynomial packed in x, with m >= 0
+        digits above T^(n-1), on a plan from _operands for at least m: the
+        one Barrett pass of reduce and rho_T."""
+        k, bits, mask, neg_low, recip, read = plan
+        gf, n = self.f.gf, self.f.degree
         if m:
-            neg_low, recip = self._operands(m, k)
-            top = (x >> n * bits) * (recip >> (len(self._recip) - m) * bits)
-            quo = _unpack(gf, (top >> (m - 1) * bits) & ((1 << m * bits) - 1), m, k)
+            quo = _unpack(gf, (x >> n * bits) * recip >> read, m, k)
             x += _pack(gf, quo, k) * neg_low
-        return Poly(gf, _unpack(gf, x & ((1 << n * bits) - 1), n, k))
+        return Poly(gf, _unpack(gf, x & mask, n, k))
 
     def reduce(self, a: Poly) -> Poly:
         """a mod f."""
@@ -516,28 +529,34 @@ class Modulus:
             return a
         if n == 0:
             return Poly.zero(gf)
-        return self._barrett(lambda k: _pack(gf, a.coeffs, k), len(a.coeffs) - n, gf.p - 1)
+        m, e = len(a.coeffs) - n, gf.r * (gf.p - 1) ** 2
+        plan = self._operands(m, _slot_bytes(max(m * e, gf.p - 1 + min(m, n) * e)))
+        return self._barrett(_pack(gf, a.coeffs, plan[0]), m, plan)
 
     def rho_T(self, h: Poly, a: int = 0, w: Poly = None) -> Poly:
         """(h^q + T*h + a*w) mod f for h and w reduced mod f, deg f >= 1, and
         a in F_q, in one Barrett pass: the spread h(T^q), T*h and a*w are
         summed packed, with T*h's digit at T^n added to the spread's."""
         gf, n = self.f.gf, self.f.degree
-        p, r = gf.p, gf.r
-        s, t = spread(h.coeffs, gf.q), h.coeffs
+        p, q, r = gf.p, gf.q, gf.r
+        s, t = spread(h.coeffs, q), h.coeffs
         if len(t) == n:
             # T*h's digit at T^n joins the spread's, so the top stays reduced
             s += [0] * (n + 1 - len(s))
             s[n] = gf.add(s[n], t[-1])
             t = t[:-1]
-
-        def pack(k):
-            x = _pack(gf, s, k) + (_pack(gf, t, k) << (2 * r - 1) * 8 * k)
-            if a:
-                x += (a if r == 1 else gf.packed_groups(k)[a]) * _pack(gf, w.coeffs, k)
-            return x
-
-        return self._barrett(pack, max(len(s) - n, 0), 2 * (p - 1) + r * (p - 1) ** 2)
+        if self._plan is None:
+            # every step's quotient has at most M digits: h^q reaches
+            # T^(q(n-1)), or T*h reaches T^1 when n = 1; past the cap on q-th
+            # powers that is refused before R is sized
+            check_frobenius_degree(q * (n - 1))
+            M, e = max((q - 1) * (n - 1), 1), r * (p - 1) ** 2
+            self._plan = self._operands(M, _slot_bytes(max(M * e, 2 * (p - 1) + e + min(M, n) * e)))
+        k, bits = self._plan[:2]
+        x = _pack(gf, s, k) + (_pack(gf, t, k) << bits)
+        if a:
+            x += (a if r == 1 else gf.packed_groups(k)[a]) * _pack(gf, w.coeffs, k)
+        return self._barrett(x, max(len(s) - n, 0), self._plan)
 
     def frobenius(self, h: Poly) -> Poly:
         """h^q mod f for h reduced mod f."""

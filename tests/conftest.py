@@ -136,3 +136,26 @@ def lift_to_linear_prime(f, a, rng, unit=1):
         Poly.const(gf, gf.mul(unit, c)) + t_minus_a * Poly(gf, [rng.randrange(gf.q) for _ in range(3)])
         for c in f.coeffs
     ]
+
+
+def pack_slots(gf, coeffs, k: int) -> int:
+    """The packed kernel's int, slot by slot: each coefficient's 2r-1 slots
+    (its r coordinates, then r-1 zeros), each written by int.to_bytes."""
+    slots = [c for a in coeffs for c in gf.coords(a) + (0,) * (gf.r - 1)]
+    return int.from_bytes(b"".join([s.to_bytes(k, "little") for s in slots]), "little")
+
+
+def unpack_slots(gf, x: int, n: int, k: int) -> list:
+    """The first n coefficients packed in x, slot by slot: every k-byte slot
+    read by int.from_bytes and reduced mod p, and each group's 2r-1 digits
+    c_j summed as c_j w^j in the field, w = the element p."""
+    g = 2 * gf.r - 1
+    data = x.to_bytes(n * g * k, "little")
+    digits = [int.from_bytes(data[i : i + k], "little") % gf.p for i in range(0, len(data), k)]
+    out = []
+    for i in range(0, len(digits), g):
+        c = 0
+        for j, d in enumerate(digits[i : i + g]):
+            c = gf.add(c, gf.mul(d, gf.pow(gf.p, j) if gf.r > 1 else 1))
+        out.append(c)
+    return out

@@ -24,9 +24,12 @@ irreducibility, the norm and the residue symbol against pow_mod, the polynomial
 enumeration against the base-q digit loop, euler_phi against a count of
 units and against a trial-division factorization, the ring axioms of each
 ring as properties, the F_{p^r} modulus and tables against coordinates and
-schoolbook F_p polynomials, Barrett reduction against the division loop, P-adic
+schoolbook F_p polynomials, the packed slots against their slot-by-slot
+reading, Barrett reduction and the Carlitz step on one modulus against the
+division loop, P-adic
 torsion by Newton on the Horner action against one Hensel lift of the
-coefficient-loop operator per residue class, and at N against N' <= N.
+coefficient-loop operator per residue class, against the closed form
+rho_(P^(N-1))(T^i), and at N against N' <= N.
 The precision contract of each certified function is
 tests/test_precision.py."""
 
@@ -42,7 +45,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DDF_PLANS, echelon, lift_to_linear_prime, planned_product, span
+from conftest import DDF_PLANS, echelon, lift_to_linear_prime, pack_slots, planned_product, span, unpack_slots
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
 from carlitz.analytic import (
@@ -63,8 +66,10 @@ from carlitz.poly import (
     Modulus,
     Poly,
     RatFn,
+    _pack,
     _slot_bytes,
     _squarefree_parts,
+    _unpack,
     all_polys,
     euler_phi,
     inv_mod,
@@ -388,6 +393,54 @@ def test_slots_wider_than_64_bits(n):
     check_mul(_rand(gf, n, n), top)
     check_divmod(Poly(gf, [gf.p - 1] * (3 * n)), top)
     check_divmod(_rand(gf, 3 * n, n), _rand(gf, n + 1, -n))
+
+
+# prime fields on both sides of 256 and of k (p - 1) < 256 at k = 2 (127
+# and 131), extension fields of order up to 2^8, and the widest primes
+PACK_FIELDS = [(p, r) for p in (2, 3, 5, 7, 127, 131, 257, 2**31 - 1, 2**40 - 87) for r in (1, 2, 3) if r == 1 or p**r <= 256]
+
+
+@functools.lru_cache(maxsize=None)
+def _pack_field(p, r):
+    return GF(p, r)
+
+
+@st.composite
+def slot_args(draw):
+    """(gf, k, coeffs, x): 0-40 elements of gf, and the int of as many
+    groups of k-byte slots, each slot random or at the slot maximum."""
+    gf = _pack_field(*draw(st.sampled_from(PACK_FIELDS)))
+    k, n = draw(st.sampled_from([1, 2, 4, 8, 16])), draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = (1 << 8 * k) - 1
+    slots = [top if rng.random() < 0.3 else rng.randrange(top + 1) for _ in range(n * (2 * gf.r - 1))]
+    x = int.from_bytes(b"".join(s.to_bytes(k, "little") for s in slots), "little")
+    return gf, k, [rng.randrange(gf.q) for _ in range(n)], x
+
+
+def _slot_args(p, k, n):
+    """n coefficients p - 1 over F_p, and n slots whose byte j is the b with
+    b 256^j = p - 1 mod p, so every byte lane reads p - 1: the largest lane
+    sums (over F_2, where 256 = 0, every byte is 255)."""
+    slot = bytes((p - 1) * pow(256, -j, p) % p for j in range(k)) if p > 2 else b"\xff" * k
+    return _pack_field(p, 1), k, [p - 1] * n, int.from_bytes(slot * n, "little")
+
+
+@settings(max_examples=400, deadline=None)
+@given(slot_args())
+# 2-byte slots read by byte lanes at p = 127 (lane sums up to 2 * 126 < 256),
+# slot by slot at 131, where two lanes could sum to 260
+@example(_slot_args(127, 2, 40))
+@example(_slot_args(131, 2, 40))
+@example(_slot_args(2, 16, 40))  # byte lanes at the widest slot
+def test_pack_and_unpack_match_the_slot_by_slot_kernel(args):
+    gf, k, coeffs, x = args
+    n = len(coeffs)
+    assert list(_unpack(gf, x, n, k)) == unpack_slots(gf, x, n, k)
+    if gf.p <= 1 << 8 * k:
+        packed = _pack(gf, coeffs, k)
+        assert packed == pack_slots(gf, coeffs, k)
+        assert list(_unpack(gf, packed, n, k)) == coeffs
 
 
 # ---------------------------------------------------------------- F_q[T]/P^N
@@ -1966,6 +2019,27 @@ def test_padic_torsion_coarse_agrees_with_fine(q):
             assert [coarse.ctx.elem(x.rep) for x in fine] == coarse.points, (P, N)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_torsion_padic_roots_match_the_closed_form(q):
+    # rho_P = tau^(deg P) mod P, so rho_P adds at least one P-adic digit to
+    # the valuation of a multiple of P; the root b over T^i is fixed by
+    # rho_P, and b - T^i is a multiple of P, so b = rho_(P^(N-1))(T^i) mod
+    # P^N: one Horner run of d (N - 1) steps per root, up to six primes of
+    # each degree 1-3
+    gf = FIELDS[q]
+    rng = random.Random(q)
+    T = Poly.T(gf)
+    for d in range(1, 4):
+        irr = [f for f in all_polys(gf, d, monic=True) if is_irreducible(f)]
+        for P in rng.sample(irr, min(6, len(irr))):
+            for N in (1, 2, 3, 8):
+                points = torsion_padic(P, N).points
+                ctx = points[0].ctx
+                for i in range(d):
+                    # residues() lists T^i at index q^i
+                    assert points[q**i] == carlitz_act(P ** (N - 1), ctx.elem(T**i)), (P, N, i)
+
+
 def test_torsion_padic_gives_up_without_a_root(monkeypatch):
     # an image that stays P^(N-1) whatever b is: Newton never lands, and the
     # lift gives up after ceil(log2 N) + 1 evaluations
@@ -2363,6 +2437,68 @@ def test_modulus_rho_T_matches_divmod(args):
     want = (h.frobenius() + h.shift(1) + w.scale(a)) % f
     assert Modulus(f).rho_T(h, a, w) == want
     assert Modulus(f).rho_T(h) == (h.frobenius() + h.shift(1)) % f
+
+
+@st.composite
+def plan_reuse_args(draw):
+    """(f, calls): f of degree 1-30, monic or not, and 2-6 calls on one
+    Modulus in any order: ("rho_T", h, a, w) with h zero, shorter than n or
+    of length n with every coefficient q - 1, and ("reduce", b) with b of
+    degree up to q deg f."""
+    gf = FIELDS[draw(st.sampled_from(FROB_FIELDS))]
+    q, n = gf.q, draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [draw(st.integers(1, q - 1))])
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            length = draw(st.sampled_from([0, n - 1, n]))
+            h = Poly(gf, [q - 1] * n if length == n else [rng.randrange(q) for _ in range(rng.randrange(length + 1))])
+            calls.append(("rho_T", h, draw(st.integers(0, q - 1)), Poly(gf, [rng.randrange(q) for _ in range(n)])))
+        else:
+            calls.append(("reduce", Poly(gf, [rng.randrange(q) for _ in range(draw(st.integers(0, q * n + 1)))])))
+    return f, calls
+
+
+def _plan_reuse_args(gf, f, h):
+    """Each call kind on f twice, the step first: h with a = 0 and with
+    a = q - 1 times h, a reduction of h's q-th power and of h times T^n."""
+    a = gf.q - 1
+    return f, [("rho_T", h, 0, h), ("reduce", h.frobenius()), ("rho_T", h, a, h), ("reduce", h.shift(f.degree))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_reuse_args())
+# deg f = 253 and 254 over F_2 lie on the two sides of the plan's 1-byte
+# slots, M + 3 <= 255 (its slots reach 254 here) and 256 (reached)
+@example(_plan_reuse_args(FIELDS[2], Poly(FIELDS[2], [1] * 254), Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 125)))
+@example(_plan_reuse_args(FIELDS[2], Poly(FIELDS[2], [1] * 255), Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 126)))
+# non-monic f: T*h's top digit h_0 T must not be folded in as h_0 (-f_low)
+@example(_plan_reuse_args(FIELDS[7], Poly(FIELDS[7], [6, 5]), Poly(FIELDS[7], [6])))
+def test_modulus_plan_serves_steps_and_reductions_in_any_order(args):
+    f, calls = args
+    mod = Modulus(f)
+    for kind, h, *step in calls:
+        if kind == "rho_T":
+            a, w = step
+            assert mod.rho_T(h, a, w) == (h.frobenius() + h.shift(1) + w.scale(a)) % f, (kind, h, a)
+        else:
+            assert mod.reduce(h) == h % f, (kind, h)
+
+
+def test_modulus_rho_T_refuses_before_its_plan_is_sized():
+    # over GF(2^32+15) at deg f = 2 a step's q-th power can reach degree q,
+    # above the 2^24 cap: even a constant h is refused, before an R of about
+    # q digits is built, and reduce, which needs no plan, still answers
+    gf = LARGE_FIELDS[4294967311]
+    mod = Modulus(Poly(gf, [3, 0, 1]))
+    with pytest.raises(DomainError, match="q-th power of degree 4294967311 is above the supported maximum 2\\^24"):
+        mod.rho_T(Poly(gf, [5]))
+    a = Poly(gf, [1, 2, 3, gf.p - 1])
+    assert mod.reduce(a) == a % mod.f
+    # at deg f = 1 a step's quotient has one digit, whatever q
+    f, h, w = Poly(gf, [3, 1]), Poly(gf, [5]), Poly(gf, [7])
+    assert Modulus(f).rho_T(h, 2, w) == (h.frobenius() + h.shift(1) + w.scale(2)) % f == Poly(gf, [4])
 
 
 def test_is_irreducible_at_a_large_prime():
