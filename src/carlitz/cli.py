@@ -4,7 +4,9 @@ Every library operation is exposed as a subcommand with exact text/JSON
 output; batch ``sweep`` commands drive the exhaustive law checks.  Exit codes:
 0 success, 1 domain/computation error, 2 usage error.  Each subcommand takes
 only the options it reads, and one that lists rows, points or vertices
-refuses a count above its cap before it lists any.
+refuses a count above its cap before it lists any.  Each text option names
+its grammar as its argparse type (a reader); ``main`` builds the field and
+reads every such option in it, so the handlers take values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction as Rational
+from functools import partial
 from itertools import accumulate
 from math import comb
 
@@ -115,6 +118,34 @@ def parse_fraction(s: str, gf) -> RatFn:
     return RatFn.from_poly(parse_poly(s, gf))
 
 
+def _parse_vertex(s: str, gf) -> geometry.TreeVertex:
+    # format: level;series  (series in the T-digit format, possibly 0)
+    level_s, _, ser_s = s.partition(";")
+    level = integer(level_s)
+    digits = {}
+    if ser_s.strip() not in ("", "0"):
+        ser = parse_series(ser_s, gf, InfLaurent)
+        digits = dict(ser.terms())
+    return geometry.TreeVertex(gf, level, digits)
+
+
+def reader(read):
+    """The argparse type of a text option: the option keeps its text, bound
+    to read, until main reads it with read(text, gf) in the field it builds
+    (None for a subcommand without one)."""
+    return lambda text: partial(read, text)
+
+
+POLY = reader(parse_poly)
+VQ = reader(lambda s, gf: parse_series(s, gf, VqElem))
+INF = reader(lambda s, gf: parse_series(s, gf, InfLaurent))
+FRACTION = reader(parse_fraction)
+FRACTIONS = reader(lambda s, gf: [parse_fraction(x, gf) for x in s.split(";")])
+VQ_LIST = reader(lambda s, gf: [parse_series(x, gf, VqElem) for x in s.split(";")])
+VERTEX = reader(_parse_vertex)
+RATIONALS = reader(lambda s, gf: [rational(x) for x in s.split(",")])
+
+
 def _form_text(x: RatFn) -> str:
     """The (num)/(den) text of a Descartes or period value."""
     if x.den == Poly.one(x.gf):
@@ -130,166 +161,109 @@ def emit(args, payload: dict, text_lines):
             print(line)
 
 
+def emit_value(args, key: str, out) -> None:
+    """One value: {key: str(out)} in JSON, the line str(out) as text."""
+    emit(args, {key: str(out)}, [str(out)])
+
+
+def emit_certified(args, val, cert: dict) -> None:
+    """A series value and the certificate of its digits."""
+    cert_s = {str(k): str(v) for k, v in cert.items()}
+    emit(args, {"value": str(val), "certificate": cert_s}, [str(val), json.dumps(cert_s, sort_keys=True)])
+
+
 # ---------------------------------------------------------------- commands
+# Each handler takes the parsed options and the field that main built.
 
 
-def cmd_act(args):
-    gf = build_gf(args)
-    M = parse_poly(args.M, gf)
-    u = parse_poly(args.u, gf)
-    out = carlitz_act(M, u)
-    emit(args, {"result": str(out)}, [str(out)])
+def cmd_act(args, gf):
+    emit_value(args, "result", carlitz_act(args.M, args.u))
 
 
-def cmd_operator(args):
-    gf = build_gf(args)
-    M = parse_poly(args.M, gf)
-    op = carlitz_operator(M)
-    coeffs = [str(c) for c in op.coeffs]
+def cmd_operator(args, gf):
+    coeffs = [str(c) for c in carlitz_operator(args.M).coeffs]
     emit(args, {"coeffs": coeffs}, ["; ".join(coeffs)])
 
 
-def cmd_cyclotomic(args):
-    gf = build_gf(args)
-    P = parse_poly(args.P, gf)
-    out = cyclotomic_poly(P, args.n)
-    emit(args, {"poly": str(out)}, [str(out)])
+def cmd_cyclotomic(args, gf):
+    emit_value(args, "poly", cyclotomic_poly(args.P, args.n))
 
 
-def cmd_torsion_padic(args):
-    gf = build_gf(args)
-    P = parse_poly(args.P, gf)
-    payload = json.loads(torsion.torsion_padic(P, args.N).to_json())
+def cmd_torsion_padic(args, gf):
+    payload = json.loads(torsion.torsion_padic(args.P, args.N).to_json())
     emit(args, payload, payload["points"])
 
 
-def cmd_torsion_vq(args):
-    gf = build_gf(args)
-    M = parse_poly(args.M, gf)
-    prec = args.prec if args.prec is not None else torsion.min_separating_prec(M) + gf.q
-    payload = json.loads(torsion.torsion_vq(M, prec).to_json())
+def cmd_torsion_vq(args, gf):
+    prec = args.prec if args.prec is not None else torsion.min_separating_prec(args.M) + gf.q
+    payload = json.loads(torsion.torsion_vq(args.M, prec).to_json())
     emit(args, payload, payload["points"])
 
 
-def cmd_divide_t(args):
-    gf = build_gf(args)
-    u = parse_series(args.u, gf, VqElem)
-    branches = torsion.divide_T(u, prec=args.prec)
-    lines = [str(b) for b in branches]
+def cmd_divide_t(args, gf):
+    lines = [str(b) for b in torsion.divide_T(args.u, prec=args.prec)]
     emit(args, {"branches": lines}, lines)
 
 
-def cmd_completed_act(args):
-    gf = build_gf(args)
-    M = parse_series(args.M, gf, InfLaurent)
-    u = parse_series(args.u, gf, VqElem)
-    out = torsion.completed_action(M, u)
-    emit(args, {"result": str(out)}, [str(out)])
+def cmd_completed_act(args, gf):
+    emit_value(args, "result", torsion.completed_action(args.M, args.u))
 
 
-def cmd_dirichlet(args):
-    gf = build_gf(args)
-    lam = parse_series(args.target, gf, VqElem)
-    Mn, ln = torsion.dirichlet_approx(lam, args.n)
-    emit(
-        args,
-        {"M": str(Mn), "approximant": str(ln)},
-        [f"M_n = {Mn}", f"lambda_n = {ln}"],
-    )
+def cmd_dirichlet(args, gf):
+    Mn, ln = torsion.dirichlet_approx(args.target, args.n)
+    emit(args, {"M": str(Mn), "approximant": str(ln)}, [f"M_n = {Mn}", f"lambda_n = {ln}"])
 
 
-def cmd_symbol(args):
-    gf = build_gf(args)
-    A = parse_poly(args.A, gf)
-    P = parse_poly(args.P, gf)
-    val = reciprocity.residue_symbol(A, P, args.d)
-    emit(args, {"symbol": gf.fmt_elem(val)}, [gf.fmt_elem(val)])
+def cmd_symbol(args, gf):
+    emit_value(args, "symbol", gf.fmt_elem(reciprocity.residue_symbol(args.A, args.P, args.d)))
 
 
-def cmd_reciprocity(args):
-    gf = build_gf(args)
-    P = parse_poly(args.P, gf)
-    Q = parse_poly(args.Q, gf)
-    lhs, rhs, holds = reciprocity.check_reciprocity(P, Q, args.d)
-    emit(
-        args,
-        {"lhs": gf.fmt_elem(lhs), "rhs": gf.fmt_elem(rhs), "holds": holds},
-        [f"lhs = {gf.fmt_elem(lhs)}", f"rhs = {gf.fmt_elem(rhs)}", f"holds = {holds}"],
-    )
+def cmd_reciprocity(args, gf):
+    lhs, rhs, holds = reciprocity.check_reciprocity(args.P, args.Q, args.d)
+    lhs, rhs = gf.fmt_elem(lhs), gf.fmt_elem(rhs)
+    emit(args, {"lhs": lhs, "rhs": rhs, "holds": holds}, [f"lhs = {lhs}", f"rhs = {rhs}", f"holds = {holds}"])
 
 
-def cmd_split_kummer(args):
-    gf = build_gf(args)
-    A = parse_poly(args.A, gf)
-    P = parse_poly(args.P, gf)
-    f = reciprocity.residue_degree_kummer(A, P, args.d)
+def cmd_split_kummer(args, gf):
+    f = reciprocity.residue_degree_kummer(args.A, args.P, args.d)
     emit(args, {"residue_degree": f}, [str(f)])
 
 
-def cmd_split_cyclotomic(args):
-    gf = build_gf(args)
-    P = parse_poly(args.P, gf)
-    A = parse_poly(args.A, gf)
-    f = reciprocity.residue_degree_cyclotomic(P, A)
+def cmd_split_cyclotomic(args, gf):
+    f = reciprocity.residue_degree_cyclotomic(args.P, args.A)
     emit(args, {"residue_degree": f}, [str(f)])
 
 
-def cmd_xi(args):
-    gf = build_gf(args)
-    A = parse_poly(args.A, gf)
-    out = reciprocity.xi_poly(A)
-    emit(args, {"poly": str(out)}, [str(out)])
+def cmd_xi(args, gf):
+    emit_value(args, "poly", reciprocity.xi_poly(args.A))
 
 
-def cmd_newton(args):
-    gf = build_gf(args)
-    A = parse_poly(args.A, gf)
-    np = reciprocity.newton_polygon(reciprocity.xi_poly(A))
+def cmd_newton(args, gf):
+    np = reciprocity.newton_polygon(reciprocity.xi_poly(args.A))
     verts = [[int(x), int(y)] for x, y in np.vertices]
     segs = [[str(s), str(l)] for s, l in np.segments]
-    emit(
-        args,
-        {"vertices": verts, "segments": segs},
-        [f"vertices: {verts}", f"segments (slope, length): {segs}"],
-    )
+    emit(args, {"vertices": verts, "segments": segs}, [f"vertices: {verts}", f"segments (slope, length): {segs}"])
 
 
-def cmd_kummer_map(args):
-    gf = build_gf(args)
-    u = parse_series(args.u, gf, VqElem)
-    out = reciprocity.kummer_map(u)
-    emit(args, {"image": str(out)}, [str(out)])
+def cmd_kummer_map(args, gf):
+    emit_value(args, "image", reciprocity.kummer_map(args.u))
 
 
-def cmd_kummer_solve(args):
-    gf = build_gf(args)
-    M = parse_series(args.M, gf, InfLaurent)
-    out = reciprocity.kummer_solve(M)
-    emit(args, {"root": str(out)}, [str(out)])
+def cmd_kummer_solve(args, gf):
+    emit_value(args, "root", reciprocity.kummer_solve(args.M))
 
 
-def cmd_star(args):
-    gf = build_gf(args)
-    A = parse_poly(args.A, gf)
-    nu = parse_series(args.nu, gf, InfLaurent)
-    out = reciprocity.star_action(A, nu)
-    emit(args, {"result": str(out)}, [str(out)])
+def cmd_star(args, gf):
+    emit_value(args, "result", reciprocity.star_action(args.A, args.nu))
 
 
-def cmd_tangent(args):
-    gf = build_gf(args)
-    f1 = parse_fraction(args.f1, gf)
-    f2 = parse_fraction(args.f2, gf)
-    res = geometry.tangent(f1, f2)
+def cmd_tangent(args, gf):
+    res = geometry.tangent(args.f1, args.f2)
     emit(args, {"tangent": res}, [str(res).lower()])
 
 
-def cmd_family(args):
-    gf = build_gf(args)
-    f1 = parse_fraction(args.f1, gf)
-    f2 = parse_fraction(args.f2, gf)
-    fam = geometry.tangent_family(f1, f2)
-    lines = [str(m) for m in fam]
+def cmd_family(args, gf):
+    lines = [str(m) for m in geometry.tangent_family(args.f1, args.f2)]
     emit(args, {"members": lines}, lines)
 
 
@@ -303,30 +277,24 @@ def _descartes_rows(gf, seed: int, count: int):
         yield ";".join(str(m) for m in fam), _form_text(val), val.is_zero()
 
 
-def cmd_descartes_family(args):
-    gf = build_gf(args)
-    f1 = parse_fraction(args.f1, gf)
-    f2 = parse_fraction(args.f2, gf)
-    fam = geometry.tangent_family(f1, f2)
+def cmd_descartes_family(args, gf):
+    fam = geometry.tangent_family(args.f1, args.f2)
     val = geometry.descartes_form(fam)
-    form = _form_text(val)
+    members, form = [str(m) for m in fam], _form_text(val)
     emit(
         args,
-        {"members": [str(m) for m in fam], "form": form, "zero": val.is_zero()},
-        [str(m) for m in fam] + [f"form = {form}", f"zero = {val.is_zero()}"],
+        {"members": members, "form": form, "zero": val.is_zero()},
+        members + [f"form = {form}", f"zero = {val.is_zero()}"],
     )
 
 
-def cmd_descartes_eval(args):
-    gf = build_gf(args)
-    xs = [parse_fraction(s, gf) for s in args.curvatures.split(";")]
-    val = geometry.descartes_form(xs)
+def cmd_descartes_eval(args, gf):
+    val = geometry.descartes_form(args.curvatures)
     form = _form_text(val)
     emit(args, {"form": form, "zero": val.is_zero()}, [form])
 
 
-def cmd_descartes_sweep(args):
-    gf = build_gf(args)
+def cmd_descartes_sweep(args, gf):
     rows = sorted(_descartes_rows(gf, args.seed, args.count))
     for members, form, zero in rows:
         print(f"{members}\t{form}\t{'zero' if zero else 'NONZERO'}")
@@ -335,41 +303,23 @@ def cmd_descartes_sweep(args):
         raise CarlitzError(f"{bad} of {args.count} families violate the form")
 
 
-def cmd_soddy(args):
-    ks = [rational(x) for x in args.ks.split(",")]
-    val = geometry.soddy_form(args.n, ks)
+def cmd_soddy(args, gf):
+    val = geometry.soddy_form(args.n, args.ks)
     emit(args, {"form": str(val), "zero": val == 0}, [str(val)])
 
 
-def _parse_vertex(s: str, gf) -> geometry.TreeVertex:
-    # format: level;series  (series in the T-digit format, possibly 0)
-    level_s, _, ser_s = s.partition(";")
-    level = integer(level_s)
-    digits = {}
-    if ser_s.strip() not in ("", "0"):
-        ser = parse_series(ser_s, gf, InfLaurent)
-        digits = dict(ser.terms())
-    return geometry.TreeVertex(gf, level, digits)
-
-
-def cmd_tree_neighbors(args):
-    gf = build_gf(args)
+def cmd_tree_neighbors(args, gf):
     check_size("tree neighbors vertex count", gf.q + 1, MAX_TREE_VERTICES, "lower --q")
-    v = _parse_vertex(args.vertex, gf)
-    lines = [n.label() for n in geometry.tree_neighbors(v)]
+    lines = [n.label() for n in geometry.tree_neighbors(args.vertex)]
     emit(args, {"neighbors": lines}, lines)
 
 
-def cmd_tree_distance(args):
-    gf = build_gf(args)
-    v1 = _parse_vertex(args.v1, gf)
-    v2 = _parse_vertex(args.v2, gf)
-    d = geometry.tree_distance(v1, v2)
+def cmd_tree_distance(args, gf):
+    d = geometry.tree_distance(args.v1, args.v2)
     emit(args, {"distance": d}, [str(d)])
 
 
-def cmd_tree_export(args):
-    gf = build_gf(args)
+def cmd_tree_export(args, gf):
     radius, q = nonnegative(args.radius, "radius degree"), gf.q
     # the ball has 1 + (q+1)(q^r - 1)/(q-1) >= 2^r vertices, so a radius past
     # the cap's bit length is counted only up to it
@@ -392,16 +342,12 @@ def cmd_tree_export(args):
     print("}")
 
 
-def cmd_ray(args):
-    gf = build_gf(args)
-    f = parse_fraction(args.f, gf)
-    verts = geometry.geodesic_ray(f, args.steps)
-    lines = [v.label() for v in verts]
+def cmd_ray(args, gf):
+    lines = [v.label() for v in geometry.geodesic_ray(args.f, args.steps)]
     emit(args, {"ray": lines}, lines)
 
 
-def cmd_normal_basis(args):
-    gf = build_gf(args)
+def cmd_normal_basis(args, gf):
     data = geometry.normal_basis(gf)
     emit(
         args,
@@ -417,42 +363,21 @@ def cmd_normal_basis(args):
     )
 
 
-def cmd_exp(args):
-    gf = build_gf(args)
-    z = parse_series(args.z, gf, VqElem)
+def cmd_exp(args, gf):
     budget = analytic.SeriesBudget(term_count=args.terms, precision=args.prec)
-    val, cert = analytic.carlitz_exp(z, budget, with_certificate=True)
-    cert_s = {str(k): str(v) for k, v in cert.items()}
-    emit(
-        args,
-        {"value": str(val), "certificate": cert_s},
-        [str(val), json.dumps(cert_s, sort_keys=True)],
-    )
+    emit_certified(args, *analytic.carlitz_exp(args.z, budget, with_certificate=True))
 
 
-def cmd_period(args):
-    gf = build_gf(args)
+def cmd_period(args, gf):
     ratfn, series = analytic.period_partial(gf, args.N, prec=args.prec)
     exact = _form_text(ratfn)
-    emit(
-        args,
-        {"ratfn": exact, "series": str(series)},
-        [f"exact = {exact}", f"series = {series}"],
-    )
+    emit(args, {"ratfn": exact, "series": str(series)}, [f"exact = {exact}", f"series = {series}"])
 
 
-def cmd_eisenstein(args):
-    gf = build_gf(args)
-    basis = [parse_series(s, gf, VqElem) for s in args.basis.split(";")]
-    L = analytic.Lattice(basis)
+def cmd_eisenstein(args, gf):
+    L = analytic.Lattice(args.basis)
     budget = analytic.SeriesBudget(degree_bound=args.degree_bound, precision=args.prec)
-    val, cert = analytic.eisenstein(L, args.k, budget, with_certificate=True)
-    cert_s = {str(k): str(v) for k, v in cert.items()}
-    emit(
-        args,
-        {"value": str(val), "certificate": cert_s},
-        [str(val), json.dumps(cert_s, sort_keys=True)],
-    )
+    emit_certified(args, *analytic.eisenstein(L, args.k, budget, with_certificate=True))
 
 
 def _check_sweep_size(q: int, max_deg: int, what: str, cap: int, size):
@@ -465,8 +390,7 @@ def _check_sweep_size(q: int, max_deg: int, what: str, cap: int, size):
         check_size(what, size(count), cap, "lower --max-deg or --q", exact=d == max_deg)
 
 
-def cmd_sweep(args):
-    gf = build_gf(args)
+def cmd_sweep(args, gf):
     kind = args.kind
     nonnegative(args.max_deg, "sweep degree")
     bad = 0
@@ -555,43 +479,43 @@ def seed(sp):
 # dest and the entries of its own subcommands; setup declares every option
 # the handler reads, and a parent of nested subcommands has none.
 SUBCOMMANDS = [
-    ("act", cmd_act, lambda sp: (field(sp), sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
-    ("operator", cmd_operator, lambda sp: (field(sp), sp.add_argument("--M", required=True)), None),
-    ("cyclotomic", cmd_cyclotomic, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--n", type=integer, default=1)), None),
-    ("torsion-padic", cmd_torsion_padic, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--N", type=integer, default=6)), None),
-    ("torsion-vq", cmd_torsion_vq, lambda sp: (field(sp), prec(sp), sp.add_argument("--M", required=True)), None),
-    ("divide-t", cmd_divide_t, lambda sp: (field(sp), prec(sp), sp.add_argument("--u", required=True)), None),
-    ("completed-act", cmd_completed_act, lambda sp: (field(sp), sp.add_argument("--M", required=True), sp.add_argument("--u", required=True)), None),
-    ("dirichlet", cmd_dirichlet, lambda sp: (field(sp), sp.add_argument("--target", required=True), sp.add_argument("--n", type=integer, required=True)), None),
-    ("symbol", cmd_symbol, lambda sp: (field(sp), sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
-    ("reciprocity", cmd_reciprocity, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--Q", required=True), sp.add_argument("--d", type=integer, required=True)), None),
-    ("split-kummer", cmd_split_kummer, lambda sp: (field(sp), sp.add_argument("--A", required=True), sp.add_argument("--P", required=True), sp.add_argument("--d", type=integer, required=True)), None),
-    ("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (field(sp), sp.add_argument("--P", required=True), sp.add_argument("--A", required=True)), None),
-    ("xi", cmd_xi, lambda sp: (field(sp), sp.add_argument("--A", required=True)), None),
-    ("newton", cmd_newton, lambda sp: (field(sp), sp.add_argument("--A", required=True)), None),
+    ("act", cmd_act, lambda sp: (field(sp), sp.add_argument("--M", type=POLY, required=True), sp.add_argument("--u", type=POLY, required=True)), None),
+    ("operator", cmd_operator, lambda sp: (field(sp), sp.add_argument("--M", type=POLY, required=True)), None),
+    ("cyclotomic", cmd_cyclotomic, lambda sp: (field(sp), sp.add_argument("--P", type=POLY, required=True), sp.add_argument("--n", type=integer, default=1)), None),
+    ("torsion-padic", cmd_torsion_padic, lambda sp: (field(sp), sp.add_argument("--P", type=POLY, required=True), sp.add_argument("--N", type=integer, default=6)), None),
+    ("torsion-vq", cmd_torsion_vq, lambda sp: (field(sp), prec(sp), sp.add_argument("--M", type=POLY, required=True)), None),
+    ("divide-t", cmd_divide_t, lambda sp: (field(sp), prec(sp), sp.add_argument("--u", type=VQ, required=True)), None),
+    ("completed-act", cmd_completed_act, lambda sp: (field(sp), sp.add_argument("--M", type=INF, required=True), sp.add_argument("--u", type=VQ, required=True)), None),
+    ("dirichlet", cmd_dirichlet, lambda sp: (field(sp), sp.add_argument("--target", type=VQ, required=True), sp.add_argument("--n", type=integer, required=True)), None),
+    ("symbol", cmd_symbol, lambda sp: (field(sp), sp.add_argument("--A", type=POLY, required=True), sp.add_argument("--P", type=POLY, required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("reciprocity", cmd_reciprocity, lambda sp: (field(sp), sp.add_argument("--P", type=POLY, required=True), sp.add_argument("--Q", type=POLY, required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("split-kummer", cmd_split_kummer, lambda sp: (field(sp), sp.add_argument("--A", type=POLY, required=True), sp.add_argument("--P", type=POLY, required=True), sp.add_argument("--d", type=integer, required=True)), None),
+    ("split-cyclotomic", cmd_split_cyclotomic, lambda sp: (field(sp), sp.add_argument("--P", type=POLY, required=True), sp.add_argument("--A", type=POLY, required=True)), None),
+    ("xi", cmd_xi, lambda sp: (field(sp), sp.add_argument("--A", type=POLY, required=True)), None),
+    ("newton", cmd_newton, lambda sp: (field(sp), sp.add_argument("--A", type=POLY, required=True)), None),
     ("kummer", None, None, ("kummer_cmd", [
-        ("map", cmd_kummer_map, lambda sp: (field(sp), sp.add_argument("--u", required=True)), None),
-        ("solve", cmd_kummer_solve, lambda sp: (field(sp), sp.add_argument("--M", required=True)), None),
+        ("map", cmd_kummer_map, lambda sp: (field(sp), sp.add_argument("--u", type=VQ, required=True)), None),
+        ("solve", cmd_kummer_solve, lambda sp: (field(sp), sp.add_argument("--M", type=INF, required=True)), None),
     ])),
-    ("star", cmd_star, lambda sp: (field(sp), sp.add_argument("--A", required=True), sp.add_argument("--nu", required=True)), None),
-    ("tangent", cmd_tangent, lambda sp: (field(sp), sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
-    ("family", cmd_family, lambda sp: (field(sp), sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
+    ("star", cmd_star, lambda sp: (field(sp), sp.add_argument("--A", type=POLY, required=True), sp.add_argument("--nu", type=INF, required=True)), None),
+    ("tangent", cmd_tangent, lambda sp: (field(sp), sp.add_argument("--f1", type=FRACTION, required=True), sp.add_argument("--f2", type=FRACTION, required=True)), None),
+    ("family", cmd_family, lambda sp: (field(sp), sp.add_argument("--f1", type=FRACTION, required=True), sp.add_argument("--f2", type=FRACTION, required=True)), None),
     ("descartes", None, None, ("descartes_cmd", [
-        ("family", cmd_descartes_family, lambda sp: (field(sp), sp.add_argument("--f1", required=True), sp.add_argument("--f2", required=True)), None),
-        ("eval", cmd_descartes_eval, lambda sp: (field(sp), sp.add_argument("--curvatures", required=True, help="semicolon-separated fractions")), None),
+        ("family", cmd_descartes_family, lambda sp: (field(sp), sp.add_argument("--f1", type=FRACTION, required=True), sp.add_argument("--f2", type=FRACTION, required=True)), None),
+        ("eval", cmd_descartes_eval, lambda sp: (field(sp), sp.add_argument("--curvatures", type=FRACTIONS, required=True, help="semicolon-separated fractions")), None),
         ("sweep", cmd_descartes_sweep, lambda sp: (field(sp), seed(sp), sp.add_argument("--count", type=integer, default=20)), None),
     ])),
-    ("soddy", cmd_soddy, lambda sp: (sp.add_argument("--output", choices=("text", "json"), default="text"), sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", required=True)), None),
+    ("soddy", cmd_soddy, lambda sp: (sp.add_argument("--output", choices=("text", "json"), default="text"), sp.add_argument("--n", type=integer, default=2), sp.add_argument("--ks", type=RATIONALS, required=True)), None),
     ("tree", None, None, ("tree_cmd", [
-        ("neighbors", cmd_tree_neighbors, lambda sp: (field(sp), sp.add_argument("--vertex", required=True, help="level;series")), None),
-        ("distance", cmd_tree_distance, lambda sp: (field(sp), sp.add_argument("--v1", required=True), sp.add_argument("--v2", required=True)), None),
+        ("neighbors", cmd_tree_neighbors, lambda sp: (field(sp), sp.add_argument("--vertex", type=VERTEX, required=True, help="level;series")), None),
+        ("distance", cmd_tree_distance, lambda sp: (field(sp), sp.add_argument("--v1", type=VERTEX, required=True), sp.add_argument("--v2", type=VERTEX, required=True)), None),
         ("export", cmd_tree_export, lambda sp: (field(sp), sp.add_argument("--radius", type=integer, default=2)), None),
     ])),
-    ("ray", cmd_ray, lambda sp: (field(sp), sp.add_argument("--f", required=True), sp.add_argument("--steps", type=integer, default=5)), None),
+    ("ray", cmd_ray, lambda sp: (field(sp), sp.add_argument("--f", type=FRACTION, required=True), sp.add_argument("--steps", type=integer, default=5)), None),
     ("normal-basis", cmd_normal_basis, field, None),
-    ("exp", cmd_exp, lambda sp: (field(sp), prec(sp, 24), sp.add_argument("--z", required=True), sp.add_argument("--terms", type=integer, default=10)), None),
+    ("exp", cmd_exp, lambda sp: (field(sp), prec(sp, 24), sp.add_argument("--z", type=VQ, required=True), sp.add_argument("--terms", type=integer, default=10)), None),
     ("period", cmd_period, lambda sp: (field(sp), prec(sp, 16), sp.add_argument("--N", type=integer, required=True)), None),
-    ("eisenstein", cmd_eisenstein, lambda sp: (field(sp), prec(sp, 24), sp.add_argument("--basis", required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)), None),
+    ("eisenstein", cmd_eisenstein, lambda sp: (field(sp), prec(sp, 24), sp.add_argument("--basis", type=VQ_LIST, required=True, help="semicolon-separated series"), sp.add_argument("--k", type=integer, default=1), sp.add_argument("--degree-bound", type=integer, default=3)), None),
     ("sweep", cmd_sweep, lambda sp: (field(sp), seed(sp), sp.add_argument("--kind", required=True, choices=("reciprocity", "descartes", "torsion", "splitting")), sp.add_argument("--max-deg", type=integer, default=2), sp.add_argument("--count", type=integer, default=20), sp.add_argument("--N", type=integer, default=4)), None),
 ]
 
@@ -649,7 +573,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        args.fn(args)
+        gf = build_gf(args) if "q" in vars(args) else None
+        # the namespace holds the options in declaration order, so the
+        # first option that fails to read is the first one declared
+        for dest, value in vars(args).items():
+            if isinstance(value, partial):
+                setattr(args, dest, value(gf))
+        args.fn(args, gf)
         sys.stdout.flush()
         return 0
     except BrokenPipeError:

@@ -210,9 +210,9 @@ class Poly:
         return acc
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly) and self.gf == other.gf and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, Poly):
+            return NotImplemented  # a RatFn compares itself with a Poly
+        return self.gf == other.gf and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.gf, self.coeffs))
@@ -795,7 +795,8 @@ class RatFn:
         return isinstance(other, RatFn) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a fraction over 1 equals its numerator, so it hashes as that Poly
+        return hash(self.num) if self.den.degree == 0 else hash((self.num, self.den))
 
     def _coerce(self, other):
         if isinstance(other, Poly):

@@ -645,6 +645,30 @@ def test_torsion_vq_linear_below_its_lead(capsys):
     assert run(capsys, *argv, "--output", "json") == (1, "", json.dumps(obj) + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, code, kind, message",
+    [
+        (("act", "--M", "T^2+", "--u", "T"), 1, "domain", "syntax error near position 4 in 'T^2+'"),
+        (("divide-t", "--u", "s^"), 1, "domain", "syntax error in term 's^'"),
+        (("kummer", "solve", "--M", "T^"), 1, "domain", "syntax error in term 'T^'"),
+        (("tangent", "--f1", "(T", "--f2", "0"), 1, "domain", "syntax error in term '('"),
+        (("descartes", "eval", "--curvatures", "1/T;(T"), 1, "domain", "syntax error in term '('"),
+        (("eisenstein", "--basis", "s^-1;s^"), 1, "domain", "syntax error in term 's^'"),
+        (("tree", "distance", "--v1", "x;0", "--v2", "0;0"), 2, "usage", "invalid integer 'x'"),
+        (("soddy", "--ks", "1,x"), 2, "usage", "invalid integer 'x'"),
+        # the field is built before any option is read in it
+        (("act", "--q", "6", "--M", "bad(", "--u", "T"), 2, "usage", "q = 6 is not a prime power"),
+    ],
+    ids=["poly", "vq", "inf", "fraction", "fractions", "vq-list", "vertex", "rationals", "field-first"],
+)
+def test_malformed_option_errors(capsys, argv, code, kind, message):
+    # one malformed option per reader kind: its exit code and error, as
+    # text and as the JSON object
+    assert run(capsys, *argv) == (code, "", f"error[{kind}]: {message}\n")
+    obj = {"code": kind, "message": message, "context": {}}
+    assert run(capsys, *argv, "--output", "json") == (code, "", json.dumps(obj) + "\n")
+
+
 def test_torsion_sweep_counts_distinct_points(capsys, monkeypatch):
     # a listing of q^(deg P) entries that repeats one point fails its row
     torsion_padic = torsion_module.torsion_padic

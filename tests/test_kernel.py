@@ -23,7 +23,8 @@ by the residue field's order, the q-th power mod f,
 irreducibility, the norm and the residue symbol against pow_mod, the polynomial
 enumeration against the base-q digit loop, euler_phi against a count of
 units and against a trial-division factorization, the ring axioms of each
-ring as properties, the F_{p^r} modulus and tables against coordinates and
+ring as properties, a Poly and its RatFn as one value (equal both ways, one
+hash), the F_{p^r} modulus and tables against coordinates and
 schoolbook F_p polynomials, the packed slots against their slot-by-slot
 reading, Barrett reduction and the Carlitz step on one modulus against the
 division loop, P-adic
@@ -2281,6 +2282,20 @@ def test_ring_axioms(ring, data):
     assert _same(x + y, y + x)
     assert _same(x * y, y * x)
     assert _same(x * (y + z), x * y + x * z)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]), st.data())
+def test_poly_and_its_fraction_are_one_value(q, data):
+    # p and p/1 are equal either way round and hash alike, so a set or a
+    # dict holds them once; p/T is another value unless p is 0
+    gf = FIELDS[q]
+    p = Poly(gf, data.draw(st.lists(st.integers(0, q - 1), max_size=6)))
+    r, s = RatFn.from_poly(p), RatFn(p, Poly.T(gf))
+    assert p == r and r == p and not p != r and not r != p
+    assert hash(p) == hash(r)
+    assert len({p, r}) == 1
+    assert (p == s) == (s == p) == p.is_zero()
 
 
 def tstep_operator(M: Poly) -> list:

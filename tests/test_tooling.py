@@ -1,9 +1,10 @@
 """The runtime imports nothing outside the standard library, every module
-imports on its own, the README's library and CLI quick starts run, every
-CLI subcommand declares only the options it reads, every layer boundary the
-benchmark traces exists in the library, every certified function has a
-precision-contract row, and the benchmark's workloads compute the pinned
-outputs."""
+imports on its own, the README's library and CLI quick starts run, the
+README's caps table matches the code, every CLI subcommand declares only
+the options it reads and no handler builds the field or reads option text,
+every layer boundary the benchmark traces exists in the library, every
+certified function has a precision-contract row, and the benchmark's
+workloads compute the pinned outputs."""
 
 import argparse
 import ast
@@ -87,6 +88,28 @@ def test_readme_cli_quick_start_runs(capsys):
         assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"
 
 
+def test_readme_caps_table_matches_the_code():
+    # each row's value is its constant's, and every MAX_ constant of the
+    # package has a row, so a cap that changes without its row fails
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"## Quick start \(CLI\)\n(.*?)\n## ", readme, re.S).group(1)
+    rows = re.findall(r"^\| `(\w+)\.(MAX_\w+)` \| ([^|]+?) \| [^|]+ \| ([^|]+) \|$", section, re.M)
+    for module, name, value, refusal in rows:
+        factor, base, exponent = re.fullmatch(r"(?:(\d+)·)?(\d+)\^(\d+)", value).groups()
+        actual = getattr(importlib.import_module(f"carlitz.{module}"), name)
+        assert int(factor or 1) * int(base) ** int(exponent) == actual, f"{module}.{name}"
+        assert refusal == ("usage error, exit 2" if module == "cli" else "`DomainError`, exit 1")
+    caps = {
+        f"{path.stem}.{target.id}"
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    assert len(caps) == 14 and {f"{module}.{name}" for module, name, _, _ in rows} == caps
+
+
 def _args_read(name, functions, seen):
     """The attributes of args that the cli function name reads, itself or
     through the cli functions it passes args to (build_gf reads q and
@@ -131,6 +154,27 @@ def test_every_cli_option_is_read():
         unread += [f"{' '.join(path)}: {dest}" for dest in sorted(declared - read)]
     assert len(list(_command_parsers(build_parser()))) == 35
     assert unread == []
+
+
+# what builds the field or reads option text: only main and the readers
+# call these
+FIELD_AND_TEXT_READERS = {"build_gf", "parse_poly", "parse_series", "parse_fraction", "_parse_vertex"}
+
+
+def test_no_handler_builds_the_field_or_reads_option_text():
+    # main builds the field and reads each text option by its reader, so a
+    # handler takes values and names none of these
+    tree = ast.parse(inspect.getsource(carlitz.cli))
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    named = [
+        f"{handler.name}: {getattr(node, 'id', None) or node.attr}"
+        for handler in handlers
+        for node in ast.walk(handler)
+        if getattr(node, "id", None) in FIELD_AND_TEXT_READERS or getattr(node, "attr", None) in FIELD_AND_TEXT_READERS
+    ]
+    leaves = [parser for _, parser, sub in _command_parsers(build_parser()) if not sub]
+    assert len(handlers) == len(leaves) == 32
+    assert named == []
 
 
 def test_readme_library_quick_start_runs(capsys):
