@@ -440,13 +440,13 @@ def cmd_sweep(args, gf):
         _check_sweep_size(gf.q, args.max_deg, "sweep 'splitting' work estimate", MAX_SPLITTING_WORK,
                           lambda count: (sum(count.values()) - 1) * sum(n * (gf.q**d - 1) ** 2 for d, n in count.items()))
         irr = list(monic_irreducibles(gf, args.max_deg))
+        psis = {A: list(cyclotomic_poly(A, 1).coeffs) for A in irr}
         for P in irr:
             for A in irr:
                 if P == A:
                     continue
                 f = reciprocity.residue_degree_cyclotomic(P, A)
-                psi = cyclotomic_poly(A, 1)
-                degs = ddf(list(psi.coeffs), P)
+                degs = ddf(psis[A], P)
                 ok = all(d == f for d, _ in degs)
                 rows.append((str(P), str(A), str(f), str(degs), str(ok)))
                 if not ok:

@@ -9,7 +9,7 @@ BelowPrecision.
 from __future__ import annotations
 
 from .errors import BelowPrecision, CarlitzError, DomainError
-from .poly import Modulus, Poly, all_polys, inv_mod, is_irreducible, square_multiply
+from .poly import MAX_FROBENIUS_DEGREE, Modulus, Poly, all_polys, inv_mod, is_irreducible, square_multiply
 
 __all__ = ["PadicCtx", "PadicElem", "hensel_lift"]
 
@@ -18,7 +18,7 @@ class PadicCtx:
     """Ambient ring F_q[T] / P^N for a monic irreducible P.  Every element
     is reduced by one Modulus of P^N, by two products (see poly.Modulus)."""
 
-    __slots__ = ("gf", "P", "N", "modulus", "_reducer")
+    __slots__ = ("gf", "P", "N", "modulus", "_reducer", "_spread_step")
 
     def __init__(self, P: Poly, N: int):
         if N < 1:
@@ -30,6 +30,8 @@ class PadicCtx:
         self.N = N
         self.modulus = P ** N
         self._reducer = Modulus(self.modulus)
+        # Modulus.rho_T spreads u^q to T-degree q (deg P^N - 1), refused past the cap
+        self._spread_step = self.gf.q * (self.modulus.degree - 1) <= MAX_FROBENIUS_DEGREE
 
     def elem(self, f: Poly) -> "PadicElem":
         return PadicElem(self, self._reducer.reduce(f))
@@ -111,15 +113,20 @@ class PadicElem:
         return self.ctx.elem(f)
 
     def frobenius(self) -> "PadicElem":
-        """The q-th power: the Frobenius image of the rep, reduced once."""
-        return self.ctx.elem(self.rep.frobenius())
+        """The q-th power: h^q mod P^N by Modulus.frobenius."""
+        return PadicElem(self.ctx, self.ctx._reducer.frobenius(self.rep))
 
     def rho_T(self, a: int = 0, w: "PadicElem" = None) -> "PadicElem":
         """The Carlitz step u^q + T*u, plus a*w for a in F_q, in one Barrett
-        pass (Modulus.rho_T)."""
+        pass (Modulus.rho_T).  That pass spreads u^q densely, so past the cap
+        on q-th powers u^q is taken by Modulus.frobenius instead."""
         if a:
             self._check(w)
-        return PadicElem(self.ctx, self.ctx._reducer.rho_T(self.rep, a, w.rep if a else None))
+        ctx = self.ctx
+        if not ctx._spread_step:
+            step = self.frobenius() + self.from_poly(Poly.T(ctx.gf)) * self
+            return step + w.scale(a) if a else step
+        return PadicElem(ctx, ctx._reducer.rho_T(self.rep, a, w.rep if a else None))
 
     def __pow__(self, e: int):
         if e < 0:

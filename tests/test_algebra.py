@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import field, rand_poly, all_polys
+from conftest import ORDER_FIELDS, field, rand_poly
+from test_oracles import earlier_tests
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError
 from carlitz.gf import GF
 from carlitz.padic import PadicCtx, hensel_lift
@@ -18,9 +19,12 @@ from carlitz.poly import (
     poly_ext_gcd,
     poly_gcd,
 )
-from carlitz.operator import XPoly, carlitz_operator
+from carlitz.operator import XPoly
 from carlitz.residues import ddf
 from carlitz.series import InfLaurent, VqElem, parse_series
+
+# the rows of tests/test_oracles.py that keep their earlier ids in this module
+globals().update(earlier_tests(__name__))
 
 
 # ---------------------------------------------------------------- GF
@@ -40,6 +44,16 @@ def test_gf_field_axioms_sampled(q):
             assert gf.mul(a, gf.inv(a)) == 1
 
 
+@pytest.mark.parametrize("q", sorted(ORDER_FIELDS))
+def test_gf_primitive_element_and_order_of_zero(q):
+    # the orders themselves against stepping: test_oracles.py row GF.order
+    p, r, primitive = ORDER_FIELDS[q]
+    gf = GF(p, r)
+    assert gf.primitive_element() == primitive
+    with pytest.raises(DomainError, match="0 has no multiplicative order"):
+        gf.order(0)
+
+
 @pytest.mark.parametrize("q", [4, 5, 9])
 def test_gf_frobenius_and_primitive(q):
     gf = field(q)
@@ -51,31 +65,6 @@ def test_gf_frobenius_and_primitive(q):
     g = gf.primitive_element()
     seen = {gf.pow(g, k) for k in range(gf.q - 1)}
     assert len(seen) == gf.q - 1
-
-
-def stepping_order(gf, a):
-    """The order of a by stepping through a, a^2, ..., as GF.order computed
-    it before it divided q - 1 down."""
-    k, x = 1, a
-    while x != 1:
-        x = gf.mul(x, a)
-        k += 1
-    return k
-
-
-# (p, r, the least element of order q - 1 in the default modulus)
-ORDER_FIELDS = {2: (2, 1, 1), 3: (3, 1, 2), 4: (2, 2, 2), 5: (5, 1, 2), 7: (7, 1, 3),
-                8: (2, 3, 2), 9: (3, 2, 4), 16: (2, 4, 2), 25: (5, 2, 6), 27: (3, 3, 3)}
-
-
-@pytest.mark.parametrize("q", sorted(ORDER_FIELDS))
-def test_gf_order_matches_stepping(q):
-    p, r, primitive = ORDER_FIELDS[q]
-    gf = GF(p, r)
-    assert [gf.order(a) for a in range(1, q)] == [stepping_order(gf, a) for a in range(1, q)]
-    assert gf.primitive_element() == primitive
-    with pytest.raises(DomainError, match="0 has no multiplicative order"):
-        gf.order(0)
 
 
 def test_gf_refuses_a_p_that_is_not_prime():

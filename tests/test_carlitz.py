@@ -8,8 +8,8 @@ import random
 import pytest
 
 import carlitz
-from conftest import echelon, field, rand_poly, span
-from test_kernel import CoefficientOperator, dense_operator
+from conftest import dense_operator, echelon, field, rand_poly, span
+from test_oracles import earlier_tests
 from carlitz import operator as operator_module
 from carlitz import torsion as torsion_module
 from carlitz.analytic import carlitz_exp
@@ -23,8 +23,8 @@ from carlitz.operator import (
     carlitz_operator,
     cyclotomic_poly,
 )
-from carlitz.padic import PadicCtx, hensel_lift
-from carlitz.poly import Poly, all_polys, monic_irreducibles, parse_poly
+from carlitz.padic import PadicCtx
+from carlitz.poly import Poly, all_polys, parse_poly
 from carlitz.series import InfLaurent, VqElem, parse_series
 from carlitz.torsion import (
     completed_action,
@@ -35,6 +35,9 @@ from carlitz.torsion import (
     torsion_padic,
     torsion_vq,
 )
+
+# the rows of tests/test_oracles.py that keep their earlier ids in this module
+globals().update(earlier_tests(__name__))
 
 
 # ---------------------------------------------------------------- operator
@@ -204,27 +207,6 @@ def test_torsion_padic_is_a_module():
         assert carlitz_act(rand_poly(gf, rng, 3), a) in ts
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_hensel_on_the_operator_matches_the_xpoly(q):
-    # Newton on rho_{P-1} (derivative the constant P-1, evaluated by the
-    # coefficient loop) against Newton on the dense x-polynomial, whose
-    # derivative is formed and evaluated term by term; the Horner action
-    # sends the root to zero
-    gf = field(q)
-    for d in (1, 2, 3):
-        if q**d > 125:
-            continue  # the dense x-polynomial has degree q^d
-        P = [f for f in monic_irreducibles(gf, d) if f.degree == d][-1]
-        ctx = PadicCtx(P, 5)
-        order = P - Poly.one(gf)
-        op = CoefficientOperator(order)
-        f = dense_operator(order)
-        for r in ctx.residues():
-            a = hensel_lift(op, ctx.elem(r), ctx)
-            assert a == hensel_lift(f, ctx.elem(r), ctx)
-            assert carlitz_act(order, a).is_zero()
-
-
 # ---------------------------------------------------------------- V_q torsion
 
 
@@ -309,19 +291,6 @@ def test_division_chain_valuation_slope():
     chain = division_chain(u.truncate(25), 8)
     vals = [v.valuation() for v in chain]
     assert vals == [u.valuation() + 2 * (k + 1) for k in range(8)]
-
-
-def test_completed_action_matches_polynomial_action():
-    gf = field(3)
-    rng = random.Random(9)
-    for _ in range(10):
-        M = rand_poly(gf, rng, 3)
-        u = VqElem.from_poly(rand_poly(gf, rng, 2)).truncate(15)
-        a = completed_action(M, u)
-        b = carlitz_act(M, u)
-        assert a.agrees(b, upto=min(a.prec, b.prec))
-        a2 = completed_action(InfLaurent.from_poly(M), u)
-        assert a2.agrees(b, upto=min(a2.prec, b.prec, 10))
 
 
 def test_completed_action_of_zero_is_exact_zero():

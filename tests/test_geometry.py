@@ -1,15 +1,17 @@
 """Horoball curvature geometry (tangency, Descartes-type form, Soddy check),
 the Moebius action of GL_2(F_q[T]) on tangent pairs, and the Bruhat-Tits
-tree at infinity with its ray and distance against stepwise oracles, plus
-the normal-basis data of the residue extension."""
+tree at infinity, plus the normal-basis data of the residue extension.  The
+form, the ray and the distance against their stepwise oracles are rows of
+tests/test_oracles.py."""
 
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import det as fq_det, field
+from conftest import _nonzero_poly, _poly, det as fq_det, field, frac
+from test_oracles import earlier_tests
 from carlitz import geometry as geometry_module
 from carlitz.errors import DomainError
 from carlitz.geometry import (
@@ -29,12 +31,11 @@ from carlitz.geometry import (
     TreeVertex,
 )
 from carlitz.gf import GF
-from carlitz.poly import Poly, RatFn, parse_poly, poly_ext_gcd
+from carlitz.poly import Poly, RatFn, poly_ext_gcd
 from carlitz.series import InfLaurent
 
-
-def frac(num_text, den_text, gf):
-    return Fraction(parse_poly(num_text, gf), parse_poly(den_text, gf))
+# the rows of tests/test_oracles.py that keep their earlier ids in this module
+globals().update(earlier_tests(__name__))
 
 
 # ---------------------------------------------------------------- fractions
@@ -98,112 +99,6 @@ def test_descartes_arity_and_infinity():
         descartes_form([])
     with pytest.raises(DomainError):
         descartes_form([Fraction.infinity(gf)] + [Fraction.zero(gf)] * 3)
-
-
-def descartes_form_stepwise(xs) -> RatFn:
-    """The form by its definition, reduced after every +, ** and -: the
-    oracle for descartes_form's single common denominator."""
-    vals = []
-    for x in xs:
-        if isinstance(x, RatFn):
-            if x.is_infinity():
-                raise DomainError("descartes form is undefined on a family containing infinity")
-            vals.append(x)
-        else:
-            vals.append(RatFn.from_poly(x))
-    q = vals[0].gf.q
-    if len(vals) != q + 1:
-        raise DomainError(f"expected {q + 1} curvatures, got {len(vals)}")
-    total = vals[0]
-    for v in vals[1:]:
-        total = total + v
-    acc = total ** (q - 1)
-    for v in vals:
-        acc = acc - v ** (q - 1)
-    return acc
-
-
-FORM_QS = [2, 3, 4, 5, 7, 8, 9]
-
-
-def _poly(draw, gf, max_deg):
-    return Poly(gf, draw(st.lists(st.integers(0, gf.q - 1), max_size=max_deg + 1)))
-
-
-def _nonzero_poly(draw, gf, max_deg):
-    low = draw(st.lists(st.integers(0, gf.q - 1), max_size=max_deg))
-    return Poly(gf, low + [draw(st.integers(1, gf.q - 1))])
-
-
-@st.composite
-def tangent_families(draw):
-    gf = field(draw(st.sampled_from(FORM_QS)))
-    a, c = _nonzero_poly(draw, gf, 3), _nonzero_poly(draw, gf, 3)
-    g, x, y = poly_ext_gcd(a, c)
-    assume(g.degree == 0)
-    inv = gf.inv(g.lc)
-    f1, f2 = RatFn(a, c), RatFn(y.scale(gf.neg(inv)), x.scale(inv))
-    assume(not f2.is_infinity() and f1 != f2)
-    fam = tangent_family(f1, f2)
-    assume(not any(m.is_infinity() for m in fam))
-    return fam
-
-
-@st.composite
-def curvature_tuples(draw):
-    """q+1 curvatures, each a Poly or a RatFn with a nonzero denominator."""
-    gf = field(draw(st.sampled_from(FORM_QS)))
-    xs = []
-    for _ in range(gf.q + 1):
-        num = _poly(draw, gf, 2)
-        if draw(st.booleans()):
-            xs.append(num)
-        else:
-            xs.append(RatFn(num, _nonzero_poly(draw, gf, 2)))
-    return xs
-
-
-def _same_form(xs):
-    new, old = descartes_form(xs), descartes_form_stepwise(xs)
-    assert (new.num, new.den) == (old.num, old.den)
-    assert str(new) == str(old)
-    return new
-
-
-@settings(max_examples=80, deadline=None)
-@given(tangent_families())
-def test_descartes_form_matches_stepwise_on_tangent_families(fam):
-    # pairwise tangency makes the denominators pairwise coprime, so their
-    # product is their lcm
-    for i, a in enumerate(fam):
-        for b in fam[i + 1:]:
-            assert tangent(a, b)
-    assert _same_form(fam).is_zero()
-
-
-def _over(den, nums, q):
-    gf = field(q)
-    return [frac(n, den, gf) for n in nums]
-
-
-@settings(max_examples=120, deadline=None)
-@given(curvature_tuples())
-# the product of the denominators exceeds their lcm: one shared denominator
-# at q = 3, 4 and 5, and denominators with a common factor beside a Poly
-@example(_over("T^2+1", ["1", "T", "T+1", "2"], 3))
-@example([frac("1", "T", field(3)), frac("1", "T^2+T", field(3)),
-          frac("T", "T+1", field(3)), parse_poly("T+2", field(3))])
-@example(_over("T^3+T+1", ["1", "T", "T^2", "T+1", "w*T"], 4))
-@example(_over("T^2+2", ["1", "T", "2*T+1", "3", "T^2+4", "4*T"], 5))
-# denominators of degree 0 enter no product: every member a Poly (D = 1), one
-# fraction among polynomials, and a repeated denominator beside unit ones
-@example([parse_poly(t, field(3)) for t in ["T", "T^2+1", "2", "T+2"]])
-@example([frac("T", "T^2+3", field(5))]
-         + [parse_poly(t, field(5)) for t in ["1", "T", "T^2+4", "2*T+1", "3"]])
-@example([frac("1", "T^2+w", field(4)), parse_poly("T", field(4)),
-          frac("T", "T^2+w", field(4)), frac("w", "1", field(4)), parse_poly("T+1", field(4))])
-def test_descartes_form_matches_stepwise_on_tuples(xs):
-    _same_form(xs)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -432,96 +327,6 @@ def test_geodesic_ray_vertex_cap(monkeypatch):
     for f in rays:
         with pytest.raises(DomainError, match="a ray of 3000001 vertices is above the supported maximum 2\\^19"):
             geodesic_ray(f, 3000000)
-
-
-def geodesic_ray_stepwise(f: RatFn, steps: int):
-    """The ray by walking it one vertex at a time, down through parents and
-    up through the truncations of f's digits: the oracle for geodesic_ray's
-    two ranges."""
-    gf = f.gf
-    out = [TreeVertex.base(gf)]
-    if f.is_infinity():
-        while len(out) <= steps:
-            out.append(out[-1].parent())
-        return out
-    ser = InfLaurent.from_ratfn(f, prec=steps + 1)
-    digits = dict(ser.terms())
-    v = min(digits) if digits else 0
-    down = min(0, v)
-    level = 0
-    while level > down:
-        level -= 1
-        out.append(TreeVertex(gf, level, {}))
-        if len(out) > steps:
-            return out[: steps + 1]
-    while len(out) <= steps:
-        level += 1
-        out.append(TreeVertex(gf, level, {e: c for e, c in digits.items() if e < level}))
-    return out[: steps + 1]
-
-
-def tree_distance_by_dicts(v1: TreeVertex, v2: TreeVertex) -> int:
-    """The distance from the first exponent where the class digits differ,
-    compared digit by digit: the oracle for tree_distance's symmetric
-    difference."""
-    d1, d2 = dict(v1.cls), dict(v2.cls)
-    diff_exps = [e for e in set(d1) | set(d2) if d1.get(e, 0) != d2.get(e, 0)]
-    l = min(v1.level, v2.level)
-    if diff_exps:
-        l = min(l, min(diff_exps))
-    return (v1.level - l) + (v2.level - l)
-
-
-TREE_QS = [2, 3, 4, 5]
-
-
-@st.composite
-def boundary_points(draw):
-    """Infinity, 0, or num/den with v(f) anywhere in -17..17, so both
-    v(f) < -steps and v(f) > 0 occur."""
-    gf = field(draw(st.sampled_from(TREE_QS)))
-    kind = draw(st.sampled_from(["infinity", "zero", "ratio"]))
-    if kind == "infinity":
-        return RatFn.infinity(gf)
-    if kind == "zero":
-        return RatFn.zero(gf)
-    shifts = st.integers(0, 14)
-    num = _nonzero_poly(draw, gf, 3).shift(draw(shifts))
-    return RatFn(num, _nonzero_poly(draw, gf, 3).shift(draw(shifts)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(boundary_points(), st.integers(0, 12))
-@example(Fraction.infinity(field(2)), 0)
-@example(Fraction.zero(field(3)), 12)
-@example(frac("T^14", "1", field(3)), 12)  # v(f) = -14 < -steps
-@example(frac("1", "T^3+1", field(4)), 7)  # v(f) = 3 > 0
-@example(frac("1", "T^7+1", field(3)), 5)  # v(f) = 7 > steps
-def test_geodesic_ray_matches_stepwise(f, steps):
-    ray = geodesic_ray(f, steps)
-    assert len(ray) == steps + 1
-    assert ray == geodesic_ray_stepwise(f, steps)
-
-
-@st.composite
-def vertex_pairs(draw):
-    """Two vertices at levels -3..5 whose classes share most digits."""
-    gf = field(draw(st.sampled_from(TREE_QS)))
-    exps, digit = st.integers(-8, 4), st.integers(0, gf.q - 1)
-    shared = draw(st.dictionaries(exps, digit, max_size=8))
-
-    def vertex():
-        own = draw(st.dictionaries(exps, digit, max_size=2))
-        return TreeVertex(gf, draw(st.integers(-3, 5)), {**shared, **own})
-
-    return vertex(), vertex()
-
-
-@settings(max_examples=300, deadline=None)
-@given(vertex_pairs())
-def test_tree_distance_matches_digit_by_digit(pair):
-    v1, v2 = pair
-    assert tree_distance(v1, v2) == tree_distance_by_dicts(v1, v2) == tree_distance(v2, v1)
 
 
 # ---------------------------------------------------------------- normal basis

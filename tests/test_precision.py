@@ -20,24 +20,15 @@ and BUDGET_EXEMPT give the reason a certified function has no row;
 tests/test_tooling.py checks that every public function taking a
 precision, a budget or a truncated element has one or the other."""
 
-import random
 from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_kernel import (
-    FIELDS,
-    X_FIELDS,
-    _torsion_primes,
-    _vq,
-    completed_args,
-    inverse_args,
-    moduli,
-    outcome,
-    series,
-    series_pairs,
+from conftest import (
+    FIELDS, X_FIELDS, _torsion_primes, _vq, act_args, completed_args, frobenius_product_args, frobenius_sum_args,
+    inverse_args, moduli, outcome, padic_args, series, series_pairs,
 )
 from carlitz.analytic import Lattice, SeriesBudget, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
@@ -104,13 +95,6 @@ class Row(NamedTuple):
     examples: tuple = ()  # (finer inputs, coarser inputs)
 
 
-def settle(call, args):
-    try:
-        return call(*args)
-    except CarlitzError as err:
-        return type(err)
-
-
 def agree(rough, fine, window):
     rough, fine = getattr(rough, "points", rough), getattr(fine, "points", fine)
     if isinstance(fine, (list, tuple)):
@@ -127,7 +111,7 @@ def agree(rough, fine, window):
 
 
 def compare(row, fine_args, coarse_args):
-    fine, rough = settle(row.call, fine_args), settle(row.call, coarse_args)
+    fine, rough = outcome(row.call, *fine_args), outcome(row.call, *coarse_args)
     assert not isinstance(rough, type) or rough in row.refusals or rough is fine, (rough, fine)
     if isinstance(fine, type):
         assert fine in row.raises + row.lifts and (isinstance(rough, type) or fine in row.lifts), (rough, fine)
@@ -151,47 +135,15 @@ def run(row, finer=None):
 # ---------------------------------------------------------------- rows
 
 
-@st.composite
-def divide_args(draw):
-    """u in V_q with v(u) from -q - 1 to 8 (divide_T refuses v(u) <= -q),
-    exact or truncated, and an optional working precision."""
-    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
-    v = draw(st.integers(-gf.q - 1, 8))
-    digits = draw(st.lists(st.integers(0, gf.q - 1), max_size=20))
-    prec = draw(st.none() | st.integers(v - 3, v + len(digits) + 6))
-    return VqElem(gf, v, digits, prec), draw(st.none() | st.integers(v, v + 24))
+# u in V_q with v(u) from -q - 1 to 8 (divide_T refuses v(u) <= -q), and an
+# optional working precision at or above v(u)
+DIVIDE_ARGS = frobenius_sum_args(X_FIELDS, lambda q: (-q - 1, 8), lambda q, v: st.none() | st.integers(v, v + 24))
+# M at infinity with a root in V_q: its unit part has residue 1
+KUMMER_ARGS = frobenius_product_args(X_FIELDS, lambda q: [1], 16, 1)
 
 
 @st.composite
-def kummer_args(draw):
-    """M at infinity, exact or truncated, with a root in V_q: its unit part
-    (-T)^m M, m = v(M), has residue 1."""
-    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
-    m = draw(st.integers(-6, 6))
-    digits = [gf.neg(1) if m % 2 else 1] + draw(st.lists(st.integers(0, gf.q - 1), max_size=16))
-    prec = draw(st.none() | st.integers(m + 1, m + len(digits) + 6))
-    return InfLaurent(gf, m, digits, prec)
-
-
-@st.composite
-def padic_args(draw, gf=None):
-    """(x, y, e): x and y in F_q[T]/P^N with deg P 1-3 and N 1-12, often
-    non-units, e an exponent of either sign."""
-    gf = gf or FIELDS[draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))]
-    P = draw(moduli(gf))
-    ctx = PadicCtx(P, draw(st.integers(1, 12)))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    n = ctx.modulus.degree
-
-    def elem():
-        x = ctx.elem(Poly(gf, [rng.randrange(gf.q) for _ in range(n)]))
-        return x * ctx.elem(P) if draw(st.integers(0, 3)) == 0 else x
-
-    return elem(), elem(), draw(st.integers(-2 * gf.q, 3 * gf.q))
-
-
-@st.composite
-def frobenius_args(draw):
+def cut_args(draw):
     x = draw(series_pairs(max_len=40))[0]
     return x, draw(st.integers(min(x._veff(), top(x)) - 3, top(x) + 3))
 
@@ -243,14 +195,6 @@ def ratfn_args(draw):
 
 
 @st.composite
-def act_args(draw, padic):
-    """M from ``orders`` and u a P-adic element or a series."""
-    gf = FIELDS[draw(st.sampled_from(X_FIELDS))]
-    u = draw(padic_args(gf))[0] if padic else draw(series(gf, draw(st.sampled_from([InfLaurent, VqElem])), 12))
-    return draw(orders(gf)), u
-
-
-@st.composite
 def hensel_args(draw):
     """f = c (x - r) + P h(x), c in F_q^*, and r, a simple root mod P, in
     F_q[T]/P^N with N 1-8."""
@@ -297,17 +241,17 @@ ROWS = {
         check=lambda f, c, fine, rough: all(r.prec is not None for r in rough),
     ),
     "series_frobenius_truncate": Row(
-        lambda x, cut: (x.frobenius(), x.truncate(cut)), frobenius_args(), 150,
+        lambda x, cut: (x.frobenius(), x.truncate(cut)), cut_args(), 150,
         check=lambda f, c, fine, rough: rough[0].prec == f[0].gf.q * c[0].prec and fine[1].agrees(f[0])
         and fine[1].prec == _min_prec(f[0].prec, f[1]),
     ),
     "divide_T": Row(
-        divide_T, divide_args(), 200, refusals=(PrecisionError,), raises=(PrecisionError,),
+        divide_T, DIVIDE_ARGS, 200, refusals=(PrecisionError,), raises=(PrecisionError,),
         window=lambda u, prec: u.prec is None and prec is None,
         check=lambda f, c, fine, rough: len(fine) == f[0].gf.q,
     ),
     "completed_action": Row(completed_action, completed_args(), 300, refusals=(PrecisionError,), lifts=(PrecisionError,)),
-    "kummer_solve": Row(kummer_solve, kummer_args().map(lambda M: (M,)), 200,
+    "kummer_solve": Row(kummer_solve, KUMMER_ARGS.map(lambda M: (M,)), 200,
                         refusals=(DomainError,), window=lambda M: M.prec is None),
     "padic_ops": Row(
         lambda x, y, e: (x * y, x + y, x.frobenius(), outcome(x.inverse), outcome(pow, x, e)), padic_args(), 200,
@@ -331,18 +275,20 @@ ROWS = {
         25, lower(2, lambda gf, N, prec: 1), None,
     ),
     "division_chain": Row(
-        division_chain, st.tuples(divide_args().map(lambda a: a[0]), st.integers(1, 4)), 25,
+        division_chain, st.tuples(DIVIDE_ARGS.map(lambda a: a[0]), st.integers(1, 4)), 25,
         refusals=(PrecisionError,), raises=(PrecisionError,), window=lambda u, depth: u.prec is None,
     ),
-    "carlitz_act/series": Row(carlitz_act, act_args(padic=False), 25),
-    "carlitz_act/padic": Row(carlitz_act, act_args(padic=True), 25),
+    "carlitz_act/series": Row(carlitz_act, act_args(rings=("inf", "vq"), max_size=81, max_len=12), 25),
+    "carlitz_act/padic": Row(
+        carlitz_act, act_args(rings=("padic",), max_size=81, padic=lambda gf: padic_args(gf).map(lambda a: a[0])), 25,
+    ),
     "kummer_map": Row(
         lambda x, m: kummer_map(VqElem.from_inf(x).shifted(m)),
         st.sampled_from(X_FIELDS).flatmap(lambda q: st.tuples(series(FIELDS[q], InfLaurent, 10), st.integers(-4, 4))),
         25,
     ),
     "star_action": Row(
-        star_action, kummer_args().flatmap(lambda nu: st.tuples(small_poly(nu.gf, 2), st.just(nu))), 25,
+        star_action, KUMMER_ARGS.flatmap(lambda nu: st.tuples(small_poly(nu.gf, 2), st.just(nu))), 25,
         lifts=(CarlitzError,), window=lambda A, nu: nu.prec is None,
     ),
     "hensel_lift": Row(lambda f, a0: hensel_lift(f, a0, a0.ctx), hensel_args(), 25),

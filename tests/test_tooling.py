@@ -3,11 +3,15 @@ imports on its own, the README's library and CLI quick starts run, the
 README's caps table matches the code, every CLI subcommand declares only
 the options it reads and no handler builds the field or reads option text,
 every layer boundary the benchmark traces exists in the library, every
-certified function has a precision-contract row, and the benchmark's
-workloads compute the pinned outputs."""
+certified function has a precision-contract row, every comparison of a
+fast path with its oracle is a row of tests/test_oracles.py whose oracle is
+defined under tests/, and the benchmark's workloads compute the pinned
+outputs."""
 
 import argparse
 import ast
+import fnmatch
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -219,6 +223,44 @@ def test_every_certified_function_has_a_row():
         assert sorted(found - covered - set(exempt)) == []
         # an exemption names a function the walk finds and no row covers
         assert set(exempt) <= found - covered and all(exempt.values())
+
+
+# the files that keep comparisons of their own: an optional dependency with
+# its own skip, the acceptance criteria, the CLI, and this one
+OWN_COMPARISONS = {"test_oracles.py", "test_sympy.py", "test_acceptance.py", "test_cli.py", "test_tooling.py"}
+
+
+def sources(f):
+    """The files that define f and the functions it wraps: a partial's
+    function and arguments, and the functions in a closure's cells."""
+    if isinstance(f, functools.partial):
+        return {path for g in (f.func, *f.args) if callable(g) for path in sources(g)}
+    assert inspect.isfunction(f), f
+    cells = [c.cell_contents for c in f.__closure__ or ()]
+    inner = [c for c in cells if inspect.isfunction(c) or isinstance(c, functools.partial)]
+    return {pathlib.Path(inspect.getsourcefile(f))}.union(*map(sources, inner))
+
+
+def test_fast_path_comparisons_are_registry_rows():
+    # a test that compares a fast path with its oracle is a row of
+    # tests/test_oracles.py; each oracle is defined under tests/, apart from
+    # the code it checks; and a row kept under an earlier id is bound there
+    from test_oracles import ROWS
+
+    tests = ROOT / "tests"
+    named = [
+        f"{path.name}::{node.name}"
+        for path in sorted(tests.glob("test_*.py")) if path.name not in OWN_COMPARISONS
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and fnmatch.fnmatch(node.name, "test_*_match*")
+    ]
+    assert named == []
+    outside = {name: sorted(str(p) for p in sources(row.oracle) if p.parent != tests) for name, row in ROWS.items()}
+    assert {name: paths for name, paths in outside.items() if paths} == {}
+    for name in ROWS:
+        if "::" in name:
+            module, test = name.split("/")[0].split("::")
+            assert getattr(importlib.import_module(module), test, None) is not None, name
 
 
 def test_every_benchmark_boundary_exists():
