@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BelowPrecision, CarlitzError, DomainError
+from .errors import CarlitzError, DomainError
 from .operator import D_sequence
 from .poly import MAX_FROBENIUS_DEGREE, Poly, RatFn, all_polys, check_frobenius_degree
 from .series import InfLaurent, VqElem
@@ -56,13 +56,6 @@ class Lattice:
 
     def scaled(self, c: VqElem) -> "Lattice":
         return Lattice([c * b for b in self.basis])
-
-
-def _valuation_or_none(x):
-    try:
-        return x.valuation()
-    except BelowPrecision:
-        return None
 
 
 def carlitz_exp(z: VqElem, budget: SeriesBudget = None, with_certificate: bool = False):
@@ -172,7 +165,7 @@ def eisenstein(L: Lattice, k: int, budget: SeriesBudget = None, with_certificate
     cert = {}
     prev = None
     for m, shell in shells(L, e, budget):
-        sval = _valuation_or_none(shell)
+        sval = shell._valuation_or(None)
         cert[m] = sval if sval is not None else f">={shell.prec}"
         if sval is not None and prev is not None and sval < prev:
             raise CarlitzError(

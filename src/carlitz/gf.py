@@ -14,7 +14,7 @@ are those of ``poly`` over GF(p).
 from __future__ import annotations
 
 from .errors import DomainError
-from .poly import Poly, all_polys, format_term, is_irreducible, order_dividing, parse_int, parse_term
+from .poly import Poly, _bracket, _pack, all_polys, format_term, is_irreducible, order_dividing, parse_int, parse_term
 from .poly import prime_divisors, square_multiply
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
@@ -203,12 +203,12 @@ class GF:
 
     def packed_groups(self, k: int):
         """Every element as one packed group of k-byte slots (see
-        ``slot_tables``): ``packed_groups(k)[a]`` is the int whose slot j
-        holds coordinate j of a.  Built on first use for each k."""
+        ``slot_tables``): ``packed_groups(k)[a]`` is ``poly._pack`` of [a],
+        the int whose slot j holds coordinate j of a.  Built on first use for
+        each k."""
         groups = self._packed_groups.get(k)
         if groups is None:
-            shift = 8 * k
-            groups = [sum(c << (shift * j) for j, c in enumerate(self.coords(a))) for a in range(self.q)]
+            groups = [_pack(self, [a], k) for a in range(self.q)]
             self._packed_groups[k] = groups
         return groups
 
@@ -264,8 +264,9 @@ class GF:
         """a as terms c*w^i, highest i first, in parentheses when more than one."""
         if self.r == 1 or a < self.p:
             return str(a)
-        parts = [format_term(str(c), "w", i) for i, c in enumerate(self.coords(a)) if c]
-        return parts[0] if len(parts) == 1 else "(" + "+".join(reversed(parts)) + ")"
+        coords = self.coords(a)
+        parts = [format_term(str(c), "w", i) for i, c in enumerate(coords) if c]
+        return _bracket("+".join(reversed(parts)), coords)
 
     def parse_elem(self, s: str) -> int:
         """Parse a field element: terms c, c*w^i, w^i or w joined by +, with

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CarlitzError, DomainError
-from .poly import MAX_FROBENIUS_DEGREE, Poly, format_term, inv_mod, is_irreducible
+from .poly import MAX_FROBENIUS_DEGREE, Poly, _bracket, _dense, format_term, inv_mod, is_irreducible
 
 __all__ = [
     "XPoly",
@@ -28,14 +28,9 @@ __all__ = [
 
 
 def _format_x(terms) -> str:
-    """The terms c*x^e, in the order given, joined by ' + '."""
-    parts = []
-    for e, c in terms:
-        if c.is_zero():
-            continue
-        # a coefficient of more than one T-term is put in parentheses
-        multi = sum(1 for t in c.coeffs if t) > 1
-        parts.append(format_term(f"({c})" if multi else str(c), "x", e))
+    """The terms c*x^e, in the order given, joined by ' + '; a coefficient
+    of more than one T-term is put in parentheses."""
+    parts = [format_term(_bracket(str(c), c.coeffs), "x", e) for e, c in terms if not c.is_zero()]
     return " + ".join(parts) or "0"
 
 
@@ -60,13 +55,7 @@ class XPoly:
 
     @classmethod
     def from_terms(cls, gf, terms: dict):
-        if not terms:
-            return cls.zero(gf)
-        n = max(terms)
-        vec = [Poly.zero(gf)] * (n + 1)
-        for e, c in terms.items():
-            vec[e] = c
-        return cls(gf, vec)
+        return cls(gf, _dense(terms, Poly.zero(gf)))
 
     def deg(self):
         return len(self.coeffs) - 1

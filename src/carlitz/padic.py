@@ -89,20 +89,13 @@ class PadicElem:
         return self.ctx.elem(self.rep * other.rep)
 
     def inverse(self) -> "PadicElem":
-        """Inverse mod P, lifted by Newton's step x <- x + x(1 - a x), which
-        doubles the number of correct P-digits (von zur Gathen-Gerhard,
-        Modern Computer Algebra, 9.1)."""
+        """Inverse mod P, lifted by _newton_lift's step x <- x - x(a x - 1)."""
         ctx = self.ctx
         residue = self.rep % ctx.P
         if residue.is_zero():
             raise DomainError(f"{self.rep} is not a unit (divisible by {ctx.P})")
-        x = ctx.elem(inv_mod(residue, ctx.P))
         one = ctx.one()
-        correct = 1
-        while correct < ctx.N:
-            x = x + x * (one - self * x)
-            correct *= 2
-        return x
+        return _newton_lift(ctx.elem(inv_mod(residue, ctx.P)), lambda x: x * (self * x - one), ctx.N)
 
     def __truediv__(self, other):
         self._check(other)
@@ -137,17 +130,11 @@ class PadicElem:
         return self.rep.is_zero()
 
     def valuation_lower(self) -> int:
-        """Largest k <= N with P^k dividing the stored residue."""
+        """Largest k <= N with P^k dividing the stored residue: the index of
+        its first nonzero base-P digit, or N for the zero residue."""
         if self.rep.is_zero():
             return self.ctx.N
-        v = 0
-        r = self.rep
-        while True:
-            quo, rem = divmod(r, self.ctx.P)
-            if not rem.is_zero():
-                return v
-            v += 1
-            r = quo
+        return next(k for k, d in enumerate(self._digits()) if not d.is_zero())
 
     def valuation(self) -> int:
         if self.rep.is_zero():
@@ -158,12 +145,14 @@ class PadicElem:
 
     def digits(self):
         """The base-P digits d_0, ..., d_{N-1} (polynomials of degree < deg P)."""
-        out = []
+        return list(self._digits())
+
+    def _digits(self):
+        # the base-P digits from d_0 on, one division by P each
         r = self.rep
         for _ in range(self.ctx.N):
             r, d = divmod(r, self.ctx.P)
-            out.append(d)
-        return out
+            yield d
 
     def __eq__(self, other):
         return isinstance(other, PadicElem) and other.ctx == self.ctx and other.rep == self.rep
@@ -178,6 +167,21 @@ class PadicElem:
         return f"PadicElem({self.rep} mod ({self.ctx.P})^{self.ctx.N})"
 
 
+def _newton_lift(x, correction, N: int):
+    """Newton's iteration x <- x - correction(x) at full precision, from a
+    start right mod P: x at the first zero correction, or None if there is
+    none after ceil(log2 N) = (N - 1).bit_length() steps.  A step at least
+    doubles the number of correct P-digits (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 9.1), so x is right mod P^N after that many steps,
+    and one more correction confirms it; a faster iteration stops sooner."""
+    for _ in range((N - 1).bit_length() + 1):
+        c = correction(x)
+        if c.is_zero():
+            return x
+        x = x - c
+    return None
+
+
 def hensel_lift(f, a0: PadicElem, ctx: PadicCtx) -> PadicElem:
     """Lift a simple root of f mod P to a root mod P^N by Newton iteration.
 
@@ -187,6 +191,10 @@ def hensel_lift(f, a0: PadicElem, ctx: PadicCtx) -> PadicElem:
     doubles the number of correct digits, so it stops after at most
     ceil(log2 N) steps, when f(a) = 0 mod P^N.  A root still missing after
     ceil(log2 N) + 1 steps raises CarlitzError.
+
+    It is torsion_padic's independent per-class oracle in the tests, lifting
+    each residue class on its own with f' evaluated at every step; that is
+    why it keeps this loop of its own rather than _newton_lift.
     """
     a = ctx.elem(a0.rep)
     df = f.derivative()

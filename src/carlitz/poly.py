@@ -322,6 +322,21 @@ def format_term(c: str, var: str, k: int) -> str:
     return power if c == "1" else f"{c}*{power}"
 
 
+def _bracket(text: str, coeffs) -> str:
+    """The text of a sum with coefficients coeffs, in parentheses when more
+    than one of them is nonzero: a sum printed as one factor."""
+    return f"({text})" if sum(1 for c in coeffs if c) > 1 else text
+
+
+def _dense(terms: dict, zero=0, lo=0) -> list:
+    """terms (exponent -> coefficient) as the list of the coefficients at
+    lo, lo + 1, ..., max(terms), zero where terms has none; [] for {}."""
+    vec = [zero] * (max(terms, default=lo - 1) - lo + 1)
+    for k, c in terms.items():
+        vec[k - lo] = c
+    return vec
+
+
 def parse_int(text: str, signed: bool = False) -> int:
     """The integer in ASCII digits, after a minus when ``signed``; ValueError
     otherwise (int() also reads other digits, underscores, signs, spaces)."""
@@ -382,10 +397,7 @@ def parse_poly(s: str, gf: GF) -> Poly:
             raise DomainError("negative exponent in polynomial")
         coeffs[k] = gf.add(coeffs.get(k, 0), c)
         pos += len(term) + 1
-    vec = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        vec[k] = c
-    return Poly(gf, vec)
+    return Poly(gf, _dense(coeffs))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -809,12 +821,7 @@ class RatFn:
             return "inf"
         if self.den == Poly.one(self.gf):
             return str(self.num)
-
-        def wrap(p):
-            multi = sum(1 for c in p.coeffs if c) > 1
-            return f"({p})" if multi else str(p)
-
-        return f"{wrap(self.num)}/{wrap(self.den)}"
+        return f"{_bracket(str(self.num), self.num.coeffs)}/{_bracket(str(self.den), self.den.coeffs)}"
 
     def __repr__(self):
         return f"RatFn({self})"

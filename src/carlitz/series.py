@@ -21,7 +21,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, format_term, parse_int, parse_term, split_terms, spread, square_multiply
+from .poly import Poly, _dense, format_term, parse_int, parse_term, split_terms, spread, square_multiply
 
 INF = math.inf
 
@@ -76,14 +76,8 @@ class Series:
 
     @classmethod
     def from_terms(cls, gf, terms: dict, prec=None):
-        if not terms:
-            return cls.zero(gf, prec)
-        lo = min(terms)
-        hi = max(terms)
-        vec = [0] * (hi - lo + 1)
-        for k, c in terms.items():
-            vec[k - lo] = c
-        return cls(gf, lo, vec, prec)
+        lo = min(terms, default=0)
+        return cls(gf, lo, _dense(terms, lo=lo), prec)
 
     # -- structure --
 
@@ -104,19 +98,22 @@ class Series:
 
     def valuation(self):
         """Exact valuation; math.inf for exact zero; BelowPrecision otherwise."""
+        v = self._valuation_or(None)
+        if v is None:
+            raise BelowPrecision(
+                f"element is indistinguishable from zero below O({self._power(self.prec)})"
+            )
+        return v
+
+    def _valuation_or(self, truncated):
+        # the valuation, INF for an exact zero, and truncated for a truncated zero
         if self.coeffs:
             return self.v
-        if self.prec is None:
-            return INF
-        raise BelowPrecision(
-            f"element is indistinguishable from zero below O({self._power(self.prec)})"
-        )
+        return INF if self.prec is None else truncated
 
     def _veff(self):
         # lower bound on the valuation, defined for every element
-        if self.coeffs:
-            return self.v
-        return INF if self.prec is None else self.prec
+        return self._valuation_or(self.prec)
 
     # -- arithmetic --
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import BelowPrecision, CarlitzError, DomainError, PrecisionError
+from .errors import CarlitzError, DomainError, PrecisionError
 from .analytic import SeriesBudget, carlitz_exp
 from .operator import carlitz_act
-from .padic import PadicCtx, PadicElem
+from .padic import PadicCtx, PadicElem, _newton_lift
 from .poly import MAX_FROBENIUS_DEGREE, Poly
 from .series import INF, VqElem
 
@@ -112,9 +112,10 @@ def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
     rho_{P-1}(x) is congruent to x^{q^d} - x mod P (d = deg P), so each of the
     q^d residue classes carries exactly one simple root.  Its x-derivative is
     the constant P-1, a unit, so one inverse of P-1 serves every Newton step
-    b <- b - rho_{P-1}(b)/(P-1), and each step doubles the correct digits:
-    the image is zero after at most ceil(log2 N) steps, and one still
-    nonzero after ceil(log2 N) + 1 evaluations raises CarlitzError.  rho_{P-1} is
+    b <- b - rho_{P-1}(b)/(P-1) of padic._newton_lift.  rho_{P-1} is
+    additive, so a step multiplies the valuation of the error by q, and the
+    image is zero after at most ceil(log2 N) steps; one still nonzero after
+    ceil(log2 N) + 1 evaluations raises CarlitzError.  rho_{P-1} is
     F_q-linear, so the roots b_i over T^i, i < d, are the only lifts:
     sum c_i b_i is the root over sum c_i T^i.  The points come in the order
     of ctx.residues().
@@ -124,17 +125,12 @@ def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
         raise DomainError(f"{q}^{d} torsion points are above the supported maximum 2^16")
     ctx = PadicCtx(P, N)
     order = P - Poly.one(P.gf)
-    step = ctx.elem(order).inverse()
+    inv = ctx.elem(order).inverse()
     T = Poly.T(P.gf)
     points = [ctx.zero()]
     for i in range(d):
-        b = ctx.elem(T**i)
-        for _ in range((N - 1).bit_length() + 1):
-            image = carlitz_act(order, b)
-            if image.is_zero():
-                break
-            b = b - image * step
-        else:
+        b = _newton_lift(ctx.elem(T**i), lambda x: carlitz_act(order, x) * inv, N)
+        if b is None:
             raise CarlitzError(f"Newton from {T**i} did not reach a root mod {P}^{N}")
         points = [p + b.scale(c) for c in range(q) for p in points]
     return TorsionSetPadic(ctx, order, points)
@@ -364,11 +360,8 @@ def dirichlet_approx(lam: VqElem, n: int):
     """
     gf = lam.gf
     q = gf.q
-    try:
-        v = lam.valuation()
-    except BelowPrecision:
-        v = float("inf")
-    if v != float("inf"):
+    v = lam._valuation_or(INF)
+    if v != INF:
         i, r = divmod(v + 1, q - 1)
         if r != 0 or i < 0:
             raise DomainError(f"valuation {v} is not of the form i(q-1) - 1 with i >= 0")
@@ -392,10 +385,7 @@ def dirichlet_approx(lam: VqElem, n: int):
         if c:
             best = gf.add_vec(best, gf.scale_vec(c, row))
     best = VqElem(gf, -1, best, prec)
-    try:
-        best_val = (best - lam).valuation()
-    except BelowPrecision:
-        best_val = float("inf")
+    best_val = (best - lam)._valuation_or(INF)
     if best_val < sep:
         raise CarlitzError(f"no order-{n} torsion point within valuation {sep - 1}; best was {best_val}")
     return Poly.T(gf) ** n, best

@@ -19,7 +19,7 @@ from carlitz.poly import (
     poly_ext_gcd,
     poly_gcd,
 )
-from carlitz.operator import XPoly
+from carlitz.operator import AdditivePoly, XPoly
 from carlitz.residues import ddf
 from carlitz.series import InfLaurent, VqElem, parse_series
 
@@ -224,13 +224,21 @@ def test_ratfn_text_form():
 
 def test_ratfn_text_form_parenthesizes_sides_by_t_terms():
     # a side is wrapped when it has more than one nonzero T-term, not when
-    # its coefficient's text holds a "+"
+    # its coefficient's text holds a "+"; the x-polynomials wrap their
+    # coefficients by the same rule
     gf = GF(2, 2)
     T = Poly.T(gf)
     assert str(RatFn(Poly(gf, [3]), T)) == "(w+1)/T"
     assert str(RatFn(Poly(gf, [0, 0, 3]), T + Poly.one(gf))) == "(w+1)*T^2/(T+1)"
     assert str(RatFn(Poly(gf, [1, 3]), T)) == "((w+1)*T+1)/T"
     assert str(RatFn(Poly.one(gf), Poly(gf, [3, 1]))) == "1/(T+(w+1))"
+    # a constant, a multi-term F_4 constant, a monomial and a binomial, at
+    # x-exponents 0, 1, 2 and 4 (from_terms leaves a zero at x^3)
+    coeffs = [Poly.one(gf), Poly(gf, [3]), Poly(gf, [0, 0, 3]), Poly(gf, [1, 3])]
+    x = XPoly.from_terms(gf, dict(zip([0, 1, 2, 4], coeffs)))
+    assert x.coeffs[3].is_zero() and str(x) == "((w+1)*T+1)*x^4 + (w+1)*T^2*x^2 + (w+1)*x + 1"
+    assert str(AdditivePoly(gf, coeffs)) == "((w+1)*T+1)*x^64 + (w+1)*T^2*x^16 + (w+1)*x^4 + x"
+    assert XPoly.from_terms(gf, {}) == XPoly.zero(gf) and str(XPoly.from_terms(gf, {})) == "0"
 
 
 # ---------------------------------------------------------------- residues / ddf
@@ -298,6 +306,21 @@ def test_padic_valuation_and_digits():
     assert [str(d) for d in digits] == ["0", "0", "1", "1"]
     with pytest.raises(BelowPrecision):
         ctx.zero().valuation()
+    # the one digit loop at its edges: the zero residue, P^(N-1) times a
+    # unit (one nonzero digit, the last), and N = 1; the digits rebuild the
+    # residue and the lower valuation is the index of the first nonzero one
+    gf9 = field(9)
+    P9 = Poly(gf9, [3, 1, 1])  # T^2 + T + w
+    unit = Poly(gf9, [5, 2])
+    for c, rep in [(ctx, Poly.zero(gf)), (PadicCtx(P, 4), P**3 * Poly(gf, [2, 1])), (PadicCtx(P, 1), Poly(gf, [2])),
+                   (PadicCtx(P9, 3), Poly.zero(gf9)), (PadicCtx(P9, 3), P9**2 * unit), (PadicCtx(P9, 1), unit)]:
+        y = c.elem(rep)
+        digits = y.digits()
+        assert len(digits) == c.N and all(d.degree < c.P.degree for d in digits)
+        assert sum((d * c.P**k for k, d in enumerate(digits)), Poly.zero(c.gf)) == y.rep
+        assert y.valuation_lower() == next((k for k, d in enumerate(digits) if not d.is_zero()), c.N)
+    assert PadicCtx(P9, 3).elem(P9**2 * unit).valuation_lower() == 2
+    assert PadicCtx(P, 1).zero().valuation_lower() == 1
 
 
 def test_padic_requires_irreducible_modulus():

@@ -29,6 +29,10 @@ def test_zero_valuations():
     assert InfLaurent.zero(gf).valuation() == float("inf")
     with pytest.raises(BelowPrecision):
         InfLaurent.zero(gf).truncate(5).valuation()
+    # no terms: the exact zero, or a truncated zero at the given precision
+    assert InfLaurent.from_terms(gf, {}) == InfLaurent.zero(gf)
+    assert VqElem.from_terms(gf, {}, 4) == VqElem.zero(gf, 4)
+    assert VqElem.from_terms(gf, {}).valuation() == float("inf")
 
 
 def test_from_ratfn_geometric_series():
@@ -158,6 +162,7 @@ def test_vq_valuation_scaling():
 def test_truncate_and_agrees():
     gf = field(3)
     a = VqElem.from_terms(gf, {-1: 2, 1: 2, 4: 1})
+    assert (a.v, a.coeffs, a.prec) == (-1, (2, 0, 2, 0, 0, 1), None)
     t = a.truncate(3)
     assert t.prec == 3
     assert t.agrees(a, upto=3)

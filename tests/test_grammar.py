@@ -35,6 +35,7 @@ def series(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(polys())
+@example(Poly(field(9), [3, 0, 0, 1, 0, 7]))  # interior zeros: parse_poly fills them
 def test_poly_text_roundtrip(f):
     text = str(f)
     g = parse_poly(text, f.gf)
@@ -46,6 +47,7 @@ def test_poly_text_roundtrip(f):
 @given(series())
 @example(InfLaurent(field(9), 3, [0, 0], 5))  # truncated zero: O(T^-5)
 @example(VqElem(field(9), -3, [1], -3))  # truncated to zero: O(s^-3)
+@example(VqElem(field(3), -4, [2, 0, 0, 1, 0, 2], None))  # negative lowest exponent, interior zeros
 def test_series_text_roundtrip(x):
     text = str(x)
     y = parse_series(text, x.gf, type(x))
