@@ -121,9 +121,12 @@ MAX_PERIOD_DEGREE = 2**18
 def period_partial(gf, N: int, prec: int = None):
     """The partial period product: prod over n = 1..N of (1 - [n]/[n+1]).
 
-    Since [n+1] - [n] = [1]^(q^n) and each [n] is squarefree with [1] once,
-    the reduced fraction is [1]^(q + ... + q^N - N) over prod_{n=2}^{N+1}
-    [n]/[1], monic with no linear factor.  Returns it; with ``prec`` also its
+    Since [n+1] - [n] = [1]^(q^n) and each [n] is squarefree with [1] once
+    (Carlitz, Duke Math. J. 1 (1935); Goss, Basic Structures of Function
+    Field Arithmetic, 3), the reduced fraction is [1]^(q + ... + q^N - N)
+    over prod_{n=2}^{N+1} [n]/[1].  The numerator has only linear factors
+    and the denominator none, and both are monic, so RatFn.reduced takes
+    the pair with no gcd.  Returns it; with ``prec`` also its
     Laurent expansion at infinity, as a pair (ratfn, series).  A denominator
     of T-degree sum_{n=2}^{N+1} q^n above 2^18 is refused first.
     """
@@ -184,7 +187,10 @@ def _rank_one_shells(L: Lattice, e: int, budget: SeriesBudget):
     give the same term and q - 1 = -1.  Its terms all have valuation
     v_m = v(b) - (q-1)m, so all keep the digits below
     t_m = max(prec, 1 - e v_m), and below (b.prec - v(b)) - e v_m when b is
-    truncated; those digits depend only on b's known digits."""
+    truncated; those digits depend only on b's known digits.  A call costs
+    O(degree_bound) polynomial steps and O(e log_q e) series products of
+    about t_m/(q-1) digits, where summing the q^m terms of each shell would
+    take that many series inverses."""
     b = L.basis[0]
     gf = b.gf
     q = gf.q
@@ -234,7 +240,8 @@ def _carlitz_e(gf, n: int, top: int):
 
 def _power_sum(c, D, n: int, prec: int) -> InfLaurent:
     """S_m(n) = sum over monic A of degree m of A^-n, to u-precision prec,
-    from _carlitz_e's c_i and D = D_m.
+    from _carlitz_e's c_i and D = D_m (Goss, Basic Structures of Function
+    Field Arithmetic, ch. 3; Thakur, Function Field Arithmetic, ch. 5).
 
     e_m is F_q-linear and e_m(T^m) = D, so
     sum_A 1/(A + y) = c_0/e_m(T^m + y) = c_0/(D + sum_i c_i y^(q^i)), whose
@@ -264,7 +271,16 @@ def _orbit_shells(L: Lattice, e: int, budget: SeriesBudget):
     representative whose first nonzero A_i is monic is summed with weight
     q-1 = -1.  A shell's terms are subtracted into one digit vector, which
     gives the same digits as subtracting them one by one: the sum is exact
-    and the shell's precision is the least of its terms'."""
+    and the shell's precision is the least of its terms'.  A dependent or
+    digit-degenerate basis has no power-sum form, so every rank >= 2 takes
+    this loop.
+
+    Each term alpha^-e is one inverse of the short exact power alpha^e at
+    precision max(prec, 1 - e v(alpha)).  Inverting alpha first, at the
+    longer precision, and raising that to the e-th power claims the same
+    digits: the precision rules give max(prec, 1 - e v) for an exact
+    alpha either way, and at most P - (e+1) v for one truncated at
+    O(s^P)."""
     gf = L.basis[0].gf
     prec = budget.precision
     for m in range(budget.degree_bound + 1):

@@ -523,7 +523,10 @@ SUBCOMMANDS = [
 def build_parser(argv=()):
     """The parser of ``carlitz``.  When argv starts with a subcommand's name,
     only that subcommand and its nested ones are added: argparse hands the
-    rest of argv to that one alone.  Any other argv gets all of them."""
+    rest of argv to that one alone.  Any other argv (none, an option such
+    as -h, an unknown name) gets all of them, so top-level help and the
+    invalid-choice error list every subcommand; the usage line of an
+    unrecognized-argument error lists every one either way."""
     top = argparse.ArgumentParser(
         prog="carlitz",
         description="Exact arithmetic for the Carlitz module over F_q(T).",

@@ -50,6 +50,9 @@ def tangent_family(f1: RatFn, f2: RatFn):
     These are the images of infinity, 0, ..., q-1 under the Moebius map
     g = ((num2, num1), (den2, den1)).  det g = -cross_det(f1, f2) is a unit,
     so g is a bijection of the projective line and the members are distinct.
+    On unreduced pairs cross_det(g f1, g f2) = det g * cross_det(f1, f2), so
+    every g with a unit determinant maps the family of (f1, f2) onto the
+    family of (g f1, g f2).
     """
     if not tangent(f1, f2):
         raise DomainError(f"{f1} and {f2} are not tangent")
@@ -223,14 +226,15 @@ def geodesic_ray(f: RatFn, steps: int):
     """The first steps+1 vertices of the ray from the base vertex toward the
     boundary point f.
 
-    The ray descends through (n, 0) for n = 0, -1, ..., down = min(0, v(f)),
-    then climbs through (n, f mod pi^n) for n = down + 1, down + 2, ..., the
-    classes read off the Laurent digits of f; toward infinity it descends
-    forever, so there down = -steps.  Each climbing vertex holds every digit
-    below its level, so a dense f gives about steps^2/2 digits in all: above
-    2^22 (MAX_RAY_DIGITS) the ray is refused before any vertex is built, and
-    so is one of more than 2^19 vertices (MAX_RAY_VERTICES) before f is
-    expanded.
+    f is expanded once, to precision steps + 1.  The ray descends through
+    (n, 0) for n = 0, -1, ..., down = min(0, v(f)), then climbs through
+    (n, f mod pi^n) for n = down + 1, down + 2, ..., the classes read off
+    the Laurent digits of f; toward infinity it descends forever, so there
+    down = -steps.  A negative steps is refused.  Each climbing vertex
+    holds every digit below its level, so a dense f gives about steps^2/2
+    digits in all: above 2^22 (MAX_RAY_DIGITS) the ray is refused before
+    any vertex is built, and so is one of more than 2^19 vertices
+    (MAX_RAY_VERTICES) before f is expanded.
     """
     if steps < 0:
         raise DomainError(f"a ray has steps >= 0, got {steps}")
@@ -282,7 +286,7 @@ def normal_basis(gf) -> NormalBasisData:
     the Galois conjugates lambda -> zeta*lambda expand over the power basis
     {s^i} through the Vandermonde matrix (zeta^{ij}).  Its determinant is
     prod_{i<j} (zeta^j - zeta^i), a unit when the nodes zeta^i, i < q - 1,
-    are distinct."""
+    are distinct: O(q) steps check that, and no determinant is taken."""
     n = _galois_order(gf)
     zeta = gf.primitive_element()
     nodes = [gf.pow(zeta, i) for i in range(n)]

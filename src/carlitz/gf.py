@@ -98,7 +98,10 @@ class GF:
         return self._neg_table[a]
 
     # -- coefficient vectors, no field call per digit; a sum or difference
-    # runs in place over the shorter operand and copies the longer one's tail --
+    # runs in place over the shorter operand and copies the longer one's tail,
+    # as a comprehension's fixed set-up per call would cost the short
+    # operands of F_q[T]/P^N in full; none of them packs, since the RatFn
+    # arithmetic of geometry runs at degree <= 4, where packing costs more --
 
     def add_vec(self, a, b) -> list:
         if len(a) < len(b):

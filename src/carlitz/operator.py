@@ -221,7 +221,8 @@ class AdditivePoly:
 
 def carlitz_operator(M: Poly) -> AdditivePoly:
     """rho_M(x) = sum c_i x^(q^i), c_i = .coeffs[i] of T-degree
-    (deg M - i)*q^i."""
+    (deg M - i)*q^i: carlitz_act(M, x) in AdditivePoly, O(deg^2 M)
+    coefficient steps, built on each call."""
     return carlitz_act(M, AdditivePoly(M.gf, [Poly.one(M.gf)]))
 
 
@@ -243,7 +244,9 @@ def carlitz_act(M: Poly, u):
 def D_sequence(gf):
     """D_0 = 1, D_1, D_2, ...: D_n = [n] * D_(n-1)^q with [n] = T^(q^n) - T,
     the product of the monic polynomials of degree n.  D_n has T-degree
-    n q^n, so each is built only when it is asked for."""
+    n q^n, so each is built only when it is asked for.  The one recursion
+    for D_n: carlitz_exp reads it after its cutoff check, the rank-one
+    Eisenstein shells read it, and brackets_D is its n-th term."""
     one, T = Poly.one(gf), Poly.T(gf)
     D = one
     for n in itertools.count(1):

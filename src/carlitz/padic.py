@@ -82,6 +82,7 @@ class PadicElem:
         return PadicElem(self.ctx, -self.rep)
 
     def scale(self, a: int) -> "PadicElem":
+        """a*x for a in F_q: a multiple of a reduced residue is reduced."""
         return PadicElem(self.ctx, self.rep.scale(a))
 
     def __mul__(self, other):
@@ -112,7 +113,9 @@ class PadicElem:
     def rho_T(self, a: int = 0, w: "PadicElem" = None) -> "PadicElem":
         """The Carlitz step u^q + T*u, plus a*w for a in F_q, in one Barrett
         pass (Modulus.rho_T).  That pass spreads u^q densely, so past the cap
-        on q-th powers u^q is taken by Modulus.frobenius instead."""
+        on q-th powers u^q is taken by Modulus.frobenius instead.  w must
+        live in the same completion, which is checked here, as the pass
+        does not go through +."""
         if a:
             self._check(w)
         ctx = self.ctx

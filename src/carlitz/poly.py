@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 
 # The q-th power is built densely, so its degree q*deg is capped before the
-# list is allocated; the largest the tests, demos and benchmark build is 1875.
+# list is allocated: at the cap the list alone takes 128 MiB of pointers.
 MAX_FROBENIUS_DEGREE = 2**24
 
 
@@ -119,6 +119,13 @@ class Poly:
         return Poly(self.gf, self.gf.scale_vec(c, self.coeffs))
 
     def __divmod__(self, other):
+        """Quotient and remainder, by the divisor's length.  A constant
+        divisor is one scale by its inverse.  A linear one, b1 (T - c), is
+        Horner's rule at its root c (GF.horner): the partial sums times
+        1/b1 are the quotient's digits and the last one is the remainder
+        a(c).  A longer one runs the packed loop, one bigint multiply-add of
+        the packed divisor per quotient digit, in slots sized for
+        (p - 1) + min(quotient digits, deg b) r (p - 1)^2."""
         other = self._coerce(other)
         if other.is_zero():
             raise DomainError("polynomial division by zero")
@@ -243,7 +250,8 @@ class Poly:
 # adds, in group i+j, the product of the coordinate polynomials of a_i and
 # b_j: a polynomial in w of degree <= 2r-2, unreduced, which fills the group.
 # Callers take k from the largest sum a slot can reach, so slots never carry
-# into their neighbours.  Unpacking reads every slot mod p, by
+# into their neighbours: min(len a, len b) r (p - 1)^2 for a product, and
+# k is 1, 2, 4, 8 or 16 bytes.  Unpacking reads every slot mod p, by
 # bytes.translate while k (p - 1) < 256; over F_p that is the coefficient,
 # over F_{p^r} the group's 2r-1 digits are the key of the field's reduction
 # table (GF.slot_tables).
@@ -545,7 +553,8 @@ class Modulus:
     def rho_T(self, h: Poly, a: int = 0, w: Poly = None) -> Poly:
         """(h^q + T*h + a*w) mod f for h and w reduced mod f, deg f >= 1, and
         a in F_q, in one Barrett pass: the spread h(T^q), T*h and a*w are
-        summed packed, with T*h's digit at T^n added to the spread's."""
+        summed packed, with T*h's digit at T^n added to the spread's (f
+        need not be monic, so that digit cannot stand in for -f_low)."""
         gf, n = self.f.gf, self.f.degree
         p, q, r = gf.p, gf.q, gf.r
         s, t = spread(h.coeffs, q), h.coeffs
@@ -580,7 +589,9 @@ class Modulus:
 @functools.lru_cache(maxsize=512)
 def prime_divisors(n: int) -> tuple:
     """The primes dividing n >= 1, ascending, by trial division up to the
-    square root of what is left."""
+    square root of what is left.  The one integer trial division: the
+    primes of n for order_dividing, the primality of p in GF, the prime
+    power --q and the divisors of q - 1 in the reciprocity sweep."""
     primes, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -607,14 +618,22 @@ def order_dividing(n: int, is_one) -> int:
 def distinct_degrees(f: Poly):
     """The distinct-degree factorization of f over F_q, deg f >= 1: yields
     (e, number of irreducible factors of degree e), e ascending, as soon as
-    degree e is split off.  The counts hold for squarefree f; for any
-    reducible f the first e is its least factor degree, at most deg f / 2."""
+    degree e is split off (von zur Gathen-Gerhard, Modern Computer Algebra,
+    14.2).  The counts hold for squarefree f; for any reducible f the first
+    e is its least factor degree, at most deg f / 2, so an irreducible f of
+    degree n takes floor(n/2) steps x^(q^e) mod f.
+
+    The degrees go in blocks of ceil(sqrt(deg f)) (von zur Gathen-Shoup,
+    Comput. Complexity 2, 1992): the block's x^(q^e) - x are multiplied
+    together mod the unsplit part, and one gcd with their product holds the
+    factors of every degree in the block.  Only a nontrivial block gcd is
+    split, degree by degree in ascending order, so a factor of degree e is
+    gone before the gcd with x^(q^(2e)) - x is taken.  The steps reduce by
+    a Modulus of the unsplit part, built again each time it shrinks; under
+    residues.ddf that part is the norm of f mod P, of degree up to
+    deg P times deg f."""
     gf = f.gf
     x = Poly.T(gf)
-    # one gcd per block of about sqrt(deg f) degrees (von zur Gathen-Shoup,
-    # Comput. Complexity 2, 1992): gcd(rest, prod_e (x^(q^e) - x)) holds the
-    # factors of every degree e of the block, and only a nontrivial one is
-    # split degree by degree
     block = math.isqrt(f.degree - 1) + 1
     h, d, rest, mod = x, 0, f, Modulus(f)
     while rest.degree >= 2 * (d + 1):
@@ -652,7 +671,9 @@ def is_irreducible(f: Poly) -> bool:
 
 def all_polys(gf: GF, n: int, monic: bool = False):
     """The q^n polynomials of degree < n, or with monic the q^n monic ones of
-    degree n, in base-q order: the constant digit runs fastest."""
+    degree n, in base-q order: the constant digit runs fastest.  The one
+    enumeration: the monic irreducibles, the residues mod P, the Eisenstein
+    lattice coefficients and GF's default modulus all read it."""
     top = (1,) if monic else ()
     for digits in itertools.product(range(gf.q), repeat=n):
         yield Poly(gf, digits[::-1] + top)

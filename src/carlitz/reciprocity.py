@@ -29,7 +29,8 @@ __all__ = [
 
 # That P is monic irreducible: a function of P alone, so the symbols for
 # every A and d share one irreducibility test.  A failed test raises and is not
-# cached.  cache_info() reports hits, misses and size.
+# cached.  cache_info() reports hits, misses and size.  is_irreducible, ddf,
+# PadicCtx and cyclotomic_poly run their own test and never fill it.
 @functools.lru_cache(maxsize=512)
 def _check_prime(P: Poly) -> None:
     if P.degree < 1 or not P.is_monic() or not is_irreducible(P):
@@ -103,8 +104,9 @@ def residue_degree_kummer(A: Poly, P: Poly, d: int) -> int:
 def residue_degree_cyclotomic(P: Poly, A: Poly) -> int:
     """Residue degree of P in the A-division-point extension: the
     multiplicative order of P in (F_q[T]/A)^*.  It divides the group order
-    phi(A), so it is phi(A) divided by each prime l of phi(A) while the
-    power of P stays 1, which is 0 mod a constant A."""
+    phi(A), which is checked first, so it is phi(A) divided by each prime
+    l of phi(A) while the power of P stays 1, which is 0 mod a constant
+    A."""
     if poly_gcd(P, A).degree != 0:
         raise DomainError(f"{P} is not coprime to {A}")
     base = P % A
@@ -191,7 +193,8 @@ def kummer_solve(M: InfLaurent) -> VqElem:
     residue field is F_q, where the only (q-1)-st power is 1; anything else
     is reported.  In Z_p, 1/(q-1) = -(1 + q + q^2 + ...), and the Frobenius
     image U^(q^k) is 1 + O(u^(q^k)), so Y = (U * U^q * ... * U^(q^K))^(-1)
-    for the least K with q^(K+1) >= prec.
+    for the least K with q^(K+1) >= prec.  An exact U is taken to
+    max(10, 2(q-1)) digits.
     """
     gf = M.gf
     q = gf.q

@@ -32,6 +32,14 @@ def ddf(f, P: Poly):
 
     f is a list of Poly coefficients (ascending in x).  Returns a list of
     (degree d, number of irreducible factors of degree d) with d ascending.
+
+    The conjugates sigma^i(f) are taken coefficient by coefficient by
+    Modulus(P).frobenius, so no step builds q of anything.  A pair (e, c)
+    of distinct_degrees on a part g^i of N(f) counts c i gcd(e, n)/n
+    factors of f of degree e/gcd(e, n).  A repeated factor of f repeats in
+    N(f), so a squarefree N(f) proves f squarefree; the converse fails, as
+    an f with coefficients in F_q has N(f) = f^n, so a repeated part at
+    n >= 2 is decided by the gcd of f and f' over F_q[T]/P.
     """
     if not P.is_monic() or not is_irreducible(P):
         raise DomainError("residue field modulus must be monic irreducible")

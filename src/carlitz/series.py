@@ -169,7 +169,9 @@ class Series:
         return self._new(self.v, self.gf.scale_vec(c, self.coeffs), self.prec)
 
     def shifted(self, k: int):
-        """Multiply by the k-th power of the uniformizer."""
+        """Multiply by the k-th power of the uniformizer: the digits and
+        precision of the product by that exact monomial, with no digit
+        moved."""
         return self._new(self.v + k, self.coeffs, None if self.prec is None else self.prec + k)
 
     def frobenius(self):
@@ -179,7 +181,10 @@ class Series:
         return self._new(q * self.v, spread(self.coeffs, q), prec)
 
     def inverse(self, prec=None):
-        """Multiplicative inverse, by one division of reversed polynomials.
+        """Multiplicative inverse, by one division of reversed polynomials
+        (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1): with c the
+        first n digits and m = len(c) - 1, the quotient s^(n-1+m) // rev(c),
+        read backwards, is 1/c mod s^n.
 
         ``prec`` bounds the exponents of the result; it is required when the
         input is exact with more than one term (the expansion is infinite).
@@ -200,8 +205,6 @@ class Series:
         n = int(target) + v  # number of digits to solve
         if n <= 0:
             raise DomainError("requested inverse precision is vacuous")
-        # reversal: with c the first n digits and m = len(c) - 1, the quotient
-        # s^(n-1+m) // rev(c), read backwards, is 1/c mod s^n
         c = self.coeffs[:n]
         m = len(c) - 1
         quo = Poly.one(gf).shift(n - 1 + m) // Poly(gf, c[::-1])

@@ -37,8 +37,12 @@ __all__ = [
 
 
 class _TorsionSet:
-    """The points of a torsion set in the order they were built; the JSON
-    lists them sorted by their text, after the subclass's header fields."""
+    """The points of a torsion set in the order they were built; the JSON,
+    which the CLI prints as it is, lists them sorted by their text, after
+    the subclass's header fields.  The subclasses differ only in what they
+    carry beside the points, the context or the precision, and in
+    membership: equality of P-adic points, agreement to the precision of
+    V_q points."""
 
     __slots__ = ("order", "points")
 
@@ -114,8 +118,9 @@ def torsion_padic(P: Poly, N: int) -> TorsionSetPadic:
     the constant P-1, a unit, so one inverse of P-1 serves every Newton step
     b <- b - rho_{P-1}(b)/(P-1) of padic._newton_lift.  rho_{P-1} is
     additive, so a step multiplies the valuation of the error by q, and the
-    image is zero after at most ceil(log2 N) steps; one still nonzero after
-    ceil(log2 N) + 1 evaluations raises CarlitzError.  rho_{P-1} is
+    image is zero after ceil(log_q N) steps, so deg P (ceil(log_q N) + 1)
+    evaluations in all; one still nonzero after ceil(log2 N) + 1
+    evaluations raises CarlitzError.  rho_{P-1} is
     F_q-linear, so the roots b_i over T^i, i < d, are the only lifts:
     sum c_i b_i is the root over sum c_i T^i.  The points come in the order
     of ctx.residues().
@@ -160,8 +165,10 @@ def torsion_vq(M: Poly, prec: int) -> TorsionSetVq:
     exactly q - 1, as qw > w - (q-1).  So the d rows of digits -1 .. prec-1
     lead at (q-1)(d-1-i) - 1, and back-substitution on these leads gives
     their reduced echelon form, which lists the points in lexicographic
-    digit order.  A precision above 2^14, or q^d points of more than 2^27
-    digits in all, is refused before any series work.
+    digit order.  A precision below min_separating_prec(M), which cannot
+    tell the roots apart, raises a PrecisionError that names it, for every
+    d >= 1.  More than 2^16 points, a precision above 2^14, or q^d points
+    of more than 2^27 digits in all, is refused before any series work.
     """
     if M.is_zero():
         raise DomainError("torsion of the zero polynomial is everything")
@@ -261,17 +268,20 @@ def _frobenius_sum(w: VqElem) -> VqElem:
 
 
 def divide_T(u: VqElem, prec: int = None) -> list:
-    """The q solutions v of v^q + T*v = u, canonical branch first.
+    """The q solutions v of v^q + T*v = u, canonical branch first (Goss,
+    Basic Structures of Function Field Arithmetic, ch. 3).
 
     The canonical branch, the solution of maximal valuation, is the fixed
     point of v <- (u - v^q)/T: v = sum_k w^(q^k) s^(q^k - 1) with
     w = u/T = -u*s^(q-1).  As v(u) > -q, v(w) >= 0, so each term only moves
     w's digits: the one at exponent j goes to q^k (j+1) - 1, for every k
     that lands it below w's precision P, and the branch is one digit list
-    from v(w) up to P.  The others add c*s^-1, c in F_q^*, the nonzero
-    elements of the kernel of rho_T.  A canonical branch of more than 2^24
-    digits, or q branches of more than 2^27 digits in all, q (P + 1), is
-    refused before any digit list is built.
+    from v(w) up to P.  When q (v(w) + 1) > P no digit moves, and the
+    branch is w itself, as for u = s^-1 + s at q = 4099.  The others add
+    c*s^-1, c in F_q^*, the nonzero elements of the kernel of rho_T.  A
+    canonical branch of more than 2^24 digits, or q branches of more than
+    2^27 digits in all, q (P + 1), is refused before any digit list is
+    built.
     """
     gf = u.gf
     q = gf.q
@@ -310,7 +320,8 @@ def completed_action(M, u: VqElem) -> VqElem:
     reaches b_0 = b and a_{-j} rho_{T^j}(u), j <= -p, reaches
     b_j = min(q b_(j-1), b_(j-1) - (q-1)), which falls by q - 1 while
     b_(j-1) >= -1 and is then multiplied by q.  A bound below -2^24, the
-    valuation of a q-th power past the Frobenius cap, is refused.
+    valuation of a q-th power past the Frobenius cap, is refused.  So at
+    q = 3, M = 1 + O(T^-1) on u = s^-1 + s + O(s^20) gives s^-1 + O(s^1).
     """
     gf = u.gf
     if isinstance(M, Poly):
@@ -350,7 +361,10 @@ def dirichlet_approx(lam: VqElem, n: int):
     T-divisions r_k, which lead at k(q-1) - 1.  A point is fixed by its
     digits there, and adding c r_k leaves the earlier ones alone, so
     forward substitution over all n rows sets each to lam's digit, or to 0
-    at and past lam's precision: the first of the points that tie.  A sum
+    at and past lam's precision: the first of the points that tie.
+    Stopping at lam's precision instead would keep the digits the earlier
+    rows leave at the later leads: at q = 3 and n = 4, 2*s + O(s^3) would
+    give 2*s + 2*s^5 + O(s^6) in place of 2*s + O(s^6).  A sum
     that parts from lam before some lead parts from it before the last,
     (n-1)(q-1) - 1, and fails the bound whatever the c_k.
 

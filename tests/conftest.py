@@ -513,11 +513,28 @@ def modulus_args(draw):
     return f, [poly(length) for length in lengths]
 
 
-def _modulus_args(q, n, lengths, seed):
+def seeded_modulus(q, n, seed, monic=False):
+    """(f, rng): f of degree n over F_q, drawn from rng = random.Random(seed) below a top
+    coefficient 1 when monic, else drawn nonzero; rng is left for further draws."""
+    gf = FIELDS.get(q) or LARGE_FIELDS.get(q) or GF(q)
     rng = random.Random(seed)
-    gf = FIELDS[q]
-    f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)])
-    return f, [Poly(gf, [rng.randrange(q) for _ in range(m - 1)] + [q - 1]) for m in lengths]
+    return Poly(gf, [rng.randrange(q) for _ in range(n)] + [1 if monic else rng.randrange(1, q)]), rng
+
+
+def modulus_pin(kind, f, rng=None, h=None, lengths=()):
+    """A pinned example on one Modulus of f, as its row of kind takes it; h defaults to every
+    coefficient q - 1 at length deg f, the largest slot sums.  "reduce" draws one polynomial of
+    each length from rng, its top coefficient q - 1; "plan" makes each call kind twice, the
+    step first: h with a = 0 and a = q - 1, then reductions of h's q-th power and of h T^n."""
+    gf, q, n = f.gf, f.gf.q, f.degree
+    h = Poly(gf, [q - 1] * n) if h is None else h
+    if kind == "reduce":
+        return f, [Poly(gf, [rng.randrange(q) for _ in range(m - 1)] + [q - 1]) for m in lengths]
+    if kind == "frobenius":
+        return f, h
+    if kind == "rho_T":
+        return f, h, q - 1, h
+    return f, [("rho_T", h, 0, h), ("reduce", h.frobenius()), ("rho_T", h, q - 1, h), ("reduce", h.shift(n))]
 
 
 def _torsion_primes(q):
@@ -627,13 +644,6 @@ def wide_pairs(q):
     return pairs + [tuple(full)]
 
 
-def _frob_args(q, n, seed):
-    """A random monic f of degree n and h with every coefficient q - 1."""
-    gf = FIELDS.get(q) or LARGE_FIELDS[q]
-    rng = random.Random(seed)
-    return Poly(gf, [rng.randrange(q) for _ in range(n)] + [1]), Poly(gf, [q - 1] * n)
-
-
 @st.composite
 def step_mod_args(draw):
     """(f, h, a, w): f of degree 1-30, monic or not, h and w reduced mod f,
@@ -645,14 +655,6 @@ def step_mod_args(draw):
     f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [draw(st.integers(1, q - 1))])
     h, w = (Poly(gf, [q - 1] * n if draw(st.booleans()) else [rng.randrange(q) for _ in range(draw(st.integers(0, n)))]) for _ in range(2))
     return f, h, draw(st.integers(0, q - 1)), w
-
-
-def _step_mod_args(q, n, seed):
-    """f of degree n, h and w with every coefficient q - 1, a = q - 1."""
-    gf = FIELDS.get(q) or LARGE_FIELDS.get(q) or GF(q)
-    rng = random.Random(seed)
-    full = Poly(gf, [q - 1] * n)
-    return Poly(gf, [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]), full, q - 1, full
 
 
 @st.composite
@@ -674,13 +676,6 @@ def plan_reuse_args(draw):
         else:
             calls.append(("reduce", Poly(gf, [rng.randrange(q) for _ in range(draw(st.integers(0, q * n + 1)))])))
     return f, calls
-
-
-def _plan_reuse_args(gf, f, h):
-    """Each call kind on f twice, the step first: h with a = 0 and with
-    a = q - 1 times h, a reduction of h's q-th power and of h times T^n."""
-    a = gf.q - 1
-    return f, [("rho_T", h, 0, h), ("reduce", h.frobenius()), ("rho_T", h, a, h), ("reduce", h.shift(f.degree))]
 
 
 def random_irreducible(gf, rng, n):
@@ -1427,6 +1422,26 @@ def rf_powmod_x(base, e, mod, P):
     return res
 
 
+def ddf_by_degrees(f, x, deg, step, gcd_minus_x, divmod_):
+    """The degree-by-degree ddf loop over F_Q = F_q[T]/P: h = x^(Q^d) mod the unsplit part by
+    step(h, rest), whose gcd with h - x holds its factors of degree d.  Each oracle passes its
+    own representation of f and x and its own deg, step, gcd_minus_x and divmod_."""
+    out = []
+    h, d, rest = x, 0, f
+    while deg(rest) >= 2 * (d + 1):
+        d += 1
+        h = step(h, rest)
+        g = gcd_minus_x(rest, h)
+        if deg(g) > 0:
+            out.append((d, deg(g) // d))
+            rest, r = divmod_(rest, g)
+            assert deg(r) < 0
+            h = divmod_(h, rest)[1]
+    if deg(rest) > 0:
+        out.append((deg(rest), 1))
+    return out
+
+
 def rf_ddf(f, P):
     if not P.is_monic() or not is_irreducible(P):
         raise DomainError("residue field modulus must be monic irreducible")
@@ -1437,22 +1452,10 @@ def rf_ddf(f, P):
     fp = rf_trim([f[i].scale(i % gf.p) for i in range(1, len(f))])
     if not fp or len(rf_gcd(f, fp, P)) > 1:
         raise DomainError("ddf input must be squarefree over the residue field")
-    out = []
     x = [Poly.zero(gf), Poly.one(gf)]
-    h, d, rest = x, 0, f
-    while len(rest) - 1 >= 2 * (d + 1):
-        d += 1
-        h = rf_powmod_x(h, order, rest, P)
-        diff = rf_trim([a - b for a, b in zip_longest(h, x, fillvalue=Poly.zero(gf))])
-        g = rf_gcd(rest, diff, P) if diff else list(rest)
-        if len(g) > 1:
-            out.append((d, (len(g) - 1) // d))
-            rest, r = rf_divmod(rest, g, P)
-            assert not r
-            h = rf_divmod(h, rest, P)[1]
-    if len(rest) > 1:
-        out.append((len(rest) - 1, 1))
-    return out
+    minus_x = lambda h: [a - b for a, b in zip_longest(h, x, fillvalue=Poly.zero(gf))]
+    return ddf_by_degrees(f, x, lambda a: len(a) - 1, lambda h, rest: rf_powmod_x(h, order, rest, P),
+                          lambda rest, h: rf_gcd(rest, minus_x(h), P), lambda a, b: rf_divmod(a, b, P))
 
 
 def ddf_by_powering(f, P):
@@ -1466,21 +1469,10 @@ def ddf_by_powering(f, P):
             a, b = b, a.divmod(b, P)[1]
         return a
 
-    Q = gf.q**P.degree
-    out = []
-    x = XPoly(gf, [Poly.zero(gf), Poly.one(gf)])
-    h, d, rest = x, 0, XPoly(gf, [c % P for c in f])
-    while rest.deg() >= 2 * (d + 1):
-        d += 1
-        h = square_multiply(h, Q, lambda a, b: (a * b).divmod(rest, P)[1])
-        g = gcd(rest, h - x)
-        if g.deg() > 0:
-            out.append((d, g.deg() // d))
-            rest = rest.divmod(g, P)[0]
-            h = h.divmod(rest, P)[1]
-    if rest.deg() > 0:
-        out.append((rest.deg(), 1))
-    return out
+    Q, x = gf.q**P.degree, XPoly(gf, [Poly.zero(gf), Poly.one(gf)])
+    return ddf_by_degrees(XPoly(gf, [c % P for c in f]), x, XPoly.deg,
+                          lambda h, rest: square_multiply(h, Q, lambda a, b: (a * b).divmod(rest, P)[1]),
+                          lambda rest, h: gcd(rest, h - x), lambda a, b: a.divmod(b, P))
 
 
 def ext_gcd_inverse(x):

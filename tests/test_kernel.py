@@ -11,6 +11,7 @@ evaluations, the residue symbol's refusal texts, the Eisenstein tail repro,
 and the supplied F_{p^r} moduli.  The precision contract of each certified
 function is tests/test_precision.py."""
 
+import itertools
 import json
 import random
 
@@ -379,15 +380,17 @@ def test_padic_torsion_coarse_agrees_with_fine(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_torsion_padic_runs_newton_on_the_basis_roots(q, monkeypatch):
-    # Newton runs on the d basis roots only, each in at most ceil(log2 N) + 1
-    # evaluations of rho_{P-1}
+    # Newton runs on the d basis roots only, each in at most ceil(log_q N) + 1
+    # evaluations of rho_{P-1}: the lift converges q-fold, as rho_{P-1} is
+    # additive, where a doubling lift would take ceil(log2 N) + 1
     images = []
     monkeypatch.setattr(torsion_module, "carlitz_act", lambda *args: images.append(1) or carlitz_act(*args))
     for P in _torsion_primes(q):
         for N in (1, 2, 3, 8, 16):
             images.clear()
             torsion_padic(P, N)
-            assert P.degree <= len(images) <= P.degree * ((N - 1).bit_length() + 1)
+            log_q = next(k for k in itertools.count() if q**k >= N)
+            assert P.degree <= len(images) <= P.degree * (log_q + 1)
 
 
 def test_torsion_padic_gives_up_without_a_root(monkeypatch):

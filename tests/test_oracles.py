@@ -24,19 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _ddf_args, _frob_args, _modulus_args, _padic_step, _plan_reuse_args, _rand, _rand_vq, _slot_args,
-    _step_mod_args, _torsion_primes, _vq, _xp, act_args, all_monic, all_polys as polys_up_to, boundary_points,
+    _ddf_args, _padic_step, _rand, _rand_vq, _slot_args,
+    _torsion_primes, _vq, _xp, act_args, all_monic, all_polys as polys_up_to, boundary_points,
     brute_shell_coeffs, CoefficientOperator, completed_action_stepwise, completed_args, curvature_tuples, ddf_args,
     ddf_by_powering, DDF_PLANS, dense, dense_operator, descartes_form_stepwise, digit_vectors, dirichlet_args,
     divide_T_fixed_point, divide_T_frobenius_sum, ext_gcd_inverse, FIELDS, frac, FROB_FIELDS, frobenius_args,
     frobenius_product_args, frobenius_sum_args, full_eisenstein, geodesic_ray_stepwise, gf_tables_by_coordinates,
     inverse_args, inverse_then_power, kernel_torsion_vq, kummer_solve_newton, LARGE_FIELDS, lift_to_linear_prime,
-    linear_divisor_pairs, modulus_args, monic_power_sum, ORDER_FIELDS, outcome, pack_slots, padic_args, padic_elems,
+    linear_divisor_pairs, modulus_args, modulus_pin, monic_power_sum, ORDER_FIELDS, outcome, pack_slots, padic_args, padic_elems,
     period_partial_multiplied, phi_by_trial, plain_pow, plan_reuse_args, planned_product, poly_pairs, rabin_known,
     rabin_pow_mod, raised, rand_poly, rank_one_args, residue_args, residue_divisions, residue_planned_product,
     RESIDUE_PLANS, rf_ddf, rf_divmod, scan_dirichlet, school_divmod, school_from_inf, school_mul, school_series,
     school_series_inverse, school_series_mul, school_to_inf, school_vector_ops, school_xdivmod, school_xmul,
-    search_torsion_vq, series_pairs, slot_args, spread_carlitz_exp, step_args, step_mod_args, stepping_order,
+    search_torsion_vq, seeded_modulus, series_pairs, slot_args, spread_carlitz_exp, step_args, step_mod_args, stepping_order,
     stepping_residue_order, tangent_families, TORSION_ORDERS, torsion_padic_by_class, tree_distance_by_dicts,
     tstep_operator, unit_count, unpack_slots, vec_args, VEC_FIELDS, vec_series, vertex_pairs, wide_pairs, X_FIELDS,
     xpoly_pairs,
@@ -689,17 +689,17 @@ def large_prime_cases():
 
 FROB_INPUTS = frobenius_args()
 FROB_EXAMPLES = (
-    _frob_args(7, 30, 1),  # slot sums near 30 * 36: two-byte slots
-    _frob_args(27, 30, 2),  # r = 3, slot sums near 30 * 12
-    _frob_args(5, 1, 3),  # deg f = 1: h^q = h
+    modulus_pin("frobenius", *seeded_modulus(7, 30, 1, monic=True)),  # slot sums near 30 * 36: two-byte slots
+    modulus_pin("frobenius", *seeded_modulus(27, 30, 2, monic=True)),  # r = 3, slot sums near 30 * 12
+    modulus_pin("frobenius", *seeded_modulus(5, 1, 3, monic=True)),  # deg f = 1: h^q = h
     (Poly(FIELDS[4], [1, 0, 1]), Poly(FIELDS[4], [])),  # h = 0
     # square-and-multiply: (2r - 1) q (deg f - 1) above SPREAD_MAX_SLOTS
-    _frob_args(257, 8, 4),
-    _frob_args(10007, 2, 5),
-    _frob_args(10007, 4, 6),
-    _frob_args(1000003, 3, 7),
-    _frob_args(4294967311, 2, 8),
-    _frob_args(4294967311, 4, 9),
+    modulus_pin("frobenius", *seeded_modulus(257, 8, 4, monic=True)),
+    modulus_pin("frobenius", *seeded_modulus(10007, 2, 5, monic=True)),
+    modulus_pin("frobenius", *seeded_modulus(10007, 4, 6, monic=True)),
+    modulus_pin("frobenius", *seeded_modulus(1000003, 3, 7, monic=True)),
+    modulus_pin("frobenius", *seeded_modulus(4294967311, 2, 8, monic=True)),
+    modulus_pin("frobenius", *seeded_modulus(4294967311, 4, 9, monic=True)),
 )
 
 
@@ -1061,9 +1061,9 @@ ROWS = {
     "test_kernel::test_modulus_reduce_matches_divmod": Row(
         reduce_each, lambda f, polys: [a % f for a in polys], modulus_args(), 300,
         examples(
-            _modulus_args(3, 96, (190, 5, 190), 1),  # deg P^N = 96 at q = 3, a Frobenius image
-            _modulus_args(25, 40, (41, 200, 1001), 2),  # r = 2, each quotient longer
-            _modulus_args(9, 0, (3, 1, 5), 3),  # a constant f
+            modulus_pin("reduce", *seeded_modulus(3, 96, 1), lengths=(190, 5, 190)),  # deg P^N = 96 at q = 3, a Frobenius image
+            modulus_pin("reduce", *seeded_modulus(25, 40, 2), lengths=(41, 200, 1001)),  # r = 2, each quotient longer
+            modulus_pin("reduce", *seeded_modulus(9, 0, 3), lengths=(3, 1, 5)),  # a constant f
         ),
     ),
     "test_kernel::test_modulus_rho_T_matches_divmod": Row(
@@ -1074,10 +1074,10 @@ ROWS = {
             # and h_126 (the spread), h_251 (T*h) and w_252 to 256, one past
             # 1-byte slots
             (Poly(FIELDS[2], [1] * 255), Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 126), 1, Poly(FIELDS[2], [1] * 254)),
-            _step_mod_args(25, 30, 3),  # r = 2
-            _step_mod_args(27, 12, 4),  # r = 3
-            _step_mod_args(2**40 - 87, 1, 5),  # 16-byte slots; a larger deg f spreads past 2^24
-            _step_mod_args(7, 1, 6),  # deg f = 1: T*h alone reaches T^1
+            modulus_pin("rho_T", *seeded_modulus(25, 30, 3)),  # r = 2
+            modulus_pin("rho_T", *seeded_modulus(27, 12, 4)),  # r = 3
+            modulus_pin("rho_T", *seeded_modulus(2**40 - 87, 1, 5)),  # 16-byte slots; a larger deg f spreads past 2^24
+            modulus_pin("rho_T", *seeded_modulus(7, 1, 6)),  # deg f = 1: T*h alone reaches T^1
             (Poly(FIELDS[9], [4, 0, 1]), Poly(FIELDS[9], []), 5, Poly(FIELDS[9], [1, 7])),  # h = 0
         ),
     ),
@@ -1086,10 +1086,10 @@ ROWS = {
         examples(
             # deg f = 253 and 254 over F_2 lie on the two sides of the plan's
             # 1-byte slots, M + 3 <= 255 (its slots reach 254 here) and 256
-            _plan_reuse_args(FIELDS[2], Poly(FIELDS[2], [1] * 254), Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 125)),
-            _plan_reuse_args(FIELDS[2], Poly(FIELDS[2], [1] * 255), Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 126)),
+            modulus_pin("plan", Poly(FIELDS[2], [1] * 254), h=Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 125)),
+            modulus_pin("plan", Poly(FIELDS[2], [1] * 255), h=Poly(FIELDS[2], [0] * 126 + [1, 0] + [1] * 126)),
             # non-monic f: T*h's top digit h_0 T must not be folded in as h_0 (-f_low)
-            _plan_reuse_args(FIELDS[7], Poly(FIELDS[7], [6, 5]), Poly(FIELDS[7], [6])),
+            modulus_pin("plan", Poly(FIELDS[7], [6, 5]), h=Poly(FIELDS[7], [6])),
         ),
     ),
     # ------------------------------------------------------------ series

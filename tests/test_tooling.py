@@ -1,6 +1,7 @@
 """The runtime imports nothing outside the standard library, every module
 imports on its own, the README's library and CLI quick starts run, the
-README's caps table matches the code, every CLI subcommand declares only
+README's caps table matches the code, the README stays under 600 lines and
+every library name it gives resolves, every CLI subcommand declares only
 the options it reads and no handler builds the field or reads option text,
 every layer boundary the benchmark traces exists in the library, every
 certified function has a precision-contract row, every comparison of a
@@ -193,6 +194,32 @@ def test_readme_library_quick_start_runs(capsys):
     count = int(re.search(r"# all (\d+) roots", block).group(1))
     assert len(printed) == len(set(printed)) == count == 9
     assert re.search(r"# e\.g\. (.*)$", block, re.M).group(1) in printed
+
+
+def test_readme_is_at_most_600_lines():
+    # a reference states each rule once and names the docstring that derives
+    # it; a later change adds rows, not paragraphs
+    assert len((ROOT / "README.md").read_text().splitlines()) <= 600
+
+
+def test_readme_names_resolve():
+    # every dotted name in backticks that starts at carlitz, one of its
+    # modules or a class it exports is an attribute there, so renaming a
+    # function the README names fails here; file names are not names
+    import carlitz
+
+    roots = {path.stem: importlib.import_module(f"carlitz.{path.stem}") for path in SRC.glob("*.py") if path.stem != "__init__"}
+    roots.update({name: obj for name, obj in vars(carlitz).items() if inspect.isclass(obj)}, carlitz=carlitz)
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", (ROOT / "README.md").read_text())
+    checked = [name for name in names if not name.endswith(".py") and name.split(".")[0] in roots]
+    stale = []
+    for name in checked:
+        first, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, roots[first])
+        except AttributeError:
+            stale.append(name)
+    assert len(checked) >= 50 and stale == []
 
 
 # a parameter that makes a function certify digits: a precision, a term or
