@@ -595,7 +595,7 @@ def main(argv=None) -> int:
     except PrecisionError as e:
         _emit_error(args, "precision", e)
         return 1
-    except (CarlitzError, DomainError) as e:
+    except CarlitzError as e:
         _emit_error(args, "domain", e)
         return 1
 

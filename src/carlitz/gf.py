@@ -14,14 +14,15 @@ are those of ``poly`` over GF(p).
 from __future__ import annotations
 
 from .errors import DomainError
-from .poly import Poly, _bracket, _pack, all_polys, format_term, is_irreducible, order_dividing, parse_int, parse_term
+from .poly import Poly, _bracket, all_polys, format_term, is_irreducible, order_dividing, parse_int, parse_term
 from .poly import prime_divisors, square_multiply
 
 # The largest fields GF builds.  A prime p is checked by trial division up to
 # sqrt(p), about 0.1 s at the cap; an extension field of order q builds, on
 # first use, addition and multiplication tables of q^2 entries (q(q+1)/2
-# products in F_p[w] mod the modulus) and a reduction table of p^(2r-1)
-# entries read from those tables, about half a second at the cap.
+# products in F_p[w] mod the modulus), and poly's packed kernel a reduction
+# table of p^(2r-1) entries read from those tables, about half a second at
+# the cap.
 MAX_PRIME = 2**40
 MAX_EXTENSION_ORDER = 2**8
 
@@ -57,15 +58,12 @@ class GF:
                 if not is_irreducible(Poly(prime, modulus)):
                     raise DomainError("supplied modulus is reducible")
             self.modulus = modulus
-        # i mod p for every byte i, a bytes.translate table for the packed kernel
-        self.byte_residues = bytes(i % p for i in range(256))
         self._add_table = None
         self._neg_table = None
         self._mul_table = None
         self._inv_table = None
-        self._slot_tables = None
-        self._packed_groups = {}
-        self._byte_lanes = {}
+        # the packed kernel's tables by slot bytes, which poly fills and reads
+        self.kernel_tables = {}
 
     # -- element arithmetic (elements are ints in [0, q)) --
 
@@ -180,49 +178,6 @@ class GF:
         # each row but 0's is a permutation of F_q, so it holds 1 exactly once
         self._inv_table = [0] + [row.index(1) for row in table[1:]]
         return self._add_table, self._neg_table, self._mul_table
-
-    def slot_tables(self):
-        """Tables of the packed polynomial kernel (``poly``), built on first use.
-
-        ``digits[a]`` is the bytes of the r coordinates of a followed by r-1
-        zeros: the 2r-1 slots of one packed coefficient.  ``reduce`` maps the
-        tuple of 2r-1 coefficients of a polynomial in w of degree <= 2r-2 to
-        the element it reduces to; p^(2r-1) entries.  The digits c split as
-        low + w^r * high with low = c[:r] and high = c[r:], so each entry is
-        one product and one sum in F_q.  Only extension fields use them.
-        """
-        if self._slot_tables is None:
-            r = self.r
-            coords = [self.coords(a) for a in range(self.q)]
-            digits = [bytes(c + (0,) * (r - 1)) for c in coords]
-            w_r = self.mul(self.p ** (r - 1), self.p)
-            reduce = {}
-            for high in range(self.p ** (r - 1)):
-                top, key = self.mul(w_r, high), coords[high][: r - 1]
-                for low in range(self.q):
-                    reduce[coords[low] + key] = self.add(low, top)
-            self._slot_tables = digits, reduce
-        return self._slot_tables
-
-    def packed_groups(self, k: int):
-        """Every element as one packed group of k-byte slots (see
-        ``slot_tables``): ``packed_groups(k)[a]`` is ``poly._pack`` of [a],
-        the int whose slot j holds coordinate j of a.  Built on first use for
-        each k."""
-        groups = self._packed_groups.get(k)
-        if groups is None:
-            groups = [_pack(self, [a], k) for a in range(self.q)]
-            self._packed_groups[k] = groups
-        return groups
-
-    def byte_lanes(self, k: int):
-        """The bytes.translate tables that read k-byte slots mod p (see
-        ``poly._unpack``): table j maps byte b to b 256^j mod p, the residue
-        of byte j of a slot.  Built on first use for each k."""
-        lanes = self._byte_lanes.get(k)
-        if lanes is None:
-            lanes = self._byte_lanes[k] = [bytes(b * 256**j % self.p for b in range(256)) for j in range(k)]
-        return lanes
 
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:

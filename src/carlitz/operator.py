@@ -231,9 +231,9 @@ def carlitz_act(M: Poly, u):
 
     rho_M = sum a_k rho_T^k, so Horner's rule in rho_T gives
     v <- rho_T(v) + a_k u = v^q + T v + a_k u from k = deg M down to 0.
-    Each ring's ``rho_T(a, u)`` takes one whole step without a ring product
-    (in F_q[T]/P^N, one Barrett pass); in AdditivePoly, from u = x, the loop
-    builds rho_M(x) itself.
+    Each ring's ``rho_T(a, u)`` takes one whole step (in F_q[T]/P^N,
+    Modulus.rho_T); in AdditivePoly, from u = x, the loop builds rho_M(x)
+    itself.
     """
     v = u.from_poly(Poly.zero(M.gf))
     for a in reversed(M.coeffs):

@@ -158,7 +158,7 @@ class Poly:
         rem = _pack(gf, a[::-1], k)
         low = _pack(gf, b[:-1][::-1], k) << width
         if r > 1:
-            reduce, groups = gf.slot_tables()[1], gf.packed_groups(k)
+            _, _, _, reduce, groups = gf.kernel_tables.get(k) or _slot_tables(gf, k)
             slot, shifts = (1 << 8 * k) - 1, range(0, width, 8 * k)
         quo = [0] * nq
         for i in range(nq - 1, -1, -1):
@@ -254,7 +254,7 @@ class Poly:
 # k is 1, 2, 4, 8 or 16 bytes.  Unpacking reads every slot mod p, by
 # bytes.translate while k (p - 1) < 256; over F_p that is the coefficient,
 # over F_{p^r} the group's 2r-1 digits are the key of the field's reduction
-# table (GF.slot_tables).
+# table.  _slot_tables builds each field's tables, one set per slot width.
 
 # struct codes of 2-, 4- and 8-byte slots, for p > 256 and where byte lanes
 # could carry; _pack packs wider slots through int.to_bytes, _unpack reads
@@ -270,12 +270,51 @@ def _slot_bytes(bound: int) -> int:
     return k
 
 
+def _slot_tables(gf: GF, k: int):
+    """The packed kernel's tables for k-byte slots over gf, (residues,
+    lanes, digits, reduce, groups), built on first use into
+    gf.kernel_tables (k -> tables), which only this module reads.  The
+    tables of every k share residues, digits and reduce.
+
+    - residues maps byte i to i mod p, a bytes.translate table.
+    - lanes read k-byte slots mod p while k (p - 1) < 256, else None:
+      table j maps byte b to b 256^j mod p, the residue of byte j of a slot.
+    - digits, over F_{p^r} (else None): digits[a] is the bytes of the r
+      coordinates of a followed by r-1 zeros, the 2r-1 slots of one packed
+      coefficient.
+    - reduce, over F_{p^r} (else None), maps the tuple of 2r-1 coefficients
+      of a polynomial in w of degree <= 2r-2 to the element it reduces to;
+      p^(2r-1) entries.  The digits c split as low + w^r * high with
+      low = c[:r] and high = c[r:], so each entry is one product and one
+      sum in F_q.
+    - groups, over F_{p^r} (else None): groups[a] is _pack of [a], the int
+      whose slot j holds coordinate j of a.
+    """
+    tables, p, r = gf.kernel_tables, gf.p, gf.r
+    if tables:
+        residues, _, digits, reduce, _ = next(iter(tables.values()))
+    else:
+        residues, digits, reduce = bytes(i % p for i in range(256)), None, None
+        if r > 1:
+            coords = [gf.coords(a) for a in range(gf.q)]
+            digits = [bytes(c + (0,) * (r - 1)) for c in coords]
+            w_r, reduce = gf.mul(p ** (r - 1), p), {}
+            for high in range(p ** (r - 1)):
+                top, key = gf.mul(w_r, high), coords[high][: r - 1]
+                for low in range(gf.q):
+                    reduce[coords[low] + key] = gf.add(low, top)
+    lanes = [bytes(b * 256**j % p for b in range(256)) for j in range(k)] if k * (p - 1) < 256 else None
+    groups = digits and [sum(d << 8 * k * j for j, d in enumerate(g)) for g in digits]
+    tables[k] = residues, lanes, digits, reduce, groups
+    return tables[k]
+
+
 def _pack(gf: GF, coeffs, k: int) -> int:
     """coeffs in one int, one group of k-byte slots per coefficient."""
     if gf.r == 1:
         slots = coeffs
     else:
-        digits = gf.slot_tables()[0]
+        digits = (gf.kernel_tables.get(k) or _slot_tables(gf, k))[2]
         slots = b"".join([digits[c] for c in coeffs])
     if k == 1:
         data = bytes(slots)
@@ -293,15 +332,15 @@ def _pack(gf: GF, coeffs, k: int) -> int:
 def _unpack(gf: GF, x: int, n: int, k: int):
     """The first n coefficients packed in x, reduced, as a sequence of ints."""
     p, g = gf.p, 2 * gf.r - 1
+    residues, lanes, _, reduce, _ = gf.kernel_tables.get(k) or _slot_tables(gf, k)
     data = x.to_bytes(n * g * k, "little")
     if k == 1:
-        digits = data.translate(gf.byte_residues)
+        digits = data.translate(residues)
     elif k * (p - 1) < 256:
         # byte j of every slot read mod p by one translate, the k residues
         # summed as ints (below 256, so no carry) and read mod p once more
-        lanes = gf.byte_lanes(k)
         total = sum([int.from_bytes(data[j::k].translate(lanes[j]), "little") for j in range(k)])
-        digits = total.to_bytes(n * g, "little").translate(gf.byte_residues)
+        digits = total.to_bytes(n * g, "little").translate(residues)
     else:
         if k in _FORMATS:
             slots = struct.unpack(f"<{n * g}{_FORMATS[k]}", data)
@@ -313,7 +352,6 @@ def _unpack(gf: GF, x: int, n: int, k: int):
         digits = [s % p for s in slots]
     if g == 1:
         return digits
-    reduce = gf.slot_tables()[1]
     # zip of g references to one iterator yields the digits group by group
     return [reduce[w] for w in zip(*[iter(digits)] * g)]
 
@@ -483,6 +521,14 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
 SPREAD_MAX_SLOTS = 400
 
 
+def reciprocal(f: Poly, m: int) -> tuple:
+    """The m digits of x^(deg f - 1 + m) // f, for deg f - 1 + m >= 0, by one
+    packed division.  Read backwards they are the first m digits of
+    1/rev(f), rev(f) = x^(deg f) f(1/x), a power series in x (von zur
+    Gathen-Gerhard, Modern Computer Algebra, 9.1)."""
+    return (Poly.one(f.gf).shift(f.degree - 1 + m) // f).coeffs
+
+
 class Modulus:
     """Reduction mod a fixed nonzero f by two packed products (Barrett;
     von zur Gathen-Gerhard, Modern Computer Algebra, 9.1).
@@ -494,11 +540,11 @@ class Modulus:
     L-1 .. L+m-2 of a's top m digits times R, and the product has no digit
     above them: the top digits are one shift of packed a, the quotient one
     shift of the product.  The remainder is then a - quotient * f mod x^n,
-    which only needs f's low n digits.  R is the quotient x^(n-1+L) // f:
-    one packed division stored with the modulus, built again only for a
-    longer quotient and cut by one shift for a shorter one.  The first rho_T
-    fixes a plan of slot width, packed operands and R for the longest
-    quotient a step can have, so later steps size, fetch and shift nothing.
+    which only needs f's low n digits.  R is reciprocal(f, L), stored with
+    the modulus, built again only for a longer quotient and cut by one shift
+    for a shorter one.  The first rho_T within the cap on q-th powers fixes
+    a plan of slot width, packed operands and R for the longest quotient a
+    step can have, so later steps size, fetch and shift nothing.
     """
 
     __slots__ = ("f", "_recip", "_packed", "_plan")
@@ -518,7 +564,7 @@ class Modulus:
         cut to its first m digits, the shift that reads the quotient)."""
         gf, n = self.f.gf, self.f.degree
         if m > len(self._recip):
-            self._recip = (Poly.one(gf).shift(n - 1 + m) // self.f).coeffs
+            self._recip = reciprocal(self.f, m)
             self._packed = {}
         if k not in self._packed:
             self._packed[k] = (_pack(gf, gf.neg_vec(self.f.coeffs[:-1]), k), _pack(gf, self._recip, k))
@@ -552,11 +598,17 @@ class Modulus:
 
     def rho_T(self, h: Poly, a: int = 0, w: Poly = None) -> Poly:
         """(h^q + T*h + a*w) mod f for h and w reduced mod f, deg f >= 1, and
-        a in F_q, in one Barrett pass: the spread h(T^q), T*h and a*w are
-        summed packed, with T*h's digit at T^n added to the spread's (f
-        need not be monic, so that digit cannot stand in for -f_low)."""
+        a in F_q.  While a step's spread h(T^q) stays within the cap on q-th
+        powers, q (deg f - 1) <= MAX_FROBENIUS_DEGREE, this is one Barrett
+        pass: the spread, T*h and a*w are summed packed, with T*h's digit at
+        T^n added to the spread's (f need not be monic, so that digit cannot
+        stand in for -f_low).  Past the cap h^q is frobenius(h), to which
+        the reduced T*h and a*w are added, and no plan is sized."""
         gf, n = self.f.gf, self.f.degree
         p, q, r = gf.p, gf.q, gf.r
+        if q * (n - 1) > MAX_FROBENIUS_DEGREE:
+            v = self.frobenius(h) + self.reduce(h.shift(1))
+            return v + w.scale(a) if a else v
         s, t = spread(h.coeffs, q), h.coeffs
         if len(t) == n:
             # T*h's digit at T^n joins the spread's, so the top stays reduced
@@ -565,15 +617,14 @@ class Modulus:
             t = t[:-1]
         if self._plan is None:
             # every step's quotient has at most M digits: h^q reaches
-            # T^(q(n-1)), or T*h reaches T^1 when n = 1; past the cap on q-th
-            # powers that is refused before R is sized
-            check_frobenius_degree(q * (n - 1))
+            # T^(q(n-1)), or T*h reaches T^1 when n = 1
             M, e = max((q - 1) * (n - 1), 1), r * (p - 1) ** 2
             self._plan = self._operands(M, _slot_bytes(max(M * e, 2 * (p - 1) + e + min(M, n) * e)))
         k, bits = self._plan[:2]
         x = _pack(gf, s, k) + (_pack(gf, t, k) << bits)
         if a:
-            x += (a if r == 1 else gf.packed_groups(k)[a]) * _pack(gf, w.coeffs, k)
+            scale = a if r == 1 else (gf.kernel_tables.get(k) or _slot_tables(gf, k))[4][a]
+            x += scale * _pack(gf, w.coeffs, k)
         return self._barrett(x, max(len(s) - n, 0), self._plan)
 
     def frobenius(self, h: Poly) -> Poly:

@@ -21,7 +21,7 @@ import math
 
 from .errors import BelowPrecision, DomainError, PrecisionError
 from .gf import GF
-from .poly import Poly, _dense, format_term, parse_int, parse_term, split_terms, spread, square_multiply
+from .poly import Poly, _dense, format_term, parse_int, parse_term, reciprocal, split_terms, spread, square_multiply
 
 INF = math.inf
 
@@ -181,10 +181,8 @@ class Series:
         return self._new(q * self.v, spread(self.coeffs, q), prec)
 
     def inverse(self, prec=None):
-        """Multiplicative inverse, by one division of reversed polynomials
-        (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1): with c the
-        first n digits and m = len(c) - 1, the quotient s^(n-1+m) // rev(c),
-        read backwards, is 1/c mod s^n.
+        """Multiplicative inverse: with c the first n digits, 1/c mod s^n is
+        poly.reciprocal(rev(c), n) read backwards.
 
         ``prec`` bounds the exponents of the result; it is required when the
         input is exact with more than one term (the expansion is infinite).
@@ -205,10 +203,7 @@ class Series:
         n = int(target) + v  # number of digits to solve
         if n <= 0:
             raise DomainError("requested inverse precision is vacuous")
-        c = self.coeffs[:n]
-        m = len(c) - 1
-        quo = Poly.one(gf).shift(n - 1 + m) // Poly(gf, c[::-1])
-        return self._new(-v, quo.coeffs[::-1], target)
+        return self._new(-v, reciprocal(Poly(gf, self.coeffs[:n][::-1]), n)[::-1], target)
 
     def __truediv__(self, other):
         self._check(other)

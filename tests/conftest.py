@@ -658,6 +658,20 @@ def step_mod_args(draw):
 
 
 @st.composite
+def capped_step_args(draw):
+    """(f, h, a, w) over GF(2^32 + 15) with deg f 2 or 3, monic or not, where
+    a step's spread would pass the 2^24 cap on q-th powers: h nonconstant
+    and w reduced mod f, a nonzero."""
+    gf = LARGE_FIELDS[4294967311]
+    q, n = gf.q, draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = Poly(gf, [rng.randrange(q) for _ in range(n)] + [1 if draw(st.booleans()) else rng.randrange(1, q)])
+    h = Poly(gf, [rng.randrange(q) for _ in range(draw(st.integers(1, n - 1)))] + [rng.randrange(1, q)])
+    w = Poly(gf, [rng.randrange(q) for _ in range(draw(st.integers(0, n)))])
+    return f, h, rng.randrange(1, q), w
+
+
+@st.composite
 def plan_reuse_args(draw):
     """(f, calls): f of degree 1-30, monic or not, and 2-6 calls on one
     Modulus in any order: ("rho_T", h, a, w) with h zero, shorter than n or
@@ -1769,6 +1783,7 @@ def gf_tables_by_coordinates(p, r):
         [1] * (q - 1),
         [(e, products[e].index(1)) for e in powers],
         ([bytes(c + [0] * (r - 1)) for c in coords], {w: elem(fp_polymod(w, m, p)) for w in product(range(p), repeat=2 * r - 1)}),
+        [sum(c << 16 * j for j, c in enumerate(ca)) for ca in coords],
     )
 
 

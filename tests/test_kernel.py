@@ -522,14 +522,15 @@ def test_poly_and_its_fraction_are_one_value(q, data):
 # ---------------------------------------------------------------- q-th powers mod f
 
 
-def test_modulus_rho_T_refuses_before_its_plan_is_sized():
-    # over GF(2^32+15) at deg f = 2 a step's q-th power can reach degree q,
-    # above the 2^24 cap: even a constant h is refused, before an R of about
-    # q digits is built, and reduce, which needs no plan, still answers
+def test_modulus_rho_T_past_the_cap_equals_the_pow_mod_step_and_sizes_no_plan():
+    # over GF(2^32+15) at deg f = 2 a step's spread could reach degree q,
+    # above the 2^24 cap: h^q is taken by square-and-multiply instead, and no
+    # plan, with its R of about q digits, is sized; reduce, which needs no
+    # plan, still answers
     gf = LARGE_FIELDS[4294967311]
-    mod = Modulus(Poly(gf, [3, 0, 1]))
-    with pytest.raises(DomainError, match="q-th power of degree 4294967311 is above the supported maximum 2\\^24"):
-        mod.rho_T(Poly(gf, [5]))
+    mod, h = Modulus(Poly(gf, [3, 0, 1])), Poly(gf, [5])
+    assert mod.rho_T(h) == (pow_mod(h, gf.q, mod.f) + h.shift(1)) % mod.f
+    assert mod._plan is None
     a = Poly(gf, [1, 2, 3, gf.p - 1])
     assert mod.reduce(a) == a % mod.f
     # at deg f = 1 a step's quotient has one digit, whatever q

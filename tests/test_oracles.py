@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from conftest import (
     _ddf_args, _padic_step, _rand, _rand_vq, _slot_args,
     _torsion_primes, _vq, _xp, act_args, all_monic, all_polys as polys_up_to, boundary_points,
-    brute_shell_coeffs, CoefficientOperator, completed_action_stepwise, completed_args, curvature_tuples, ddf_args,
+    brute_shell_coeffs, capped_step_args, CoefficientOperator, completed_action_stepwise, completed_args,
+    curvature_tuples, ddf_args,
     ddf_by_powering, DDF_PLANS, dense, dense_operator, descartes_form_stepwise, digit_vectors, dirichlet_args,
     divide_T_fixed_point, divide_T_frobenius_sum, ext_gcd_inverse, FIELDS, frac, FROB_FIELDS, frobenius_args,
     frobenius_product_args, frobenius_sum_args, full_eisenstein, geodesic_ray_stepwise, gf_tables_by_coordinates,
@@ -48,7 +49,7 @@ from carlitz.gf import GF
 from carlitz.operator import AdditivePoly, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
-    Modulus, Poly, RatFn, _pack, _squarefree_parts, _unpack, all_polys, euler_phi,
+    Modulus, Poly, RatFn, _pack, _slot_tables, _squarefree_parts, _unpack, all_polys, euler_phi,
     is_irreducible, monic_irreducibles, parse_poly, poly_gcd, pow_mod, square_multiply,
 )
 from carlitz.reciprocity import (
@@ -372,6 +373,12 @@ def steps_mod(f, h, a, w):
 
 def steps_by_divmod(f, h, a, w):
     return (h.frobenius() + h.shift(1) + w.scale(a)) % f, (h.frobenius() + h.shift(1)) % f
+
+
+def steps_by_pow_mod(f, h, a, w):
+    """steps_by_divmod with h^q mod f by pow_mod, which spreads nothing."""
+    step = (pow_mod(h, f.gf.q, f) + h.shift(1)) % f
+    return step + w.scale(a), step
 
 
 def plan_calls(f, calls):
@@ -842,7 +849,8 @@ def period_product(gf, N):
 
 def gf_tables(p, r):
     """The default modulus, every sum, negative, product and a * a^-1, the
-    powers x^e and x^-e of one random x for e < 2q, and the slot tables."""
+    powers x^e and x^-e of one random x for e < 2q, and the packed kernel's
+    digits, reduction table and elements packed in 2-byte slots."""
     gf = GF(p, r)
     x = random.Random(gf.q).randrange(1, gf.q)
     return (
@@ -852,7 +860,8 @@ def gf_tables(p, r):
         [[gf.mul(a, b) for b in range(gf.q)] for a in range(gf.q)],
         [gf.mul(a, gf.inv(a)) for a in range(1, gf.q)],
         [(gf.pow(x, e), gf.pow(x, -e)) for e in range(2 * gf.q)],
-        tuple(gf.slot_tables()),
+        _slot_tables(gf, 1)[2:4],
+        _slot_tables(gf, 2)[4],
     )
 
 
@@ -1081,6 +1090,9 @@ ROWS = {
             (Poly(FIELDS[9], [4, 0, 1]), Poly(FIELDS[9], []), 5, Poly(FIELDS[9], [1, 7])),  # h = 0
         ),
     ),
+    # past the cap on q-th powers the step takes h^q by Modulus.frobenius;
+    # steps_by_divmod spreads h, which is refused there
+    "Modulus.rho_T/past-the-cap": Row(steps_mod, steps_by_pow_mod, capped_step_args(), 40),
     "test_kernel::test_modulus_plan_serves_steps_and_reductions_in_any_order": Row(
         plan_calls, plan_calls_by_divmod, plan_reuse_args(), 200,
         examples(

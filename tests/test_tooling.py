@@ -1,13 +1,13 @@
 """The runtime imports nothing outside the standard library, every module
-imports on its own, the README's library and CLI quick starts run, the
-README's caps table matches the code, the README stays under 600 lines and
-every library name it gives resolves, every CLI subcommand declares only
-the options it reads and no handler builds the field or reads option text,
-every layer boundary the benchmark traces exists in the library, every
-certified function has a precision-contract row, every comparison of a
-fast path with its oracle is a row of tests/test_oracles.py whose oracle is
-defined under tests/, and the benchmark's workloads compute the pinned
-outputs."""
+imports on its own, only poly uses the packed kernel, the README's library
+and CLI quick starts run, the README's caps table matches the code, the
+README stays under 600 lines and every library name it gives resolves,
+every CLI subcommand declares only the options it reads and no handler
+builds the field or reads option text, every layer boundary the benchmark
+traces exists in the library, every certified function has a
+precision-contract row, every comparison of a fast path with its oracle is
+a row of tests/test_oracles.py whose oracle is defined under tests/, and
+the benchmark's workloads compute the pinned outputs."""
 
 import argparse
 import ast
@@ -71,6 +71,30 @@ def test_no_unused_imports():
                 used |= set(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+# the packed kernel's private names: its packing, its slot widths and its
+# table builder; the tables themselves sit in GF.kernel_tables
+KERNEL_NAMES = {"_pack", "_unpack", "_slot_bytes", "_slot_tables"}
+
+
+def test_only_poly_uses_the_packed_kernel():
+    # no module but poly imports or reaches a packed-kernel private name or
+    # reads the tables' cache, which GF only sets up
+    found, others = [], [path for path in sorted(SRC.glob("*.py")) if path.stem != "poly"]
+    assert len(others) >= 12
+    for path in others:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & KERNEL_NAMES
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & KERNEL_NAMES
+                if node.attr == "kernel_tables" and not (path.stem == "gf" and isinstance(node.ctx, ast.Store)):
+                    names.add(node.attr)
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert found == []
 
 
 def test_each_module_imports_alone():
