@@ -160,6 +160,27 @@ class GF:
         out.reverse()
         return out
 
+    def long_division(self, a, b) -> tuple:
+        """Schoolbook division over F_{p^r}, r > 1, on the field's tables
+        (von zur Gathen-Gerhard, Modern Computer Algebra, 2.4): the digits
+        of a // b and the len(b) - 1 low digits of a % b, for digit lists
+        a and b with nonzero top digits and len(a) >= len(b) >= 2.  From
+        the top down, quotient digit f clears the remainder's top digit by
+        adding -f times b below its top digit."""
+        add, neg, mul = self._add_table or self._build_tables()[0], self._neg_table, self._mul_table
+        rem, low = list(a), b[:-1]
+        db = len(low)
+        by_lc = mul[self._inv_table[b[-1]]]
+        quo = [0] * (len(a) - db)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + db]
+            if c:
+                f = quo[i] = by_lc[c]
+                row = mul[neg[f]]
+                for j, y in enumerate(low, i):
+                    rem[j] = add[rem[j]][row[y]]
+        return quo, rem[:db]
+
     def _build_tables(self):
         q, p = self.q, self.p
         coords = [self.coords(a) for a in range(q)]

@@ -43,6 +43,25 @@ def spread(coeffs, q: int) -> list:
     return out
 
 
+# Poly.__divmod__ divides over F_{p^r}, r > 1, by a divisor of degree
+# db >= 2 with the schoolbook loop on the field's tables (GF.long_division)
+# while nq db, nq the number of quotient digits, is at most this; above it,
+# and over F_p at every size, by the packed loop.  The table loop makes
+# nq db table reads.  The packed loop packs both operands and unpacks the
+# remainder, and each quotient digit costs it a reduction-table lookup and
+# one bigint multiply-add, so it wins once db and nq are both long.  The
+# 512 is a crossover timed by hand (README, "Crossovers"): over F_4, F_8,
+# F_9 and F_27 the table loop was 1.5-2x faster at 256 at every shape
+# timed and about as fast or faster at 512; at 1024 the packed loop was up
+# to 1.3x faster at db = 64.  Over F_p a loop mod p won only while
+# nq db < 64 and was 2-4x slower from 512 on.  The `symbols` benchmark
+# workload takes most of its divisions here: at seed 1, 1565 of its 1614
+# divisions over F_9 by a divisor of degree >= 2 have nq db <= 256, from
+# Modulus's reciprocals, the gcds of distinct_degrees, and residue_symbol
+# with its norms.
+DIVISION_CROSSOVER = 512
+
+
 class Poly:
     __slots__ = ("gf", "coeffs")
 
@@ -119,13 +138,16 @@ class Poly:
         return Poly(self.gf, self.gf.scale_vec(c, self.coeffs))
 
     def __divmod__(self, other):
-        """Quotient and remainder, by the divisor's length.  A constant
+        """Quotient and remainder, on one of four paths.  A constant
         divisor is one scale by its inverse.  A linear one, b1 (T - c), is
         Horner's rule at its root c (GF.horner): the partial sums times
         1/b1 are the quotient's digits and the last one is the remainder
-        a(c).  A longer one runs the packed loop, one bigint multiply-add of
-        the packed divisor per quotient digit, in slots sized for
-        (p - 1) + min(quotient digits, deg b) r (p - 1)^2."""
+        a(c).  A longer one over F_{p^r}, r > 1, with nq deg b at most
+        DIVISION_CROSSOVER, nq the number of quotient digits, is the
+        schoolbook loop on the field's tables (GF.long_division).  Every
+        other one runs the packed loop, one bigint multiply-add of the
+        packed divisor per quotient digit, in slots sized for
+        (p - 1) + min(nq, deg b) r (p - 1)^2."""
         other = self._coerce(other)
         if other.is_zero():
             raise DomainError("polynomial division by zero")
@@ -143,6 +165,9 @@ class Poly:
             # a // (T - c) above the remainder a(c)
             s = gf.horner(a, gf.neg(gf.mul(b[0], inv_lc)))
             return Poly(gf, gf.scale_vec(inv_lc, s[1:])), Poly(gf, s[:1])
+        if gf.r > 1 and nq * db <= DIVISION_CROSSOVER:
+            quo, rem = gf.long_division(a, b)
+            return Poly(gf, quo), Poly(gf, rem)
         # The remainder is packed leading coefficient first, so the digit to
         # clear is always group 0: quotient digit f adds (-f) * (divisor
         # without its leading term) at groups 1..db, and group 0 is dropped.
@@ -208,7 +233,9 @@ class Poly:
         return Poly(gf, [gf.mul(i % gf.p, c) for i, c in enumerate(self.coeffs[1:], start=1)])
 
     def shift(self, k: int):
-        """Multiply by T^k."""
+        """Multiply by T^k, k >= 0."""
+        if k < 0:
+            raise DomainError(f"negative shift T^{k}")
         if self.is_zero():
             return self
         return Poly(self.gf, (0,) * k + self.coeffs)
@@ -518,7 +545,7 @@ def inv_mod(a: Poly, modulus: Poly) -> Poly:
 # and 24 at primes of degree 2 and 3) and 273 by the spread, most of them the
 # conjugates that form those norms.  `quotient` takes only the spread, and
 # `infinity` and `geometry` neither.
-SPREAD_MAX_SLOTS = 400
+SPREAD_CROSSOVER = 400
 
 
 def reciprocal(f: Poly, m: int) -> tuple:
@@ -630,7 +657,7 @@ class Modulus:
     def frobenius(self, h: Poly) -> Poly:
         """h^q mod f for h reduced mod f."""
         gf, n = self.f.gf, self.f.degree
-        if (2 * gf.r - 1) * gf.q * (n - 1) <= SPREAD_MAX_SLOTS:
+        if (2 * gf.r - 1) * gf.q * (n - 1) <= SPREAD_CROSSOVER:
             return self.reduce(h.frobenius())
         return square_multiply(h, gf.q, lambda x, y: self.reduce(x * y))
 

@@ -18,7 +18,7 @@ from carlitz.geometry import Fraction, TreeVertex, tangent_family
 from carlitz.gf import GF
 from carlitz.operator import D_sequence, XPoly, carlitz_act, carlitz_operator
 from carlitz.padic import PadicCtx, hensel_lift
-from carlitz.poly import Poly, RatFn, euler_phi, inv_mod, is_irreducible, parse_poly, poly_ext_gcd, poly_gcd, pow_mod, square_multiply
+from carlitz.poly import DIVISION_CROSSOVER, Poly, RatFn, euler_phi, inv_mod, is_irreducible, parse_poly, poly_ext_gcd, poly_gcd, pow_mod, square_multiply
 from carlitz.series import INF, InfLaurent, Series, VqElem, _min_prec
 from carlitz.torsion import TorsionSetVq, division_chain, min_separating_prec, torsion_vq
 
@@ -240,6 +240,19 @@ def linear_divisor_pairs(draw):
     elem = st.integers(0, gf.q - 1)
     a = Poly(gf, draw(st.lists(elem, max_size=300)))
     return a, Poly(gf, [draw(elem), draw(st.integers(1, gf.q - 1))])
+
+
+@st.composite
+def table_loop_pairs(draw):
+    """(a, b) that Poly.__divmod__ gives to the table loop: over every
+    F_{p^r} of FIELDS and GF(2^8), b of degree db >= 2, possibly non-monic,
+    and a of db + nq coefficients with nq db <= DIVISION_CROSSOVER."""
+    gf = draw(st.sampled_from([FIELDS[q] for q in sorted(FIELDS) if FIELDS[q].r > 1] + [_pack_field(2, 8)]))
+    db = draw(st.integers(2, 64))
+    nq = draw(st.integers(1, DIVISION_CROSSOVER // db))
+    elem, top = st.integers(0, gf.q - 1), st.integers(1, gf.q - 1)
+    a = draw(st.lists(elem, min_size=db + nq - 1, max_size=db + nq - 1)) + [draw(top)]
+    return Poly(gf, a), Poly(gf, draw(st.lists(elem, min_size=db, max_size=db)) + [draw(top)])
 
 
 # prime fields on both sides of 256 and of k (p - 1) < 256 at k = 2 (127
@@ -631,7 +644,7 @@ def frobenius_args(draw):
     return f, h
 
 
-# prime fields where q (deg f - 1) passes SPREAD_MAX_SLOTS at small deg f
+# prime fields where q (deg f - 1) passes SPREAD_CROSSOVER at small deg f
 LARGE_FIELDS = {q: GF(q) for q in (257, 10007, 1000003, 4294967311, 2**40 - 87)}
 
 

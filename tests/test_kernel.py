@@ -23,7 +23,7 @@ from conftest import (
     _rand, _torsion_primes, _vq, _xp, CLOSED_FORM_FIELDS, divide_T_fixed_point, FIELDS, fp_irreducible, fp_monic,
     frobenius_sum_args, LARGE_FIELDS, outcome, plain_pow, random_irreducible, ring_elems, RINGS, wide_pairs,
 )
-from test_oracles import division_edge_lengths, earlier_tests, search_cases
+from test_oracles import division_edge_cases, division_edge_lengths, earlier_tests, field_edge_cases, search_cases
 from carlitz import operator as operator_module
 from carlitz import poly as poly_module
 from carlitz import torsion as torsion_module
@@ -32,7 +32,9 @@ from carlitz.errors import CarlitzError, DomainError, PrecisionError
 from carlitz.gf import GF
 from carlitz.operator import AdditivePoly, XPoly, carlitz_act
 from carlitz.padic import PadicCtx
-from carlitz.poly import Modulus, Poly, RatFn, _slot_bytes, inv_mod, is_irreducible, parse_poly, pow_mod
+from carlitz.poly import (
+    DIVISION_CROSSOVER, Modulus, Poly, RatFn, _slot_bytes, inv_mod, is_irreducible, parse_poly, pow_mod, reciprocal,
+)
 from carlitz.reciprocity import residue_symbol
 from carlitz.series import InfLaurent, Series, VqElem, parse_series
 from carlitz.torsion import TorsionSetPadic, TorsionSetVq, divide_T, division_chain, min_separating_prec, torsion_padic, torsion_vq
@@ -595,8 +597,68 @@ def test_divmod_by_linear_packs_nothing(monkeypatch, q):
         quo, rem = divmod(a, b)
         assert rem.degree < 1 and quo.degree == n - 2
     assert calls == []
-    divmod(_rand(gf, 5, 1), _rand(gf, 3, 2))
+    # the control: a quadratic divisor past DIVISION_CROSSOVER packs
+    divmod(_rand(gf, DIVISION_CROSSOVER, 1), _rand(gf, 3, 2))
     assert calls
+
+
+def pack_spy(monkeypatch):
+    """packs(a, b): whether divmod(a, b) calls _pack."""
+    pack, calls = poly_module._pack, []
+    monkeypatch.setattr(poly_module, "_pack", lambda *args: calls.append(1) or pack(*args))
+
+    def packs(a, b):
+        calls.clear()
+        divmod(a, b)
+        return bool(calls)
+
+    return packs
+
+
+def test_divmod_takes_the_table_loop_up_to_the_crossover(monkeypatch):
+    # over F_{p^r} a divisor of degree db >= 2 with nq db <= C =
+    # DIVISION_CROSSOVER, nq the number of quotient digits, divides by
+    # GF.long_division with no _pack, and one more quotient digit packs;
+    # over F_p every such division packs
+    packs = pack_spy(monkeypatch)
+    C = DIVISION_CROSSOVER
+    for q in (4, 8, 9, 25, 27):
+        gf = FIELDS[q]
+        for db in (2, 3, 16, C // 2):
+            b = _rand(gf, db + 1, -db)
+            assert not packs(_rand(gf, db + C // db, db), b)
+            assert packs(_rand(gf, db + C // db + 1, db), b)
+    for q in (2, 3, 5, 7):
+        for db, nq in ((2, 1), (3, 8), (16, 16)):
+            assert packs(_rand(FIELDS[q], db + nq, db), _rand(FIELDS[q], db + 1, -db))
+
+
+def test_slot_edges_under_the_crossover_are_pinned_packed(monkeypatch):
+    # each F_{p^r} divisor at a slot edge that test_oracles.py pins with a
+    # division on the table loop is pinned with a quotient past the
+    # crossover too, and that division packs
+    packs = pack_spy(monkeypatch)
+    cases = [c for q in sorted(FIELDS) for c in field_edge_cases(q, "divmod")]
+    cases += [c for q in (9, 25) for c in division_edge_cases(q)]
+    short = [b for a, b in cases if b.gf.r > 1 and (a.degree - b.degree + 1) * b.degree <= DIVISION_CROSSOVER]
+    assert short
+    for b in short:
+        long = [a for a, d in cases if d == b and (a.degree - b.degree + 1) * b.degree > DIVISION_CROSSOVER]
+        assert long and all(packs(a, b) for a in long)
+
+
+def test_shift_refuses_a_negative_power():
+    # T^k only for k >= 0, so reciprocal's x^(deg f - 1 + m) needs
+    # deg f - 1 + m >= 0
+    gf = FIELDS[3]
+    T = Poly.T(gf)
+    assert T.shift(0) == T and T.shift(2) == Poly(gf, [0, 0, 0, 1])
+    for f in (T, Poly.zero(gf)):
+        with pytest.raises(DomainError, match="negative shift T\\^-1"):
+            f.shift(-1)
+    assert reciprocal(Poly.one(gf), 1) == (1,)
+    with pytest.raises(DomainError, match="negative shift"):
+        reciprocal(Poly.one(gf), 0)
 
 
 def symbol_error(A, P, d):

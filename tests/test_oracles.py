@@ -15,6 +15,7 @@ its draws.  The oracles and the strategies live in tests/conftest.py;
 tests/test_precision.py holds the precision contract."""
 
 import functools
+import math
 import random
 from collections import Counter
 from typing import Callable, NamedTuple
@@ -39,8 +40,8 @@ from conftest import (
     school_series_inverse, school_series_mul, school_to_inf, school_vector_ops, school_xdivmod, school_xmul,
     search_torsion_vq, seeded_modulus, series_pairs, slot_args, spread_carlitz_exp, step_args, step_mod_args, stepping_order,
     stepping_residue_order, tangent_families, TORSION_ORDERS, torsion_padic_by_class, tree_distance_by_dicts,
-    tstep_operator, unit_count, unpack_slots, vec_args, VEC_FIELDS, vec_series, vertex_pairs, wide_pairs, X_FIELDS,
-    xpoly_pairs,
+    table_loop_pairs, tstep_operator, unit_count, unpack_slots, vec_args, VEC_FIELDS, vec_series, vertex_pairs,
+    wide_pairs, X_FIELDS, xpoly_pairs,
 )
 from carlitz.analytic import Lattice, SeriesBudget, _carlitz_e, _power_sum, _shell_coeffs, carlitz_exp, eisenstein, period_partial
 from carlitz.errors import DomainError, PrecisionError
@@ -49,7 +50,7 @@ from carlitz.gf import GF
 from carlitz.operator import AdditivePoly, XPoly, carlitz_act, carlitz_operator, cyclotomic_poly
 from carlitz.padic import PadicCtx, PadicElem, hensel_lift
 from carlitz.poly import (
-    Modulus, Poly, RatFn, _pack, _slot_tables, _squarefree_parts, _unpack, all_polys, euler_phi,
+    DIVISION_CROSSOVER, Modulus, Poly, RatFn, _pack, _slot_tables, _squarefree_parts, _unpack, all_polys, euler_phi,
     is_irreducible, monic_irreducibles, parse_poly, poly_gcd, pow_mod, square_multiply,
 )
 from carlitz.reciprocity import (
@@ -272,12 +273,20 @@ def gf13_cases(n, kind):
     return top_cases(GF(13), n, kind, 2 * n + 1)
 
 
+def quotient_lengths(gf, n):
+    """n, and over F_{p^r} where n quotient digits by a divisor of degree n
+    take the table loop, a length past DIVISION_CROSSOVER too: the packed
+    loop's slot bound p-1 + min(nq, db) r (p-1)^2 is the same at both, so
+    its slot edge is pinned on the packed loop as well."""
+    return (n, DIVISION_CROSSOVER // n + 1) if gf.r > 1 and n * n <= DIVISION_CROSSOVER else (n,)
+
+
 def field_edge_cases(q, kind):
     # q-1 has every coordinate p-1.  In a*a with n such coefficients the
     # middle slot of the middle group reaches n r (p-1)^2.  Dividing Q*b by
     # b, with every coefficient of b equal to q-1 and of Q to -(q-1), adds
-    # r (p-1)^2 to a remainder slot once per quotient digit.  Each pair of
-    # lengths straddles 2^8.
+    # r (p-1)^2 to a remainder slot once per quotient digit, up to n times.
+    # Each pair of lengths straddles 2^8.
     gf = FIELDS[q]
     top, p = q - 1, gf.p
     per_term = gf.r * (p - 1) ** 2
@@ -286,7 +295,7 @@ def field_edge_cases(q, kind):
     out = []
     for n in ((255 - (p - 1)) // per_term, (255 - (p - 1)) // per_term + 1):
         b = Poly(gf, [top] * (n + 1))
-        out.append((Poly(gf, [gf.neg(top)] * n) * b, b))
+        out += [(Poly(gf, [gf.neg(top)] * m) * b, b) for m in quotient_lengths(gf, n)]
     return out
 
 
@@ -305,8 +314,21 @@ def division_edge_cases(q):
     out = []
     for n in division_edge_lengths(q):
         b = _rand(gf, n + 1, n)
-        quo = Poly(gf, [q - 1] + [0] * (n // 2 - 1) + [1] + [0] * (n - n // 2 - 2) + [gf.p])
-        out.append((quo * b + _rand(gf, n, -n), b))
+        for m in quotient_lengths(gf, n):
+            quo = Poly(gf, [q - 1] + [0] * (m // 2 - 1) + [1] + [0] * (m - m // 2 - 2) + [gf.p])
+            out.append((quo * b + _rand(gf, n, -n), b))
+    return out
+
+
+def crossover_cases(q):
+    # nq db = C - 1, C and C + 1 for C = DIVISION_CROSSOVER, each split at
+    # its divisor closest to the square root, so the table loop runs at and
+    # below C and the packed loop above it
+    gf = FIELDS[q]
+    out = []
+    for size in (DIVISION_CROSSOVER - 1, DIVISION_CROSSOVER, DIVISION_CROSSOVER + 1):
+        db = max((d for d in range(2, math.isqrt(size) + 1) if size % d == 0), default=size)
+        out.append((_rand(gf, db + size // db, size), _rand(gf, db + 1, -size)))
     return out
 
 
@@ -700,7 +722,7 @@ FROB_EXAMPLES = (
     modulus_pin("frobenius", *seeded_modulus(27, 30, 2, monic=True)),  # r = 3, slot sums near 30 * 12
     modulus_pin("frobenius", *seeded_modulus(5, 1, 3, monic=True)),  # deg f = 1: h^q = h
     (Poly(FIELDS[4], [1, 0, 1]), Poly(FIELDS[4], [])),  # h = 0
-    # square-and-multiply: (2r - 1) q (deg f - 1) above SPREAD_MAX_SLOTS
+    # square-and-multiply: (2r - 1) q (deg f - 1) above SPREAD_CROSSOVER
     modulus_pin("frobenius", *seeded_modulus(257, 8, 4, monic=True)),
     modulus_pin("frobenius", *seeded_modulus(10007, 2, 5, monic=True)),
     modulus_pin("frobenius", *seeded_modulus(10007, 4, 6, monic=True)),
@@ -1003,6 +1025,9 @@ ROWS = {
     ),
     "Poly.divmod/linear": Row(
         divmod_and_back, school_divmod_and_back, linear_divisor_pairs(), 150, examples(*linear_cases()),
+    ),
+    "Poly.divmod/table-loop": Row(
+        divmod_and_back, school_divmod_and_back, table_loop_pairs(), 150, per_case(crossover_cases, [9, 27]),
     ),
     "Poly.mul/gf13-slots": Row(
         mul_and_square, school_mul_and_square, pins=per_case(functools.partial(gf13_cases, kind="mul"), [1, 2, 455, 456]),

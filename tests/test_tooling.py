@@ -1,10 +1,10 @@
 """The runtime imports nothing outside the standard library, every module
 imports on its own, only poly uses the packed kernel, the README's library
-and CLI quick starts run, the README's caps table matches the code, the
-README stays under 600 lines and every library name it gives resolves,
-every CLI subcommand declares only the options it reads and no handler
-builds the field or reads option text, every layer boundary the benchmark
-traces exists in the library, every certified function has a
+and CLI quick starts run, the README's caps and crossover tables match the
+code, the README stays under 600 lines and every library name it gives
+resolves, every CLI subcommand declares only the options it reads and no
+handler builds the field or reads option text, every layer boundary the
+benchmark traces exists in the library, every certified function has a
 precision-contract row, every comparison of a fast path with its oracle is
 a row of tests/test_oracles.py whose oracle is defined under tests/, and
 the benchmark's workloads compute the pinned outputs."""
@@ -128,15 +128,32 @@ def test_readme_caps_table_matches_the_code():
         actual = getattr(importlib.import_module(f"carlitz.{module}"), name)
         assert int(factor or 1) * int(base) ** int(exponent) == actual, f"{module}.{name}"
         assert refusal == ("usage error, exit 2" if module == "cli" else "`DomainError`, exit 1")
-    caps = {
+    caps = module_constants(lambda name: name.startswith("MAX_"))
+    assert len(caps) == 14 and {f"{module}.{name}" for module, name, _, _ in rows} == caps
+
+
+def module_constants(chosen):
+    """module.NAME for every module-level assignment in src/ to a name that
+    chosen accepts."""
+    return {
         f"{path.stem}.{target.id}"
         for path in SRC.glob("*.py")
         for node in ast.parse(path.read_text()).body
         if isinstance(node, ast.Assign)
         for target in node.targets
-        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+        if isinstance(target, ast.Name) and chosen(target.id)
     }
-    assert len(caps) == 14 and {f"{module}.{name}" for module, name, _, _ in rows} == caps
+
+
+def test_readme_crossover_table_matches_the_code():
+    # one row per module-level _CROSSOVER constant, with its value, so a
+    # crossover that is added or retuned without its row fails
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)\.(\w+_CROSSOVER)` \| (\d+) \|", readme, re.M)
+    for module, name, value in rows:
+        assert int(value) == getattr(importlib.import_module(f"carlitz.{module}"), name), f"{module}.{name}"
+    named = [f"{module}.{name}" for module, name, _ in rows]
+    assert len(named) == len(set(named)) and set(named) == module_constants(lambda name: name.endswith("_CROSSOVER"))
 
 
 def _args_read(name, functions, seen):
